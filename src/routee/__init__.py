@@ -11,13 +11,12 @@ from .headers import (
     bits_to_target,
     check_pow,
     expected_target,
-    header_hash,
     merkle_root,
     target_to_bits,
 )
 from .hub import FeeEstimator, Hub, HubConfig, SettlementPlan
 from .simchain import ForgeSpec, SimClock, SimNode, forge_chain, replay_utxo
-from .transactions import Transaction, TxInput, TxOutput, formula_size, tx_id
+from .transactions import Transaction, TxInput, TxOutput, formula_size
 
 __version__ = "0.1.0"
 
@@ -47,11 +46,9 @@ __all__ = [
     "expected_target",
     "forge_chain",
     "formula_size",
-    "header_hash",
     "merkle_root",
     "replay_utxo",
     "sha256d",
     "target_to_bits",
-    "tx_id",
     "validate_block",
 ]

@@ -56,9 +56,6 @@ class UtxoSet:
     def total_value(self) -> int:
         return sum(out.value for out in self.entries.values())
 
-    def copy(self) -> "UtxoSet":
-        return UtxoSet(dict(self.entries))
-
 
 def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
     """Validate one non-coinbase transaction against a UTXO view and return

@@ -164,32 +164,19 @@ def cmd_settle(args) -> int:
     return 0
 
 
+def cmd_request(args) -> int:
+    """Send the subcommand's request, which has no fields, and print the reply."""
+    with _hub(args) as hub:
+        result = hub.request(args.request())
+    _emit(args, result)
+    return 0
+
+
 def cmd_balance(args) -> int:
     keys = Keys.load(args.key)
     scheme = get_scheme(keys.scheme_name)
     with _hub(args) as hub:
         result = hub.request(build_query_user(scheme, keys, hub.session_id))
-    _emit(args, result)
-    return 0
-
-
-def cmd_init(args) -> int:
-    with _hub(args) as hub:
-        result = hub.request(wire.InitRun())
-    _emit(args, result)
-    return 0
-
-
-def cmd_latest_block(args) -> int:
-    with _hub(args) as hub:
-        result = hub.request(wire.QueryLatestBlock())
-    _emit(args, result)
-    return 0
-
-
-def cmd_ledger(args) -> int:
-    with _hub(args) as hub:
-        result = hub.request(wire.QueryLedger())
     _emit(args, result)
     return 0
 
@@ -219,13 +206,6 @@ def cmd_insert_block(args) -> int:
     return 0
 
 
-def cmd_build_settlement(args) -> int:
-    with _hub(args) as hub:
-        result = hub.request(wire.GetSettlement())
-    _emit(args, result)
-    return 0
-
-
 def cmd_broadcast(args) -> int:
     from .transactions import Transaction
 
@@ -247,13 +227,6 @@ def cmd_terminate(args) -> int:
     with _hub(args) as hub:
         state = hub.request(wire.QueryLatestBlock())
         result = hub.request(build_terminate(scheme, host_keys, state["hash"]))
-    _emit(args, result)
-    return 0
-
-
-def cmd_snapshot(args) -> int:
-    with _hub(args) as hub:
-        result = hub.request(wire.Snapshot())
     _emit(args, result)
     return 0
 
@@ -330,15 +303,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("init")
     _add_hub_flags(p)
-    p.set_defaults(fn=cmd_init)
+    p.set_defaults(fn=cmd_request, request=wire.InitRun)
 
     p = sub.add_parser("latest-block")
     _add_hub_flags(p)
-    p.set_defaults(fn=cmd_latest_block)
+    p.set_defaults(fn=cmd_request, request=wire.QueryLatestBlock)
 
     p = sub.add_parser("ledger")
     _add_hub_flags(p)
-    p.set_defaults(fn=cmd_ledger)
+    p.set_defaults(fn=cmd_request, request=wire.QueryLedger)
 
     p = sub.add_parser("insert-block")
     _add_hub_flags(p)
@@ -349,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("build-settlement")
     _add_hub_flags(p)
-    p.set_defaults(fn=cmd_build_settlement)
+    p.set_defaults(fn=cmd_request, request=wire.GetSettlement)
 
     p = sub.add_parser("broadcast")
     _add_hub_flags(p)
@@ -363,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("snapshot")
     _add_hub_flags(p)
-    p.set_defaults(fn=cmd_snapshot)
+    p.set_defaults(fn=cmd_request, request=wire.Snapshot)
 
     # SUPPRESS: a flag after the subcommand sets json, its absence leaves the top-level value
     for p in sub.choices.values():

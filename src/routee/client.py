@@ -1,5 +1,6 @@
 """Client-side helpers: keypairs, signed request construction, and transports
-that carry requests to a hub either over TCP or fully in memory."""
+that carry requests to a hub either over TCP or fully in memory. Also the
+hub's frame pipeline, which the daemon and the in-memory endpoint share."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 
 from . import wire
 from .crypto import address_of
-from .errors import HandshakeFailure, RouteeError, SessionAborted
+from .errors import HandshakeFailure, InitFailure, RouteeError, SessionAborted
 from .netio import FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
@@ -92,37 +93,79 @@ def build_terminate(scheme, host_keys: Keys, tip_hash: bytes) -> wire.Terminate:
     return msg
 
 
-class LocalHubEndpoint:
-    """In-memory hub front end speaking whole frames, for tests and scenario
-    scripts. Mirrors the daemon's frame handling without sockets."""
+class HubFrontEnd:
+    """The hub's one frame pipeline, shared by the daemon and the in-memory
+    endpoint: hub info and handshakes, then sealed requests opened, decoded,
+    applied to the hub, answered and sealed again. Subclasses supply what a
+    deployment owns beyond the hub: writing a snapshot and running init."""
 
-    def __init__(self, hub, session_rng=None):
+    def __init__(self, hub, endpoint: HubSessionEndpoint):
         self.hub = hub
-        self.endpoint = HubSessionEndpoint(rng=session_rng)
+        self.endpoint = endpoint
 
-    def handle_frame(self, frame: bytes) -> bytes | None:
-        frame_type, payload = unpack_frame(frame)
+    def write_snapshot(self) -> int:
+        """Bytes written; an in-memory hub keeps no snapshot file."""
+        return 0
+
+    def run_init(self) -> None:
+        raise InitFailure("no block source to initialize from")
+
+    def handle(self, frame_type: int, payload: bytes, ctx: dict) -> tuple[int, bytes] | None:
+        """Answer one frame. `ctx` belongs to one connection and holds its
+        session once that connection has shaken hands."""
         if frame_type == FRAME_HUB_INFO_REQ:
             body = wire.encode_ok(
                 {"static_public": self.endpoint.static_public, "measurement": self.endpoint.measurement}
             )
-            return pack_frame(wire.FRAME_HUB_INFO_RESP, body)
+            return wire.FRAME_HUB_INFO_RESP, body
         if frame_type == FRAME_HANDSHAKE_INIT:
-            ack, _ = self.endpoint.handle_init(payload)
-            return pack_frame(FRAME_HANDSHAKE_ACK, ack)
-        if frame_type == FRAME_ENVELOPE:
-            try:
-                session = self.endpoint.session_for(payload)
-                plaintext = session.open(payload)
-            except SessionAborted:
-                return None
-            try:
-                req = wire.decode_request(plaintext)
-                reply = wire.encode_ok(self.hub.apply_request(req, session.session_id))
-            except RouteeError as exc:
-                reply = wire.encode_err(exc)
-            return pack_frame(FRAME_ENVELOPE, session.seal(reply))
-        return None
+            self.drop_session(ctx)
+            ack, ctx["session"] = self.endpoint.handle_init(payload)
+            return FRAME_HANDSHAKE_ACK, ack
+        if frame_type != FRAME_ENVELOPE:
+            return None
+        try:
+            session = ctx.get("session") or self.endpoint.session_for(payload)
+            plaintext = session.open(payload)
+        except SessionAborted:
+            # replay/gap/tamper: no reply at all, the envelope is dead
+            return None
+        try:
+            req = wire.decode_request(plaintext)
+            if isinstance(req, wire.Snapshot):
+                fields = {"bytes_written": self.write_snapshot()}
+            elif isinstance(req, wire.InitRun):
+                already = self.hub.chain is not None
+                if not already:
+                    self.run_init()
+                fields = {"initialized": 1, "already": 1} if already else {"initialized": 1}
+            else:
+                fields = self.hub.apply_request(req, session.session_id)
+            reply = wire.encode_ok(fields)
+        except RouteeError as exc:
+            reply = wire.encode_err(exc)
+        except Exception as exc:  # never let one request kill the connection
+            reply = wire.encode_err(RouteeError(str(exc)))
+        return FRAME_ENVELOPE, session.seal(reply)
+
+    def drop_session(self, ctx: dict) -> None:
+        """Forget a connection's session: when it closes or shakes hands again."""
+        session = ctx.pop("session", None)
+        if session is not None:
+            self.endpoint.sessions.pop(session.session_id, None)
+
+
+class LocalHubEndpoint(HubFrontEnd):
+    """In-memory hub front end speaking whole frames, for tests and scenario
+    scripts. It has no connections, so every envelope finds its session by
+    the session id it carries."""
+
+    def __init__(self, hub, session_rng=None):
+        super().__init__(hub, HubSessionEndpoint(rng=session_rng))
+
+    def handle_frame(self, frame: bytes) -> bytes | None:
+        reply = self.handle(*unpack_frame(frame), {})
+        return None if reply is None else pack_frame(*reply)
 
 
 class LocalConnection:

@@ -1,8 +1,10 @@
-"""The hub daemon: binds the session layer to the hub state machine.
+"""The hub daemon: serves the hub's frame pipeline (`client.HubFrontEnd`) over
+TCP.
 
 Sessions are handled concurrently, one connection per thread; every mutating
 request is applied serially by the hub's single-writer lock, with per-session
-message order preserved by the per-connection read loop. Snapshots are
+message order preserved by the per-connection read loop. A connection's
+session leaves the session table when the connection closes. Snapshots are
 written on demand and on shutdown.
 """
 
@@ -12,13 +14,13 @@ import os
 import threading
 
 from . import snapshot as snapshot_mod
-from . import wire
+from .client import HubFrontEnd, Keys
 from .crypto import CryptoSuite
-from .errors import InitFailure, RouteeError
-from .headers import ChainParams
+from .errors import InitFailure
+from .headers import BlockHeader, ChainParams
 from .hub import Hub, HubConfig
 from .netio import FrameServer
-from .session import HubSessionEndpoint, SessionAborted
+from .session import HubSessionEndpoint
 from .simchain_server import SimchainClient
 
 
@@ -88,8 +90,6 @@ class DaemonConfig:
     def hub_config(self) -> HubConfig:
         host_pk = bytes.fromhex(self["host_pubkey_hex"])
         if not host_pk and self["host_key_path"]:
-            from .client import Keys
-
             host_pk = Keys.load(self["host_key_path"]).public
         return HubConfig(
             host_public_key=host_pk,
@@ -101,22 +101,25 @@ class DaemonConfig:
         )
 
 
-class HubDaemon:
+class HubDaemon(HubFrontEnd):
+    """The frame pipeline over TCP, one session per connection, with the
+    hub's snapshot file and its block source for init."""
+
     def __init__(self, config: DaemonConfig):
         self.config = config
-        self.hub = Hub(config.hub_config())
+        hub = Hub(config.hub_config())
         snapshot_path = config["snapshot_path"]
         if snapshot_path and os.path.exists(snapshot_path):
             with open(snapshot_path, "rb") as fh:
-                self.hub = snapshot_mod.load_hub(fh.read())
+                hub = snapshot_mod.load_hub(fh.read())
         hub_key = None
         key_path = config["hub_key_path"]
         if key_path and os.path.exists(key_path):
             hub_key = bytes.fromhex(open(key_path).read().strip())
-        self.endpoint = HubSessionEndpoint(hub_key)
+        super().__init__(hub, HubSessionEndpoint(hub_key))
         self.simchain = SimchainClient(config["simchain_host"], config.get_int("simchain_port"))
         self.server = FrameServer(
-            (config["listen_host"], config.get_int("listen_port")), self._handle
+            (config["listen_host"], config.get_int("listen_port")), self._handle, self.drop_session
         )
         self._snapshot_lock = threading.Lock()
 
@@ -137,8 +140,6 @@ class HubDaemon:
         raw = self.simchain.fetch_headers(start_height, tip_height - start_height + 1)
         if not raw:
             raise InitFailure("block source returned no headers")
-        from .headers import BlockHeader
-
         headers = [BlockHeader.deserialize(h) for h in raw]
         window = self.config.get_int("fee_window")
         first_fee_height = max(start_height, tip_height - window + 1)
@@ -171,46 +172,6 @@ class HubDaemon:
             os.replace(tmp, path)
         return len(data)
 
-    # --- frame handling ---
-
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):
-        if frame_type == wire.FRAME_HUB_INFO_REQ:
-            body = wire.encode_ok(
-                {
-                    "static_public": self.endpoint.static_public,
-                    "measurement": self.endpoint.measurement,
-                }
-            )
-            return wire.FRAME_HUB_INFO_RESP, body
-        if frame_type == wire.FRAME_HANDSHAKE_INIT:
-            ack, session = self.endpoint.handle_init(payload)
-            ctx["session"] = session
-            return wire.FRAME_HANDSHAKE_ACK, ack
-        if frame_type == wire.FRAME_ENVELOPE:
-            try:
-                session = ctx.get("session")
-                if session is None:
-                    session = self.endpoint.session_for(payload)
-                plaintext = session.open(payload)
-            except SessionAborted:
-                # replay/gap/tamper: no reply at all, the envelope is dead
-                return None
-            reply = self._dispatch(plaintext, session.session_id)
-            return wire.FRAME_ENVELOPE, session.seal(reply)
-        return None
-
-    def _dispatch(self, plaintext: bytes, session_id: bytes) -> bytes:
-        try:
-            req = wire.decode_request(plaintext)
-            if isinstance(req, wire.Snapshot):
-                return wire.encode_ok({"bytes_written": self.write_snapshot()})
-            if isinstance(req, wire.InitRun):
-                if self.hub.chain is None:
-                    self.run_init()
-                    return wire.encode_ok({"initialized": 1})
-                return wire.encode_ok({"initialized": 1, "already": 1})
-            return wire.encode_ok(self.hub.apply_request(req, session_id))
-        except RouteeError as exc:
-            return wire.encode_err(exc)
-        except Exception as exc:  # defensive: never kill the session thread
-            return wire.encode_err(RouteeError(str(exc)))
+        # the frame server's callback; bench/tracing.py wraps it by this name
+        return self.handle(frame_type, payload, ctx)

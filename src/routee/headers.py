@@ -50,10 +50,6 @@ class BlockHeader:
         return sha256d(self.serialize())
 
 
-def header_hash(header: BlockHeader) -> bytes:
-    return header.hash()
-
-
 def bits_to_target(bits: int) -> int:
     """Expand a compact target. Raises on negative or overflowing encodings,
     mirroring the consensus arith_uint256 rules."""
@@ -143,10 +139,6 @@ class ChainParams:
     @property
     def pow_limit(self) -> int:
         return bits_to_target(self.pow_limit_bits)
-
-    @classmethod
-    def mainnet_like(cls) -> "ChainParams":
-        return cls()
 
     @classmethod
     def regtest(cls, retarget_interval: int = 100_000, target_spacing: int = 600) -> "ChainParams":
@@ -250,12 +242,3 @@ class HeaderChain:
         self.headers.append(header)
         self._hashes.append(header.hash())
         self.cumulative_work += work_from_target(expected.expanded)
-
-    def copy(self) -> "HeaderChain":
-        dup = object.__new__(HeaderChain)
-        dup.params = self.params
-        dup.start_height = self.start_height
-        dup.headers = list(self.headers)
-        dup._hashes = list(self._hashes)
-        dup.cumulative_work = self.cumulative_work
-        return dup

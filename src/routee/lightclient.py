@@ -23,9 +23,6 @@ HEADER_BATCH = 2016
 class ClientConfig:
     k_user: int = 6
     batch_size: int = HEADER_BATCH
-    # escape hatch for users who fully trust one source and want to adopt a
-    # single header without chain validation; off by default
-    trust_single_peer: bool = False
 
     def __post_init__(self):
         if self.k_user < 1:
@@ -121,16 +118,6 @@ def sync_headers(peers: list[tuple[str, "HeaderSource"]], params: ChainParams,
     if reachable == 0:
         raise PeerError("all peers unreachable")
     return store
-
-
-def fetch_boundary_unverified(source: "HeaderSource", height: int) -> tuple[int, bytes]:
-    """Single-source shortcut for users who fully trust one peer: take one
-    header at `height` and use its hash as the boundary without validating
-    the chain around it. Gated behind ClientConfig.trust_single_peer."""
-    batch = source.fetch_headers(height, 1)
-    if not batch:
-        raise ChainTooShort(f"peer has no header at {height}")
-    return height, BlockHeader.deserialize(batch[0]).hash()
 
 
 def choose_boundary(store: HeaderStore, k_user: int) -> tuple[int, bytes]:

@@ -8,14 +8,11 @@ import socketserver
 import threading
 
 from .errors import MalformedFrame
-from .wire import MAX_FRAME_SIZE
+from .wire import frame_length, pack_frame
 
 
 def send_frame(sock: socket.socket, frame_type: int, payload: bytes) -> None:
-    length = len(payload) + 1
-    if length > MAX_FRAME_SIZE:
-        raise MalformedFrame("frame too large")
-    sock.sendall(length.to_bytes(4, "big") + bytes([frame_type]) + payload)
+    sock.sendall(pack_frame(frame_type, payload))
 
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -29,10 +26,7 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    length = int.from_bytes(recv_exact(sock, 4), "big")
-    if length < 1 or length > MAX_FRAME_SIZE:
-        raise MalformedFrame(f"bad frame length {length}")
-    body = recv_exact(sock, length)
+    body = recv_exact(sock, frame_length(recv_exact(sock, 4)))
     return body[0], body[1:]
 
 
@@ -67,13 +61,15 @@ class FrameConn:
 
 class FrameServer(socketserver.ThreadingTCPServer):
     """Threaded frame server; `handler_fn(frame_type, payload, ctx)` returns
-    (frame_type, payload) replies. ctx is a per-connection dict."""
+    (frame_type, payload) replies. ctx is a per-connection dict, which
+    `close_fn(ctx)`, when given, receives once the connection has ended."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address: tuple[str, int], handler_fn):
+    def __init__(self, address: tuple[str, int], handler_fn, close_fn=None):
         self.handler_fn = handler_fn
+        self.close_fn = close_fn
         super().__init__(address, _FrameRequestHandler)
 
     @property
@@ -98,3 +94,6 @@ class _FrameRequestHandler(socketserver.BaseRequestHandler):
                     send_frame(sock, reply[0], reply[1])
         except (ConnectionError, MalformedFrame, OSError):
             pass
+        finally:
+            if self.server.close_fn is not None:
+                self.server.close_fn(ctx)

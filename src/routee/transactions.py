@@ -121,10 +121,6 @@ class Transaction:
         return self.input_value() - self.output_value()
 
 
-def tx_id(tx: Transaction) -> bytes:
-    return tx.txid()
-
-
 def make_unlock(scheme, secret_key: bytes, public_key: bytes, sighash: bytes) -> bytes:
     sig = scheme.sign(secret_key, sighash)
     return Writer().lp_bytes(public_key).lp_bytes(sig).getvalue()
@@ -146,13 +142,6 @@ def verify_unlock(scheme, lock_address: bytes, sighash: bytes, unlock: bytes) ->
     if address_of(public_key) != lock_address:
         return False
     return scheme.verify(public_key, sighash, sig)
-
-
-def sign_all_inputs(tx: Transaction, scheme, keys: list[tuple[bytes, bytes]]) -> None:
-    """Fill every input's unlock; `keys` holds one (secret, public) per input."""
-    digest = tx.sighash()
-    for txin, (sk, pk) in zip(tx.inputs, keys, strict=True):
-        txin.unlock = make_unlock(scheme, sk, pk, digest)
 
 
 def coinbase_tx(height: int, value: int, lock_address: bytes, extra: bytes = b"") -> Transaction:

@@ -1,24 +1,34 @@
-"""Canonical message encoding for every hub operation, plus the outer frame.
+"""Canonical encoding of every hub request and reply, plus the outer frame.
 
-Framing: 4-byte big-endian length, 1-byte frame type, payload. Handshake and
-envelope frames carry the encrypted session traffic; header/block/control
-frames serve public chain data unencrypted.
+Frame: 4-byte big-endian length, 1-byte frame type, payload (`netio` moves
+frames over sockets with the same packing and length check). Handshake and
+envelope frames carry the encrypted session traffic; the other frame types
+serve public chain data unencrypted.
 
-Requests are encoded as one type byte plus fixed-width big-endian fields.
-Authenticated requests embed the user nonce, and payments embed the routing
-fee, inside the signed byte range, so a relay can alter neither.
+Each request is declared once, as a dataclass whose fields name their wire
+format. It travels as its kind byte, its fixed-width fields, an optional
+2-byte count and repeated items, then its trailing byte strings, each behind
+a 4-byte length, with the signature last; integers are big-endian. The
+declarations compile to `struct.Struct`s at import, and the encoder, the
+decoder and the signing digests all derive from them.
+
+A signing digest is sha256(b"routee/v1/" + the encoding without the
+signature): the leading kind byte keeps the domains of different requests
+apart, and a relay can alter no signed field (nonces, routing fees). A
+`QueryUser` digest appends the session id, binding the query to one session;
+an `InsertBlock` is signed over the block's header hash.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .codec import Reader, Writer
-from .crypto import ADDRESS_SIZE, sha256
+from .crypto import sha256
 from .errors import MalformedFrame, RouteeError, UnknownType
-
-_PAYMENT_ITEM = struct.Struct(">20sQQ")
 
 # outer frame types
 FRAME_HANDSHAKE_INIT = 1
@@ -42,6 +52,14 @@ FRAME_HUB_INFO_RESP = 17
 MAX_FRAME_SIZE = 64 * 1024 * 1024
 
 
+def frame_length(prefix: bytes) -> int:
+    """The length a 4-byte frame prefix announces, type byte included."""
+    length = int.from_bytes(prefix, "big")
+    if not 1 <= length <= MAX_FRAME_SIZE:
+        raise MalformedFrame(f"bad frame length {length}")
+    return length
+
+
 def pack_frame(frame_type: int, payload: bytes) -> bytes:
     if len(payload) + 1 > MAX_FRAME_SIZE:
         raise MalformedFrame("frame too large")
@@ -51,175 +69,256 @@ def pack_frame(frame_type: int, payload: bytes) -> bytes:
 def unpack_frame(data: bytes) -> tuple[int, bytes]:
     if len(data) < 5:
         raise MalformedFrame("short frame")
-    length = int.from_bytes(data[:4], "big")
-    if length != len(data) - 4 or length < 1:
+    if frame_length(data[:4]) != len(data) - 4:
         raise MalformedFrame("frame length mismatch")
     return data[4], data[5:]
 
 
-# request kinds
-REQ_ADD_USER = 1
-REQ_ADD_DEPOSIT = 2
-REQ_UPDATE_BOUNDARY = 3
-REQ_PAYMENT = 4
-REQ_SETTLE = 5
-REQ_QUERY_LATEST_BLOCK = 6
-REQ_QUERY_USER = 7
-REQ_QUERY_LEDGER = 8
-REQ_INSERT_BLOCK = 9
-REQ_GET_SETTLEMENT = 10
-REQ_TERMINATE = 11
-REQ_SNAPSHOT = 12
-REQ_INIT_STATUS = 13
-REQ_INIT_RUN = 14
+# --- request declarations ---
 
 _SIGNING_CONTEXT = b"routee/v1/"
+_LENGTH = struct.Struct(">I")
+_TRAILING = "trailing"
+_SIGNATURE = "signature"
 
 
-@dataclass
+def fixed(code: str):
+    """A fixed-width field, given as one `struct` format code."""
+    return field(metadata={"wire": code})
+
+
+def repeated(item_cls: type):
+    """A list of items whose fields are all fixed, behind a 2-byte count."""
+    return field(default_factory=list, metadata={"wire": item_cls})
+
+
+def trailing():
+    """A byte string behind a 4-byte length, after the fixed fields and items."""
+    return field(metadata={"wire": _TRAILING})
+
+
+def trailing_signature():
+    """The last trailing byte string, which the signing digest leaves out."""
+    return field(default=b"", metadata={"wire": _SIGNATURE})
+
+
+def _sized(names: list[str], codes: list[str]) -> list[tuple[str, int]]:
+    """(name, size) of every byte-string field, for the encoder's checks."""
+    return [(name, int(code[:-1])) for name, code in zip(names, codes) if code.endswith("s")]
+
+
+def _check_sizes(obj, sized: list[tuple[str, int]]) -> None:
+    for name, size in sized:
+        if len(getattr(obj, name)) != size:
+            raise ValueError(f"{name}: expected {size} bytes, got {len(getattr(obj, name))}")
+
+
+class _Layout:
+    """A request declaration compiled to `struct`s. The head struct holds the
+    kind byte, the fixed fields and, when the request has items, their count."""
+
+    def __init__(self, cls: type):
+        self.cls = cls
+        head, codes, self.trailing = [], [], []
+        self.item = None
+        signed = False
+        for f in dataclasses.fields(cls):
+            spec = f.metadata["wire"]
+            if isinstance(spec, type):
+                self.item = f.name
+                self.item_cls = spec
+                item_names = [i.name for i in dataclasses.fields(spec)]
+                item_codes = [i.metadata["wire"] for i in dataclasses.fields(spec)]
+                self.item_struct = struct.Struct(">" + "".join(item_codes))
+                # attrgetter of two or more names returns a tuple
+                self.item_values = attrgetter(*item_names)
+                self.item_sized = _sized(item_names, item_codes)
+            elif spec in (_TRAILING, _SIGNATURE):
+                self.trailing.append(f.name)
+                signed = spec == _SIGNATURE
+            else:
+                head.append(f.name)
+                codes.append(spec)
+        self.head = struct.Struct(">B" + "".join(codes) + ("H" if self.item else ""))
+        self.head_values = attrgetter("kind", *head) if head else lambda req: (req.kind,)
+        self.head_sized = _sized(head, codes)
+        self.unsigned_trailing = self.trailing[:-1] if signed else self.trailing
+        wire_order = head + ([self.item] if self.item else []) + self.trailing
+        names = [f.name for f in dataclasses.fields(cls)]
+        # decode builds values in wire order; the constructor takes field order
+        self.order = None if wire_order == names else [wire_order.index(n) for n in names]
+
+    def encode(self, req, signed: bool = True) -> bytes:
+        if self.item is None:
+            out = self.head.pack(*self.head_values(req))
+        else:
+            batch = getattr(req, self.item)
+            pack, values = self.item_struct.pack, self.item_values
+            out = self.head.pack(*self.head_values(req), len(batch))
+            out += b"".join([pack(*values(item)) for item in batch])
+        for name in self.trailing if signed else self.unsigned_trailing:
+            value = getattr(req, name)
+            out += _LENGTH.pack(len(value)) + value
+        return out
+
+    def check_sizes(self, req) -> None:
+        """`struct` pads or cuts a wrong-sized byte string; refuse it instead."""
+        _check_sizes(req, self.head_sized)
+        if self.item is not None:
+            for item in getattr(req, self.item):
+                _check_sizes(item, self.item_sized)
+
+    def decode(self, data: bytes):
+        head = self.head
+        values = head.unpack_from(data)[1:]
+        pos = head.size
+        if self.item is not None:
+            end = pos + values[-1] * self.item_struct.size
+            if end > len(data):
+                raise MalformedFrame(f"truncated: {values[-1]} items")
+            cls = self.item_cls
+            values = values[:-1] + ([cls(*item) for item in self.item_struct.iter_unpack(data[pos:end])],)
+            pos = end
+        for _ in self.trailing:
+            (size,) = _LENGTH.unpack_from(data, pos)
+            pos += _LENGTH.size
+            value = data[pos:pos + size]
+            if len(value) != size:
+                raise MalformedFrame(f"truncated: need {size} bytes at offset {pos}")
+            values += (value,)
+            pos += size
+        if pos != len(data):
+            raise MalformedFrame(f"{len(data) - pos} trailing bytes")
+        if self.order is not None:
+            values = [values[i] for i in self.order]
+        return self.cls(*values)
+
+
+_LAYOUTS: dict[int, _Layout] = {}
+
+
+def request(kind: int):
+    """Class decorator: declare a request dataclass and compile its layout."""
+
+    def declare(cls):
+        cls = dataclass(cls)
+        cls.kind = kind
+        cls._layout = _LAYOUTS[kind] = _Layout(cls)
+        return cls
+
+    return declare
+
+
+def _signing_digest(self) -> bytes:
+    # assigned in each signed request's class body, not inherited: the
+    # benchmark's tracer wraps `signing_digest` per class
+    return sha256(_SIGNING_CONTEXT + self._layout.encode(self, signed=False))
+
+
+@request(1)
 class AddUser:
-    kind = REQ_ADD_USER
-    public_key: bytes
-    settle_address: bytes
+    public_key: bytes = trailing()
+    settle_address: bytes = fixed("20s")
 
 
-@dataclass
+@request(2)
 class AddDeposit:
-    kind = REQ_ADD_DEPOSIT
-    user_address: bytes
-    nonce: int
-    signature: bytes = b""
-
-    def signing_digest(self) -> bytes:
-        body = Writer().fixed(self.user_address, ADDRESS_SIZE).u64(self.nonce).getvalue()
-        return sha256(_SIGNING_CONTEXT + b"add-deposit" + body)
+    user_address: bytes = fixed("20s")
+    nonce: int = fixed("Q")
+    signature: bytes = trailing_signature()
+    signing_digest = _signing_digest
 
 
-@dataclass
+@request(3)
 class UpdateBoundary:
-    kind = REQ_UPDATE_BOUNDARY
-    user_address: bytes
-    nonce: int
-    block_number: int
-    block_hash: bytes
-    signature: bytes = b""
-
-    def signing_digest(self) -> bytes:
-        body = (
-            Writer()
-            .fixed(self.user_address, ADDRESS_SIZE)
-            .u64(self.nonce)
-            .u64(self.block_number)
-            .fixed(self.block_hash, 32)
-            .getvalue()
-        )
-        return sha256(_SIGNING_CONTEXT + b"update-boundary" + body)
+    user_address: bytes = fixed("20s")
+    nonce: int = fixed("Q")
+    block_number: int = fixed("Q")
+    block_hash: bytes = fixed("32s")
+    signature: bytes = trailing_signature()
+    signing_digest = _signing_digest
 
 
 @dataclass
 class PaymentItem:
-    receiver: bytes
-    amount: int
-    routing_fee: int
+    receiver: bytes = fixed("20s")
+    amount: int = fixed("Q")
+    routing_fee: int = fixed("Q")
 
 
-@dataclass
+@request(4)
 class Payment:
-    kind = REQ_PAYMENT
-    sender_address: bytes
-    nonce: int
-    batch: list[PaymentItem] = field(default_factory=list)
-    signature: bytes = b""
-
-    def signing_digest(self) -> bytes:
-        w = Writer().fixed(self.sender_address, ADDRESS_SIZE).u64(self.nonce).u16(len(self.batch))
-        for item in self.batch:
-            w.fixed(item.receiver, ADDRESS_SIZE).u64(item.amount).u64(item.routing_fee)
-        return sha256(_SIGNING_CONTEXT + b"payment" + w.getvalue())
+    sender_address: bytes = fixed("20s")
+    nonce: int = fixed("Q")
+    batch: list[PaymentItem] = repeated(PaymentItem)
+    signature: bytes = trailing_signature()
+    signing_digest = _signing_digest
 
 
-@dataclass
+@request(5)
 class Settle:
-    kind = REQ_SETTLE
-    user_address: bytes
-    nonce: int
-    amount: int
-    fee: int
-    signature: bytes = b""
-
-    def signing_digest(self) -> bytes:
-        body = (
-            Writer()
-            .fixed(self.user_address, ADDRESS_SIZE)
-            .u64(self.nonce)
-            .u64(self.amount)
-            .u64(self.fee)
-            .getvalue()
-        )
-        return sha256(_SIGNING_CONTEXT + b"settle" + body)
+    user_address: bytes = fixed("20s")
+    nonce: int = fixed("Q")
+    amount: int = fixed("Q")
+    fee: int = fixed("Q")
+    signature: bytes = trailing_signature()
+    signing_digest = _signing_digest
 
 
-@dataclass
+@request(6)
 class QueryLatestBlock:
-    kind = REQ_QUERY_LATEST_BLOCK
+    pass
 
 
-@dataclass
+@request(7)
 class QueryUser:
-    kind = REQ_QUERY_USER
-    user_address: bytes
-    # signature over (session id, address) binds the query to this session
-    signature: bytes = b""
+    user_address: bytes = fixed("20s")
+    signature: bytes = trailing_signature()
 
     def signing_digest(self, session_id: bytes) -> bytes:
-        body = Writer().fixed(session_id, 8).fixed(self.user_address, ADDRESS_SIZE).getvalue()
-        return sha256(_SIGNING_CONTEXT + b"query-user" + body)
+        return sha256(_SIGNING_CONTEXT + self._layout.encode(self, signed=False) + session_id)
 
 
-@dataclass
+@request(8)
 class QueryLedger:
-    kind = REQ_QUERY_LEDGER
+    pass
 
 
-@dataclass
+@request(9)
 class InsertBlock:
-    kind = REQ_INSERT_BLOCK
-    block_bytes: bytes
-    host_signature: bytes = b""
+    block_bytes: bytes = trailing()
+    host_signature: bytes = trailing_signature()
 
     @staticmethod
     def signing_digest_for(header_hash: bytes) -> bytes:
-        return sha256(_SIGNING_CONTEXT + b"insert-block" + header_hash)
+        return sha256(_SIGNING_CONTEXT + bytes([InsertBlock.kind]) + header_hash)
 
 
-@dataclass
+@request(10)
 class GetSettlement:
-    kind = REQ_GET_SETTLEMENT
+    pass
 
 
-@dataclass
+@request(11)
 class Terminate:
-    kind = REQ_TERMINATE
-    tip_hash: bytes
-    host_signature: bytes = b""
-
-    def signing_digest(self) -> bytes:
-        return sha256(_SIGNING_CONTEXT + b"terminate" + self.tip_hash)
+    tip_hash: bytes = fixed("32s")
+    host_signature: bytes = trailing_signature()
+    signing_digest = _signing_digest
 
 
-@dataclass
+@request(12)
 class Snapshot:
-    kind = REQ_SNAPSHOT
+    pass
 
 
-@dataclass
+@request(13)
 class InitStatus:
-    kind = REQ_INIT_STATUS
+    pass
 
 
-@dataclass
+@request(14)
 class InitRun:
-    kind = REQ_INIT_RUN
+    pass
 
 
 Request = (
@@ -230,79 +329,23 @@ Request = (
 
 
 def encode_request(req: Request) -> bytes:
-    w = Writer().u8(req.kind)
-    if isinstance(req, AddUser):
-        w.lp_bytes(req.public_key).fixed(req.settle_address, ADDRESS_SIZE)
-    elif isinstance(req, AddDeposit):
-        w.fixed(req.user_address, ADDRESS_SIZE).u64(req.nonce).lp_bytes(req.signature)
-    elif isinstance(req, UpdateBoundary):
-        w.fixed(req.user_address, ADDRESS_SIZE).u64(req.nonce)
-        w.u64(req.block_number).fixed(req.block_hash, 32).lp_bytes(req.signature)
-    elif isinstance(req, Payment):
-        w.fixed(req.sender_address, ADDRESS_SIZE).u64(req.nonce).u16(len(req.batch))
-        for item in req.batch:
-            w.fixed(item.receiver, ADDRESS_SIZE).u64(item.amount).u64(item.routing_fee)
-        w.lp_bytes(req.signature)
-    elif isinstance(req, Settle):
-        w.fixed(req.user_address, ADDRESS_SIZE).u64(req.nonce).u64(req.amount).u64(req.fee)
-        w.lp_bytes(req.signature)
-    elif isinstance(req, QueryLatestBlock):
-        pass
-    elif isinstance(req, QueryUser):
-        w.fixed(req.user_address, ADDRESS_SIZE).lp_bytes(req.signature)
-    elif isinstance(req, QueryLedger):
-        pass
-    elif isinstance(req, InsertBlock):
-        w.lp_bytes32(req.block_bytes).lp_bytes(req.host_signature)
-    elif isinstance(req, GetSettlement):
-        pass
-    elif isinstance(req, Terminate):
-        w.fixed(req.tip_hash, 32).lp_bytes(req.host_signature)
-    elif isinstance(req, (Snapshot, InitStatus, InitRun)):
-        pass
-    else:
+    layout = getattr(req, "_layout", None)
+    if layout is None:
         raise UnknownType(type(req).__name__)
-    return w.getvalue()
+    layout.check_sizes(req)
+    return layout.encode(req)
 
 
 def decode_request(data: bytes) -> Request:
-    r = Reader(data)
-    kind = r.u8()
-    if kind == REQ_ADD_USER:
-        req: Request = AddUser(r.lp_bytes(), r.fixed(ADDRESS_SIZE))
-    elif kind == REQ_ADD_DEPOSIT:
-        req = AddDeposit(r.fixed(ADDRESS_SIZE), r.u64(), r.lp_bytes())
-    elif kind == REQ_UPDATE_BOUNDARY:
-        req = UpdateBoundary(r.fixed(ADDRESS_SIZE), r.u64(), r.u64(), r.fixed(32), r.lp_bytes())
-    elif kind == REQ_PAYMENT:
-        addr, nonce, count = r.fixed(ADDRESS_SIZE), r.u64(), r.u16()
-        batch = [PaymentItem(*fields) for fields in
-                 _PAYMENT_ITEM.iter_unpack(r.fixed(count * _PAYMENT_ITEM.size))]
-        req = Payment(addr, nonce, batch, r.lp_bytes())
-    elif kind == REQ_SETTLE:
-        req = Settle(r.fixed(ADDRESS_SIZE), r.u64(), r.u64(), r.u64(), r.lp_bytes())
-    elif kind == REQ_QUERY_LATEST_BLOCK:
-        req = QueryLatestBlock()
-    elif kind == REQ_QUERY_USER:
-        req = QueryUser(r.fixed(ADDRESS_SIZE), r.lp_bytes())
-    elif kind == REQ_QUERY_LEDGER:
-        req = QueryLedger()
-    elif kind == REQ_INSERT_BLOCK:
-        req = InsertBlock(r.lp_bytes32(), r.lp_bytes())
-    elif kind == REQ_GET_SETTLEMENT:
-        req = GetSettlement()
-    elif kind == REQ_TERMINATE:
-        req = Terminate(r.fixed(32), r.lp_bytes())
-    elif kind == REQ_SNAPSHOT:
-        req = Snapshot()
-    elif kind == REQ_INIT_STATUS:
-        req = InitStatus()
-    elif kind == REQ_INIT_RUN:
-        req = InitRun()
-    else:
-        raise UnknownType(f"request kind {kind}")
-    r.expect_end()
-    return req
+    if not data:
+        raise MalformedFrame("empty request")
+    layout = _LAYOUTS.get(data[0])
+    if layout is None:
+        raise UnknownType(f"request kind {data[0]}")
+    try:
+        return layout.decode(data)
+    except struct.error:
+        raise MalformedFrame("truncated request") from None
 
 
 # --- responses ---
@@ -319,9 +362,7 @@ def encode_ok(fields: dict) -> bytes:
         w.lp_bytes(key.encode())
         if value is None:
             w.u8(0)
-        elif isinstance(value, bool):
-            w.u8(1).u64(int(value))
-        elif isinstance(value, int):
+        elif isinstance(value, int):  # bools included
             w.u8(1).u64(value)
         elif isinstance(value, bytes):
             w.u8(2).lp_bytes32(value)
@@ -348,18 +389,26 @@ class RemoteError(RouteeError):
         super().__init__(detail)
 
 
+def _text(r: Reader) -> str:
+    try:
+        return r.lp_bytes().decode()
+    except UnicodeDecodeError as exc:
+        raise MalformedFrame(f"bad UTF-8 in response: {exc.reason}") from None
+
+
 def decode_response(data: bytes) -> dict:
     r = Reader(data)
     status = r.u8()
     if status == STATUS_ERR:
-        code = r.lp_bytes().decode()
-        detail = r.lp_bytes().decode()
+        code = _text(r)
+        detail = _text(r)
+        r.expect_end()
         raise RemoteError(code, detail)
     if status != STATUS_OK:
         raise MalformedFrame(f"bad response status {status}")
     out: dict = {}
     for _ in range(r.u16()):
-        key = r.lp_bytes().decode()
+        key = _text(r)
         tag = r.u8()
         if tag == 0:
             out[key] = None

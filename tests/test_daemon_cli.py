@@ -1,11 +1,25 @@
 import json
+import time
 
 import pytest
 
 from routee import cli, wire
-from routee.client import Keys, RemoteHub
+from routee.client import (
+    Keys,
+    LocalConnection,
+    LocalHubEndpoint,
+    RemoteHub,
+    build_add_deposit,
+    build_insert_block,
+    build_payment,
+    build_query_user,
+    build_settle,
+    build_terminate,
+    build_update_boundary,
+)
 from routee.daemon import DaemonConfig, HubDaemon
 from routee.headers import ChainParams
+from routee.hub import Hub
 from routee.simchain import SimNode
 from routee.simchain_server import SimchainClient, SimchainServer
 
@@ -237,3 +251,84 @@ def test_json_flag_before_or_after_subcommand(stack, capsys, tmp_path, where):
         assert captured.err.startswith("error: unknown-user")
     else:
         assert _parse(where, captured.err)["error"] == "unknown-user"
+
+
+def test_closed_connections_leave_no_sessions(stack):
+    daemon = stack["daemon"]
+    for _ in range(20):
+        with RemoteHub("127.0.0.1", daemon.port) as hub:
+            hub.request(wire.QueryLatestBlock())
+    # each connection thread drops its session once it sees the close
+    deadline = time.monotonic() + 10
+    while daemon.endpoint.sessions and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(daemon.endpoint.sessions) == 0
+
+
+def _parity_script(scheme, host, alice, bob, block, tip_hash, session_id):
+    """Every request kind, as plaintext, then a malformed body and an unknown kind."""
+    requests = [
+        wire.AddUser(alice.public, alice.address),
+        wire.AddUser(bob.public, bob.address),
+        build_add_deposit(scheme, alice, 0),
+        build_update_boundary(scheme, alice, 1, 4, tip_hash),
+        build_payment(scheme, alice, 2, [wire.PaymentItem(bob.address, 10, 2)]),
+        build_settle(scheme, alice, 3, 1_000, 40),
+        wire.QueryLatestBlock(),
+        build_query_user(scheme, alice, session_id),
+        wire.QueryLedger(),
+        build_insert_block(scheme, host, block.serialize(), block.header.hash()),
+        wire.GetSettlement(),
+        build_terminate(scheme, host, block.header.hash()),
+        wire.Snapshot(),
+        wire.InitStatus(),
+        wire.InitRun(),
+    ]
+    assert len({req.kind for req in requests}) == 14
+    malformed = wire.encode_request(wire.QueryLedger()) + b"\x00"
+    return [wire.encode_request(req) for req in requests] + [malformed, b"\xee"]
+
+
+def test_in_process_and_daemon_front_ends_agree(stack):
+    """The same script through LocalConnection and through RemoteHub against
+    the daemon: equal status and error code per request, equal keys on ok."""
+    node, daemon = stack["node"], stack["daemon"]
+    scheme = cli.get_scheme("fast")
+    host = Keys.load(stack["host_key_path"])
+    alice, bob = Keys.generate(scheme), Keys.generate(scheme)
+    tip_hash = node.chain.hash_at(4)
+
+    hub = Hub(daemon.config.hub_config())
+    blocks = [node.get_block(h) for h in range(node.tip_height + 1)]
+    hub.initialize(blocks[0].header, 0, [b.header for b in blocks[1:]], blocks)
+    block = node.mine_block()  # both hubs sit at the same tip below it
+
+    def outcome(send, raw):
+        try:
+            return "ok", sorted(send(raw))
+        except wire.RemoteError as exc:
+            return "err", exc.code
+
+    local = LocalConnection(LocalHubEndpoint(hub))
+
+    def send_local(raw):
+        frame = wire.pack_frame(wire.FRAME_ENVELOPE, local.session.seal(raw))
+        _, reply = wire.unpack_frame(local.send_raw_frame(frame)[-1])
+        return wire.decode_response(local.session.open(reply))
+
+    with RemoteHub("127.0.0.1", daemon.port) as remote:
+
+        def send_remote(raw):
+            _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
+            return wire.decode_response(remote.session.open(reply))
+
+        script = _parity_script(scheme, host, alice, bob, block, tip_hash, local.session.session_id)
+        got_local = [outcome(send_local, raw) for raw in script]
+        script = _parity_script(scheme, host, alice, bob, block, tip_hash, remote.session_id)
+        got_remote = [outcome(send_remote, raw) for raw in script]
+
+    assert got_local == got_remote
+    assert got_local[-2:] == [("err", "malformed-frame"), ("err", "unknown-type")]
+    assert got_local[12] == ("ok", ["bytes_written"])  # Snapshot
+    assert got_local[14] == ("ok", ["already", "initialized"])  # InitRun
+    assert sum(status == "ok" for status, _ in got_local) >= 12

@@ -13,7 +13,6 @@ from routee.headers import (
     bits_to_target,
     check_pow,
     expected_target,
-    header_hash,
     merkle_root,
     target_to_bits,
     work_from_target,
@@ -38,7 +37,7 @@ def test_header_serialization_is_80_bytes():
 
 
 def test_header_hash_golden_vector():
-    assert header_hash(zero_header()).hex() == ZERO_HEADER_DIGEST
+    assert zero_header().hash().hex() == ZERO_HEADER_DIGEST
 
 
 def test_header_hash_equals_hash_of_raw_bytes():

@@ -127,17 +127,6 @@ def test_boundary_advances_with_new_blocks(node):
     assert h2 == h1 + 2
 
 
-def test_single_trusted_peer_shortcut(node):
-    from routee.lightclient import fetch_boundary_unverified
-
-    node.mine_blocks(5)
-    config = ClientConfig(trust_single_peer=True)
-    assert config.trust_single_peer
-    height, block_hash = fetch_boundary_unverified(NodeHeaderSource(node), 4)
-    assert height == 4
-    assert block_hash == node.chain.hash_at(4)
-
-
 def test_client_config_requires_positive_k():
     with pytest.raises(ValueError):
         ClientConfig(k_user=0)

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routee import wire
 from routee.crypto import DeterministicRng
-from routee.errors import HandshakeFailure, MalformedFrame, SessionAborted, UnknownType
+from routee.errors import HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType
 from routee.session import ClientHandshake, HubSessionEndpoint
 
 
@@ -191,6 +192,8 @@ def test_response_roundtrip_and_error():
     with pytest.raises(wire.RemoteError) as exc:
         wire.decode_response(err)
     assert exc.value.code == "fee-too-low"
+    with pytest.raises(MalformedFrame):
+        wire.decode_response(err + b"\x00")  # trailing junk
 
 
 def test_signing_digest_covers_fee_and_nonce():
@@ -199,3 +202,95 @@ def test_signing_digest_covers_fee_and_nonce():
     nonce_changed = wire.Payment(b"\x01" * 20, 6, [wire.PaymentItem(b"\x02" * 20, 30, 7)])
     digests = {base.signing_digest(), fee_changed.signing_digest(), nonce_changed.signing_digest()}
     assert len(digests) == 3
+
+
+def test_digest_separates_kinds_with_equal_field_bytes():
+    addr, nonce = b"\x01" * 20, 5
+    # after the kind byte both digests cover the same 28 bytes
+    deposit = wire.AddDeposit(addr, nonce).signing_digest()
+    query = wire.QueryUser(addr).signing_digest(nonce.to_bytes(8, "big"))
+    assert deposit != query
+    tip = b"\x07" * 32
+    assert wire.Terminate(tip).signing_digest() != wire.InsertBlock.signing_digest_for(tip)
+
+
+def test_query_user_digest_binds_session_id():
+    query = wire.QueryUser(b"\x01" * 20)
+    assert query.signing_digest(b"\x00" * 8) != query.signing_digest(b"\x00" * 7 + b"\x01")
+
+
+def test_signing_digest_leaves_out_only_the_signature():
+    settle = wire.Settle(b"\x01" * 20, 3, 500, 40)
+    signed = wire.Settle(b"\x01" * 20, 3, 500, 40, b"sig")
+    assert settle.signing_digest() == signed.signing_digest()
+    assert settle.signing_digest() != wire.Settle(b"\x01" * 20, 3, 501, 40).signing_digest()
+
+
+def test_encode_refuses_wrong_sized_fields():
+    with pytest.raises(ValueError):
+        wire.encode_request(wire.AddDeposit(b"\x01" * 19, 0))
+    with pytest.raises(ValueError):
+        wire.encode_request(wire.Payment(b"\x01" * 20, 0, [wire.PaymentItem(b"\x02" * 21, 1, 2)]))
+
+
+def _every_kind():
+    batch = [wire.PaymentItem(b"\x02" * 20, 30, 7), wire.PaymentItem(b"\x03" * 20, 1, 2)]
+    return [
+        wire.AddUser(b"k" * 33, b"\x01" * 20),
+        wire.AddDeposit(b"\x01" * 20, 1, b"s" * 32),
+        wire.UpdateBoundary(b"\x01" * 20, 2, 9, b"\x04" * 32, b"s" * 32),
+        wire.Payment(b"\x01" * 20, 3, batch, b"s" * 32),
+        wire.Settle(b"\x01" * 20, 4, 500, 40, b"s" * 32),
+        wire.QueryLatestBlock(),
+        wire.QueryUser(b"\x01" * 20, b"s" * 32),
+        wire.QueryLedger(),
+        wire.InsertBlock(b"b" * 90, b"h" * 32),
+        wire.GetSettlement(),
+        wire.Terminate(b"\x05" * 32, b"h" * 32),
+        wire.Snapshot(),
+        wire.InitStatus(),
+        wire.InitRun(),
+    ]
+
+
+def test_every_kind_roundtrips():
+    requests = _every_kind()
+    assert len({req.kind for req in requests}) == 14
+    for req in requests:
+        assert wire.decode_request(wire.encode_request(req)) == req
+
+
+def _valid_encodings():
+    from routee.errors import FeeTooLow
+
+    replies = [
+        wire.encode_ok({"height": 9, "hash": b"\x01" * 32, "missing": None}),
+        wire.encode_err(FeeTooLow("fee 33 below 34")),
+    ]
+    return [wire.encode_request(req) for req in _every_kind()] + replies
+
+
+@st.composite
+def _mutated(draw):
+    data = bytearray(draw(st.sampled_from(_valid_encodings())))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["set", "insert", "delete"]))
+        if op == "insert":
+            data.insert(pos, draw(st.integers(0, 255)))
+        elif pos < len(data):
+            if op == "set":
+                data[pos] = draw(st.integers(0, 255))
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _mutated()))
+def test_decoders_return_a_value_or_a_routee_error(data):
+    for decode in (wire.decode_request, wire.decode_response):
+        try:
+            decode(data)
+        except RouteeError:
+            pass

@@ -14,7 +14,6 @@ from routee.transactions import (
     formula_size,
     make_unlock,
     parse_unlock,
-    tx_id,
     verify_unlock,
 )
 
@@ -75,17 +74,17 @@ def test_golden_serialization_built_by_hand():
 
 
 def test_golden_txid_pinned():
-    assert tx_id(golden_tx()).hex() == GOLDEN_TXID
+    assert golden_tx().txid().hex() == GOLDEN_TXID
     raw = bytes.fromhex(GOLDEN_TX_HEX)
     independent = hashlib.sha256(hashlib.sha256(raw).digest()).digest()
-    assert tx_id(golden_tx()) == independent
+    assert golden_tx().txid() == independent
 
 
 def test_txid_deterministic_and_value_sensitive():
-    assert tx_id(golden_tx()) == tx_id(golden_tx())
+    assert golden_tx().txid() == golden_tx().txid()
     nudged = golden_tx()
     nudged.outputs[0].value += 1
-    assert tx_id(nudged) != tx_id(golden_tx())
+    assert nudged.txid() != golden_tx().txid()
 
 
 def _random_tx(rng):
@@ -113,7 +112,7 @@ def test_sighash_excludes_unlocks():
     before = tx.sighash()
     tx.inputs[0].unlock = b"something else"
     assert tx.sighash() == before
-    assert tx.txid() != tx_id(golden_tx())
+    assert tx.txid() != golden_tx().txid()
 
 
 def test_unlock_sign_verify_roundtrip():
