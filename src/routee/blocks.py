@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codec import Reader, Writer
+from . import wire
 from .errors import BlockRejected, TxRejected
 from .headers import HeaderChain, BlockHeader, check_pow, expected_target, merkle_root
 from .transactions import MAX_MONEY, Outpoint, Transaction, TxOutput, verify_unlock
@@ -24,20 +24,13 @@ class Block:
         return [tx.txid() for tx in self.txs]
 
     def serialize(self) -> bytes:
-        w = Writer()
-        w.raw(self.header.serialize())
-        w.u32(len(self.txs))
-        for tx in self.txs:
-            w.lp_bytes32(tx.serialize())
-        return w.getvalue()
+        return wire.encode(wire.RawBlock(self.header.serialize(), [wire.RawTx(tx.serialize()) for tx in self.txs]))
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Block":
-        r = Reader(raw)
-        header = BlockHeader.deserialize(r.fixed(80))
-        txs = [Transaction.deserialize(r.lp_bytes32()) for _ in range(r.u32())]
-        r.expect_end()
-        return cls(header, txs)
+        """The block `raw` holds exactly, else `MalformedFrame`."""
+        block = wire.decode(wire.RawBlock, raw)
+        return cls(BlockHeader.deserialize(block.header), [Transaction.deserialize(tx.raw) for tx in block.txs])
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Block headers, proof of work, difficulty retargeting, and Merkle roots.
 
 Headers use the exact 80-byte on-chain layout: little-endian integers, hashes
-in internal byte order. A header hash is interpreted as a 256-bit
-little-endian integer when compared against the expanded compact target.
+in internal byte order, unlike the big-endian records of `wire`; a golden
+vector pins these bytes, so they are packed here with `struct`. A header hash
+is interpreted as a 256-bit little-endian integer when compared against the
+expanded compact target.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ on-chain deposit the hub owns equals the sum of everything the hub owes —
 user balances, the host's withdrawable confirmed fees, queued settlement
 requests, the outstanding plan's in-flight value, pending routing fees, the
 carried fee reserve, and the per-deposit pre-collected fares.
+
+Users, pending deposits and settle requests are `wire` records, declared
+once for memory and for the snapshot.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     InitFailure,
     InsufficientBalance,
     InvalidBlock,
+    MalformedFrame,
     MonotonicityViolation,
     NotInChain,
     NotInitialized,
@@ -68,15 +72,15 @@ class HubConfig:
     rng_seed: bytes | int = 0
 
 
-@dataclass
+@wire.record
 class UserState:
-    user_address: bytes
-    public_key: bytes
-    settle_address: bytes
-    nonce: int = 0
-    balance: int = 0
-    max_source_block: int | None = None
-    boundary_block: int | None = None
+    user_address: bytes = wire.fixed("20s")
+    public_key: bytes = wire.trailing()
+    settle_address: bytes = wire.fixed("20s")
+    nonce: int = wire.fixed("Q")
+    balance: int = wire.fixed("Q")
+    max_source_block: int | None = wire.tagged()
+    boundary_block: int | None = wire.tagged()
 
     @property
     def has_send_channel(self) -> bool:
@@ -87,14 +91,14 @@ class UserState:
         return self.boundary_block is not None
 
 
-@dataclass
+@wire.record
 class PendingDeposit:
-    manager_address: bytes
-    manager_secret: bytes
-    manager_public: bytes
-    beneficiary: bytes
-    registered_height: int
-    expiry_height: int
+    manager_address: bytes = wire.fixed("20s")
+    manager_secret: bytes = wire.trailing()
+    manager_public: bytes = wire.trailing()
+    beneficiary: bytes = wire.fixed("20s")
+    registered_height: int = wire.fixed("Q")
+    expiry_height: int = wire.fixed("Q")
 
 
 @dataclass
@@ -106,14 +110,14 @@ class OwnedDeposit:
     lock_address: bytes
 
 
-@dataclass
+@wire.record
 class SettleRequest:
-    user_address: bytes
-    settle_address: bytes
-    amount: int
-    fee: int
-    enqueue_seq: int
-    is_host: bool = False
+    user_address: bytes = wire.fixed("20s")
+    settle_address: bytes = wire.fixed("20s")
+    amount: int = wire.fixed("Q")
+    fee: int = wire.fixed("Q")
+    enqueue_seq: int = wire.fixed("Q")
+    is_host: bool = wire.fixed("?")
 
     @property
     def total(self) -> int:
@@ -269,7 +273,7 @@ class Hub:
             user_address = address_of(public_key)
             if user_address in self.users:
                 raise AlreadyRegistered("address collision")
-            self.users[user_address] = UserState(user_address, public_key, settle_address)
+            self.users[user_address] = UserState(user_address, public_key, settle_address, 0, 0, None, None)
             self._known_keys.add(public_key)
             return user_address
 
@@ -525,7 +529,7 @@ class Hub:
             chain = self._require_init()
             try:
                 block = Block.deserialize(msg.block_bytes)
-            except Exception as exc:
+            except MalformedFrame as exc:
                 raise InvalidBlock(f"undecodable block: {exc}")
             header_hash = block.header.hash()
             self._verify_host(wire.InsertBlock.signing_digest_for(header_hash), msg.host_signature)

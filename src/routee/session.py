@@ -1,10 +1,11 @@
 """Encrypted, replay-safe sessions over an untrusted relay.
 
 Handshake: the client sends an ephemeral X25519 key; the hub answers with its
-own ephemeral, a session id, its attestation blob, and a key-confirmation MAC.
-Both sides derive a 128-bit AES-GCM key from the two shared secrets. Only the
-holder of the hub's static key can derive the key, so a valid confirmation MAC
-doubles as proof of possession (the stand-in for a remote-attestation check).
+own ephemeral, a session id, its 32-byte attestation measurement, and a
+key-confirmation MAC. Both sides derive a 128-bit AES-GCM key from the two
+shared secrets. Only the holder of the hub's static key can derive the key,
+so a valid confirmation MAC doubles as proof of possession (the stand-in for
+a remote-attestation check).
 
 Envelopes: AES-128-GCM with nonce = 4-byte direction tag + 8-byte sequence
 number, with session_id || seq as associated data. Each direction's sequence
@@ -20,7 +21,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .codec import Reader, Writer
+from . import wire
 from .crypto import sha256
 from .errors import HandshakeFailure, SessionAborted
 
@@ -74,16 +75,13 @@ class Session:
         ad = self.session_id + seq.to_bytes(8, "big")
         ct = self._aead.encrypt(self._nonce(direction, seq), plaintext, ad)
         self.send_seq += 1
-        return Writer().fixed(self.session_id, SESSION_ID_SIZE).u64(seq).lp_bytes32(ct).getvalue()
+        return wire.encode(wire.Envelope(self.session_id, seq, ct))
 
     def open(self, envelope: bytes) -> bytes:
         if self.aborted:
             raise SessionAborted("aborted", "session previously aborted")
-        r = Reader(envelope)
-        session_id = r.fixed(SESSION_ID_SIZE)
-        seq = r.u64()
-        ct = r.lp_bytes32()
-        r.expect_end()
+        env = wire.decode(wire.Envelope, envelope)
+        session_id, seq = env.session_id, env.seq
         if session_id != self.session_id:
             raise SessionAborted("wrong-session", session_id.hex())
         if seq < self.recv_seq:
@@ -95,18 +93,12 @@ class Session:
         direction = DIR_CLIENT_TO_HUB if self.is_hub else DIR_HUB_TO_CLIENT
         ad = session_id + seq.to_bytes(8, "big")
         try:
-            plaintext = self._aead.decrypt(self._nonce(direction, seq), ct, ad)
+            plaintext = self._aead.decrypt(self._nonce(direction, seq), env.ciphertext, ad)
         except InvalidTag:
             self.aborted = True
             raise SessionAborted("auth-tag", f"seq {seq}")
         self.recv_seq += 1
         return plaintext
-
-
-def peek_session_id(envelope: bytes) -> bytes:
-    if len(envelope) < SESSION_ID_SIZE:
-        raise SessionAborted("wrong-session", "short envelope")
-    return envelope[:SESSION_ID_SIZE]
 
 
 class HubSessionEndpoint:
@@ -128,9 +120,7 @@ class HubSessionEndpoint:
         return os.urandom(n)
 
     def handle_init(self, init_payload: bytes) -> tuple[bytes, Session]:
-        r = Reader(init_payload)
-        client_eph = r.fixed(32)
-        r.expect_end()
+        client_eph = wire.decode(wire.HandshakeInit, init_payload).client_eph
         eph_secret = X25519PrivateKey.from_private_bytes(self._randbytes(32))
         hub_eph = eph_secret.public_key().public_bytes_raw()
         session_id = self._randbytes(SESSION_ID_SIZE)
@@ -143,20 +133,15 @@ class HubSessionEndpoint:
             client_eph + session_id + hub_eph + self.measurement + self.static_public
         )
         key, confirm_key = _derive(shared_static, shared_eph, transcript)
+        mac = _confirm_mac(confirm_key, transcript)
+        ack = wire.encode(wire.HandshakeAck(session_id, hub_eph, self.measurement, mac))
         session = Session(session_id, key, is_hub=True)
         self.sessions[session_id] = session
-        ack = (
-            Writer()
-            .fixed(session_id, SESSION_ID_SIZE)
-            .fixed(hub_eph, 32)
-            .lp_bytes(self.measurement)
-            .fixed(_confirm_mac(confirm_key, transcript), 32)
-            .getvalue()
-        )
         return ack, session
 
     def session_for(self, envelope: bytes) -> Session:
-        session = self.sessions.get(peek_session_id(envelope))
+        # an envelope starts with its session id
+        session = self.sessions.get(envelope[:SESSION_ID_SIZE])
         if session is None:
             raise SessionAborted("wrong-session", "unknown session id")
         return session
@@ -175,23 +160,18 @@ class ClientHandshake:
         self.client_eph = self._eph.public_key().public_bytes_raw()
 
     def init_payload(self) -> bytes:
-        return self.client_eph
+        return wire.encode(wire.HandshakeInit(self.client_eph))
 
     def complete(self, ack_payload: bytes) -> Session:
-        r = Reader(ack_payload)
-        session_id = r.fixed(SESSION_ID_SIZE)
-        hub_eph = r.fixed(32)
-        measurement = r.lp_bytes()
-        confirm = r.fixed(32)
-        r.expect_end()
-        if measurement != self.expected_measurement:
+        ack = wire.decode(wire.HandshakeAck, ack_payload)
+        if ack.measurement != self.expected_measurement:
             raise HandshakeFailure("attestation measurement mismatch")
         shared_static = self._eph.exchange(X25519PublicKey.from_public_bytes(self.hub_static_public))
-        shared_eph = self._eph.exchange(X25519PublicKey.from_public_bytes(hub_eph))
+        shared_eph = self._eph.exchange(X25519PublicKey.from_public_bytes(ack.hub_eph))
         transcript = sha256(
-            self.client_eph + session_id + hub_eph + measurement + self.hub_static_public
+            self.client_eph + ack.session_id + ack.hub_eph + ack.measurement + self.hub_static_public
         )
         key, confirm_key = _derive(shared_static, shared_eph, transcript)
-        if not hmac.compare_digest(confirm, _confirm_mac(confirm_key, transcript)):
+        if not hmac.compare_digest(ack.confirm, _confirm_mac(confirm_key, transcript)):
             raise HandshakeFailure("key confirmation mismatch")
-        return Session(session_id, key, is_hub=False)
+        return Session(ack.session_id, key, is_hub=False)

@@ -3,14 +3,14 @@
 Serves the public header-fetch and get-block protocols used by light clients
 and the hub daemon, accepts transaction broadcasts, and exposes the mining
 and faucet controls that scenario scripts drive. All node access is
-serialized; the node itself stays single-threaded."""
+serialized; the node itself stays single-threaded. Server and client share
+each frame body's declaration in `wire`."""
 
 from __future__ import annotations
 
 import threading
 
 from .blocks import Block
-from .codec import Reader, Writer
 from .errors import TxRejected
 from .netio import FrameConn, FrameServer
 from .simchain import SimNode
@@ -38,58 +38,40 @@ class SimchainServer:
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):
         with self._lock:
             if frame_type == wire.FRAME_HEADERS_REQ:
-                r = Reader(payload)
-                from_height, count = r.u64(), r.u16()
-                r.expect_end()
-                headers = self.node.headers_from(from_height, count)
-                w = Writer().u16(len(headers))
-                for header in headers:
-                    w.raw(header.serialize())
-                return wire.FRAME_HEADERS_RESP, w.getvalue()
+                req = wire.decode(wire.HeadersRequest, payload)
+                headers = self.node.headers_from(req.from_height, req.count)
+                reply = wire.Headers([wire.RawHeader(header.serialize()) for header in headers])
+                return wire.FRAME_HEADERS_RESP, wire.encode(reply)
 
             if frame_type == wire.FRAME_BLOCK_REQ:
-                r = Reader(payload)
-                height = r.u64()
-                r.expect_end()
-                if height > self.node.tip_height:
-                    return wire.FRAME_BLOCK_RESP, Writer().u8(0).getvalue()
-                block = self.node.get_block(height)
-                return wire.FRAME_BLOCK_RESP, Writer().u8(1).lp_bytes32(block.serialize()).getvalue()
+                height = wire.decode(wire.Height, payload).height
+                block = self.node.get_block(height).serialize() if height <= self.node.tip_height else b""
+                return wire.FRAME_BLOCK_RESP, block
 
             if frame_type == wire.FRAME_TX_SUBMIT:
-                r = Reader(payload)
-                tx = Transaction.deserialize(r.lp_bytes32())
-                r.expect_end()
+                tx = Transaction.deserialize(wire.decode(wire.RawTx, payload).raw)
                 try:
                     self.node.submit_tx(tx)
+                    result = wire.ChainResult(tx.txid(), "", "")
                 except TxRejected as exc:
-                    return wire.FRAME_TX_RESULT, (
-                        Writer().u8(0).lp_bytes(exc.code.encode()).lp_bytes(exc.detail.encode()).getvalue()
-                    )
-                return wire.FRAME_TX_RESULT, Writer().u8(1).lp_bytes(b"").lp_bytes(b"").getvalue()
+                    result = wire.ChainResult(tx.txid(), exc.code, exc.detail)
+                return wire.FRAME_TX_RESULT, wire.encode(result)
 
             if frame_type == wire.FRAME_MINE_REQ:
-                r = Reader(payload)
-                count = r.u16()
-                r.expect_end()
-                for _ in range(count):
+                for _ in range(wire.decode(wire.MineRequest, payload).count):
                     self.node.mine_block()
-                return wire.FRAME_MINE_RESP, Writer().u64(self.node.tip_height).getvalue()
+                return wire.FRAME_MINE_RESP, wire.encode(wire.Height(self.node.tip_height))
 
-            if frame_type == wire.FRAME_TIP_REQ:
-                return wire.FRAME_TIP_RESP, (
-                    Writer().u64(self.node.tip_height).fixed(self.node.chain.tip_hash, 32).getvalue()
-                )
+            if frame_type == wire.FRAME_TIP_REQ:  # no body
+                return wire.FRAME_TIP_RESP, wire.encode(wire.Tip(self.node.tip_height, self.node.chain.tip_hash))
 
             if frame_type == wire.FRAME_PAY_REQ:
-                r = Reader(payload)
-                address, amount, fee = r.fixed(20), r.u64(), r.u64()
-                r.expect_end()
+                req = wire.decode(wire.PayRequest, payload)
                 try:
-                    tx = self.node.pay(address, amount, fee)
+                    result = wire.ChainResult(self.node.pay(req.address, req.amount, req.fee).txid(), "", "")
                 except TxRejected as exc:
-                    return wire.FRAME_PAY_RESP, Writer().u8(0).fixed(b"\x00" * 32, 32).lp_bytes(exc.code.encode()).getvalue()
-                return wire.FRAME_PAY_RESP, Writer().u8(1).fixed(tx.txid(), 32).lp_bytes(b"").getvalue()
+                    result = wire.ChainResult(bytes(32), exc.code, exc.detail)
+                return wire.FRAME_PAY_RESP, wire.encode(result)
 
             return None
 
@@ -101,54 +83,34 @@ class SimchainClient:
         self.host = host
         self.port = port
 
-    def _request(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
+    def _request(self, frame_type: int, payload: bytes) -> bytes:
         with FrameConn(self.host, self.port) as conn:
-            return conn.request(frame_type, payload)
+            return conn.request(frame_type, payload)[1]
 
     def fetch_headers(self, from_height: int, count: int) -> list[bytes]:
-        _, payload = self._request(
-            wire.FRAME_HEADERS_REQ, Writer().u64(from_height).u16(count).getvalue()
-        )
-        r = Reader(payload)
-        headers = [r.fixed(80) for _ in range(r.u16())]
-        r.expect_end()
-        return headers
+        payload = self._request(wire.FRAME_HEADERS_REQ, wire.encode(wire.HeadersRequest(from_height, count)))
+        return [header.raw for header in wire.decode(wire.Headers, payload).headers]
 
     def get_block(self, height: int) -> Block | None:
-        _, payload = self._request(wire.FRAME_BLOCK_REQ, Writer().u64(height).getvalue())
-        r = Reader(payload)
-        if not r.u8():
-            return None
-        return Block.deserialize(r.lp_bytes32())
+        payload = self._request(wire.FRAME_BLOCK_REQ, wire.encode(wire.Height(height)))
+        return Block.deserialize(payload) if payload else None
+
+    def _accepted(self, frame_type: int, body) -> wire.ChainResult:
+        result = wire.decode(wire.ChainResult, self._request(frame_type, wire.encode(body)))
+        if result.code:
+            raise TxRejected(result.code, result.detail)
+        return result
 
     def submit_tx(self, tx: Transaction) -> None:
-        _, payload = self._request(
-            wire.FRAME_TX_SUBMIT, Writer().lp_bytes32(tx.serialize()).getvalue()
-        )
-        r = Reader(payload)
-        ok = r.u8()
-        code = r.lp_bytes().decode()
-        detail = r.lp_bytes().decode()
-        if not ok:
-            raise TxRejected(code, detail)
+        self._accepted(wire.FRAME_TX_SUBMIT, wire.RawTx(tx.serialize()))
 
     def mine(self, count: int = 1) -> int:
-        _, payload = self._request(wire.FRAME_MINE_REQ, Writer().u16(count).getvalue())
-        return Reader(payload).u64()
+        payload = self._request(wire.FRAME_MINE_REQ, wire.encode(wire.MineRequest(count)))
+        return wire.decode(wire.Height, payload).height
 
     def tip(self) -> tuple[int, bytes]:
-        _, payload = self._request(wire.FRAME_TIP_REQ, b"")
-        r = Reader(payload)
-        return r.u64(), r.fixed(32)
+        tip = wire.decode(wire.Tip, self._request(wire.FRAME_TIP_REQ, b""))
+        return tip.height, tip.tip_hash
 
     def pay(self, address: bytes, amount: int, fee: int = 0) -> bytes:
-        _, payload = self._request(
-            wire.FRAME_PAY_REQ, Writer().fixed(address, 20).u64(amount).u64(fee).getvalue()
-        )
-        r = Reader(payload)
-        ok = r.u8()
-        txid = r.fixed(32)
-        code = r.lp_bytes().decode()
-        if not ok:
-            raise TxRejected(code or "pay-failed")
-        return txid
+        return self._accepted(wire.FRAME_PAY_REQ, wire.PayRequest(address, amount, fee)).txid

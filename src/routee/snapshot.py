@@ -1,228 +1,197 @@
 """Versioned binary dump of the full hub state.
 
-Layout: magic "RTEE", 2-byte version, then canonical encodings of every
-table. Loading reconstructs an identical hub, including the deterministic
-RNG position, so manager-key generation continues where it left off.
+Layout (version 2): magic "RTEE", 2-byte big-endian version, a `HubImage`
+record (configuration, RNG position, totals, then one table per kind of hub
+state), then the SHA-256 of everything before it. Each table is a declared
+record, so dumping and loading derive from the same declarations. Loading
+reconstructs an identical hub, including the deterministic RNG position, so
+manager-key generation continues where it left off. Any bytes load as a hub
+or raise `SnapshotError`; the trailer refuses a damaged file.
 
 Known limitation: snapshots carry no rollback protection. An operator
 restoring an old file resurrects old state; guarding against that would need
 a monotonic counter outside the snapshot itself.
 """
-
 from __future__ import annotations
 
-from .codec import Reader, Writer
-from .crypto import ADDRESS_SIZE, CryptoSuite, DeterministicRng
-from .errors import SnapshotError
+from . import wire
+from .crypto import CryptoSuite, DeterministicRng, sha256
+from .errors import RouteeError, SnapshotError
 from .headers import BlockHeader, ChainParams, HeaderChain
 from .hub import Hub, HubConfig, OwnedDeposit, PendingDeposit, SettleRequest, SettlementPlan, UserState
-from .transactions import Transaction
+from .transactions import Transaction, formula_size
+from .wire import fixed, record, repeated, text, trailing
 
 MAGIC = b"RTEE"
-VERSION = 1
+VERSION = 2
+TRAILER_SIZE = 32
+
+
+@record
+class FeeSample:
+    value: int = fixed("Q")
+
+
+@record
+class OwnedRow:
+    txid: bytes = fixed("32s")
+    vout: int = fixed("I")
+    value: int = fixed("Q")
+    fare_precollected: int = fixed("Q")
+    source_height: int = fixed("Q")
+    lock_address: bytes = fixed("20s")
+
+
+@record
+class ManagerKey:
+    address: bytes = fixed("20s")
+    secret: bytes = trailing()
+    public: bytes = trailing()
+
+
+@record
+class PlanRow:
+    """What a plan's transaction does not determine: its size, fee and
+    leftover output follow from the transaction."""
+
+    s_amount: int = fixed("Q")
+    b_total: int = fixed("Q")
+    rf_confirmed_on_confirm: int = fixed("Q")
+    collected: int = fixed("Q")
+    host_subsidy: int = fixed("Q")
+    transaction: bytes = trailing()
+    selected: list[SettleRequest] = repeated(SettleRequest)
+
+
+@record
+class HubImage:
+    """`headers` is empty before init; `plan` holds at most one plan."""
+
+    retarget_interval: int = fixed("Q")
+    target_spacing: int = fixed("Q")
+    pow_limit_bits: int = fixed("I")
+    block_subsidy: int = fixed("Q")
+    host_settle_address: bytes = fixed("20s")
+    min_routing_fee: int = fixed("Q")
+    deposit_expiry_blocks: int = fixed("Q")
+    fee_window_capacity: int = fixed("Q")
+    rf_pending: int = fixed("Q")
+    rf_confirmed: int = fixed("Q")
+    host_balance: int = fixed("Q")
+    fee_reserve: int = fixed("Q")
+    rf_collected_total: int = fixed("Q")
+    settled_amount_total: int = fixed("Q")
+    plans_confirmed: int = fixed("Q")
+    terminating: bool = fixed("?")
+    rng_seed: bytes = fixed("32s")
+    rng_counter: int = fixed("Q")
+    chain_start: int = fixed("Q")
+    next_enqueue_seq: int = fixed("Q")
+    mode: str = text()
+    host_public_key: bytes = trailing()
+    headers: list[wire.RawHeader] = repeated(wire.RawHeader)
+    fee_window: list[FeeSample] = repeated(FeeSample)
+    users: list[UserState] = repeated(UserState)
+    pending: list[PendingDeposit] = repeated(PendingDeposit)
+    owned: list[OwnedRow] = repeated(OwnedRow)
+    manager_keys: list[ManagerKey] = repeated(ManagerKey)
+    queue: list[SettleRequest] = repeated(SettleRequest)
+    plan: list[PlanRow] = repeated(PlanRow)
+
+
+# attributes the image keeps under their own names: of the hub's chain
+# parameters, of its configuration and of the hub itself
+_PARAMS = ("retarget_interval", "target_spacing", "pow_limit_bits", "block_subsidy")
+_CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee", "deposit_expiry_blocks",
+           "fee_window_capacity")
+_TOTALS = ("rf_pending", "rf_confirmed", "host_balance", "fee_reserve", "rf_collected_total",
+           "settled_amount_total", "plans_confirmed", "terminating")
+
+
+def _named(obj, names: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _image(hub: Hub) -> HubImage:
+    seed, counter = hub.rng.getstate()
+    plans = [
+        PlanRow(plan.s_amount, plan.b_total, plan.rf_confirmed_on_confirm, plan.collected,
+                plan.host_subsidy, plan.transaction.serialize(), plan.selected)
+        for plan in ([hub.plan] if hub.plan else [])
+    ]
+    return HubImage(
+        **_named(hub.config.chain_params, _PARAMS), **_named(hub.config, _CONFIG), **_named(hub, _TOTALS),
+        rng_seed=seed, rng_counter=counter, mode=hub.suite.mode,
+        chain_start=hub.chain.start_height if hub.chain else 0, next_enqueue_seq=hub._next_enqueue_seq,
+        headers=[wire.RawHeader(h.serialize()) for h in hub.chain.headers] if hub.chain else [],
+        fee_window=[FeeSample(sample) for sample in hub.estimator.window],
+        users=list(hub.users.values()),
+        pending=list(hub.pending_deposits.values()),
+        owned=[
+            OwnedRow(*d.outpoint, d.value, d.fare_precollected, d.source_height, d.lock_address)
+            for d in hub.owned.values()
+        ],
+        manager_keys=[ManagerKey(address, sk, pk) for address, (sk, pk) in hub.manager_keys.items()],
+        queue=hub.queue,
+        plan=plans,
+    )
 
 
 def dump_hub(hub: Hub) -> bytes:
     with hub._lock:
-        w = Writer()
-        w.raw(MAGIC).u16(VERSION)
-
-        cfg = hub.config
-        w.lp_bytes(hub.suite.mode.encode())
-        w.lp_bytes(cfg.host_public_key)
-        w.fixed(cfg.host_settle_address, ADDRESS_SIZE)
-        w.u64(cfg.min_routing_fee)
-        params = cfg.chain_params
-        w.u64(params.retarget_interval).u64(params.target_spacing)
-        w.u32(params.pow_limit_bits).u64(params.block_subsidy)
-        w.u64(cfg.deposit_expiry_blocks).u64(cfg.fee_window_capacity)
-
-        seed, counter = hub.rng.getstate()
-        w.fixed(seed, 32).u64(counter)
-
-        if hub.chain is None:
-            w.u8(0)
-        else:
-            w.u8(1).u64(hub.chain.start_height).u32(len(hub.chain.headers))
-            for header in hub.chain.headers:
-                w.raw(header.serialize())
-
-        w.u32(len(hub.estimator.window))
-        for sample in hub.estimator.window:
-            w.u64(sample)
-
-        w.u32(len(hub.users))
-        for user in hub.users.values():
-            w.fixed(user.user_address, ADDRESS_SIZE)
-            w.lp_bytes(user.public_key)
-            w.fixed(user.settle_address, ADDRESS_SIZE)
-            w.u64(user.nonce).u64(user.balance)
-            w.opt_u64(user.max_source_block).opt_u64(user.boundary_block)
-
-        w.u32(len(hub.pending_deposits))
-        for pending in hub.pending_deposits.values():
-            w.fixed(pending.manager_address, ADDRESS_SIZE)
-            w.lp_bytes(pending.manager_secret).lp_bytes(pending.manager_public)
-            w.fixed(pending.beneficiary, ADDRESS_SIZE)
-            w.u64(pending.registered_height).u64(pending.expiry_height)
-
-        w.u32(len(hub.owned))
-        for deposit in hub.owned.values():
-            w.fixed(deposit.outpoint[0], 32).u32(deposit.outpoint[1])
-            w.u64(deposit.value).u64(deposit.fare_precollected).u64(deposit.source_height)
-            w.fixed(deposit.lock_address, ADDRESS_SIZE)
-
-        w.u32(len(hub.manager_keys))
-        for address, (sk, pk) in hub.manager_keys.items():
-            w.fixed(address, ADDRESS_SIZE).lp_bytes(sk).lp_bytes(pk)
-
-        w.u32(len(hub.queue))
-        for request in hub.queue:
-            _write_request(w, request)
-        w.u64(hub._next_enqueue_seq)
-
-        if hub.plan is None:
-            w.u8(0)
-        else:
-            plan = hub.plan
-            w.u8(1)
-            w.lp_bytes32(plan.transaction.serialize())
-            w.u32(len(plan.selected))
-            for request in plan.selected:
-                _write_request(w, request)
-            w.u64(plan.s_amount).u64(plan.b_total)
-            w.u64(plan.tx_inputs).u64(plan.tx_outputs).u64(plan.tx_size).u64(plan.tx_fee)
-            w.u64(plan.rf_confirmed_on_confirm).u64(plan.collected).u64(plan.host_subsidy)
-            w.fixed(plan.leftover_outpoint[0], 32).u32(plan.leftover_outpoint[1])
-            w.u64(plan.leftover_value)
-            w.fixed(plan.leftover_address, ADDRESS_SIZE)
-
-        w.u64(hub.rf_pending).u64(hub.rf_confirmed).u64(hub.host_balance)
-        w.u64(hub.fee_reserve).u64(hub.rf_collected_total).u64(hub.settled_amount_total)
-        w.u64(hub.plans_confirmed)
-        w.u8(int(hub.terminating))
-        return w.getvalue()
+        body = MAGIC + VERSION.to_bytes(2, "big") + wire.encode(_image(hub))
+    return body + sha256(body)
 
 
-def _write_request(w: Writer, request: SettleRequest) -> None:
-    w.fixed(request.user_address, ADDRESS_SIZE)
-    w.fixed(request.settle_address, ADDRESS_SIZE)
-    w.u64(request.amount).u64(request.fee).u64(request.enqueue_seq)
-    w.u8(int(request.is_host))
-
-
-def _read_request(r: Reader) -> SettleRequest:
-    return SettleRequest(
-        r.fixed(ADDRESS_SIZE),
-        r.fixed(ADDRESS_SIZE),
-        r.u64(),
-        r.u64(),
-        r.u64(),
-        bool(r.u8()),
-    )
+def _restore(image: HubImage) -> Hub:
+    params = ChainParams(**_named(image, _PARAMS))
+    hub = Hub(HubConfig(**_named(image, _CONFIG), chain_params=params, suite=CryptoSuite.from_mode(image.mode)))
+    hub.rng = DeterministicRng.fromstate((image.rng_seed, image.rng_counter))
+    if image.headers:
+        headers = [BlockHeader.deserialize(row.raw) for row in image.headers]
+        hub.chain = HeaderChain(params, headers[0], image.chain_start)
+        for header in headers[1:]:
+            hub.chain.append(header)
+    hub.estimator.window.extend(sample.value for sample in image.fee_window)
+    hub.users = {user.user_address: user for user in image.users}
+    hub._known_keys = {user.public_key for user in image.users}
+    hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}
+    hub.owned = {
+        (r.txid, r.vout): OwnedDeposit((r.txid, r.vout), r.value, r.fare_precollected, r.source_height, r.lock_address)
+        for r in image.owned
+    }
+    hub.manager_keys = {row.address: (row.secret, row.public) for row in image.manager_keys}
+    hub.queue = image.queue
+    hub._next_enqueue_seq = image.next_enqueue_seq
+    if len(image.plan) > 1:
+        raise SnapshotError(f"{len(image.plan)} outstanding plans")
+    for row in image.plan:
+        tx = Transaction.deserialize(row.transaction)
+        n_in, n_out = len(tx.inputs), len(tx.outputs)
+        if not n_out:
+            raise SnapshotError("plan without a leftover output")
+        hub.plan = SettlementPlan(
+            tx, row.selected, row.s_amount, row.b_total, n_in, n_out, formula_size(n_in, n_out), tx.fee(),
+            row.rf_confirmed_on_confirm, row.collected, (tx.txid(), n_out - 1), tx.outputs[-1].value,
+            tx.outputs[-1].lock_address, [txin.outpoint for txin in tx.inputs], row.host_subsidy,
+        )
+    for name in _TOTALS:
+        setattr(hub, name, getattr(image, name))
+    return hub
 
 
 def load_hub(data: bytes) -> Hub:
-    r = Reader(data)
-    if r.fixed(4) != MAGIC:
+    if data[:4] != MAGIC:
         raise SnapshotError("bad magic")
-    version = r.u16()
+    version = int.from_bytes(data[4:6], "big")
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
-
-    mode = r.lp_bytes().decode()
-    host_public_key = r.lp_bytes()
-    host_settle_address = r.fixed(ADDRESS_SIZE)
-    min_routing_fee = r.u64()
-    params = ChainParams(r.u64(), r.u64(), r.u32(), r.u64())
-    deposit_expiry = r.u64()
-    window_capacity = r.u64()
-
-    config = HubConfig(
-        host_public_key,
-        host_settle_address,
-        min_routing_fee,
-        params,
-        CryptoSuite.from_mode(mode),
-        deposit_expiry,
-        window_capacity,
-    )
-    hub = Hub(config)
-    hub.rng = DeterministicRng.fromstate((r.fixed(32), r.u64()))
-
-    if r.u8():
-        start_height = r.u64()
-        count = r.u32()
-        headers = [BlockHeader.deserialize(r.fixed(80)) for _ in range(count)]
-        chain = HeaderChain(params, headers[0], start_height)
-        for header in headers[1:]:
-            chain.append(header)
-        hub.chain = chain
-
-    for _ in range(r.u32()):
-        hub.estimator.window.append(r.u64())
-
-    for _ in range(r.u32()):
-        user = UserState(
-            r.fixed(ADDRESS_SIZE),
-            r.lp_bytes(),
-            r.fixed(ADDRESS_SIZE),
-            r.u64(),
-            r.u64(),
-            r.opt_u64(),
-            r.opt_u64(),
-        )
-        hub.users[user.user_address] = user
-        hub._known_keys.add(user.public_key)
-
-    for _ in range(r.u32()):
-        pending = PendingDeposit(
-            r.fixed(ADDRESS_SIZE), r.lp_bytes(), r.lp_bytes(),
-            r.fixed(ADDRESS_SIZE), r.u64(), r.u64(),
-        )
-        hub.pending_deposits[pending.manager_address] = pending
-
-    for _ in range(r.u32()):
-        deposit = OwnedDeposit(
-            (r.fixed(32), r.u32()), r.u64(), r.u64(), r.u64(), r.fixed(ADDRESS_SIZE)
-        )
-        hub.owned[deposit.outpoint] = deposit
-
-    for _ in range(r.u32()):
-        address = r.fixed(ADDRESS_SIZE)
-        hub.manager_keys[address] = (r.lp_bytes(), r.lp_bytes())
-
-    hub.queue = [_read_request(r) for _ in range(r.u32())]
-    hub._next_enqueue_seq = r.u64()
-
-    if r.u8():
-        tx = Transaction.deserialize(r.lp_bytes32())
-        selected = [_read_request(r) for _ in range(r.u32())]
-        hub.plan = SettlementPlan(
-            transaction=tx,
-            selected=selected,
-            s_amount=r.u64(),
-            b_total=r.u64(),
-            tx_inputs=r.u64(),
-            tx_outputs=r.u64(),
-            tx_size=r.u64(),
-            tx_fee=r.u64(),
-            rf_confirmed_on_confirm=r.u64(),
-            collected=r.u64(),
-            host_subsidy=r.u64(),
-            leftover_outpoint=(r.fixed(32), r.u32()),
-            leftover_value=r.u64(),
-            leftover_address=r.fixed(ADDRESS_SIZE),
-            input_outpoints=[txin.outpoint for txin in tx.inputs],
-        )
-
-    hub.rf_pending = r.u64()
-    hub.rf_confirmed = r.u64()
-    hub.host_balance = r.u64()
-    hub.fee_reserve = r.u64()
-    hub.rf_collected_total = r.u64()
-    hub.settled_amount_total = r.u64()
-    hub.plans_confirmed = r.u64()
-    hub.terminating = bool(r.u8())
-    r.expect_end()
-    return hub
+    body, trailer = data[:-TRAILER_SIZE], data[-TRAILER_SIZE:]
+    if len(body) < 6 or sha256(body) != trailer:
+        raise SnapshotError("checksum mismatch")
+    try:
+        return _restore(wire.decode(HubImage, body[6:]))
+    # a well-formed image can still hold values the hub refuses: an unknown
+    # crypto mode, a header chain that does not verify, a window too large
+    except (RouteeError, ValueError, ArithmeticError) as exc:
+        raise SnapshotError(f"{type(exc).__name__}: {exc}") from None

@@ -7,6 +7,9 @@ Canonical serialization (bit-exact, drives txids):
       2-byte length + unlock bytes
   2-byte big-endian output count, then per output:
       8-byte BE value, 20-byte lock address
+An unlock is the public key and the signature, each behind a 2-byte length.
+Only the version is little-endian, as on chain. Golden txids pin these
+bytes, so they are packed here with `struct`, not declared in `wire`.
 
 Inputs carry their value explicitly so a block alone is enough to compute
 per-transaction fees. Fee arithmetic everywhere uses the size formula
@@ -18,8 +21,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .codec import Reader, Writer
 from .crypto import ADDRESS_SIZE, address_of, sha256d
+from .errors import MalformedFrame
 
 FORMULA_INPUT_BYTES = 148
 FORMULA_OUTPUT_BYTES = 34
@@ -31,6 +34,11 @@ COINBASE_PREV_TXID = b"\x00" * 32
 COINBASE_PREV_VOUT = 0xFFFFFFFF
 
 Outpoint = tuple[bytes, int]
+
+_VERSION = struct.pack("<I", 1)
+_LENGTH = struct.Struct(">H")  # counts, unlock lengths, unlock parts
+_INPUT = struct.Struct(">32sIQH")  # the last field is the unlock length
+_OUTPUT = struct.Struct(">Q20s")
 
 
 def formula_size(n_inputs: int, n_outputs: int) -> int:
@@ -73,33 +81,39 @@ class Transaction:
         )
 
     def serialize(self, *, strip_unlocks: bool = False) -> bytes:
-        parts = [b"\x01\x00\x00\x00", struct.pack(">H", len(self.inputs))]
+        parts = [_VERSION, _LENGTH.pack(len(self.inputs))]
         for txin in self.inputs:
             if len(txin.prev_txid) != 32:
                 raise ValueError("txid must be 32 bytes")
             unlock = b"" if strip_unlocks else txin.unlock
-            parts.append(struct.pack(">32sIQH", txin.prev_txid, txin.prev_vout,
-                                     txin.value, len(unlock)))
+            parts.append(_INPUT.pack(txin.prev_txid, txin.prev_vout, txin.value, len(unlock)))
             parts.append(unlock)
-        parts.append(struct.pack(">H", len(self.outputs)))
+        parts.append(_LENGTH.pack(len(self.outputs)))
         for txout in self.outputs:
             if len(txout.lock_address) != ADDRESS_SIZE:
                 raise ValueError("lock address must be 20 bytes")
-            parts.append(struct.pack(">Q20s", txout.value, txout.lock_address))
+            parts.append(_OUTPUT.pack(txout.value, txout.lock_address))
         return b"".join(parts)
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Transaction":
-        r = Reader(raw)
-        version = struct.unpack("<I", r.fixed(4))[0]
-        if version != 1:
-            raise ValueError(f"unsupported tx version {version}")
-        inputs = [
-            TxInput(r.fixed(32), r.u32(), r.u64(), r.lp_bytes())
-            for _ in range(r.u16())
-        ]
-        outputs = [TxOutput(r.u64(), r.fixed(ADDRESS_SIZE)) for _ in range(r.u16())]
-        r.expect_end()
+        """The transaction `raw` holds exactly, else `MalformedFrame`."""
+        if raw[:4] != _VERSION:
+            raise MalformedFrame(f"unsupported tx version {raw[:4].hex()}")
+        try:
+            (count,) = _LENGTH.unpack_from(raw, 4)
+            pos = 4 + _LENGTH.size
+            inputs = []
+            for _ in range(count):
+                prev_txid, prev_vout, value, size = _INPUT.unpack_from(raw, pos)
+                pos += _INPUT.size + size
+                inputs.append(TxInput(prev_txid, prev_vout, value, raw[pos - size:pos]))
+            (count,) = _LENGTH.unpack_from(raw, pos)
+            outputs = [TxOutput(*fields) for fields in _OUTPUT.iter_unpack(raw[pos + _LENGTH.size:])]
+        except struct.error as exc:
+            raise MalformedFrame(f"transaction: {exc}") from None
+        if len(outputs) != count:
+            raise MalformedFrame(f"transaction: {len(outputs)} outputs, {count} declared")
         return cls(inputs, outputs)
 
     def txid(self) -> bytes:
@@ -123,21 +137,25 @@ class Transaction:
 
 def make_unlock(scheme, secret_key: bytes, public_key: bytes, sighash: bytes) -> bytes:
     sig = scheme.sign(secret_key, sighash)
-    return Writer().lp_bytes(public_key).lp_bytes(sig).getvalue()
+    return _LENGTH.pack(len(public_key)) + public_key + _LENGTH.pack(len(sig)) + sig
 
 
 def parse_unlock(unlock: bytes) -> tuple[bytes, bytes]:
-    r = Reader(unlock)
-    public_key = r.lp_bytes()
-    sig = r.lp_bytes()
-    r.expect_end()
-    return public_key, sig
+    try:
+        (key_size,) = _LENGTH.unpack_from(unlock)
+        (sig_size,) = _LENGTH.unpack_from(unlock, _LENGTH.size + key_size)
+    except struct.error:
+        raise MalformedFrame("truncated unlock") from None
+    sig_start = 2 * _LENGTH.size + key_size
+    if sig_start + sig_size != len(unlock):
+        raise MalformedFrame("unlock length mismatch")
+    return unlock[_LENGTH.size:_LENGTH.size + key_size], unlock[sig_start:]
 
 
 def verify_unlock(scheme, lock_address: bytes, sighash: bytes, unlock: bytes) -> bool:
     try:
         public_key, sig = parse_unlock(unlock)
-    except Exception:
+    except MalformedFrame:
         return False
     if address_of(public_key) != lock_address:
         return False
@@ -146,6 +164,6 @@ def verify_unlock(scheme, lock_address: bytes, sighash: bytes, unlock: bytes) ->
 
 def coinbase_tx(height: int, value: int, lock_address: bytes, extra: bytes = b"") -> Transaction:
     # the height in the unlock field keeps coinbase txids unique per block
-    tag = Writer().u64(height).lp_bytes(extra).getvalue()
+    tag = struct.pack(">QH", height, len(extra)) + extra
     txin = TxInput(COINBASE_PREV_TXID, COINBASE_PREV_VOUT, 0, tag)
     return Transaction([txin], [TxOutput(value, lock_address)])

@@ -1,16 +1,19 @@
-"""Canonical encoding of every hub request and reply, plus the outer frame.
+"""Canonical encoding of every binary layout the hub speaks or stores.
 
 Frame: 4-byte big-endian length, 1-byte frame type, payload (`netio` moves
 frames over sockets with the same packing and length check). Handshake and
 envelope frames carry the encrypted session traffic; the other frame types
 serve public chain data unencrypted.
 
-Each request is declared once, as a dataclass whose fields name their wire
-format. It travels as its kind byte, its fixed-width fields, an optional
-2-byte count and repeated items, then its trailing byte strings, each behind
-a 4-byte length, with the signature last; integers are big-endian. The
-declarations compile to `struct.Struct`s at import, and the encoder, the
-decoder and the signing digests all derive from them.
+Each layout is declared once, as a record: a dataclass whose fields name
+their wire format. A record travels as its kind byte if it has one (requests,
+replies), its fixed-width fields, then its variable fields in declaration
+order: repeated records behind a 4-byte count, byte strings behind a 4-byte
+length, UTF-8 text behind a 2-byte length. Integers are big-endian. The
+declarations compile to `struct.Struct`s at import; the encoder, the decoder
+and the signing digests all derive from them, and a decoder turns any input
+it cannot parse into `MalformedFrame`. Golden vectors pin the bytes of a
+header and of a transaction, so `headers` and `transactions` pack those.
 
 A signing digest is sha256(b"routee/v1/" + the encoding without the
 signature): the leading kind byte keeps the domains of different requests
@@ -18,7 +21,6 @@ apart, and a relay can alter no signed field (nonces, routing fees). A
 `QueryUser` digest appends the session id, binding the query to one session;
 an `InsertBlock` is signed over the block's header hash.
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -26,7 +28,6 @@ import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .codec import Reader, Writer
 from .crypto import sha256
 from .errors import MalformedFrame, RouteeError, UnknownType
 
@@ -74,12 +75,103 @@ def unpack_frame(data: bytes) -> tuple[int, bytes]:
     return data[4], data[5:]
 
 
-# --- request declarations ---
+# --- records ---
 
 _SIGNING_CONTEXT = b"routee/v1/"
-_LENGTH = struct.Struct(">I")
-_TRAILING = "trailing"
-_SIGNATURE = "signature"
+_COUNT = struct.Struct(">I")
+
+
+class _Bytes:
+    """A byte string behind a 4-byte length."""
+
+    length = struct.Struct(">I")
+
+    def pack(self, value: bytes) -> bytes:
+        return self.length.pack(len(value)) + value
+
+    def unpack(self, data: bytes, pos: int) -> tuple[bytes, int]:
+        (size,) = self.length.unpack_from(data, pos)
+        pos += self.length.size
+        value = data[pos:pos + size]
+        if len(value) != size:
+            raise MalformedFrame(f"truncated: need {size} bytes at offset {pos}")
+        return value, pos + size
+
+
+class _Text(_Bytes):
+    """UTF-8 text behind a 2-byte length."""
+
+    length = struct.Struct(">H")
+
+    def pack(self, value: str) -> bytes:
+        value = value.encode()
+        return self.length.pack(len(value)) + value
+
+    def unpack(self, data: bytes, pos: int) -> tuple[str, int]:
+        value, pos = _Bytes.unpack(self, data, pos)
+        return value.decode(), pos
+
+
+class _Repeated:
+    """Records behind a 4-byte count."""
+
+    def __init__(self, item_cls: type):
+        self.layout = item_cls._layout
+
+    def pack(self, items: list) -> bytes:
+        layout = self.layout
+        if layout.tail:
+            return _COUNT.pack(len(items)) + b"".join([layout.encode(item) for item in items])
+        pack, values = layout.head.pack, layout.head_values
+        return _COUNT.pack(len(items)) + b"".join([pack(*values(item)) for item in items])
+
+    def unpack(self, data: bytes, pos: int) -> tuple[list, int]:
+        (count,) = _COUNT.unpack_from(data, pos)
+        pos += _COUNT.size
+        layout = self.layout
+        if layout.tail:
+            items = []
+            for _ in range(count):
+                item, pos = layout.decode_from(data, pos)
+                items.append(item)
+            return items, pos
+        end = pos + count * layout.head.size
+        if end > len(data):
+            raise MalformedFrame(f"truncated: {count} items")
+        return [layout.cls(*values) for values in layout.head.iter_unpack(data[pos:end])], end
+
+
+class _Value:
+    """None, an int (bools too) or a byte string, after a tag byte: 0, 1 and
+    a u64, or 2 and a 4-byte length."""
+
+    tag = struct.Struct(">B")
+    integer = struct.Struct(">BQ")
+
+    def pack(self, value) -> bytes:
+        if value is None:
+            return self.tag.pack(0)
+        if isinstance(value, int):
+            return self.integer.pack(1, value)
+        if isinstance(value, bytes):
+            return self.tag.pack(2) + _BYTES.pack(value)
+        raise TypeError(f"unsupported value {type(value).__name__}")
+
+    def unpack(self, data: bytes, pos: int) -> tuple[int | bytes | None, int]:
+        (tag,) = self.tag.unpack_from(data, pos)
+        if tag == 0:
+            return None, pos + self.tag.size
+        if tag == 1:
+            return self.integer.unpack_from(data, pos)[1], pos + self.integer.size
+        if tag == 2:
+            return _BYTES.unpack(data, pos + self.tag.size)
+        raise MalformedFrame(f"bad value tag {tag}")
+
+
+_BYTES = _Bytes()
+_SIGNATURE = _Bytes()
+_TEXT = _Text()
+_VALUE = _Value()
 
 
 def fixed(code: str):
@@ -88,125 +180,131 @@ def fixed(code: str):
 
 
 def repeated(item_cls: type):
-    """A list of items whose fields are all fixed, behind a 2-byte count."""
-    return field(default_factory=list, metadata={"wire": item_cls})
+    """A list of records of one declared class."""
+    return field(default_factory=list, metadata={"wire": _Repeated(item_cls)})
 
 
 def trailing():
-    """A byte string behind a 4-byte length, after the fixed fields and items."""
-    return field(metadata={"wire": _TRAILING})
+    """A byte string of any length, after the fixed fields."""
+    return field(metadata={"wire": _BYTES})
+
+
+def text():
+    """A string of any length, after the fixed fields."""
+    return field(metadata={"wire": _TEXT})
+
+
+def tagged():
+    """None, an int or a byte string, after the fixed fields."""
+    return field(metadata={"wire": _VALUE})
 
 
 def trailing_signature():
-    """The last trailing byte string, which the signing digest leaves out."""
+    """The last byte string of a request, which its signing digest leaves out."""
     return field(default=b"", metadata={"wire": _SIGNATURE})
 
 
-def _sized(names: list[str], codes: list[str]) -> list[tuple[str, int]]:
-    """(name, size) of every byte-string field, for the encoder's checks."""
-    return [(name, int(code[:-1])) for name, code in zip(names, codes) if code.endswith("s")]
-
-
-def _check_sizes(obj, sized: list[tuple[str, int]]) -> None:
-    for name, size in sized:
-        if len(getattr(obj, name)) != size:
-            raise ValueError(f"{name}: expected {size} bytes, got {len(getattr(obj, name))}")
-
-
 class _Layout:
-    """A request declaration compiled to `struct`s. The head struct holds the
-    kind byte, the fixed fields and, when the request has items, their count."""
+    """A record declaration compiled to `struct`s. The head struct holds the
+    kind byte of a record that has one (requests, replies) and every fixed
+    field; the variable fields follow it in declaration order."""
 
     def __init__(self, cls: type):
         self.cls = cls
-        head, codes, self.trailing = [], [], []
-        self.item = None
-        signed = False
+        self.kind = getattr(cls, "kind", None)
+        names, codes, self.tail = [], [], []
         for f in dataclasses.fields(cls):
             spec = f.metadata["wire"]
-            if isinstance(spec, type):
-                self.item = f.name
-                self.item_cls = spec
-                item_names = [i.name for i in dataclasses.fields(spec)]
-                item_codes = [i.metadata["wire"] for i in dataclasses.fields(spec)]
-                self.item_struct = struct.Struct(">" + "".join(item_codes))
-                # attrgetter of two or more names returns a tuple
-                self.item_values = attrgetter(*item_names)
-                self.item_sized = _sized(item_names, item_codes)
-            elif spec in (_TRAILING, _SIGNATURE):
-                self.trailing.append(f.name)
-                signed = spec == _SIGNATURE
-            else:
-                head.append(f.name)
+            if isinstance(spec, str):
+                names.append(f.name)
                 codes.append(spec)
-        self.head = struct.Struct(">B" + "".join(codes) + ("H" if self.item else ""))
-        self.head_values = attrgetter("kind", *head) if head else lambda req: (req.kind,)
-        self.head_sized = _sized(head, codes)
-        self.unsigned_trailing = self.trailing[:-1] if signed else self.trailing
-        wire_order = head + ([self.item] if self.item else []) + self.trailing
-        names = [f.name for f in dataclasses.fields(cls)]
+            else:
+                self.tail.append((f.name, spec))
+        prefix = [] if self.kind is None else ["kind"]
+        self.head = struct.Struct(">" + "B" * len(prefix) + "".join(codes))
+        getters = prefix + names
+        get = attrgetter(*getters) if getters else lambda obj: ()
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        self.head_values = (lambda obj: (get(obj),)) if len(getters) == 1 else get
+        self.sized = [(name, int(code[:-1])) for name, code in zip(names, codes) if code.endswith("s")]
+        self.repeated = [(name, codec.layout) for name, codec in self.tail if isinstance(codec, _Repeated)]
+        signed = bool(self.tail) and self.tail[-1][1] is _SIGNATURE
+        self.unsigned_tail = self.tail[:-1] if signed else self.tail
+        wire_order = names + [name for name, _ in self.tail]
+        field_order = [f.name for f in dataclasses.fields(cls)]
         # decode builds values in wire order; the constructor takes field order
-        self.order = None if wire_order == names else [wire_order.index(n) for n in names]
+        self.order = None if wire_order == field_order else [wire_order.index(n) for n in field_order]
 
-    def encode(self, req, signed: bool = True) -> bytes:
-        if self.item is None:
-            out = self.head.pack(*self.head_values(req))
-        else:
-            batch = getattr(req, self.item)
-            pack, values = self.item_struct.pack, self.item_values
-            out = self.head.pack(*self.head_values(req), len(batch))
-            out += b"".join([pack(*values(item)) for item in batch])
-        for name in self.trailing if signed else self.unsigned_trailing:
-            value = getattr(req, name)
-            out += _LENGTH.pack(len(value)) + value
+    def check_sizes(self, obj) -> None:
+        """`struct` pads or cuts a wrong-sized byte string; refuse it instead."""
+        for name, size in self.sized:
+            if len(getattr(obj, name)) != size:
+                raise ValueError(f"{name}: expected {size} bytes, got {len(getattr(obj, name))}")
+        for name, layout in self.repeated:
+            for item in getattr(obj, name):
+                layout.check_sizes(item)
+
+    def encode(self, obj, signed: bool = True) -> bytes:
+        out = self.head.pack(*self.head_values(obj))
+        for name, codec in self.tail if signed else self.unsigned_tail:
+            out += codec.pack(getattr(obj, name))
         return out
 
-    def check_sizes(self, req) -> None:
-        """`struct` pads or cuts a wrong-sized byte string; refuse it instead."""
-        _check_sizes(req, self.head_sized)
-        if self.item is not None:
-            for item in getattr(req, self.item):
-                _check_sizes(item, self.item_sized)
-
-    def decode(self, data: bytes):
-        head = self.head
-        values = head.unpack_from(data)[1:]
-        pos = head.size
-        if self.item is not None:
-            end = pos + values[-1] * self.item_struct.size
-            if end > len(data):
-                raise MalformedFrame(f"truncated: {values[-1]} items")
-            cls = self.item_cls
-            values = values[:-1] + ([cls(*item) for item in self.item_struct.iter_unpack(data[pos:end])],)
-            pos = end
-        for _ in self.trailing:
-            (size,) = _LENGTH.unpack_from(data, pos)
-            pos += _LENGTH.size
-            value = data[pos:pos + size]
-            if len(value) != size:
-                raise MalformedFrame(f"truncated: need {size} bytes at offset {pos}")
+    def decode_from(self, data: bytes, pos: int):
+        values = self.head.unpack_from(data, pos)
+        if self.kind is not None:
+            if values[0] != self.kind:
+                raise MalformedFrame(f"{self.cls.__name__}: kind {values[0]}, not {self.kind}")
+            values = values[1:]
+        pos += self.head.size
+        for _, codec in self.tail:
+            value, pos = codec.unpack(data, pos)
             values += (value,)
-            pos += size
-        if pos != len(data):
-            raise MalformedFrame(f"{len(data) - pos} trailing bytes")
         if self.order is not None:
             values = [values[i] for i in self.order]
-        return self.cls(*values)
+        return self.cls(*values), pos
+
+    def decode(self, data: bytes):
+        try:
+            obj, pos = self.decode_from(data, 0)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise MalformedFrame(f"{self.cls.__name__}: {exc}") from None
+        if pos != len(data):
+            raise MalformedFrame(f"{len(data) - pos} trailing bytes")
+        return obj
+
+
+def record(cls):
+    """Class decorator: declare a record dataclass and compile its layout."""
+    cls = dataclass(cls)
+    cls._layout = _Layout(cls)
+    return cls
 
 
 _LAYOUTS: dict[int, _Layout] = {}
 
 
 def request(kind: int):
-    """Class decorator: declare a request dataclass and compile its layout."""
+    """Class decorator: declare a request record with its kind byte."""
 
     def declare(cls):
-        cls = dataclass(cls)
         cls.kind = kind
-        cls._layout = _LAYOUTS[kind] = _Layout(cls)
+        cls = record(cls)
+        _LAYOUTS[kind] = cls._layout
         return cls
 
     return declare
+
+
+def encode(obj) -> bytes:
+    """The encoding of a declared record; `ValueError` on a wrong-sized field."""
+    obj._layout.check_sizes(obj)
+    return obj._layout.encode(obj)
+
+
+def decode(cls: type, data: bytes):
+    """The `cls` record that `data` holds exactly, else `MalformedFrame`."""
+    return cls._layout.decode(data)
 
 
 def _signing_digest(self) -> bytes:
@@ -239,7 +337,7 @@ class UpdateBoundary:
     signing_digest = _signing_digest
 
 
-@dataclass
+@record
 class PaymentItem:
     receiver: bytes = fixed("20s")
     amount: int = fixed("Q")
@@ -329,11 +427,9 @@ Request = (
 
 
 def encode_request(req: Request) -> bytes:
-    layout = getattr(req, "_layout", None)
-    if layout is None:
+    if not isinstance(req, Request):
         raise UnknownType(type(req).__name__)
-    layout.check_sizes(req)
-    return layout.encode(req)
+    return encode(req)
 
 
 def decode_request(data: bytes) -> Request:
@@ -342,43 +438,53 @@ def decode_request(data: bytes) -> Request:
     layout = _LAYOUTS.get(data[0])
     if layout is None:
         raise UnknownType(f"request kind {data[0]}")
-    try:
-        return layout.decode(data)
-    except struct.error:
-        raise MalformedFrame("truncated request") from None
+    return layout.decode(data)
 
 
-# --- responses ---
+# --- replies ---
 
 STATUS_OK = 0
 STATUS_ERR = 1
 
 
+class _Fields:
+    """An ok reply's fields behind a 2-byte count, each a text key and a value."""
+
+    count = struct.Struct(">H")
+
+    def pack(self, fields: dict) -> bytes:
+        items = [_TEXT.pack(key) + _VALUE.pack(item) for key, item in fields.items()]
+        return self.count.pack(len(fields)) + b"".join(items)
+
+    def unpack(self, data: bytes, pos: int) -> tuple[dict, int]:
+        (count,) = self.count.unpack_from(data, pos)
+        pos += self.count.size
+        out: dict = {}
+        for _ in range(count):
+            key, pos = _TEXT.unpack(data, pos)
+            out[key], pos = _VALUE.unpack(data, pos)
+        return out, pos
+
+
+@record
+class OkReply:
+    kind = STATUS_OK
+    fields: dict = field(default_factory=dict, metadata={"wire": _Fields()})
+
+
+@record
+class ErrorReply:
+    kind = STATUS_ERR
+    code: str = text()
+    detail: str = text()
+
+
 def encode_ok(fields: dict) -> bytes:
-    """Responses travel as a flat tag-value body; values are ints, byte
-    strings, or None."""
-    w = Writer().u8(STATUS_OK).u16(len(fields))
-    for key, value in fields.items():
-        w.lp_bytes(key.encode())
-        if value is None:
-            w.u8(0)
-        elif isinstance(value, int):  # bools included
-            w.u8(1).u64(value)
-        elif isinstance(value, bytes):
-            w.u8(2).lp_bytes32(value)
-        else:
-            raise TypeError(f"unsupported response value {type(value).__name__}")
-    return w.getvalue()
+    return encode(OkReply(fields))
 
 
 def encode_err(exc: RouteeError) -> bytes:
-    return (
-        Writer()
-        .u8(STATUS_ERR)
-        .lp_bytes(exc.code.encode())
-        .lp_bytes(exc.detail.encode())
-        .getvalue()
-    )
+    return encode(ErrorReply(exc.code, exc.detail))
 
 
 class RemoteError(RouteeError):
@@ -389,34 +495,106 @@ class RemoteError(RouteeError):
         super().__init__(detail)
 
 
-def _text(r: Reader) -> str:
-    try:
-        return r.lp_bytes().decode()
-    except UnicodeDecodeError as exc:
-        raise MalformedFrame(f"bad UTF-8 in response: {exc.reason}") from None
-
-
 def decode_response(data: bytes) -> dict:
-    r = Reader(data)
-    status = r.u8()
-    if status == STATUS_ERR:
-        code = _text(r)
-        detail = _text(r)
-        r.expect_end()
-        raise RemoteError(code, detail)
-    if status != STATUS_OK:
-        raise MalformedFrame(f"bad response status {status}")
-    out: dict = {}
-    for _ in range(r.u16()):
-        key = _text(r)
-        tag = r.u8()
-        if tag == 0:
-            out[key] = None
-        elif tag == 1:
-            out[key] = r.u64()
-        elif tag == 2:
-            out[key] = r.lp_bytes32()
-        else:
-            raise MalformedFrame(f"bad value tag {tag}")
-    r.expect_end()
-    return out
+    if data and data[0] == STATUS_ERR:
+        reply = decode(ErrorReply, data)
+        raise RemoteError(reply.code, reply.detail)
+    return decode(OkReply, data).fields
+
+
+# --- session handshake and envelope ---
+
+
+@record
+class HandshakeInit:
+    client_eph: bytes = fixed("32s")
+
+
+@record
+class HandshakeAck:
+    session_id: bytes = fixed("8s")
+    hub_eph: bytes = fixed("32s")
+    measurement: bytes = fixed("32s")
+    confirm: bytes = fixed("32s")
+
+
+@record
+class Envelope:
+    """The first 16 bytes, session id and sequence number, are also the
+    AES-GCM associated data."""
+
+    session_id: bytes = fixed("8s")
+    seq: int = fixed("Q")
+    ciphertext: bytes = trailing()
+
+
+# --- simchain frame bodies ---
+
+
+@record
+class HeadersRequest:
+    from_height: int = fixed("Q")
+    count: int = fixed("H")
+
+
+@record
+class RawHeader:
+    """An 80-byte block header, as `headers.BlockHeader` serializes it."""
+
+    raw: bytes = fixed("80s")
+
+
+@record
+class Headers:
+    headers: list[RawHeader] = repeated(RawHeader)
+
+
+@record
+class Height:
+    """A block request, or the tip height after mining."""
+
+    height: int = fixed("Q")
+
+
+@record
+class RawTx:
+    """A serialized transaction (`transactions.Transaction`)."""
+
+    raw: bytes = trailing()
+
+
+@record
+class RawBlock:
+    """A serialized block: its header, then its transactions. A block reply
+    is one, or empty past the tip."""
+
+    header: bytes = fixed("80s")
+    txs: list[RawTx] = repeated(RawTx)
+
+
+@record
+class MineRequest:
+    count: int = fixed("H")
+
+
+@record
+class Tip:
+    height: int = fixed("Q")
+    tip_hash: bytes = fixed("32s")
+
+
+@record
+class PayRequest:
+    address: bytes = fixed("20s")
+    amount: int = fixed("Q")
+    fee: int = fixed("Q")
+
+
+@record
+class ChainResult:
+    """The answer to a broadcast or a faucet payment; `code` is empty when
+    the node accepted it."""
+
+    txid: bytes = fixed("32s")
+    code: str = text()
+    detail: str = text()

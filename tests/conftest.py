@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from routee.client import (
     Keys,
@@ -16,6 +17,23 @@ from routee.simchain import SimNode
 from routee import wire
 
 FAST = CryptoSuite.fast_test()
+
+
+@st.composite
+def mutated(draw, samples):
+    """One of `samples` with one to three bytes set, inserted or deleted."""
+    data = bytearray(draw(st.sampled_from(samples)))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["set", "insert", "delete"]))
+        if op == "insert":
+            data.insert(pos, draw(st.integers(0, 255)))
+        elif pos < len(data):
+            if op == "set":
+                data[pos] = draw(st.integers(0, 255))
+            else:
+                del data[pos]
+    return bytes(data)
 
 
 @pytest.fixture

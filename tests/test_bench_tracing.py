@@ -7,6 +7,10 @@ import os
 
 import pytest
 
+from routee.crypto import DeterministicRng
+from routee.session import ClientHandshake, HubSessionEndpoint
+from routee.wire import FRAME_ENVELOPE
+
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
 
@@ -30,3 +34,14 @@ def test_tracer_installs_and_restores_every_hook(role):
         tracer.uninstall()
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_envelope_rid_reads_session_id_and_seq():
+    rng = DeterministicRng(3)
+    endpoint = HubSessionEndpoint(rng=rng)
+    handshake = ClientHandshake(endpoint.static_public, rng=rng)
+    session = handshake.complete(endpoint.handle_init(handshake.init_payload())[0])
+    session.seal(b"first")
+    envelope = session.seal(b"second")
+    rid = _load_tracing().envelope_rid(FRAME_ENVELOPE, envelope)
+    assert rid == (int.from_bytes(session.session_id, "big", signed=True), 1)

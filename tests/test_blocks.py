@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routee.blocks import Block, UtxoSet, apply_block, validate_block
 from routee.crypto import SCHEMES
-from routee.errors import BlockRejected, TxRejected
-from routee.headers import BlockHeader, HeaderChain
+from routee.errors import BlockRejected, RouteeError, TxRejected
+from routee.headers import BlockHeader, ChainParams, HeaderChain
 from routee.simchain import SimNode, replay_utxo
 from routee.transactions import Transaction, TxInput, TxOutput, make_unlock
+
+from conftest import mutated
 
 FAST = SCHEMES["fast"]
 
@@ -193,3 +196,24 @@ def test_block_serialization_roundtrip(node):
     node.pay(addr, 777)
     block = node.mine_block()
     assert Block.deserialize(block.serialize()) == block
+
+
+def _block_with_payment() -> bytes:
+    node = SimNode(ChainParams.regtest(), seed=11)
+    node.mine_blocks(2)
+    node.pay(node.wallet.fresh_address(), 777)
+    return node.mine_block().serialize()
+
+
+_BLOCK = _block_with_payment()
+_TX = Block.deserialize(_BLOCK).txs[1].serialize()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=300), mutated([_BLOCK, _TX])))
+def test_block_and_tx_decoders_return_a_value_or_a_routee_error(data):
+    for decode in (Block.deserialize, Transaction.deserialize):
+        try:
+            decode(data)
+        except RouteeError:
+            pass

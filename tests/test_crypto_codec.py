@@ -1,6 +1,5 @@
 import pytest
 
-from routee.codec import Reader, Writer
 from routee.crypto import (
     SCHEMES,
     CryptoSuite,
@@ -9,40 +8,6 @@ from routee.crypto import (
     sha256,
     sha256d,
 )
-from routee.errors import MalformedFrame
-
-
-def test_writer_reader_roundtrip():
-    w = (Writer().u8(7).u16(300).u32(70_000).u64(2**40)
-         .fixed(b"\x01" * 20, 20).lp_bytes(b"abc").lp_bytes32(b"x" * 70_000)
-         .opt_u64(None).opt_u64(9))
-    r = Reader(w.getvalue())
-    assert r.u8() == 7
-    assert r.u16() == 300
-    assert r.u32() == 70_000
-    assert r.u64() == 2**40
-    assert r.fixed(20) == b"\x01" * 20
-    assert r.lp_bytes() == b"abc"
-    assert r.lp_bytes32() == b"x" * 70_000
-    assert r.opt_u64() is None
-    assert r.opt_u64() == 9
-    r.expect_end()
-
-
-def test_reader_truncation_and_trailing():
-    data = Writer().u32(5).getvalue()
-    r = Reader(data)
-    with pytest.raises(MalformedFrame):
-        r.u64()
-    r = Reader(data + b"\x00")
-    r.u32()
-    with pytest.raises(MalformedFrame):
-        r.expect_end()
-
-
-def test_writer_fixed_enforces_size():
-    with pytest.raises(ValueError):
-        Writer().fixed(b"ab", 3)
 
 
 def test_hashes_and_address():

@@ -1,12 +1,21 @@
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import routee.hub
+import routee.snapshot
 from routee import wire
-from routee.crypto import DeterministicRng
-from routee.errors import HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType
+from routee.client import build_add_deposit
+from routee.crypto import DeterministicRng, sha256
+from routee.errors import (
+    FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
+)
 from routee.session import ClientHandshake, HubSessionEndpoint
+from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
+
+from conftest import HubHarness, mutated
 
 
 def fresh_pair(seed=1):
@@ -260,36 +269,81 @@ def test_every_kind_roundtrips():
         assert wire.decode_request(wire.encode_request(req)) == req
 
 
-def _valid_encodings():
-    from routee.errors import FeeTooLow
+# every declared record: the protocol's in `wire`, the snapshot's tables in
+# `snapshot` and `hub`
+DECLARED = {
+    value for module in (wire, routee.snapshot, routee.hub) for value in vars(module).values()
+    if isinstance(value, type) and "_layout" in vars(value)
+}
 
-    replies = [
-        wire.encode_ok({"height": 9, "hash": b"\x01" * 32, "missing": None}),
-        wire.encode_err(FeeTooLow("fee 33 below 34")),
+
+def _snapshot() -> bytes:
+    """A hub with a row in every snapshot table: a pending deposit, a queued
+    settle and an outstanding plan among them."""
+    harness = HubHarness(seed=9)
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 400_000)
+    harness.set_boundary(bob)
+    harness.hub.add_deposit(build_add_deposit(harness.suite.auth, bob, harness.nonce(bob)))
+    harness.settle(alice, 10_000, 1_000)
+    harness.settle(alice, 5_000, 1_000)
+    return dump_hub(harness.hub)
+
+
+def _records(snapshot_bytes: bytes) -> list:
+    """One valid value of every declared record, most taken from real traffic."""
+    client, _, endpoint = fresh_pair()
+    handshake = ClientHandshake(endpoint.static_public, rng=DeterministicRng(8))
+    ack, _ = endpoint.handle_init(handshake.init_payload())
+    image = wire.decode(HubImage, snapshot_bytes[6:-TRAILER_SIZE])
+    tables = [value[0] for value in vars(image).values() if isinstance(value, list)]
+    return _every_kind() + tables + [
+        wire.PaymentItem(b"\x02" * 20, 30, 7),
+        wire.decode(wire.OkReply, wire.encode_ok({"height": 9, "hash": b"\x01" * 32, "missing": None})),
+        wire.decode(wire.ErrorReply, wire.encode_err(FeeTooLow("fee 33 below 34"))),
+        wire.decode(wire.HandshakeInit, handshake.init_payload()),
+        wire.decode(wire.HandshakeAck, ack),
+        wire.decode(wire.Envelope, client.seal(b"payload")),
+        image,
+        wire.HeadersRequest(5, 10),
+        wire.Headers([image.headers[0]]),
+        wire.Height(3),
+        wire.RawTx(image.plan[0].transaction),
+        wire.RawBlock(image.headers[0].raw, [wire.RawTx(image.plan[0].transaction)]),
+        wire.MineRequest(2),
+        wire.Tip(4, b"\x06" * 32),
+        wire.PayRequest(b"\x01" * 20, 500, 10),
+        wire.ChainResult(b"\x07" * 32, "mempool-conflict", "spent"),
     ]
-    return [wire.encode_request(req) for req in _every_kind()] + replies
 
 
-@st.composite
-def _mutated(draw):
-    data = bytearray(draw(st.sampled_from(_valid_encodings())))
-    for _ in range(draw(st.integers(1, 3))):
-        pos = draw(st.integers(0, len(data)))
-        op = draw(st.sampled_from(["set", "insert", "delete"]))
-        if op == "insert":
-            data.insert(pos, draw(st.integers(0, 255)))
-        elif pos < len(data):
-            if op == "set":
-                data[pos] = draw(st.integers(0, 255))
-            else:
-                del data[pos]
-    return bytes(data)
+_SNAPSHOT = _snapshot()
+_RECORDS = _records(_SNAPSHOT)
+_ENCODINGS = [wire.encode(value) for value in _RECORDS] + [_SNAPSHOT]
+_DECODERS = [wire.decode_request, wire.decode_response, load_hub] + [
+    functools.partial(wire.decode, cls) for cls in sorted(DECLARED, key=lambda cls: cls.__name__)
+]
+
+
+def test_samples_cover_every_declared_record():
+    assert {type(value) for value in _RECORDS} == DECLARED
+    for value in _RECORDS:
+        assert wire.decode(type(value), wire.encode(value)) == value
+
+
+def _resealed(body: bytes) -> bytes:
+    return body + sha256(body)
 
 
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(st.binary(max_size=200), _mutated()))
+@given(st.one_of(
+    st.binary(max_size=200),
+    mutated(_ENCODINGS),
+    # past the trailer check, so the snapshot decoder itself sees the damage
+    mutated([_SNAPSHOT[:-TRAILER_SIZE]]).map(_resealed),
+))
 def test_decoders_return_a_value_or_a_routee_error(data):
-    for decode in (wire.decode_request, wire.decode_response):
+    for decode in _DECODERS:
         try:
             decode(data)
         except RouteeError:

@@ -79,3 +79,12 @@ def test_snapshot_bad_magic_and_version():
         load_hub(b"XXXX" + data[4:])
     with pytest.raises(SnapshotError):
         load_hub(data[:4] + b"\x00\x63" + data[6:])
+
+
+def test_snapshot_refuses_any_flipped_bit():
+    data = dump_hub(HubHarness(seed=11).hub)
+    for pos in range(len(data)):
+        flipped = bytearray(data)
+        flipped[pos] ^= 1 << (pos % 8)
+        with pytest.raises(SnapshotError):
+            load_hub(bytes(flipped))
