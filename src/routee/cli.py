@@ -13,7 +13,6 @@ import argparse
 import json
 import signal
 import sys
-import threading
 
 from . import wire
 from .client import (
@@ -354,6 +353,16 @@ def main(argv: list[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 # daemons
 
+def _serve(args, server, status: dict) -> None:
+    """Print the ready line, then run the server's loop in this thread until
+    SIGTERM or SIGINT. The handler only sets the loop's stop flag and wakes it."""
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: server.shutdown())
+    _emit(args, status)
+    sys.stdout.flush()
+    server.serve_forever()
+
+
 def hubd_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="routee-hubd")
     parser.add_argument("--config", help="flat key=value file")
@@ -369,19 +378,20 @@ def hubd_main(argv: list[str] | None = None) -> int:
     config = DaemonConfig(args.config, overrides)
     try:
         daemon = HubDaemon(config)
-        daemon.start()
+        try:
+            daemon.auto_init()
+        except BaseException:
+            daemon.server.server_close()
+            raise
     except RouteeError as exc:
         return _fail(args, exc)
     except (ConnectionError, OSError) as exc:
         return _fail(args, RouteeError(str(exc)))
-    _emit(args, {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)})
+    status = {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)}
     if args.oneshot:
-        daemon.stop()
-        return 0
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *a: stop.set())
-    signal.signal(signal.SIGINT, lambda *a: stop.set())
-    stop.wait()
+        _emit(args, status)
+    else:
+        _serve(args, daemon.server, status)
     daemon.stop()
     return 0
 
@@ -421,12 +431,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
             node = SimNode(params, seed=args.seed, clock=SimClock(args.start_time))
             node.mine_blocks(args.premine)
             server = SimchainServer(node, ("127.0.0.1", args.port))
-            server.start()
-            _emit(args, {"listening": server.port, "tip": node.tip_height})
-            stop = threading.Event()
-            signal.signal(signal.SIGTERM, lambda *a: stop.set())
-            signal.signal(signal.SIGINT, lambda *a: stop.set())
-            stop.wait()
+            _serve(args, server.server, {"listening": server.port, "tip": node.tip_height})
             server.stop()
             return 0
         host, _, port = args.addr.partition(":")

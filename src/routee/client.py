@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from . import wire
 from .crypto import address_of
-from .errors import HandshakeFailure, InitFailure, RouteeError, SessionAborted
+from .errors import HandshakeFailure, InitFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
@@ -16,9 +16,13 @@ from .wire import (
     FRAME_HANDSHAKE_ACK,
     FRAME_HANDSHAKE_INIT,
     FRAME_HUB_INFO_REQ,
+    MAX_FRAME_SIZE,
     pack_frame,
     unpack_frame,
 )
+
+# type byte and handshake init: the largest frame a connection sends before its handshake
+PRE_HANDSHAKE_FRAME = 1 + len(wire.encode(wire.HandshakeInit(bytes(32))))
 
 
 @dataclass
@@ -112,7 +116,8 @@ class HubFrontEnd:
 
     def handle(self, frame_type: int, payload: bytes, ctx: dict) -> tuple[int, bytes] | None:
         """Answer one frame. `ctx` belongs to one connection and holds its
-        session once that connection has shaken hands."""
+        session once that connection has shaken hands; an envelope before
+        then raises `MalformedFrame`, which closes the connection."""
         if frame_type == FRAME_HUB_INFO_REQ:
             body = wire.encode_ok(
                 {"static_public": self.endpoint.static_public, "measurement": self.endpoint.measurement}
@@ -124,8 +129,10 @@ class HubFrontEnd:
             return FRAME_HANDSHAKE_ACK, ack
         if frame_type != FRAME_ENVELOPE:
             return None
+        session = ctx.get("session")
+        if session is None:
+            raise MalformedFrame("envelope before the handshake")
         try:
-            session = ctx.get("session") or self.endpoint.session_for(payload)
             plaintext = session.open(payload)
         except SessionAborted:
             # replay/gap/tamper: no reply at all, the envelope is dead
@@ -148,6 +155,11 @@ class HubFrontEnd:
             reply = wire.encode_err(RouteeError(str(exc)))
         return FRAME_ENVELOPE, session.seal(reply)
 
+    def frame_limit(self, ctx: dict) -> int:
+        """The largest frame a connection may send next: before its handshake,
+        only a hub-info request (empty) or a handshake init."""
+        return MAX_FRAME_SIZE if "session" in ctx else PRE_HANDSHAKE_FRAME
+
     def drop_session(self, ctx: dict) -> None:
         """Forget a connection's session: when it closes or shakes hands again."""
         session = ctx.pop("session", None)
@@ -164,7 +176,14 @@ class LocalHubEndpoint(HubFrontEnd):
         super().__init__(hub, HubSessionEndpoint(rng=session_rng))
 
     def handle_frame(self, frame: bytes) -> bytes | None:
-        reply = self.handle(*unpack_frame(frame), {})
+        frame_type, payload = unpack_frame(frame)
+        ctx = {}
+        if frame_type == FRAME_ENVELOPE:
+            try:
+                ctx["session"] = self.endpoint.session_for(payload)
+            except SessionAborted:
+                return None
+        reply = self.handle(frame_type, payload, ctx)
         return None if reply is None else pack_frame(*reply)
 
 

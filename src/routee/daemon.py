@@ -1,17 +1,16 @@
 """The hub daemon: serves the hub's frame pipeline (`client.HubFrontEnd`) over
 TCP.
 
-Sessions are handled concurrently, one connection per thread; every mutating
-request is applied serially by the hub's single-writer lock, with per-session
-message order preserved by the per-connection read loop. A connection's
-session leaves the session table when the connection closes. Snapshots are
-written on demand and on shutdown.
+One event loop (`netio.FrameServer`) owns every connection and applies one
+request at a time, so the hub has a single writer without a lock, and each
+session's messages are answered in the order they arrive. A connection's
+session leaves the session table when the connection closes or idles out.
+Snapshots are written on demand and on shutdown, after the loop has stopped.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 
 from . import snapshot as snapshot_mod
 from .client import HubFrontEnd, Keys
@@ -115,13 +114,14 @@ class HubDaemon(HubFrontEnd):
         hub_key = None
         key_path = config["hub_key_path"]
         if key_path and os.path.exists(key_path):
-            hub_key = bytes.fromhex(open(key_path).read().strip())
+            with open(key_path) as fh:
+                hub_key = bytes.fromhex(fh.read().strip())
         super().__init__(hub, HubSessionEndpoint(hub_key))
         self.simchain = SimchainClient(config["simchain_host"], config.get_int("simchain_port"))
         self.server = FrameServer(
-            (config["listen_host"], config.get_int("listen_port")), self._handle, self.drop_session
+            (config["listen_host"], config.get_int("listen_port")), self._handle, self.drop_session,
+            self.frame_limit,
         )
-        self._snapshot_lock = threading.Lock()
 
     @property
     def port(self) -> int:
@@ -150,26 +150,42 @@ class HubDaemon(HubFrontEnd):
                 fee_blocks.append(block)
         self.hub.initialize(headers[0], start_height, headers[1:], fee_blocks)
 
-    def start(self) -> None:
+    def auto_init(self) -> None:
+        """Run init at start-up unless `auto_init` is off or the hub already
+        has a chain (from its snapshot)."""
         if self.config["auto_init"] not in ("0", "false") and self.hub.chain is None:
             self.run_init()
+
+    def start(self) -> None:
+        """Init as configured, then serve from a background thread."""
+        self.auto_init()
         self.server.start_background()
 
     def stop(self) -> None:
-        self.write_snapshot()
+        """Stop the loop, so that no request lands after the snapshot, then
+        write the snapshot."""
         self.server.shutdown()
+        self.write_snapshot()
         self.server.server_close()
 
     def write_snapshot(self) -> int:
+        """Write the snapshot durably: the file's bytes are on disk before it
+        replaces the old one, and the rename is on disk before this returns."""
         path = self.config["snapshot_path"]
         if not path:
             return 0
-        with self._snapshot_lock:
-            data = snapshot_mod.dump_hub(self.hub)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
+        data = snapshot_mod.dump_hub(self.hub)
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         return len(data)
 
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):

@@ -2,7 +2,8 @@
 
 This is the emulated enclave: user accounts, pending and owned deposits, the
 settlement queue, the routing-fee ledger, and an internally verified header
-chain. All mutating operations run strictly serially under one lock.
+chain. It has one caller at a time: the daemon's event loop or an in-process
+front end, so it takes no lock and applies every request whole before the next.
 
 Money flow invariant (checked by `conservation()`): the value of every
 on-chain deposit the hub owns equals the sum of everything the hub owes —
@@ -16,7 +17,6 @@ once for memory and for the snapshot.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -81,14 +81,6 @@ class UserState:
     balance: int = wire.fixed("Q")
     max_source_block: int | None = wire.tagged()
     boundary_block: int | None = wire.tagged()
-
-    @property
-    def has_send_channel(self) -> bool:
-        return self.balance > 0
-
-    @property
-    def has_receive_channel(self) -> bool:
-        return self.boundary_block is not None
 
 
 @wire.record
@@ -193,7 +185,6 @@ class Hub:
         self.config = config
         self.suite = config.suite
         self.rng = DeterministicRng(config.rng_seed)
-        self._lock = threading.RLock()
 
         self.chain: HeaderChain | None = None
         self.estimator = FeeEstimator(config.fee_window_capacity)
@@ -228,30 +219,29 @@ class Hub:
         """Build and verify the internal header chain from a trusted start
         header, then prime the fee estimator from full blocks that must belong
         to the verified chain."""
-        with self._lock:
-            if self.chain is not None:
-                raise AlreadyInitialized()
+        if self.chain is not None:
+            raise AlreadyInitialized()
+        try:
+            chain = HeaderChain(self.config.chain_params, start_header, start_height)
+        except ValueError as exc:
+            raise InitFailure(str(exc))
+        for i, header in enumerate(headers):
             try:
-                chain = HeaderChain(self.config.chain_params, start_header, start_height)
-            except ValueError as exc:
-                raise InitFailure(str(exc))
-            for i, header in enumerate(headers):
-                try:
-                    chain.append(header)
-                except BlockRejected as exc:
-                    raise InitFailure(f"header at height {start_height + 1 + i}: {exc.code}")
-            height_by_hash = {
-                chain.hash_at(h): h
-                for h in range(chain.start_height, chain.tip_height + 1)
-            }
-            for block in fee_window_blocks:
-                height = height_by_hash.get(block.header.hash())
-                if height is None:
-                    raise InitFailure("fee window block not in verified chain")
-                if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
-                    raise InitFailure(f"fee window block at height {height}: merkle mismatch")
-                self.estimator.add_block(block)
-            self.chain = chain
+                chain.append(header)
+            except BlockRejected as exc:
+                raise InitFailure(f"header at height {start_height + 1 + i}: {exc.code}")
+        height_by_hash = {
+            chain.hash_at(h): h
+            for h in range(chain.start_height, chain.tip_height + 1)
+        }
+        for block in fee_window_blocks:
+            height = height_by_hash.get(block.header.hash())
+            if height is None:
+                raise InitFailure("fee window block not in verified chain")
+            if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
+                raise InitFailure(f"fee window block at height {height}: merkle mismatch")
+            self.estimator.add_block(block)
+        self.chain = chain
 
     def _require_init(self) -> HeaderChain:
         if self.chain is None:
@@ -262,20 +252,19 @@ class Hub:
     # user operations
 
     def add_user(self, public_key: bytes, settle_address: bytes) -> bytes:
-        with self._lock:
-            self._require_init()
-            if self.terminating:
-                raise HubTerminated()
-            if public_key in self._known_keys:
-                raise AlreadyRegistered()
-            if len(settle_address) != ADDRESS_SIZE:
-                raise AuthFailure("settle address must be 20 bytes")
-            user_address = address_of(public_key)
-            if user_address in self.users:
-                raise AlreadyRegistered("address collision")
-            self.users[user_address] = UserState(user_address, public_key, settle_address, 0, 0, None, None)
-            self._known_keys.add(public_key)
-            return user_address
+        self._require_init()
+        if self.terminating:
+            raise HubTerminated()
+        if public_key in self._known_keys:
+            raise AlreadyRegistered()
+        if len(settle_address) != ADDRESS_SIZE:
+            raise AuthFailure("settle address must be 20 bytes")
+        user_address = address_of(public_key)
+        if user_address in self.users:
+            raise AlreadyRegistered("address collision")
+        self.users[user_address] = UserState(user_address, public_key, settle_address, 0, 0, None, None)
+        self._known_keys.add(public_key)
+        return user_address
 
     def _authenticate(self, user_address: bytes, nonce: int, signature: bytes, digest: bytes) -> UserState:
         """Verify signature and nonce. Failures here do not consume the nonce;
@@ -290,104 +279,100 @@ class Hub:
         return user
 
     def add_deposit(self, msg: wire.AddDeposit) -> bytes:
-        with self._lock:
-            chain = self._require_init()
-            user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-            user.nonce += 1
-            if self.terminating:
-                raise HubTerminated()
-            sk, pk = self.suite.onchain.generate(self.rng)
-            manager_address = address_of(pk)
-            height = chain.tip_height
-            self.pending_deposits[manager_address] = PendingDeposit(
-                manager_address,
-                sk,
-                pk,
-                user.user_address,
-                height,
-                height + self.config.deposit_expiry_blocks,
-            )
-            self.manager_keys[manager_address] = (sk, pk)
-            return manager_address
+        chain = self._require_init()
+        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
+        user.nonce += 1
+        if self.terminating:
+            raise HubTerminated()
+        sk, pk = self.suite.onchain.generate(self.rng)
+        manager_address = address_of(pk)
+        height = chain.tip_height
+        self.pending_deposits[manager_address] = PendingDeposit(
+            manager_address,
+            sk,
+            pk,
+            user.user_address,
+            height,
+            height + self.config.deposit_expiry_blocks,
+        )
+        self.manager_keys[manager_address] = (sk, pk)
+        return manager_address
 
     def update_boundary_block(self, msg: wire.UpdateBoundary) -> int:
-        with self._lock:
-            chain = self._require_init()
-            user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-            user.nonce += 1
-            if not chain.has_header(msg.block_number, msg.block_hash):
-                raise NotInChain(f"height {msg.block_number}")
-            if user.boundary_block is not None and msg.block_number <= user.boundary_block:
-                raise MonotonicityViolation(
-                    f"boundary {msg.block_number} not above {user.boundary_block}"
-                )
-            user.boundary_block = msg.block_number
-            return msg.block_number
+        chain = self._require_init()
+        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
+        user.nonce += 1
+        if not chain.has_header(msg.block_number, msg.block_hash):
+            raise NotInChain(f"height {msg.block_number}")
+        if user.boundary_block is not None and msg.block_number <= user.boundary_block:
+            raise MonotonicityViolation(
+                f"boundary {msg.block_number} not above {user.boundary_block}"
+            )
+        user.boundary_block = msg.block_number
+        return msg.block_number
 
     def multi_hop_payment(self, msg: wire.Payment) -> int:
         """Apply a batch of routed payments atomically: either every item in
         the batch lands or none do."""
-        with self._lock:
-            self._require_init()
-            sender = self._authenticate(msg.sender_address, msg.nonce, msg.signature, msg.signing_digest())
-            sender.nonce += 1
-            if self.terminating:
-                raise HubTerminated()
-            if not msg.batch:
-                raise ReceiverNotReady("empty batch")
+        self._require_init()
+        sender = self._authenticate(msg.sender_address, msg.nonce, msg.signature, msg.signing_digest())
+        sender.nonce += 1
+        if self.terminating:
+            raise HubTerminated()
+        if not msg.batch:
+            raise ReceiverNotReady("empty batch")
 
-            users = self.users
-            min_fee = self.config.min_routing_fee
-            source = sender.max_source_block
-            total = 0
-            resolved = []
-            for item in msg.batch:
-                fee = item.routing_fee
-                if fee < min_fee:
-                    raise FeeBelowMinimum(f"routing fee {fee} below {min_fee}")
-                receiver = users.get(item.receiver)
-                if receiver is None:
-                    raise UnknownUser(item.receiver.hex())
-                boundary = receiver.boundary_block
-                if boundary is None:
-                    raise ReceiverNotReady("receiver has no boundary block")
-                if source is not None and source > boundary:
-                    raise ReceiverNotReady(
-                        f"sender source {source} beyond boundary {boundary}"
-                    )
-                total += item.amount + fee
-                resolved.append(receiver)
-            if total > sender.balance:
-                raise InsufficientBalance(f"need {total}, have {sender.balance}")
+        users = self.users
+        min_fee = self.config.min_routing_fee
+        source = sender.max_source_block
+        total = 0
+        resolved = []
+        for item in msg.batch:
+            fee = item.routing_fee
+            if fee < min_fee:
+                raise FeeBelowMinimum(f"routing fee {fee} below {min_fee}")
+            receiver = users.get(item.receiver)
+            if receiver is None:
+                raise UnknownUser(item.receiver.hex())
+            boundary = receiver.boundary_block
+            if boundary is None:
+                raise ReceiverNotReady("receiver has no boundary block")
+            if source is not None and source > boundary:
+                raise ReceiverNotReady(
+                    f"sender source {source} beyond boundary {boundary}"
+                )
+            total += item.amount + fee
+            resolved.append(receiver)
+        if total > sender.balance:
+            raise InsufficientBalance(f"need {total}, have {sender.balance}")
 
-            sender.balance -= total
-            fees = 0
-            for item, receiver in zip(msg.batch, resolved):
-                receiver.balance += item.amount
-                fees += item.routing_fee
-                if source is not None:
-                    if receiver.max_source_block is None or receiver.max_source_block < source:
-                        receiver.max_source_block = source
-            self.rf_pending += fees
-            self.rf_collected_total += fees
-            return len(msg.batch)
+        sender.balance -= total
+        fees = 0
+        for item, receiver in zip(msg.batch, resolved):
+            receiver.balance += item.amount
+            fees += item.routing_fee
+            if source is not None:
+                if receiver.max_source_block is None or receiver.max_source_block < source:
+                    receiver.max_source_block = source
+        self.rf_pending += fees
+        self.rf_collected_total += fees
+        return len(msg.batch)
 
     def request_settlement(self, msg: wire.Settle) -> int:
-        with self._lock:
-            self._require_init()
-            user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-            user.nonce += 1
-            min_fee = FORMULA_OUTPUT_BYTES * self.estimator.fee_avg
-            if msg.fee < min_fee:
-                raise FeeTooLow(f"fee {msg.fee} below {min_fee}")
-            if msg.amount < 1:
-                raise FeeTooLow("amount must be positive")
-            if msg.amount + msg.fee > user.balance:
-                raise InsufficientBalance(f"need {msg.amount + msg.fee}, have {user.balance}")
-            user.balance -= msg.amount + msg.fee
-            seq = self._enqueue(user.user_address, user.settle_address, msg.amount, msg.fee)
-            self.try_build_settlement()
-            return seq
+        self._require_init()
+        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
+        user.nonce += 1
+        min_fee = FORMULA_OUTPUT_BYTES * self.estimator.fee_avg
+        if msg.fee < min_fee:
+            raise FeeTooLow(f"fee {msg.fee} below {min_fee}")
+        if msg.amount < 1:
+            raise FeeTooLow("amount must be positive")
+        if msg.amount + msg.fee > user.balance:
+            raise InsufficientBalance(f"need {msg.amount + msg.fee}, have {user.balance}")
+        user.balance -= msg.amount + msg.fee
+        seq = self._enqueue(user.user_address, user.settle_address, msg.amount, msg.fee)
+        self.try_build_settlement()
+        return seq
 
     def _enqueue(self, user_address: bytes, settle_address: bytes, amount: int, fee: int, is_host: bool = False) -> int:
         seq = self._next_enqueue_seq
@@ -405,97 +390,96 @@ class Hub:
         """Greedy spend-all settlement: pick the largest fee-sorted prefix of
         the queue whose collected fees (deposit fares + request fees + carried
         reserve) cover the formula transaction fee."""
-        with self._lock:
-            if self.plan is not None or not self.owned or not self.queue:
-                return None
-            fee_avg = self.estimator.fee_avg
-            deposits = list(self.owned.values())
-            n_inputs = len(deposits)
-            fares = sum(d.fare_precollected for d in deposits)
-            total_in = sum(d.value for d in deposits)
+        if self.plan is not None or not self.owned or not self.queue:
+            return None
+        fee_avg = self.estimator.fee_avg
+        deposits = list(self.owned.values())
+        n_inputs = len(deposits)
+        fares = sum(d.fare_precollected for d in deposits)
+        total_in = sum(d.value for d in deposits)
 
-            prefix_fee = 0
-            feasible_n = 0
-            collected_at_n = 0
-            host_subsidy = 0
-            prefix_fees = []
-            for request in self.queue:
-                prefix_fee += request.fee
-                prefix_fees.append(prefix_fee)
-            for n in range(len(self.queue), 0, -1):
-                tx_fee = formula_size(n_inputs, n + 1) * fee_avg
-                collected = fares + prefix_fees[n - 1] + self.fee_reserve
-                if collected >= tx_fee:
-                    feasible_n = n
-                    collected_at_n = collected
-                    break
-            if feasible_n == 0:
-                if not self.terminating:
-                    return None
-                # termination must drain every balance: the host covers the
-                # shortfall from its confirmed fees to buy the confirmations
-                n_full = len(self.queue)
-                tx_fee_full = formula_size(n_inputs, n_full + 1) * fee_avg
-                collected_full = fares + prefix_fees[-1] + self.fee_reserve
-                shortfall = tx_fee_full - collected_full
-                if shortfall > self.host_balance:
-                    return None
-                host_subsidy = shortfall
-                self.host_balance -= shortfall
-                feasible_n = n_full
-                collected_at_n = collected_full + shortfall
-
-            n = feasible_n
-            selected = self.queue[:n]
+        prefix_fee = 0
+        feasible_n = 0
+        collected_at_n = 0
+        host_subsidy = 0
+        prefix_fees = []
+        for request in self.queue:
+            prefix_fee += request.fee
+            prefix_fees.append(prefix_fee)
+        for n in range(len(self.queue), 0, -1):
             tx_fee = formula_size(n_inputs, n + 1) * fee_avg
+            collected = fares + prefix_fees[n - 1] + self.fee_reserve
+            if collected >= tx_fee:
+                feasible_n = n
+                collected_at_n = collected
+                break
+        if feasible_n == 0:
+            if not self.terminating:
+                return None
+            # termination must drain every balance: the host covers the
+            # shortfall from its confirmed fees to buy the confirmations
+            n_full = len(self.queue)
+            tx_fee_full = formula_size(n_inputs, n_full + 1) * fee_avg
+            collected_full = fares + prefix_fees[-1] + self.fee_reserve
+            shortfall = tx_fee_full - collected_full
+            if shortfall > self.host_balance:
+                return None
+            host_subsidy = shortfall
+            self.host_balance -= shortfall
+            feasible_n = n_full
+            collected_at_n = collected_full + shortfall
 
-            # user-owned value measures for the pro-rata fee confirmation;
-            # host withdrawals queue like requests but are not user value
-            s_amount = sum(r.total for r in selected if not r.is_host)
-            b_total = sum(u.balance for u in self.users.values())
-            b_total += sum(r.total for r in self.queue if not r.is_host)
-            if b_total == 0:
-                rf_delta = self.rf_pending
-            else:
-                rf_delta = min(self.rf_pending, self.rf_pending * s_amount // b_total)
+        n = feasible_n
+        selected = self.queue[:n]
+        tx_fee = formula_size(n_inputs, n + 1) * fee_avg
 
-            sk, pk = self.suite.onchain.generate(self.rng)
-            leftover_address = address_of(pk)
-            self.manager_keys[leftover_address] = (sk, pk)
-            amounts = sum(r.amount for r in selected)
-            leftover_value = total_in - amounts - tx_fee
+        # user-owned value measures for the pro-rata fee confirmation;
+        # host withdrawals queue like requests but are not user value
+        s_amount = sum(r.total for r in selected if not r.is_host)
+        b_total = sum(u.balance for u in self.users.values())
+        b_total += sum(r.total for r in self.queue if not r.is_host)
+        if b_total == 0:
+            rf_delta = self.rf_pending
+        else:
+            rf_delta = min(self.rf_pending, self.rf_pending * s_amount // b_total)
 
-            tx = Transaction(
-                [TxInput(op[0], op[1], d.value) for op, d in self.owned.items()],
-                [TxOutput(r.amount, r.settle_address) for r in selected]
-                + [TxOutput(leftover_value, leftover_address)],
-            )
-            digest = tx.sighash()
-            for txin, deposit in zip(tx.inputs, self.owned.values()):
-                dep_sk, dep_pk = self.manager_keys[deposit.lock_address]
-                txin.unlock = make_unlock(self.suite.onchain, dep_sk, dep_pk, digest)
+        sk, pk = self.suite.onchain.generate(self.rng)
+        leftover_address = address_of(pk)
+        self.manager_keys[leftover_address] = (sk, pk)
+        amounts = sum(r.amount for r in selected)
+        leftover_value = total_in - amounts - tx_fee
 
-            self.queue = self.queue[n:]
-            self.rf_pending -= rf_delta
-            txid = tx.txid()
-            self.plan = SettlementPlan(
-                transaction=tx,
-                selected=selected,
-                s_amount=s_amount,
-                b_total=b_total,
-                tx_inputs=n_inputs,
-                tx_outputs=n + 1,
-                tx_size=formula_size(n_inputs, n + 1),
-                tx_fee=tx_fee,
-                rf_confirmed_on_confirm=rf_delta,
-                collected=collected_at_n,
-                leftover_outpoint=(txid, n),
-                leftover_value=leftover_value,
-                leftover_address=leftover_address,
-                input_outpoints=list(self.owned.keys()),
-                host_subsidy=host_subsidy,
-            )
-            return self.plan
+        tx = Transaction(
+            [TxInput(op[0], op[1], d.value) for op, d in self.owned.items()],
+            [TxOutput(r.amount, r.settle_address) for r in selected]
+            + [TxOutput(leftover_value, leftover_address)],
+        )
+        digest = tx.sighash()
+        for txin, deposit in zip(tx.inputs, self.owned.values()):
+            dep_sk, dep_pk = self.manager_keys[deposit.lock_address]
+            txin.unlock = make_unlock(self.suite.onchain, dep_sk, dep_pk, digest)
+
+        self.queue = self.queue[n:]
+        self.rf_pending -= rf_delta
+        txid = tx.txid()
+        self.plan = SettlementPlan(
+            transaction=tx,
+            selected=selected,
+            s_amount=s_amount,
+            b_total=b_total,
+            tx_inputs=n_inputs,
+            tx_outputs=n + 1,
+            tx_size=formula_size(n_inputs, n + 1),
+            tx_fee=tx_fee,
+            rf_confirmed_on_confirm=rf_delta,
+            collected=collected_at_n,
+            leftover_outpoint=(txid, n),
+            leftover_value=leftover_value,
+            leftover_address=leftover_address,
+            input_outpoints=list(self.owned.keys()),
+            host_subsidy=host_subsidy,
+        )
+        return self.plan
 
     def _confirm_plan(self, height: int) -> None:
         plan = self.plan
@@ -525,77 +509,75 @@ class Hub:
             raise HostAuthFailure()
 
     def insert_block(self, msg: wire.InsertBlock) -> InsertReport:
-        with self._lock:
-            chain = self._require_init()
-            try:
-                block = Block.deserialize(msg.block_bytes)
-            except MalformedFrame as exc:
-                raise InvalidBlock(f"undecodable block: {exc}")
-            header_hash = block.header.hash()
-            self._verify_host(wire.InsertBlock.signing_digest_for(header_hash), msg.host_signature)
-            if block.header.prev_hash != chain.tip_hash:
-                raise NotOnTip(f"prev {block.header.prev_hash.hex()[:16]}")
-            if not block.txs:
-                raise InvalidBlock("empty block")
-            if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
-                raise InvalidBlock("merkle-mismatch")
-            try:
-                chain.append(block.header)
-            except BlockRejected as exc:
-                raise InvalidBlock(exc.code)
+        chain = self._require_init()
+        try:
+            block = Block.deserialize(msg.block_bytes)
+        except MalformedFrame as exc:
+            raise InvalidBlock(f"undecodable block: {exc}")
+        header_hash = block.header.hash()
+        self._verify_host(wire.InsertBlock.signing_digest_for(header_hash), msg.host_signature)
+        if block.header.prev_hash != chain.tip_hash:
+            raise NotOnTip(f"prev {block.header.prev_hash.hex()[:16]}")
+        if not block.txs:
+            raise InvalidBlock("empty block")
+        if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
+            raise InvalidBlock("merkle-mismatch")
+        try:
+            chain.append(block.header)
+        except BlockRejected as exc:
+            raise InvalidBlock(exc.code)
 
-            height = chain.tip_height
-            sample = self.estimator.add_block(block)
+        height = chain.tip_height
+        sample = self.estimator.add_block(block)
 
-            expired = 0
-            for addr in [a for a, p in self.pending_deposits.items() if height > p.expiry_height]:
-                del self.pending_deposits[addr]
-                expired += 1
+        expired = 0
+        for addr in [a for a, p in self.pending_deposits.items() if height > p.expiry_height]:
+            del self.pending_deposits[addr]
+            expired += 1
 
-            credited: list[tuple[bytes, int]] = []
-            confirmed = False
-            fee_avg = self.estimator.fee_avg
-            for tx in block.txs:
-                txid = tx.txid()
-                if self.plan is not None and txid == self.plan.txid:
-                    self._confirm_plan(height)
-                    confirmed = True
+        credited: list[tuple[bytes, int]] = []
+        confirmed = False
+        fee_avg = self.estimator.fee_avg
+        for tx in block.txs:
+            txid = tx.txid()
+            if self.plan is not None and txid == self.plan.txid:
+                self._confirm_plan(height)
+                confirmed = True
+                continue
+            if tx.is_coinbase:
+                continue
+            for idx, txout in enumerate(tx.outputs):
+                pending = self.pending_deposits.get(txout.lock_address)
+                if pending is None:
                     continue
-                if tx.is_coinbase:
-                    continue
-                for idx, txout in enumerate(tx.outputs):
-                    pending = self.pending_deposits.get(txout.lock_address)
-                    if pending is None:
-                        continue
-                    fare = min(txout.value, FORMULA_INPUT_BYTES * fee_avg)
-                    increase = txout.value - fare
-                    self.owned[(txid, idx)] = OwnedDeposit(
-                        (txid, idx), txout.value, fare, height, txout.lock_address
-                    )
-                    user = self.users[pending.beneficiary]
-                    user.balance += increase
-                    if user.max_source_block is None or user.max_source_block < height:
-                        user.max_source_block = height
-                    credited.append((pending.beneficiary, increase))
-                    del self.pending_deposits[txout.lock_address]
+                fare = min(txout.value, FORMULA_INPUT_BYTES * fee_avg)
+                increase = txout.value - fare
+                self.owned[(txid, idx)] = OwnedDeposit(
+                    (txid, idx), txout.value, fare, height, txout.lock_address
+                )
+                user = self.users[pending.beneficiary]
+                user.balance += increase
+                if user.max_source_block is None or user.max_source_block < height:
+                    user.max_source_block = height
+                credited.append((pending.beneficiary, increase))
+                del self.pending_deposits[txout.lock_address]
 
-            if self.terminating:
-                self._termination_progress()
-            plan_built = self.try_build_settlement() is not None
-            return InsertReport(height, sample, credited, expired, confirmed, plan_built)
+        if self.terminating:
+            self._termination_progress()
+        plan_built = self.try_build_settlement() is not None
+        return InsertReport(height, sample, credited, expired, confirmed, plan_built)
 
     def terminate(self, msg: wire.Terminate) -> int:
         """Stop accepting payments and deposits, then settle every balance.
         Completion needs the host to keep confirming plans via insert_block."""
-        with self._lock:
-            chain = self._require_init()
-            self._verify_host(msg.signing_digest(), msg.host_signature)
-            if msg.tip_hash != chain.tip_hash:
-                raise HostAuthFailure("terminate signed against a stale tip")
-            if self.terminating:
-                return 0
-            self.terminating = True
-            return self._termination_progress()
+        chain = self._require_init()
+        self._verify_host(msg.signing_digest(), msg.host_signature)
+        if msg.tip_hash != chain.tip_hash:
+            raise HostAuthFailure("terminate signed against a stale tip")
+        if self.terminating:
+            return 0
+        self.terminating = True
+        return self._termination_progress()
 
     def _terminal_sweep_users(self) -> int:
         """Queue a full-balance settlement for every user. Participants split
@@ -679,86 +661,82 @@ class Hub:
     # queries
 
     def query_latest_block(self) -> dict:
-        with self._lock:
-            chain = self._require_init()
-            return {
-                "height": chain.tip_height,
-                "hash": chain.tip_hash,
-                "cumulative_work": min(chain.cumulative_work, (1 << 64) - 1),
-            }
+        chain = self._require_init()
+        return {
+            "height": chain.tip_height,
+            "hash": chain.tip_hash,
+            "cumulative_work": min(chain.cumulative_work, (1 << 64) - 1),
+        }
 
     def query_user(self, user_address: bytes) -> dict:
-        with self._lock:
-            user = self.users.get(user_address)
-            if user is None:
-                raise UnknownUser(user_address.hex())
-            return {
-                "address": user.user_address,
-                "nonce": user.nonce,
-                "balance": user.balance,
-                "max_source_block": user.max_source_block,
-                "boundary_block": user.boundary_block,
-                "settle_address": user.settle_address,
-            }
+        user = self.users.get(user_address)
+        if user is None:
+            raise UnknownUser(user_address.hex())
+        return {
+            "address": user.user_address,
+            "nonce": user.nonce,
+            "balance": user.balance,
+            "max_source_block": user.max_source_block,
+            "boundary_block": user.boundary_block,
+            "settle_address": user.settle_address,
+        }
 
     def query_ledger(self) -> dict:
-        with self._lock:
-            parts = self.conservation()
-            return {
-                "rf_pending": self.rf_pending,
-                "rf_confirmed": self.rf_confirmed,
-                "host_balance": self.host_balance,
-                "fee_reserve": self.fee_reserve,
-                "fee_avg": self.estimator.fee_avg,
-                "min_routing_fee": self.config.min_routing_fee,
-                "rf_collected_total": self.rf_collected_total,
-                "settled_amount_total": self.settled_amount_total,
-                "users": len(self.users),
-                "owned_deposits": len(self.owned),
-                "owned_value": parts["owned_value"],
-                "fares": parts["fares"],
-                "queued": len(self.queue),
-                "queued_value": parts["queued_value"],
-                "balances_total": parts["balances_total"],
-                "in_flight": parts["in_flight"],
-                "plan_outstanding": int(self.plan is not None),
-                "plans_confirmed": self.plans_confirmed,
-                "terminating": int(self.terminating),
-                "conservation_ok": int(parts["ok"]),
-            }
+        parts = self.conservation()
+        return {
+            "rf_pending": self.rf_pending,
+            "rf_confirmed": self.rf_confirmed,
+            "host_balance": self.host_balance,
+            "fee_reserve": self.fee_reserve,
+            "fee_avg": self.estimator.fee_avg,
+            "min_routing_fee": self.config.min_routing_fee,
+            "rf_collected_total": self.rf_collected_total,
+            "settled_amount_total": self.settled_amount_total,
+            "users": len(self.users),
+            "owned_deposits": len(self.owned),
+            "owned_value": parts["owned_value"],
+            "fares": parts["fares"],
+            "queued": len(self.queue),
+            "queued_value": parts["queued_value"],
+            "balances_total": parts["balances_total"],
+            "in_flight": parts["in_flight"],
+            "plan_outstanding": int(self.plan is not None),
+            "plans_confirmed": self.plans_confirmed,
+            "terminating": int(self.terminating),
+            "conservation_ok": int(parts["ok"]),
+        }
 
     def conservation(self) -> dict:
         """Evaluate the ledger identity; `ok` must hold after every operation."""
-        with self._lock:
-            owned_value = sum(d.value for d in self.owned.values())
-            fares = sum(d.fare_precollected for d in self.owned.values())
-            balances_total = sum(u.balance for u in self.users.values())
-            queued_value = sum(r.total for r in self.queue)
-            in_flight = 0
-            if self.plan is not None:
-                in_flight = (
-                    sum(r.total for r in self.plan.selected)
-                    + self.plan.rf_confirmed_on_confirm
-                    + self.plan.host_subsidy
-                )
-            owed = (
-                balances_total
-                + self.host_balance
-                + queued_value
-                + in_flight
-                + self.rf_pending
-                + self.fee_reserve
-                + fares
+        owned_value = sum(d.value for d in self.owned.values())
+        fares = sum(d.fare_precollected for d in self.owned.values())
+        balances_total = sum(u.balance for u in self.users.values())
+        queued_value = sum(r.total for r in self.queue)
+        in_flight = 0
+        if self.plan is not None:
+            in_flight = (
+                sum(r.total for r in self.plan.selected)
+                + self.plan.rf_confirmed_on_confirm
+                + self.plan.host_subsidy
             )
-            return {
-                "owned_value": owned_value,
-                "balances_total": balances_total,
-                "queued_value": queued_value,
-                "in_flight": in_flight,
-                "fares": fares,
-                "owed": owed,
-                "ok": owned_value == owed,
-            }
+        owed = (
+            balances_total
+            + self.host_balance
+            + queued_value
+            + in_flight
+            + self.rf_pending
+            + self.fee_reserve
+            + fares
+        )
+        return {
+            "owned_value": owned_value,
+            "balances_total": balances_total,
+            "queued_value": queued_value,
+            "in_flight": in_flight,
+            "fares": fares,
+            "owed": owed,
+            "ok": owned_value == owed,
+        }
 
     # ------------------------------------------------------------------
     # message dispatch (daemon entry point)
@@ -795,26 +773,24 @@ class Hub:
                 "plan_built": int(report.plan_built),
             }
         if isinstance(req, wire.GetSettlement):
-            with self._lock:
-                if self.plan is None:
-                    return {"present": 0}
-                return {
-                    "present": 1,
-                    "tx": self.plan.transaction.serialize(),
-                    "tx_fee": self.plan.tx_fee,
-                    "tx_size": self.plan.tx_size,
-                    "tx_inputs": self.plan.tx_inputs,
-                    "tx_outputs": self.plan.tx_outputs,
-                    "s_amount": self.plan.s_amount,
-                    "b_total": self.plan.b_total,
-                    "rf_confirmed_on_confirm": self.plan.rf_confirmed_on_confirm,
-                }
+            if self.plan is None:
+                return {"present": 0}
+            return {
+                "present": 1,
+                "tx": self.plan.transaction.serialize(),
+                "tx_fee": self.plan.tx_fee,
+                "tx_size": self.plan.tx_size,
+                "tx_inputs": self.plan.tx_inputs,
+                "tx_outputs": self.plan.tx_outputs,
+                "s_amount": self.plan.s_amount,
+                "b_total": self.plan.b_total,
+                "rf_confirmed_on_confirm": self.plan.rf_confirmed_on_confirm,
+            }
         if isinstance(req, wire.Terminate):
             return {"enqueued": self.terminate(req)}
         if isinstance(req, wire.InitStatus):
-            with self._lock:
-                return {
-                    "initialized": int(self.chain is not None),
-                    "height": self.chain.tip_height if self.chain else 0,
-                }
+            return {
+                "initialized": int(self.chain is not None),
+                "height": self.chain.tip_height if self.chain else 0,
+            }
         raise AuthFailure(f"unhandled request {type(req).__name__}")

@@ -1,14 +1,24 @@
 """Framed TCP plumbing shared by the simchain server, the hub daemon, and the
-CLI clients. One frame = 4-byte big-endian length, 1-byte type, payload."""
+CLI clients. One frame = 4-byte big-endian length, 1-byte type, payload.
+
+A server is one `selectors` loop in one thread. The loop owns the listening
+socket and every connection, cuts each connection's bytes into whole frames,
+and hands them to the server's callback one at a time, so whatever the
+callback touches has a single caller and needs no lock."""
 
 from __future__ import annotations
 
+import selectors
 import socket
-import socketserver
 import threading
+import time
+import traceback
 
-from .errors import MalformedFrame
+from .errors import MalformedFrame, RouteeError
 from .wire import frame_length, pack_frame
+
+MAX_CONNECTIONS = 64  # live connections per server; the next one is accepted and closed at once
+IDLE_TIMEOUT_S = 300.0  # a connection that moves no byte either way this long is closed
 
 
 def send_frame(sock: socket.socket, frame_type: int, payload: bytes) -> None:
@@ -59,41 +69,154 @@ class FrameConn:
         self.close()
 
 
-class FrameServer(socketserver.ThreadingTCPServer):
-    """Threaded frame server; `handler_fn(frame_type, payload, ctx)` returns
-    (frame_type, payload) replies. ctx is a per-connection dict, which
-    `close_fn(ctx)`, when given, receives once the connection has ended."""
+class _Connection:
+    """One accepted socket: bytes read but not yet framed, reply bytes not yet
+    sent, and the ctx dict the server's callbacks keep for it."""
 
-    allow_reuse_address = True
-    daemon_threads = True
+    def __init__(self, sock: socket.socket, now: float):
+        self.sock = sock
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.ctx: dict = {}
+        self.seen = now  # when a byte last moved either way
+        self.events = selectors.EVENT_READ
 
-    def __init__(self, address: tuple[str, int], handler_fn, close_fn=None):
+    def sendall(self, data: bytes) -> None:
+        # `send_frame` writes replies here; the loop moves them to the socket
+        self.outbox += data
+
+
+class FrameServer:
+    """Frame server on one loop; `handler_fn(frame_type, payload, ctx)`
+    returns a (frame_type, payload) reply or None. ctx is a per-connection
+    dict, which `close_fn(ctx)`, when given, receives once the connection has
+    ended. `limit_fn(ctx)`, when given, is the largest frame (type byte
+    included) the connection may send next; a longer length prefix closes the
+    connection before its body is read. A callback that raises closes its own
+    connection only. A connection's next frame waits until its last reply has
+    left, so a peer that does not read holds one reply, not the loop."""
+
+    def __init__(self, address: tuple[str, int], handler_fn, close_fn=None, limit_fn=None):
         self.handler_fn = handler_fn
         self.close_fn = close_fn
-        super().__init__(address, _FrameRequestHandler)
+        self.limit_fn = limit_fn
+        self.listener = socket.create_server(address)
+        self._wake_r, self._wake_w = socket.socketpair()
+        for sock in (self.listener, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.listener, selectors.EVENT_READ)
+        self.selector.register(self._wake_r, selectors.EVENT_READ)
+        self.conns: set[_Connection] = set()
+        self.stopping = False
+        self.thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
-        return self.server_address[1]
+        return self.listener.getsockname()[1]
 
     def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
+        self.thread = threading.Thread(target=self.serve_forever, name="frame-server", daemon=True)
+        self.thread.start()
+        return self.thread
 
-
-class _FrameRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        ctx: dict = {}
-        sock = self.request
+    def serve_forever(self) -> None:
+        """Serve until `shutdown()`, then close every connection."""
+        sweep_at = time.monotonic() + IDLE_TIMEOUT_S
         try:
-            while True:
-                frame_type, payload = recv_frame(sock)
-                reply = self.server.handler_fn(frame_type, payload, ctx)
-                if reply is not None:
-                    send_frame(sock, reply[0], reply[1])
-        except (ConnectionError, MalformedFrame, OSError):
-            pass
+            while not self.stopping:
+                for key, _ in self.selector.select(max(0.0, sweep_at - time.monotonic())):
+                    if key.data is not None:
+                        self._serve(key.data)
+                    elif key.fileobj is self.listener:
+                        self._accept()
+                    else:
+                        self._wake_r.recv(64)
+                now = time.monotonic()
+                if now >= sweep_at:  # close the idle connections
+                    for conn in [c for c in self.conns if now - c.seen >= IDLE_TIMEOUT_S]:
+                        self._close(conn)
+                    sweep_at = min((c.seen for c in self.conns), default=now) + IDLE_TIMEOUT_S
         finally:
-            if self.server.close_fn is not None:
-                self.server.close_fn(ctx)
+            for conn in list(self.conns):
+                self._close(conn)
+
+    def shutdown(self) -> None:
+        """Stop the loop: set its flag and wake it. It takes no lock, so a
+        signal handler may call it; from another thread it also waits for the
+        thread `start_background` started."""
+        self.stopping = True
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # a wake-up byte is already pending, or the server is closed
+            pass
+        if self.thread is not None and self.thread is not threading.current_thread():
+            self.thread.join()
+
+    def server_close(self) -> None:
+        self.selector.close()
+        for sock in (self.listener, self._wake_r, self._wake_w):
+            sock.close()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.listener.accept()
+        except OSError:
+            return
+        if len(self.conns) >= MAX_CONNECTIONS:
+            sock.close()
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, time.monotonic())
+        self.conns.add(conn)
+        self.selector.register(sock, conn.events, conn)
+
+    def _serve(self, conn: _Connection) -> None:
+        try:
+            if conn.outbox:
+                self._flush(conn)
+            else:
+                data = conn.sock.recv(1 << 16)
+                if not data:
+                    raise ConnectionError("peer closed")
+                conn.inbox += data
+            conn.seen = time.monotonic()
+            self._answer(conn)
+        except Exception as exc:
+            if not isinstance(exc, (OSError, RouteeError)):
+                traceback.print_exc()
+            self._close(conn)
+
+    def _answer(self, conn: _Connection) -> None:
+        """Answer the whole frames in the inbox while no reply is unsent."""
+        inbox = conn.inbox
+        while not conn.outbox and len(inbox) >= 4:
+            length = frame_length(inbox[:4])
+            if self.limit_fn is not None and length > self.limit_fn(conn.ctx):
+                raise MalformedFrame(f"frame of {length} bytes over the connection's limit")
+            if len(inbox) < 4 + length:
+                break
+            frame_type, payload = inbox[4], bytes(inbox[5:4 + length])
+            del inbox[:4 + length]
+            reply = self.handler_fn(frame_type, payload, conn.ctx)
+            if reply is not None:
+                send_frame(conn, reply[0], reply[1])
+                self._flush(conn)
+        events = selectors.EVENT_WRITE if conn.outbox else selectors.EVENT_READ
+        if events != conn.events:
+            conn.events = events
+            self.selector.modify(conn.sock, events, conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.outbox)
+        except BlockingIOError:
+            return
+        del conn.outbox[:sent]
+
+    def _close(self, conn: _Connection) -> None:
+        self.conns.discard(conn)
+        self.selector.unregister(conn.sock)
+        if self.close_fn is not None:
+            self.close_fn(conn.ctx)
+        conn.sock.close()

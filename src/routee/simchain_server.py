@@ -2,13 +2,12 @@
 
 Serves the public header-fetch and get-block protocols used by light clients
 and the hub daemon, accepts transaction broadcasts, and exposes the mining
-and faucet controls that scenario scripts drive. All node access is
-serialized; the node itself stays single-threaded. Server and client share
-each frame body's declaration in `wire`."""
+and faucet controls that scenario scripts drive. The server's one event
+loop (`netio.FrameServer`) answers one request at a time, so requests reach
+the node one by one without a lock. Server and client share each frame
+body's declaration in `wire`."""
 
 from __future__ import annotations
-
-import threading
 
 from .blocks import Block
 from .errors import TxRejected
@@ -21,7 +20,6 @@ from . import wire
 class SimchainServer:
     def __init__(self, node: SimNode, address: tuple[str, int] = ("127.0.0.1", 0)):
         self.node = node
-        self._lock = threading.Lock()
         self.server = FrameServer(address, self._handle)
 
     @property
@@ -36,44 +34,43 @@ class SimchainServer:
         self.server.server_close()
 
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):
-        with self._lock:
-            if frame_type == wire.FRAME_HEADERS_REQ:
-                req = wire.decode(wire.HeadersRequest, payload)
-                headers = self.node.headers_from(req.from_height, req.count)
-                reply = wire.Headers([wire.RawHeader(header.serialize()) for header in headers])
-                return wire.FRAME_HEADERS_RESP, wire.encode(reply)
+        if frame_type == wire.FRAME_HEADERS_REQ:
+            req = wire.decode(wire.HeadersRequest, payload)
+            headers = self.node.headers_from(req.from_height, req.count)
+            reply = wire.Headers([wire.RawHeader(header.serialize()) for header in headers])
+            return wire.FRAME_HEADERS_RESP, wire.encode(reply)
 
-            if frame_type == wire.FRAME_BLOCK_REQ:
-                height = wire.decode(wire.Height, payload).height
-                block = self.node.get_block(height).serialize() if height <= self.node.tip_height else b""
-                return wire.FRAME_BLOCK_RESP, block
+        if frame_type == wire.FRAME_BLOCK_REQ:
+            height = wire.decode(wire.Height, payload).height
+            block = self.node.get_block(height).serialize() if height <= self.node.tip_height else b""
+            return wire.FRAME_BLOCK_RESP, block
 
-            if frame_type == wire.FRAME_TX_SUBMIT:
-                tx = Transaction.deserialize(wire.decode(wire.RawTx, payload).raw)
-                try:
-                    self.node.submit_tx(tx)
-                    result = wire.ChainResult(tx.txid(), "", "")
-                except TxRejected as exc:
-                    result = wire.ChainResult(tx.txid(), exc.code, exc.detail)
-                return wire.FRAME_TX_RESULT, wire.encode(result)
+        if frame_type == wire.FRAME_TX_SUBMIT:
+            tx = Transaction.deserialize(wire.decode(wire.RawTx, payload).raw)
+            try:
+                self.node.submit_tx(tx)
+                result = wire.ChainResult(tx.txid(), "", "")
+            except TxRejected as exc:
+                result = wire.ChainResult(tx.txid(), exc.code, exc.detail)
+            return wire.FRAME_TX_RESULT, wire.encode(result)
 
-            if frame_type == wire.FRAME_MINE_REQ:
-                for _ in range(wire.decode(wire.MineRequest, payload).count):
-                    self.node.mine_block()
-                return wire.FRAME_MINE_RESP, wire.encode(wire.Height(self.node.tip_height))
+        if frame_type == wire.FRAME_MINE_REQ:
+            for _ in range(wire.decode(wire.MineRequest, payload).count):
+                self.node.mine_block()
+            return wire.FRAME_MINE_RESP, wire.encode(wire.Height(self.node.tip_height))
 
-            if frame_type == wire.FRAME_TIP_REQ:  # no body
-                return wire.FRAME_TIP_RESP, wire.encode(wire.Tip(self.node.tip_height, self.node.chain.tip_hash))
+        if frame_type == wire.FRAME_TIP_REQ:  # no body
+            return wire.FRAME_TIP_RESP, wire.encode(wire.Tip(self.node.tip_height, self.node.chain.tip_hash))
 
-            if frame_type == wire.FRAME_PAY_REQ:
-                req = wire.decode(wire.PayRequest, payload)
-                try:
-                    result = wire.ChainResult(self.node.pay(req.address, req.amount, req.fee).txid(), "", "")
-                except TxRejected as exc:
-                    result = wire.ChainResult(bytes(32), exc.code, exc.detail)
-                return wire.FRAME_PAY_RESP, wire.encode(result)
+        if frame_type == wire.FRAME_PAY_REQ:
+            req = wire.decode(wire.PayRequest, payload)
+            try:
+                result = wire.ChainResult(self.node.pay(req.address, req.amount, req.fee).txid(), "", "")
+            except TxRejected as exc:
+                result = wire.ChainResult(bytes(32), exc.code, exc.detail)
+            return wire.FRAME_PAY_RESP, wire.encode(result)
 
-            return None
+        return None
 
 
 class SimchainClient:

@@ -138,8 +138,7 @@ def _image(hub: Hub) -> HubImage:
 
 
 def dump_hub(hub: Hub) -> bytes:
-    with hub._lock:
-        body = MAGIC + VERSION.to_bytes(2, "big") + wire.encode(_image(hub))
+    body = MAGIC + VERSION.to_bytes(2, "big") + wire.encode(_image(hub))
     return body + sha256(body)
 
 

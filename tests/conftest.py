@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 from hypothesis import strategies as st
 
@@ -17,6 +19,15 @@ from routee.simchain import SimNode
 from routee import wire
 
 FAST = CryptoSuite.fast_test()
+
+
+def closed_by_peer(sock: socket.socket) -> bool:
+    """True when the peer closes the connection within 5 s."""
+    sock.settimeout(5)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
 
 
 @st.composite

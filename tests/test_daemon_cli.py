@@ -1,10 +1,19 @@
 import json
+import os
+import select
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
+from conftest import closed_by_peer
 
-from routee import cli, wire
+from routee import cli, netio, snapshot, wire
 from routee.client import (
+    PRE_HANDSHAKE_FRAME,
     Keys,
     LocalConnection,
     LocalHubEndpoint,
@@ -27,6 +36,7 @@ from routee.simchain_server import SimchainClient, SimchainServer
 @pytest.fixture
 def stack(tmp_path):
     """simchain server + hub daemon over real sockets, plus host key files."""
+    threads_before = set(threading.enumerate())
     node = SimNode(ChainParams.regtest(), seed=5)
     node.mine_blocks(4)
     sim_server = SimchainServer(node)
@@ -50,6 +60,8 @@ def stack(tmp_path):
             "sim": SimchainClient("127.0.0.1", sim_server.port),
             "sim_port": sim_server.port,
             "daemon": daemon,
+            "sim_server": sim_server,
+            "threads_before": threads_before,
             "host_key_path": str(host_key_path),
             "tmp": tmp_path,
         }
@@ -258,7 +270,7 @@ def test_closed_connections_leave_no_sessions(stack):
     for _ in range(20):
         with RemoteHub("127.0.0.1", daemon.port) as hub:
             hub.request(wire.QueryLatestBlock())
-    # each connection thread drops its session once it sees the close
+    # the loop drops each session once it reads the connection's close
     deadline = time.monotonic() + 10
     while daemon.endpoint.sessions and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -332,3 +344,113 @@ def test_in_process_and_daemon_front_ends_agree(stack):
     assert got_local[12] == ("ok", ["bytes_written"])  # Snapshot
     assert got_local[14] == ("ok", ["already", "initialized"])  # InitRun
     assert sum(status == "ok" for status, _ in got_local) >= 12
+
+
+def test_stopped_servers_leave_no_threads(stack):
+    with RemoteHub("127.0.0.1", stack["daemon"].port) as hub:
+        hub.request(wire.InitStatus())
+    stack["sim"].tip()
+    stack["daemon"].stop()
+    stack["sim_server"].stop()
+    assert set(threading.enumerate()) <= stack["threads_before"]
+
+
+def test_every_acknowledged_request_is_in_the_stop_snapshot(stack):
+    daemon = stack["daemon"]
+    scheme = cli.get_scheme("fast")
+    acked, stopped = [], []
+
+    def register_until_cut_off():
+        try:
+            with RemoteHub("127.0.0.1", daemon.port) as hub:
+                while not stopped:
+                    keys = Keys.generate(scheme)
+                    acked.append(hub.request(wire.AddUser(keys.public, keys.address))["user_address"])
+        except (ConnectionError, OSError):
+            pass  # the daemon closed the connection as it stopped
+
+    client = threading.Thread(target=register_until_cut_off)
+    client.start()
+    deadline = time.monotonic() + 10
+    while len(acked) < 20 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    daemon.stop()
+    time.sleep(0.1)  # a request sent after stop() must find its connection closed
+    stopped.append(True)
+    client.join(timeout=10)
+    assert not client.is_alive()
+    users = snapshot.load_hub((stack["tmp"] / "hub.snap").read_bytes()).users
+    assert len(acked) >= 20
+    assert set(acked) <= set(users)
+
+
+def test_oversized_prefix_before_the_handshake_is_cut_off(stack):
+    port = stack["daemon"].port
+    assert PRE_HANDSHAKE_FRAME == 33
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as peer:
+        peer.sendall((64 * 1024 * 1024).to_bytes(4, "big"))  # and never the body
+        assert closed_by_peer(peer)
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as peer:
+        peer.sendall((PRE_HANDSHAKE_FRAME + 1).to_bytes(4, "big"))
+        assert closed_by_peer(peer)
+    # an envelope needs the session of its own connection's handshake
+    with RemoteHub("127.0.0.1", port) as first, socket.create_connection(("127.0.0.1", port)) as peer:
+        peer.sendall(wire.pack_frame(wire.FRAME_ENVELOPE, first.session_id + bytes(24)))
+        assert closed_by_peer(peer)
+        assert first.request(wire.InitStatus())["initialized"] == 1
+    with RemoteHub("127.0.0.1", port) as second:
+        assert second.request(wire.InitStatus())["initialized"] == 1
+
+
+def test_idle_connection_is_closed_and_its_session_dropped(monkeypatch):
+    monkeypatch.setattr(netio, "IDLE_TIMEOUT_S", 0.5)
+    daemon = HubDaemon(DaemonConfig(overrides={"auto_init": 0, "host_pubkey_hex": "00" * 32}))
+    daemon.start()
+    try:
+        with RemoteHub("127.0.0.1", daemon.port) as idle, RemoteHub("127.0.0.1", daemon.port) as busy:
+            assert len(daemon.endpoint.sessions) == 2
+            start = time.monotonic()
+            while time.monotonic() - start < 1.25:  # 2.5 idle timeouts
+                assert busy.request(wire.InitStatus())["initialized"] == 0
+                time.sleep(0.05)
+            assert closed_by_peer(idle.conn.sock)
+            assert list(daemon.endpoint.sessions) == [busy.session_id]
+    finally:
+        daemon.stop()
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _stop_right_after_ready(entry: str, argv: list[str], log_path) -> int:
+    """Run `routee.cli.<entry>` in a new process, send it SIGTERM as soon as
+    it prints its ready line, and return its exit code; every wait is bounded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = f"import sys; from routee.cli import {entry}; sys.exit({entry}())"
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen([sys.executable, "-c", code, "--json", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=log)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready and "listening" in json.loads(proc.stdout.readline()), log_path.read_text()
+        proc.send_signal(signal.SIGTERM)
+        return proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_sigterm_stops_hubd_with_its_snapshot(tmp_path):
+    for i in range(20):
+        snap = tmp_path / f"hub-{i}.snap"
+        argv = ["--set", "auto_init=0", "--set", "host_pubkey_hex=" + "00" * 32,
+                "--set", f"snapshot_path={snap}"]
+        assert _stop_right_after_ready("hubd_main", argv, tmp_path / f"hubd-{i}.log") == 0, i
+        assert snap.stat().st_size > 0
+
+
+def test_sigterm_stops_simchain_serve(tmp_path):
+    for i in range(5):
+        assert _stop_right_after_ready("simchain_main", ["serve"], tmp_path / f"sim-{i}.log") == 0, i

@@ -167,9 +167,9 @@ def test_authentic_rejection_consumes_nonce(harness):
 def test_boundary_opens_receive_channel_and_is_monotonic(harness):
     bob = harness.new_user()
     state = harness.hub.users[bob.address]
-    assert not state.has_receive_channel
+    assert state.boundary_block is None
     harness.set_boundary(bob, 4)
-    assert state.has_receive_channel
+    assert state.boundary_block is not None
     assert state.boundary_block == 4
     with pytest.raises(MonotonicityViolation):
         harness.set_boundary(bob, 3)
@@ -218,7 +218,7 @@ def test_deposit_credit_uses_balance_increase_formula():
     assert deposit.fare_precollected == 1_480
     assert user.balance == 98_520
     assert user.max_source_block == hub.chain.tip_height
-    assert user.has_send_channel
+    assert user.balance > 0
     assert not hub.pending_deposits
 
 

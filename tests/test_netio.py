@@ -1,0 +1,134 @@
+"""The frame server's event loop: one thread answers every connection, a
+capped number of connections are served at a time, and a peer that does not
+read its replies holds only its own connection."""
+
+import socket
+import time
+
+import pytest
+from conftest import closed_by_peer
+
+from routee import netio, wire
+from routee.netio import FrameConn, FrameServer
+
+WAIT_S = 5.0
+
+
+def _echo(frame_type, payload, ctx):
+    ctx["frames"] = ctx.get("frames", 0) + 1
+    return frame_type, payload
+
+
+@pytest.fixture
+def serve():
+    """Start a frame server on a background loop; stop every one at teardown."""
+    servers = []
+
+    def start(handler_fn=_echo, close_fn=None, limit_fn=None):
+        server = FrameServer(("127.0.0.1", 0), handler_fn, close_fn, limit_fn)
+        server.start_background()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def test_connection_after_the_cap_is_closed_at_once(serve, monkeypatch):
+    monkeypatch.setattr(netio, "MAX_CONNECTIONS", 4)
+    server = serve()
+    conns = [FrameConn("127.0.0.1", server.port, timeout=WAIT_S) for _ in range(4)]
+    for i, conn in enumerate(conns):
+        assert conn.request(7, bytes([i])) == (7, bytes([i]))
+    with socket.create_connection(("127.0.0.1", server.port), timeout=WAIT_S) as extra:
+        assert closed_by_peer(extra)
+    conns.pop().close()
+    # the loop frees the slot once it reads the close
+    deadline = time.monotonic() + WAIT_S
+    while True:
+        try:
+            with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as conn:
+                assert conn.request(7, b"again") == (7, b"again")
+            break
+        except ConnectionError:
+            assert time.monotonic() < deadline
+    for conn in conns:
+        assert conn.request(7, b"still") == (7, b"still")
+        conn.close()
+
+
+def test_idle_connection_is_closed_and_its_ctx_released(serve, monkeypatch):
+    monkeypatch.setattr(netio, "IDLE_TIMEOUT_S", 0.5)
+    released = []
+    server = serve(close_fn=released.append)
+    idle = FrameConn("127.0.0.1", server.port, timeout=WAIT_S)
+    busy = FrameConn("127.0.0.1", server.port, timeout=WAIT_S)
+    assert idle.request(1, b"x") == (1, b"x")
+    start = time.monotonic()
+    while time.monotonic() - start < 1.25:  # 2.5 idle timeouts
+        assert busy.request(2, b"y") == (2, b"y")
+        time.sleep(0.05)
+    assert closed_by_peer(idle.sock)
+    assert released == [{"frames": 1}]
+    assert busy.request(2, b"z") == (2, b"z")
+    idle.close()
+    busy.close()
+
+
+def test_frame_over_the_limit_closes_before_its_body(serve):
+    server = serve(limit_fn=lambda ctx: 16)
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as conn:
+        assert conn.request(1, bytes(15)) == (1, bytes(15))
+        conn.sock.sendall((wire.MAX_FRAME_SIZE).to_bytes(4, "big"))
+        assert closed_by_peer(conn.sock)
+
+
+def test_peer_that_does_not_read_holds_only_its_own_connection(serve):
+    reply = bytes(range(256)) * 256  # 64 KiB per reply
+
+    def big(frame_type, payload, ctx):
+        return frame_type, payload + reply
+
+    server = serve(big)
+    hog = FrameConn("127.0.0.1", server.port, timeout=WAIT_S)
+    # 200 requests whose 12.8 MiB of replies overflow both socket buffers
+    count = 200
+    hog.sock.sendall(b"".join(wire.pack_frame(5, i.to_bytes(2, "big")) for i in range(count)))
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as other:
+        for _ in range(3):
+            assert other.request(6, b"ok") == (6, b"ok" + reply)
+    for i in range(count):
+        assert hog.recv() == (5, i.to_bytes(2, "big") + reply)
+    hog.close()
+
+
+def test_handler_error_closes_only_its_connection(serve, capsys):
+    def picky(frame_type, payload, ctx):
+        if payload == b"boom":
+            raise KeyError("boom")
+        return frame_type, payload
+
+    server = serve(picky)
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as bad, \
+            FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as good:
+        bad.send(1, b"boom")
+        assert closed_by_peer(bad.sock)
+        assert good.request(1, b"fine") == (1, b"fine")
+    assert "KeyError" in capsys.readouterr().err
+
+
+def test_shutdown_joins_the_loop_and_closes_connections():
+    released = []
+    server = FrameServer(("127.0.0.1", 0), _echo, released.append)
+    thread = server.start_background()
+    conn = FrameConn("127.0.0.1", server.port, timeout=WAIT_S)
+    assert conn.request(3, b"a") == (3, b"a")
+    server.shutdown()
+    assert not thread.is_alive()
+    assert released == [{"frames": 1}]
+    assert closed_by_peer(conn.sock)
+    conn.close()
+    server.server_close()
+    server.shutdown()  # a second stop after close is harmless
