@@ -46,9 +46,6 @@ class UtxoSet:
     def get(self, outpoint: Outpoint) -> TxOutput | None:
         return self.entries.get(outpoint)
 
-    def total_value(self) -> int:
-        return sum(out.value for out in self.entries.values())
-
 
 def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
     """Validate one non-coinbase transaction against a UTXO view and return

@@ -368,7 +368,6 @@ def hubd_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", help="flat key=value file")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--set", action="append", default=[], help="KEY=VALUE override, repeatable")
-    parser.add_argument("--print-port", action="store_true", help="print the bound port and keep serving")
     parser.add_argument("--oneshot", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     overrides = {}

@@ -11,8 +11,10 @@ user balances, the host's withdrawable confirmed fees, queued settlement
 requests, the outstanding plan's in-flight value, pending routing fees, the
 carried fee reserve, and the per-deposit pre-collected fares.
 
-Users, pending deposits and settle requests are `wire` records, declared
-once for memory and for the snapshot.
+Users, pending and owned deposits and settle requests are `wire` records,
+declared once for memory and for the snapshot. Each fact is held once: a
+pending deposit's key lives only in `manager_keys`, and a settlement plan's
+size, fee, inputs and leftover are read off its transaction.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class HubConfig:
     chain_params: ChainParams = field(default_factory=ChainParams.regtest)
     suite: CryptoSuite = field(default_factory=CryptoSuite.fast_test)
     deposit_expiry_blocks: int = DEPOSIT_EXPIRY_BLOCKS
-    fee_window_capacity: int = FEE_WINDOW_CAPACITY
     rng_seed: bytes | int = 0
 
 
@@ -86,20 +87,22 @@ class UserState:
 @wire.record
 class PendingDeposit:
     manager_address: bytes = wire.fixed("20s")
-    manager_secret: bytes = wire.trailing()
-    manager_public: bytes = wire.trailing()
     beneficiary: bytes = wire.fixed("20s")
-    registered_height: int = wire.fixed("Q")
     expiry_height: int = wire.fixed("Q")
 
 
-@dataclass
+@wire.record
 class OwnedDeposit:
-    outpoint: Outpoint
-    value: int
-    fare_precollected: int
-    source_height: int
-    lock_address: bytes
+    txid: bytes = wire.fixed("32s")
+    vout: int = wire.fixed("I")
+    value: int = wire.fixed("Q")
+    fare_precollected: int = wire.fixed("Q")
+    source_height: int = wire.fixed("Q")
+    lock_address: bytes = wire.fixed("20s")
+
+    @property
+    def outpoint(self) -> Outpoint:
+        return (self.txid, self.vout)
 
 
 @wire.record
@@ -121,8 +124,8 @@ class FeeEstimator:
     non-coinbase transaction contribute no sample. The average never drops
     below 1 so settlements are never free."""
 
-    def __init__(self, capacity: int = FEE_WINDOW_CAPACITY):
-        self.window: deque[int] = deque(maxlen=capacity)
+    def __init__(self):
+        self.window: deque[int] = deque(maxlen=FEE_WINDOW_CAPACITY)
 
     def add_block(self, block: Block) -> int | None:
         fees = 0
@@ -147,27 +150,46 @@ class FeeEstimator:
 
 @dataclass
 class SettlementPlan:
+    """An outstanding spend-all settlement. Its size, fee, inputs and
+    leftover output are read off the signed transaction, whose last output
+    is the leftover."""
+
     transaction: Transaction
     selected: list[SettleRequest]
     s_amount: int
     b_total: int
-    tx_inputs: int
-    tx_outputs: int
-    tx_size: int
-    tx_fee: int
     rf_confirmed_on_confirm: int
     collected: int
-    leftover_outpoint: Outpoint
-    leftover_value: int
-    leftover_address: bytes
-    input_outpoints: list[Outpoint]
     host_subsidy: int = 0
-    status: str = "outstanding"  # outstanding | confirmed
+
+    def __post_init__(self):
+        # hashed once, by the request that builds or restores the plan:
+        # every inserted block compares its transactions against it
+        self.txid: bytes = self.transaction.txid()
 
     @property
-    def txid(self) -> bytes:
-        # the leftover outpoint already carries the computed txid
-        return self.leftover_outpoint[0]
+    def tx_inputs(self) -> int:
+        return len(self.transaction.inputs)
+
+    @property
+    def tx_outputs(self) -> int:
+        return len(self.transaction.outputs)
+
+    @property
+    def tx_size(self) -> int:
+        return formula_size(self.tx_inputs, self.tx_outputs)
+
+    @property
+    def tx_fee(self) -> int:
+        return self.transaction.fee()
+
+    @property
+    def leftover_outpoint(self) -> Outpoint:
+        return (self.txid, self.tx_outputs - 1)
+
+    @property
+    def input_outpoints(self) -> list[Outpoint]:
+        return [txin.outpoint for txin in self.transaction.inputs]
 
 
 @dataclass
@@ -187,9 +209,8 @@ class Hub:
         self.rng = DeterministicRng(config.rng_seed)
 
         self.chain: HeaderChain | None = None
-        self.estimator = FeeEstimator(config.fee_window_capacity)
+        self.estimator = FeeEstimator()
         self.users: dict[bytes, UserState] = {}
-        self._known_keys: set[bytes] = set()
         self.pending_deposits: dict[bytes, PendingDeposit] = {}
         self.owned: dict[Outpoint, OwnedDeposit] = {}
         self.manager_keys: dict[bytes, tuple[bytes, bytes]] = {}
@@ -255,15 +276,12 @@ class Hub:
         self._require_init()
         if self.terminating:
             raise HubTerminated()
-        if public_key in self._known_keys:
+        user_address = address_of(public_key)
+        if user_address in self.users:
             raise AlreadyRegistered()
         if len(settle_address) != ADDRESS_SIZE:
             raise AuthFailure("settle address must be 20 bytes")
-        user_address = address_of(public_key)
-        if user_address in self.users:
-            raise AlreadyRegistered("address collision")
         self.users[user_address] = UserState(user_address, public_key, settle_address, 0, 0, None, None)
-        self._known_keys.add(public_key)
         return user_address
 
     def _authenticate(self, user_address: bytes, nonce: int, signature: bytes, digest: bytes) -> UserState:
@@ -286,14 +304,8 @@ class Hub:
             raise HubTerminated()
         sk, pk = self.suite.onchain.generate(self.rng)
         manager_address = address_of(pk)
-        height = chain.tip_height
         self.pending_deposits[manager_address] = PendingDeposit(
-            manager_address,
-            sk,
-            pk,
-            user.user_address,
-            height,
-            height + self.config.deposit_expiry_blocks,
+            manager_address, user.user_address, chain.tip_height + self.config.deposit_expiry_blocks
         )
         self.manager_keys[manager_address] = (sk, pk)
         return manager_address
@@ -443,16 +455,16 @@ class Hub:
         else:
             rf_delta = min(self.rf_pending, self.rf_pending * s_amount // b_total)
 
+        # the leftover output, last, goes to a fresh manager key
         sk, pk = self.suite.onchain.generate(self.rng)
-        leftover_address = address_of(pk)
-        self.manager_keys[leftover_address] = (sk, pk)
+        manager_address = address_of(pk)
+        self.manager_keys[manager_address] = (sk, pk)
         amounts = sum(r.amount for r in selected)
-        leftover_value = total_in - amounts - tx_fee
 
         tx = Transaction(
             [TxInput(op[0], op[1], d.value) for op, d in self.owned.items()],
             [TxOutput(r.amount, r.settle_address) for r in selected]
-            + [TxOutput(leftover_value, leftover_address)],
+            + [TxOutput(total_in - amounts - tx_fee, manager_address)],
         )
         digest = tx.sighash()
         for txin, deposit in zip(tx.inputs, self.owned.values()):
@@ -461,24 +473,7 @@ class Hub:
 
         self.queue = self.queue[n:]
         self.rf_pending -= rf_delta
-        txid = tx.txid()
-        self.plan = SettlementPlan(
-            transaction=tx,
-            selected=selected,
-            s_amount=s_amount,
-            b_total=b_total,
-            tx_inputs=n_inputs,
-            tx_outputs=n + 1,
-            tx_size=formula_size(n_inputs, n + 1),
-            tx_fee=tx_fee,
-            rf_confirmed_on_confirm=rf_delta,
-            collected=collected_at_n,
-            leftover_outpoint=(txid, n),
-            leftover_value=leftover_value,
-            leftover_address=leftover_address,
-            input_outpoints=list(self.owned.keys()),
-            host_subsidy=host_subsidy,
-        )
+        self.plan = SettlementPlan(tx, selected, s_amount, b_total, rf_delta, collected_at_n, host_subsidy)
         return self.plan
 
     def _confirm_plan(self, height: int) -> None:
@@ -486,18 +481,14 @@ class Hub:
         assert plan is not None
         for outpoint in plan.input_outpoints:
             self.owned.pop(outpoint)
+        leftover = plan.transaction.outputs[-1]
         self.owned[plan.leftover_outpoint] = OwnedDeposit(
-            plan.leftover_outpoint,
-            plan.leftover_value,
-            0,
-            height,
-            plan.leftover_address,
+            *plan.leftover_outpoint, leftover.value, 0, height, leftover.lock_address
         )
         self.fee_reserve = plan.collected - plan.tx_fee
         self.rf_confirmed += plan.rf_confirmed_on_confirm
         self.host_balance += plan.rf_confirmed_on_confirm
         self.settled_amount_total += sum(r.amount for r in plan.selected)
-        plan.status = "confirmed"
         self.plans_confirmed += 1
         self.plan = None
 
@@ -552,9 +543,7 @@ class Hub:
                     continue
                 fare = min(txout.value, FORMULA_INPUT_BYTES * fee_avg)
                 increase = txout.value - fare
-                self.owned[(txid, idx)] = OwnedDeposit(
-                    (txid, idx), txout.value, fare, height, txout.lock_address
-                )
+                self.owned[(txid, idx)] = OwnedDeposit(txid, idx, txout.value, fare, height, txout.lock_address)
                 user = self.users[pending.beneficiary]
                 user.balance += increase
                 if user.max_source_block is None or user.max_source_block < height:

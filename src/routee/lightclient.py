@@ -22,7 +22,6 @@ HEADER_BATCH = 2016
 @dataclass
 class ClientConfig:
     k_user: int = 6
-    batch_size: int = HEADER_BATCH
 
     def __post_init__(self):
         if self.k_user < 1:

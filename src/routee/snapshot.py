@@ -1,12 +1,16 @@
 """Versioned binary dump of the full hub state.
 
-Layout (version 2): magic "RTEE", 2-byte big-endian version, a `HubImage`
+Layout (version 3): magic "RTEE", 2-byte big-endian version, a `HubImage`
 record (configuration, RNG position, totals, then one table per kind of hub
-state), then the SHA-256 of everything before it. Each table is a declared
-record, so dumping and loading derive from the same declarations. Loading
+state), then the SHA-256 of everything before it. The tables hold the hub's
+own records (users, pending and owned deposits, settle requests), so memory,
+dump and load share one declaration each; a plan is stored as its
+transaction plus what that transaction does not determine. Loading
 reconstructs an identical hub, including the deterministic RNG position, so
 manager-key generation continues where it left off. Any bytes load as a hub
-or raise `SnapshotError`; the trailer refuses a damaged file.
+or raise `SnapshotError`: the trailer refuses a damaged file, and a restored
+hub must balance its ledger and hold the key of every deposit it owns or
+awaits and own every input of its plan.
 
 Known limitation: snapshots carry no rollback protection. An operator
 restoring an old file resurrects old state; guarding against that would need
@@ -15,31 +19,21 @@ a monotonic counter outside the snapshot itself.
 from __future__ import annotations
 
 from . import wire
-from .crypto import CryptoSuite, DeterministicRng, sha256
+from .crypto import CryptoSuite, DeterministicRng, address_of, sha256
 from .errors import RouteeError, SnapshotError
 from .headers import BlockHeader, ChainParams, HeaderChain
 from .hub import Hub, HubConfig, OwnedDeposit, PendingDeposit, SettleRequest, SettlementPlan, UserState
-from .transactions import Transaction, formula_size
+from .transactions import Transaction
 from .wire import fixed, record, repeated, text, trailing
 
 MAGIC = b"RTEE"
-VERSION = 2
+VERSION = 3
 TRAILER_SIZE = 32
 
 
 @record
 class FeeSample:
     value: int = fixed("Q")
-
-
-@record
-class OwnedRow:
-    txid: bytes = fixed("32s")
-    vout: int = fixed("I")
-    value: int = fixed("Q")
-    fare_precollected: int = fixed("Q")
-    source_height: int = fixed("Q")
-    lock_address: bytes = fixed("20s")
 
 
 @record
@@ -74,7 +68,6 @@ class HubImage:
     host_settle_address: bytes = fixed("20s")
     min_routing_fee: int = fixed("Q")
     deposit_expiry_blocks: int = fixed("Q")
-    fee_window_capacity: int = fixed("Q")
     rf_pending: int = fixed("Q")
     rf_confirmed: int = fixed("Q")
     host_balance: int = fixed("Q")
@@ -93,7 +86,7 @@ class HubImage:
     fee_window: list[FeeSample] = repeated(FeeSample)
     users: list[UserState] = repeated(UserState)
     pending: list[PendingDeposit] = repeated(PendingDeposit)
-    owned: list[OwnedRow] = repeated(OwnedRow)
+    owned: list[OwnedDeposit] = repeated(OwnedDeposit)
     manager_keys: list[ManagerKey] = repeated(ManagerKey)
     queue: list[SettleRequest] = repeated(SettleRequest)
     plan: list[PlanRow] = repeated(PlanRow)
@@ -102,8 +95,8 @@ class HubImage:
 # attributes the image keeps under their own names: of the hub's chain
 # parameters, of its configuration and of the hub itself
 _PARAMS = ("retarget_interval", "target_spacing", "pow_limit_bits", "block_subsidy")
-_CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee", "deposit_expiry_blocks",
-           "fee_window_capacity")
+_CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee", "deposit_expiry_blocks")
+_PLAN = ("s_amount", "b_total", "rf_confirmed_on_confirm", "collected", "host_subsidy")
 _TOTALS = ("rf_pending", "rf_confirmed", "host_balance", "fee_reserve", "rf_collected_total",
            "settled_amount_total", "plans_confirmed", "terminating")
 
@@ -115,8 +108,7 @@ def _named(obj, names: tuple[str, ...]) -> dict:
 def _image(hub: Hub) -> HubImage:
     seed, counter = hub.rng.getstate()
     plans = [
-        PlanRow(plan.s_amount, plan.b_total, plan.rf_confirmed_on_confirm, plan.collected,
-                plan.host_subsidy, plan.transaction.serialize(), plan.selected)
+        PlanRow(**_named(plan, _PLAN), transaction=plan.transaction.serialize(), selected=plan.selected)
         for plan in ([hub.plan] if hub.plan else [])
     ]
     return HubImage(
@@ -127,10 +119,7 @@ def _image(hub: Hub) -> HubImage:
         fee_window=[FeeSample(sample) for sample in hub.estimator.window],
         users=list(hub.users.values()),
         pending=list(hub.pending_deposits.values()),
-        owned=[
-            OwnedRow(*d.outpoint, d.value, d.fare_precollected, d.source_height, d.lock_address)
-            for d in hub.owned.values()
-        ],
+        owned=list(hub.owned.values()),
         manager_keys=[ManagerKey(address, sk, pk) for address, (sk, pk) in hub.manager_keys.items()],
         queue=hub.queue,
         plan=plans,
@@ -153,12 +142,8 @@ def _restore(image: HubImage) -> Hub:
             hub.chain.append(header)
     hub.estimator.window.extend(sample.value for sample in image.fee_window)
     hub.users = {user.user_address: user for user in image.users}
-    hub._known_keys = {user.public_key for user in image.users}
     hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}
-    hub.owned = {
-        (r.txid, r.vout): OwnedDeposit((r.txid, r.vout), r.value, r.fare_precollected, r.source_height, r.lock_address)
-        for r in image.owned
-    }
+    hub.owned = {deposit.outpoint: deposit for deposit in image.owned}
     hub.manager_keys = {row.address: (row.secret, row.public) for row in image.manager_keys}
     hub.queue = image.queue
     hub._next_enqueue_seq = image.next_enqueue_seq
@@ -166,17 +151,28 @@ def _restore(image: HubImage) -> Hub:
         raise SnapshotError(f"{len(image.plan)} outstanding plans")
     for row in image.plan:
         tx = Transaction.deserialize(row.transaction)
-        n_in, n_out = len(tx.inputs), len(tx.outputs)
-        if not n_out:
+        if not tx.outputs:
             raise SnapshotError("plan without a leftover output")
-        hub.plan = SettlementPlan(
-            tx, row.selected, row.s_amount, row.b_total, n_in, n_out, formula_size(n_in, n_out), tx.fee(),
-            row.rf_confirmed_on_confirm, row.collected, (tx.txid(), n_out - 1), tx.outputs[-1].value,
-            tx.outputs[-1].lock_address, [txin.outpoint for txin in tx.inputs], row.host_subsidy,
-        )
+        hub.plan = SettlementPlan(tx, row.selected, **_named(row, _PLAN))
     for name in _TOTALS:
         setattr(hub, name, getattr(image, name))
+    _check(hub)
     return hub
+
+
+def _check(hub: Hub) -> None:
+    """Refuse a hub that no sequence of requests could have left behind."""
+    if any(address_of(user.public_key) != address for address, user in hub.users.items()):
+        raise SnapshotError("user address does not match its key")
+    locks = [deposit.lock_address for deposit in hub.owned.values()] + list(hub.pending_deposits)
+    if hub.plan is not None:
+        if any(outpoint not in hub.owned for outpoint in hub.plan.input_outpoints):
+            raise SnapshotError("plan spends a deposit the hub does not own")
+        locks.append(hub.plan.transaction.outputs[-1].lock_address)
+    if any(lock not in hub.manager_keys for lock in locks):
+        raise SnapshotError("deposit without its manager key")
+    if not hub.conservation()["ok"]:
+        raise SnapshotError("ledger does not balance")
 
 
 def load_hub(data: bytes) -> Hub:
@@ -191,6 +187,6 @@ def load_hub(data: bytes) -> Hub:
     try:
         return _restore(wire.decode(HubImage, body[6:]))
     # a well-formed image can still hold values the hub refuses: an unknown
-    # crypto mode, a header chain that does not verify, a window too large
+    # crypto mode, a header chain that does not verify
     except (RouteeError, ValueError, ArithmeticError) as exc:
         raise SnapshotError(f"{type(exc).__name__}: {exc}") from None

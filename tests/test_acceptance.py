@@ -240,7 +240,7 @@ def test_criterion_5_greedy_matches_bruteforce():
             addr = address_of(pk)
             hub.manager_keys[addr] = (sk, pk)
             hub.owned[outpoint] = OwnedDeposit(
-                outpoint, rng.randrange(300_000, 400_000),
+                *outpoint, rng.randrange(300_000, 400_000),
                 rng.randrange(0, 148 * fee_avg + 1), i, addr,
             )
         hub.fee_reserve = rng.randrange(0, 400)

@@ -187,7 +187,6 @@ def test_random_block_sequence_matches_naive_replay():
         node.mine_block()
     replayed = replay_utxo(node.blocks)
     assert replayed.entries == node.utxo.entries
-    assert replayed.total_value() == node.utxo.total_value()
 
 
 def test_block_serialization_roundtrip(node):

@@ -16,6 +16,7 @@ from routee.errors import AuthFailure
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
 from routee.simchain import SimNode
+from routee.snapshot import dump_hub
 
 import pytest
 
@@ -68,3 +69,10 @@ def test_full_mode_deposit_payment_settlement():
     insert(node.mine_block())
     assert hub.plans_confirmed == 1
     assert hub.conservation()["ok"]
+
+    # with one deposit left pending, each manager secret is stored once
+    hub.add_deposit(build_add_deposit(FULL.auth, bob, 1))
+    assert hub.pending_deposits
+    data = dump_hub(hub)
+    for secret, _ in hub.manager_keys.values():
+        assert data.count(secret) == 1

@@ -510,7 +510,7 @@ def test_greedy_matches_bruteforce_over_random_queues():
             addr = address_of(pk)
             hub.manager_keys[addr] = (sk, pk)
             hub.owned[outpoint] = OwnedDeposit(
-                outpoint, rng.randrange(200_000, 300_000),
+                *outpoint, rng.randrange(200_000, 300_000),
                 rng.randrange(0, 148 * fee_avg + 1), i, addr,
             )
         hub.fee_reserve = rng.randrange(0, 300)

@@ -131,4 +131,3 @@ def test_client_config_requires_positive_k():
     with pytest.raises(ValueError):
         ClientConfig(k_user=0)
     assert ClientConfig().k_user == 6
-    assert ClientConfig().batch_size == 2016

@@ -1,7 +1,11 @@
 import pytest
 
+from routee import wire
+from routee.client import build_add_deposit
+from routee.crypto import sha256
 from routee.errors import SnapshotError
-from routee.snapshot import MAGIC, dump_hub, load_hub
+from routee.snapshot import MAGIC, TRAILER_SIZE, HubImage, dump_hub, load_hub
+from routee.transactions import Transaction
 
 from conftest import HubHarness, run_conservation_mix
 
@@ -49,6 +53,8 @@ def test_snapshot_mid_plan_keeps_outstanding_settlement():
     assert restored.plan is not None
     assert restored.plan.txid == harness.hub.plan.txid
     assert restored.plan.input_outpoints == harness.hub.plan.input_outpoints
+    # the reply derived from the restored plan matches the original's
+    assert restored.apply_request(wire.GetSettlement()) == harness.hub.apply_request(wire.GetSettlement())
     # the restored hub can confirm the same plan
     harness.node.submit_tx(restored.plan.transaction)
     block = harness.node.mine_block()
@@ -88,3 +94,40 @@ def test_snapshot_refuses_any_flipped_bit():
         flipped[pos] ^= 1 << (pos % 8)
         with pytest.raises(SnapshotError):
             load_hub(bytes(flipped))
+
+
+def _without_key(image, address):
+    image.manager_keys = [key for key in image.manager_keys if key.address != address]
+
+
+def _leftover_address(image):
+    return Transaction.deserialize(image.plan[0].transaction).outputs[-1].lock_address
+
+
+# each edit leaves a well-formed image that no sequence of requests produces
+_UNREACHABLE = {
+    "host_balance": ("ledger does not balance",
+                     lambda image: setattr(image, "host_balance", image.host_balance + 1)),
+    "plan_input": ("plan spends a deposit", lambda image: setattr(image, "owned", [])),
+    "owned_key": ("manager key", lambda image: _without_key(image, image.owned[0].lock_address)),
+    "pending_key": ("manager key", lambda image: _without_key(image, image.pending[0].manager_address)),
+    "leftover_key": ("manager key", lambda image: _without_key(image, _leftover_address(image))),
+    "user_address": ("user address", lambda image: setattr(image.users[0], "user_address", b"\x01" * 20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREACHABLE))
+def test_snapshot_refuses_state_no_request_sequence_reaches(name):
+    harness = HubHarness(seed=12)
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 400_000)
+    harness.hub.add_deposit(build_add_deposit(harness.suite.auth, bob, harness.nonce(bob)))
+    harness.settle(alice, 10_000, 1_000)
+    data = dump_hub(harness.hub)
+    assert load_hub(data).plan is not None
+    reason, edit = _UNREACHABLE[name]
+    image = wire.decode(HubImage, data[6:-TRAILER_SIZE])
+    edit(image)
+    body = data[:6] + wire.encode(image)
+    with pytest.raises(SnapshotError, match=reason):
+        load_hub(body + sha256(body))
