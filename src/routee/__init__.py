@@ -1,7 +1,7 @@
 """RouTEE: a payment routing hub with spend-all settlement, plus the
 simulated UTXO chain and attack harness that exercise its security story."""
 
-from .blocks import Block, UtxoSet, apply_block, validate_block
+from .blocks import Block, apply_block, validate_block
 from .crypto import CryptoSuite, DeterministicRng, address_of, sha256d
 from .headers import (
     BlockHeader,
@@ -15,7 +15,7 @@ from .headers import (
     target_to_bits,
 )
 from .hub import FeeEstimator, Hub, HubConfig, SettlementPlan
-from .simchain import ForgeSpec, SimClock, SimNode, forge_chain, replay_utxo
+from .simchain import SimClock, SimNode, forge_chain, replay_utxo
 from .transactions import Transaction, TxInput, TxOutput, formula_size
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "CryptoSuite",
     "DeterministicRng",
     "FeeEstimator",
-    "ForgeSpec",
     "HeaderChain",
     "Hub",
     "HubConfig",
@@ -38,7 +37,6 @@ __all__ = [
     "Transaction",
     "TxInput",
     "TxOutput",
-    "UtxoSet",
     "address_of",
     "apply_block",
     "bits_to_target",

@@ -1,5 +1,6 @@
 """Full blocks and the unspent-output set.
 
+The unspent-output set is a plain dict from outpoint to output.
 validate_block / apply_block are pure: they never mutate their arguments.
 Transactions inside a block are applied in order against a working view, so
 an output created earlier in the block is spendable later in it.
@@ -7,7 +8,7 @@ an output created earlier in the block is spendable later in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 from .errors import BlockRejected, TxRejected
@@ -31,20 +32,6 @@ class Block:
         """The block `raw` holds exactly, else `MalformedFrame`."""
         block = wire.decode(wire.RawBlock, raw)
         return cls(BlockHeader.deserialize(block.header), [Transaction.deserialize(tx.raw) for tx in block.txs])
-
-
-@dataclass
-class UtxoSet:
-    entries: dict[Outpoint, TxOutput] = field(default_factory=dict)
-
-    def __contains__(self, outpoint: Outpoint) -> bool:
-        return outpoint in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, outpoint: Outpoint) -> TxOutput | None:
-        return self.entries.get(outpoint)
 
 
 def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
@@ -92,7 +79,17 @@ def _apply_tx(tx: Transaction, view: dict[Outpoint, TxOutput]) -> None:
         view[(txid, idx)] = txout
 
 
-def validate_block(chain: HeaderChain, utxo: UtxoSet, block: Block, scheme) -> None:
+def spend_txs(txs: list[Transaction], view: dict[Outpoint, TxOutput], scheme) -> int:
+    """Check and apply non-coinbase transactions to `view` in order and
+    return their fees. Raises TxRejected, leaving `view` partly applied."""
+    fees = 0
+    for tx in txs:
+        fees += check_tx(tx, view, scheme)
+        _apply_tx(tx, view)
+    return fees
+
+
+def validate_block(chain: HeaderChain, utxo: dict[Outpoint, TxOutput], block: Block, scheme) -> None:
     """Full acceptance check for the next block on `chain`. Each failure mode
     raises BlockRejected with a distinct reason code."""
     new_height = chain.tip_height + 1
@@ -113,14 +110,10 @@ def validate_block(chain: HeaderChain, utxo: UtxoSet, block: Block, scheme) -> N
     if any(tx.is_coinbase for tx in block.txs[1:]):
         raise BlockRejected("extra-coinbase", "coinbase after position 0")
 
-    view = dict(utxo.entries)
-    fees = 0
-    for tx in block.txs[1:]:
-        try:
-            fees += check_tx(tx, view, scheme)
-        except TxRejected as exc:
-            raise BlockRejected(exc.code, exc.detail)
-        _apply_tx(tx, view)
+    try:
+        fees = spend_txs(block.txs[1:], dict(utxo), scheme)
+    except TxRejected as exc:
+        raise BlockRejected(exc.code, exc.detail)
 
     coinbase_out = block.txs[0].output_value()
     if coinbase_out > chain.params.block_subsidy + fees:
@@ -130,10 +123,10 @@ def validate_block(chain: HeaderChain, utxo: UtxoSet, block: Block, scheme) -> N
         )
 
 
-def apply_block(utxo: UtxoSet, block: Block) -> UtxoSet:
+def apply_block(utxo: dict[Outpoint, TxOutput], block: Block) -> dict[Outpoint, TxOutput]:
     """State transition for an already validated block: spent outpoints leave,
     new outputs enter keyed by (txid, index)."""
-    view = dict(utxo.entries)
+    view = dict(utxo)
     for tx in block.txs:
         _apply_tx(tx, view)
-    return UtxoSet(view)
+    return view

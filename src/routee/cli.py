@@ -30,7 +30,7 @@ from .crypto import get_scheme
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
-from .lightclient import ClientConfig, choose_boundary, sync_headers
+from .lightclient import choose_boundary, sync_headers
 from .simchain import SimClock, SimNode
 from .simchain_server import SimchainClient, SimchainServer
 
@@ -128,8 +128,7 @@ def cmd_set_boundary(args) -> int:
     keys = Keys.load(args.key)
     scheme = get_scheme(keys.scheme_name)
     store = _sync_store(args)
-    config = ClientConfig(k_user=args.k)
-    height, block_hash = choose_boundary(store, config.k_user)
+    height, block_hash = choose_boundary(store, args.k)
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
         result = hub.request(build_update_boundary(scheme, keys, nonce, height, block_hash))

@@ -214,7 +214,7 @@ class LocalConnection:
         self.replies.extend(replies)
         return replies
 
-    def request(self, req: wire.Request) -> dict:
+    def request(self, req) -> dict:
         frame = pack_frame(FRAME_ENVELOPE, self.session.seal(wire.encode_request(req)))
         replies = self.send_raw_frame(frame)
         if not replies:
@@ -251,7 +251,7 @@ class RemoteHub:
     def session_id(self) -> bytes:
         return self.session.session_id
 
-    def request(self, req: wire.Request) -> dict:
+    def request(self, req) -> dict:
         envelope = self.session.seal(wire.encode_request(req))
         frame_type, reply = self.conn.request(FRAME_ENVELOPE, envelope)
         if frame_type != FRAME_ENVELOPE:

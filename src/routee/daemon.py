@@ -17,7 +17,7 @@ from .client import HubFrontEnd, Keys
 from .crypto import CryptoSuite
 from .errors import InitFailure
 from .headers import BlockHeader, ChainParams
-from .hub import Hub, HubConfig
+from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
 from .session import HubSessionEndpoint
 from .simchain_server import SimchainClient
@@ -25,13 +25,7 @@ from .simchain_server import SimchainClient
 
 class DaemonConfig:
     """Flat configuration: defaults < config file < ROUTEE_* env < overrides.
-
-    Recognized keys: listen_host, listen_port, simchain_host, simchain_port,
-    snapshot_path, min_routing_fee, host_pubkey_hex, host_key_path,
-    hub_key_path, start_height, fee_window, crypto_mode, retarget_interval,
-    target_spacing, pow_limit_bits, deposit_expiry, auto_init,
-    host_settle_address_hex.
-    """
+    The keys are those of `DEFAULTS`."""
 
     DEFAULTS = {
         "listen_host": "127.0.0.1",
@@ -45,12 +39,10 @@ class DaemonConfig:
         "host_settle_address_hex": "00" * 20,
         "hub_key_path": "",
         "start_height": "0",
-        "fee_window": "2016",
         "crypto_mode": "fast-test",
         "retarget_interval": "100000",
         "target_spacing": "600",
         "pow_limit_bits": str(0x207FFFFF),
-        "deposit_expiry": "100",
         "auto_init": "1",
     }
 
@@ -96,7 +88,6 @@ class DaemonConfig:
             min_routing_fee=self.get_int("min_routing_fee"),
             chain_params=self.chain_params(),
             suite=CryptoSuite.from_mode(self["crypto_mode"]),
-            deposit_expiry_blocks=self.get_int("deposit_expiry"),
         )
 
 
@@ -141,8 +132,7 @@ class HubDaemon(HubFrontEnd):
         if not raw:
             raise InitFailure("block source returned no headers")
         headers = [BlockHeader.deserialize(h) for h in raw]
-        window = self.config.get_int("fee_window")
-        first_fee_height = max(start_height, tip_height - window + 1)
+        first_fee_height = max(start_height, tip_height - FEE_WINDOW_CAPACITY + 1)
         fee_blocks = []
         for height in range(first_fee_height, tip_height + 1):
             block = self.simchain.get_block(height)

@@ -43,6 +43,7 @@ from .errors import (
     NotOnTip,
     ReceiverNotReady,
     StaleRequest,
+    UnknownType,
     UnknownUser,
 )
 from .headers import BlockHeader, ChainParams, HeaderChain, merkle_root
@@ -127,7 +128,7 @@ class FeeEstimator:
     def __init__(self):
         self.window: deque[int] = deque(maxlen=FEE_WINDOW_CAPACITY)
 
-    def add_block(self, block: Block) -> int | None:
+    def add_block(self, block: Block) -> None:
         fees = 0
         size = 0
         for tx in block.txs:
@@ -135,11 +136,8 @@ class FeeEstimator:
                 continue
             fees += tx.fee()
             size += formula_size(len(tx.inputs), len(tx.outputs))
-        if size == 0:
-            return None
-        sample = fees // size
-        self.window.append(sample)
-        return sample
+        if size:
+            self.window.append(fees // size)
 
     @property
     def fee_avg(self) -> int:
@@ -195,7 +193,6 @@ class SettlementPlan:
 @dataclass
 class InsertReport:
     height: int
-    fee_sample: int | None
     credited: list[tuple[bytes, int]]
     expired: int
     confirmed_plan: bool
@@ -259,7 +256,7 @@ class Hub:
             height = height_by_hash.get(block.header.hash())
             if height is None:
                 raise InitFailure("fee window block not in verified chain")
-            if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
+            if merkle_root(block.txids()) != block.header.merkle_root:
                 raise InitFailure(f"fee window block at height {height}: merkle mismatch")
             self.estimator.add_block(block)
         self.chain = chain
@@ -511,7 +508,8 @@ class Hub:
             raise NotOnTip(f"prev {block.header.prev_hash.hex()[:16]}")
         if not block.txs:
             raise InvalidBlock("empty block")
-        if merkle_root([tx.txid() for tx in block.txs]) != block.header.merkle_root:
+        txids = block.txids()
+        if merkle_root(txids) != block.header.merkle_root:
             raise InvalidBlock("merkle-mismatch")
         try:
             chain.append(block.header)
@@ -519,7 +517,7 @@ class Hub:
             raise InvalidBlock(exc.code)
 
         height = chain.tip_height
-        sample = self.estimator.add_block(block)
+        self.estimator.add_block(block)
 
         expired = 0
         for addr in [a for a, p in self.pending_deposits.items() if height > p.expiry_height]:
@@ -529,8 +527,7 @@ class Hub:
         credited: list[tuple[bytes, int]] = []
         confirmed = False
         fee_avg = self.estimator.fee_avg
-        for tx in block.txs:
-            txid = tx.txid()
+        for tx, txid in zip(block.txs, txids):
             if self.plan is not None and txid == self.plan.txid:
                 self._confirm_plan(height)
                 confirmed = True
@@ -554,7 +551,7 @@ class Hub:
         if self.terminating:
             self._termination_progress()
         plan_built = self.try_build_settlement() is not None
-        return InsertReport(height, sample, credited, expired, confirmed, plan_built)
+        return InsertReport(height, credited, expired, confirmed, plan_built)
 
     def terminate(self, msg: wire.Terminate) -> int:
         """Stop accepting payments and deposits, then settle every balance.
@@ -730,7 +727,7 @@ class Hub:
     # ------------------------------------------------------------------
     # message dispatch (daemon entry point)
 
-    def apply_request(self, req: wire.Request, session_id: bytes = b"\x00" * 8) -> dict:
+    def apply_request(self, req, session_id: bytes = b"\x00" * 8) -> dict:
         if isinstance(req, wire.AddUser):
             return {"user_address": self.add_user(req.public_key, req.settle_address)}
         if isinstance(req, wire.AddDeposit):
@@ -782,4 +779,4 @@ class Hub:
                 "initialized": int(self.chain is not None),
                 "height": self.chain.tip_height if self.chain else 0,
             }
-        raise AuthFailure(f"unhandled request {type(req).__name__}")
+        raise UnknownType(f"unhandled request {type(req).__name__}")

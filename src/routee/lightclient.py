@@ -5,34 +5,25 @@ validates each candidate fully (linkage, proof of work, retarget), and keeps
 the one with the most cumulative work; ties go to the earliest peer. A user
 then picks its boundary block a self-chosen confirmation depth below the tip.
 
-Headers are stored as raw 80-byte strings, so storage is exactly 80 bytes per
-header.
+A header source is anything with `fetch_headers(from_height, count)`
+returning raw headers: a simchain node, a fixed list, or a network peer.
+Storage is counted as 80 bytes per header held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BlockRejected, ChainTooShort, PeerError
-from .headers import BlockHeader, ChainParams, HeaderChain
+from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain
 
 HEADER_BATCH = 2016
-
-
-@dataclass
-class ClientConfig:
-    k_user: int = 6
-
-    def __post_init__(self):
-        if self.k_user < 1:
-            raise ValueError("k_user must be >= 1")
 
 
 @dataclass
 class PeerCandidate:
     peer_id: str
     chain: HeaderChain
-    raw: list[bytes] = field(default_factory=list)
 
 
 class HeaderStore:
@@ -42,15 +33,11 @@ class HeaderStore:
         self.params = params
         self.candidates: dict[str, PeerCandidate] = {}
         self.rejected: dict[str, str] = {}
-        self._order: list[str] = []
 
     @property
     def selected(self) -> PeerCandidate | None:
         best = None
-        for peer_id in self._order:
-            cand = self.candidates.get(peer_id)
-            if cand is None:
-                continue
+        for cand in self.candidates.values():
             if best is None or cand.chain.cumulative_work > best.chain.cumulative_work:
                 best = cand
         return best
@@ -68,29 +55,24 @@ class HeaderStore:
                 if not raw_headers:
                     raise PeerError("empty first batch")
                 chain = HeaderChain(self.params, BlockHeader.deserialize(raw_headers[0]), 0)
-                cand = PeerCandidate(peer_id, chain, [raw_headers[0]])
+                cand = PeerCandidate(peer_id, chain)
                 idx = 1
             elif from_height != cand.chain.tip_height + 1:
                 raise PeerError(f"batch starts at {from_height}, expected {cand.chain.tip_height + 1}")
             for raw in raw_headers[idx:]:
                 cand.chain.append(BlockHeader.deserialize(raw))
-                cand.raw.append(raw)
         except (BlockRejected, PeerError, ValueError) as exc:
             reason = getattr(exc, "code", str(exc))
             self.rejected[peer_id] = str(reason)
             self.candidates.pop(peer_id, None)
-            if peer_id in self._order:
-                self._order.remove(peer_id)
             return
-        if peer_id not in self.candidates:
-            self.candidates[peer_id] = cand
-            self._order.append(peer_id)
+        self.candidates[peer_id] = cand
 
     def storage_bytes(self) -> int:
-        return sum(sum(len(raw) for raw in cand.raw) for cand in self.candidates.values())
+        return HEADER_SIZE * sum(len(cand.chain) for cand in self.candidates.values())
 
 
-def sync_headers(peers: list[tuple[str, "HeaderSource"]], params: ChainParams,
+def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
                  batch_size: int = HEADER_BATCH, store: HeaderStore | None = None) -> HeaderStore:
     """Download every peer's chain in `batch_size` batches. Passing an
     existing store resumes each candidate from its current tip. Unreachable
@@ -121,6 +103,8 @@ def sync_headers(peers: list[tuple[str, "HeaderSource"]], params: ChainParams,
 
 def choose_boundary(store: HeaderStore, k_user: int) -> tuple[int, bytes]:
     """Boundary block = the header k_user below the selected tip."""
+    if k_user < 1:
+        raise ValueError("k_user must be >= 1")
     selected = store.selected
     if selected is None:
         raise ChainTooShort("no candidate chain")
@@ -131,15 +115,7 @@ def choose_boundary(store: HeaderStore, k_user: int) -> tuple[int, bytes]:
     return height, chain.hash_at(height)
 
 
-class HeaderSource:
-    """Anything that can serve raw headers; simchain nodes and the network
-    peer client both satisfy this shape."""
-
-    def fetch_headers(self, from_height: int, count: int) -> list[bytes]:
-        raise NotImplementedError
-
-
-class NodeHeaderSource(HeaderSource):
+class NodeHeaderSource:
     """Serve headers directly from an in-process simchain node."""
 
     def __init__(self, node):
@@ -149,7 +125,7 @@ class NodeHeaderSource(HeaderSource):
         return [h.serialize() for h in self.node.headers_from(from_height, count)]
 
 
-class StaticHeaderSource(HeaderSource):
+class StaticHeaderSource:
     """Serve a fixed list of raw headers (e.g. a forged chain)."""
 
     def __init__(self, raw_headers: list[bytes]):

@@ -31,7 +31,7 @@ from .headers import ChainParams
 from .hub import Hub, HubConfig, OwnedDeposit
 from .lightclient import StaticHeaderSource, NodeHeaderSource, choose_boundary, sync_headers
 from .relay import Relay, RelaySchedule
-from .simchain import ForgeSpec, SimNode, forge_chain
+from .simchain import SimNode, forge_chain
 from .transactions import Transaction, TxInput, TxOutput, formula_size, make_unlock
 
 
@@ -59,23 +59,24 @@ class ScenarioReport:
 
 
 class World:
-    """One deterministic simchain + hub pairing driven by a single seed."""
+    """One deterministic simchain (8 blocks mined ahead) and hub pairing
+    driven by a single seed."""
 
-    def __init__(self, seed: int, min_routing_fee: int = 2, premine: int = 8):
+    def __init__(self, seed: int):
         self.seed = seed
         self.suite = CryptoSuite.fast_test()
         self.rng = DeterministicRng(seed ^ 0x5EED)
         self.params = ChainParams.regtest()
         self.node = SimNode(self.params, seed=seed)
-        self.node.mine_blocks(premine)
+        self.node.mine_blocks(8)
         self.host = Keys.generate(self.suite.auth, self.rng)
         self.host_settle = self.rng.randbytes(20)
         config = HubConfig(
             self.host.public,
             self.host_settle,
-            min_routing_fee,
-            self.params,
-            self.suite,
+            min_routing_fee=2,
+            chain_params=self.params,
+            suite=self.suite,
             rng_seed=self.rng.randbytes(32),
         )
         self.hub = Hub(config)
@@ -117,17 +118,17 @@ class World:
         user = self.hub.users[keys.address]
         self.hub.request_settlement(build_settle(self.suite.auth, keys, user.nonce, amount, fee))
 
-    def onchain_value(self, address: bytes, node: SimNode | None = None) -> int:
-        node = node or self.node
-        return sum(o.value for o in node.utxo.entries.values() if o.lock_address == address)
+    def onchain_value(self, address: bytes) -> int:
+        return sum(o.value for o in self.node.utxo.values() if o.lock_address == address)
 
     def terminate(self) -> None:
         self.hub.terminate(build_terminate(self.suite.auth, self.host, self.hub.chain.tip_hash))
 
-    def run_settlements_to_completion(self, max_rounds: int = 32) -> int:
-        """Honest host loop: broadcast the outstanding plan, mine, insert."""
+    def run_settlements_to_completion(self) -> int:
+        """Honest host loop: broadcast the outstanding plan, mine, insert, for
+        at most 32 rounds."""
         rounds = 0
-        while not self.hub.termination_complete and rounds < max_rounds:
+        while not self.hub.termination_complete and rounds < 32:
             if self.hub.plan is not None:
                 self.node.submit_tx(self.hub.plan.transaction)
             self.insert(self.node.mine_block())
@@ -190,7 +191,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
     manager = hub.add_deposit(build_add_deposit(w.suite.auth, attacker, user.nonce))
 
     fork_height = node.tip_height
-    forged = forge_chain(node, ForgeSpec(fork_height, payments=[(manager, 40_000)]))
+    forged = forge_chain(node, fork_height, [(manager, 40_000)])
     for block in forged:
         w.insert(block)
     report.log(f"hub accepted {len(forged)} forged blocks on top of height {fork_height}")
@@ -228,7 +229,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
             report.details["reject_code"] = exc.code
         still_there = all(op in node.utxo for op in honest_outpoints)
         report.deltas["honest_onchain_change"] = (
-            sum(node.utxo.get(op).value for op in honest_outpoints if op in node.utxo) - honest_value
+            sum(node.utxo[op].value for op in honest_outpoints if op in node.utxo) - honest_value
         )
         report.details["honest_deposits_intact"] = still_there
         if not still_there:

@@ -7,9 +7,8 @@ so a whole simulation replays bit-identically from (seed, script).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .blocks import Block, UtxoSet, apply_block, check_tx, validate_block
+from .blocks import Block, apply_block, check_tx, spend_txs, validate_block
 from .crypto import address_of
 from .errors import TxRejected
 from .headers import (
@@ -43,17 +42,6 @@ class SimClock:
         return self.now
 
 
-@dataclass
-class ForgeSpec:
-    fork_height: int
-    injected_txs: list[Transaction] = field(default_factory=list)
-    # payments the forger funds out of its own forged coinbase, so the fake
-    # chain stays internally valid: (lock address, amount)
-    payments: list[tuple[bytes, int]] = field(default_factory=list)
-    extra_blocks: int = 0
-    mining_budget: int | None = None
-
-
 class Wallet:
     """Key ring plus UTXO tracking for one simchain principal."""
 
@@ -69,9 +57,6 @@ class Wallet:
         addr = address_of(pk)
         self.keys[addr] = (sk, pk)
         return addr
-
-    def owns(self, address: bytes) -> bool:
-        return address in self.keys
 
     def scan_block(self, block: Block) -> None:
         for tx in block.txs:
@@ -141,7 +126,7 @@ class SimNode:
         )
         self.blocks: list[Block] = [genesis]
         self.chain = HeaderChain(self.params, genesis.header, 0)
-        self.utxo = apply_block(UtxoSet(), genesis)
+        self.utxo = apply_block({}, genesis)
         self.wallet.scan_block(genesis)
 
     # --- mining ---
@@ -163,7 +148,7 @@ class SimNode:
     def next_bits(self) -> int:
         return expected_target(self.chain, self.chain.tip_height + 1).bits
 
-    def mine_block(self, txs: list[Transaction] | None = None, *, advance_clock: bool = True) -> Block:
+    def mine_block(self, txs: list[Transaction] | None = None) -> Block:
         """Mine the next block. With txs=None the mempool is drained; an
         explicitly passed list is validated before any work is spent."""
         if txs is None:
@@ -171,18 +156,9 @@ class SimNode:
             self.mempool = []
             self._mempool_spends.clear()
         height = self.chain.tip_height + 1
-        view = dict(self.utxo.entries)
-        fees = 0
-        for tx in txs:
-            fees += check_tx(tx, view, self.scheme)
-            for txin in tx.inputs:
-                del view[txin.outpoint]
-            txid = tx.txid()
-            for idx, txout in enumerate(tx.outputs):
-                view[(txid, idx)] = txout
+        fees = spend_txs(txs, dict(self.utxo), self.scheme)
         coinbase = coinbase_tx(height, self.params.block_subsidy + fees, self.wallet.fresh_address())
-        if advance_clock:
-            self.clock.advance(self.params.target_spacing)
+        self.clock.advance(self.params.target_spacing)
         block = self._mine_header(self.chain.tip_hash, None, self.next_bits(), [coinbase] + list(txs))
         validate_block(self.chain, self.utxo, block, self.scheme)
         self.chain.append(block.header)
@@ -198,8 +174,7 @@ class SimNode:
 
     def submit_tx(self, tx: Transaction) -> None:
         """Admit a transaction to the mempool or raise TxRejected."""
-        view = dict(self.utxo.entries)
-        check_tx(tx, view, self.scheme)
+        check_tx(tx, self.utxo, self.scheme)
         for txin in tx.inputs:
             if txin.outpoint in self._mempool_spends:
                 raise TxRejected("mempool-conflict", f"{txin.prev_txid.hex()}:{txin.prev_vout}")
@@ -226,13 +201,13 @@ class SimNode:
 
     # --- forks ---
 
-    def clone_at(self, height: int, *, seed: int | None = None) -> "SimNode":
+    def clone_at(self, height: int) -> "SimNode":
         """Detached copy of this node truncated to `height`, with its own
         wallet and RNG. The foundation for forged chains."""
         clone = object.__new__(SimNode)
         clone.params = self.params
         clone.scheme = self.scheme
-        clone.rng = random.Random(self.rng.random() if seed is None else seed)
+        clone.rng = random.Random(self.rng.random())
         clone.clock = SimClock(self.blocks[height].header.timestamp)
         clone.wallet = Wallet(self.scheme, clone.rng)
         clone.mempool = []
@@ -240,7 +215,7 @@ class SimNode:
         clone.blocks = self.blocks[:height + 1]
         genesis = self.blocks[0]
         clone.chain = HeaderChain(self.params, genesis.header, 0)
-        utxo = apply_block(UtxoSet(), genesis)
+        utxo = apply_block({}, genesis)
         for block in clone.blocks[1:]:
             clone.chain.append(block.header)
             utxo = apply_block(utxo, block)
@@ -248,34 +223,28 @@ class SimNode:
         return clone
 
 
-def forge_chain(node: SimNode, spec: ForgeSpec) -> list[Block]:
-    """Build an alternative chain off `node` at spec.fork_height.
+def forge_chain(node: SimNode, fork_height: int, payments=()) -> list[Block]:
+    """Build an alternative chain off `node` at `fork_height`.
 
     The forged chain is internally valid: its first block funds the forger's
-    wallet via the coinbase, the next carries spec.payments (spent from that
-    forged coinbase) plus any raw injected transactions. The result is
+    wallet via the coinbase, and the next, if any `payments` (lock address,
+    amount) are given, pays them out of that forged coinbase. The result is
     returned, never applied to `node`.
     """
-    if spec.fork_height > node.tip_height:
+    if fork_height > node.tip_height:
         raise ValueError("fork height beyond tip")
-    forger = node.clone_at(spec.fork_height)
+    forger = node.clone_at(fork_height)
     forged: list[Block] = [forger.mine_block([])]
-    if spec.payments or spec.injected_txs:
-        for address, amount in spec.payments:
+    if payments:
+        for address, amount in payments:
             forger.pay(address, amount)
-        for tx in spec.injected_txs:
-            forger.submit_tx(tx)
         forged.append(forger.mine_block())
-    for _ in range(spec.extra_blocks):
-        if spec.mining_budget is not None and len(forged) >= spec.mining_budget:
-            break
-        forged.append(forger.mine_block([]))
     return forged
 
 
-def replay_utxo(blocks: list[Block]) -> UtxoSet:
+def replay_utxo(blocks: list[Block]) -> dict[Outpoint, TxOutput]:
     """Naive independent replay oracle: fold apply_block over the blocks."""
-    utxo = UtxoSet()
+    utxo: dict[Outpoint, TxOutput] = {}
     for block in blocks:
         utxo = apply_block(utxo, block)
     return utxo

@@ -419,20 +419,15 @@ class InitRun:
     pass
 
 
-Request = (
-    AddUser | AddDeposit | UpdateBoundary | Payment | Settle | QueryLatestBlock
-    | QueryUser | QueryLedger | InsertBlock | GetSettlement | Terminate | Snapshot
-    | InitStatus | InitRun
-)
-
-
-def encode_request(req: Request) -> bytes:
-    if not isinstance(req, Request):
+def encode_request(req) -> bytes:
+    """The encoding of a request declared with `request`, else `UnknownType`."""
+    layout = getattr(type(req), "_layout", None)
+    if layout is None or _LAYOUTS.get(layout.kind) is not layout:
         raise UnknownType(type(req).__name__)
     return encode(req)
 
 
-def decode_request(data: bytes) -> Request:
+def decode_request(data: bytes):
     if not data:
         raise MalformedFrame("empty request")
     layout = _LAYOUTS.get(data[0])

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from routee.blocks import Block, UtxoSet, apply_block, validate_block
+from routee.blocks import Block, apply_block, validate_block
 from routee.crypto import SCHEMES
 from routee.errors import BlockRejected, RouteeError, TxRejected
 from routee.headers import BlockHeader, ChainParams, HeaderChain
@@ -17,7 +17,7 @@ FAST = SCHEMES["fast"]
 
 def fresh_chain(node):
     chain = HeaderChain(node.params, node.get_block(0).header, 0)
-    utxo = apply_block(UtxoSet(), node.get_block(0))
+    utxo = apply_block({}, node.get_block(0))
     for block in node.blocks[1:]:
         chain.append(block.header)
         utxo = apply_block(utxo, block)
@@ -147,6 +147,7 @@ def test_value_mismatch_and_bad_signature(node):
     node.mine_blocks(2)
     outpoint, entry = next(iter(node.wallet.utxos.items()))
     sk, pk = node.wallet.keys[entry.lock_address]
+    before = dict(node.utxo)
 
     lying = Transaction([TxInput(outpoint[0], outpoint[1], entry.value + 1)],
                         [TxOutput(entry.value, b"\x05" * 20)])
@@ -162,6 +163,15 @@ def test_value_mismatch_and_bad_signature(node):
     with pytest.raises(TxRejected) as exc:
         node.submit_tx(unsigned)
     assert exc.value.code == "bad-signature"
+    assert node.utxo == before
+
+    # an accepted transaction waits in the mempool; the set moves only on mining
+    honest = Transaction([TxInput(outpoint[0], outpoint[1], entry.value)],
+                         [TxOutput(entry.value - 10, b"\x05" * 20)])
+    honest.inputs[0].unlock = make_unlock(FAST, sk, pk, honest.sighash())
+    node.submit_tx(honest)
+    assert node.mempool == [honest]
+    assert node.utxo == before
 
 
 def test_output_exceeding_inputs_rejected(node):
@@ -171,9 +181,11 @@ def test_output_exceeding_inputs_rejected(node):
     inflating = Transaction([TxInput(outpoint[0], outpoint[1], entry.value)],
                             [TxOutput(entry.value + 1, b"\x06" * 20)])
     inflating.inputs[0].unlock = make_unlock(FAST, sk, pk, inflating.sighash())
+    before = dict(node.utxo)
     with pytest.raises(TxRejected) as exc:
         node.submit_tx(inflating)
     assert exc.value.code == "value-overflow"
+    assert node.utxo == before
 
 
 def test_random_block_sequence_matches_naive_replay():
@@ -186,7 +198,7 @@ def test_random_block_sequence_matches_naive_replay():
                 node.pay(rng.choice(targets), rng.randrange(100, 5_000), fee=rng.randrange(0, 50))
         node.mine_block()
     replayed = replay_utxo(node.blocks)
-    assert replayed.entries == node.utxo.entries
+    assert replayed == node.utxo
 
 
 def test_block_serialization_roundtrip(node):

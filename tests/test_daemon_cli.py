@@ -181,7 +181,7 @@ def test_daemon_snapshot_restart_restores_ledger(stack, capsys, tmp_path):
 
 def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
     cfg = tmp_path / "hub.conf"
-    cfg.write_text("min_routing_fee=7\nfee_window=99\n")
+    cfg.write_text("min_routing_fee=7\nstart_height=99\n")
     config = DaemonConfig(str(cfg))
     assert config.get_int("min_routing_fee") == 7
     monkeypatch.setenv("ROUTEE_MIN_ROUTING_FEE", "9")
@@ -189,7 +189,7 @@ def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
     assert config.get_int("min_routing_fee") == 9
     config = DaemonConfig(str(cfg), overrides={"min_routing_fee": 11})
     assert config.get_int("min_routing_fee") == 11
-    assert config.get_int("fee_window") == 99
+    assert config.get_int("start_height") == 99
 
 
 def test_daemon_unreachable_block_source_fails_startup(capsys):

@@ -26,6 +26,7 @@ from routee.errors import (
     NotOnTip,
     ReceiverNotReady,
     StaleRequest,
+    UnknownType,
 )
 from routee.hub import Hub, HubConfig, OwnedDeposit
 from routee.simchain import SimNode
@@ -177,9 +178,9 @@ def test_boundary_opens_receive_channel_and_is_monotonic(harness):
 
 def test_boundary_rejects_forged_hash(harness):
     bob = harness.new_user()
-    from routee.simchain import ForgeSpec, forge_chain
+    from routee.simchain import forge_chain
 
-    forged = forge_chain(harness.node, ForgeSpec(fork_height=harness.node.tip_height))
+    forged = forge_chain(harness.node, harness.node.tip_height)
     msg = build_update_boundary(
         harness.suite.auth, bob, 0, harness.hub.chain.tip_height, forged[0].header.hash()
     )
@@ -600,7 +601,7 @@ def test_terminate_settles_everyone_exactly():
     # everyone received coins at their settle address on the main chain
     for keys in (alice, bob, carol):
         settle_addr = hub.users[keys.address].settle_address
-        got = sum(o.value for o in harness.node.utxo.entries.values()
+        got = sum(o.value for o in harness.node.utxo.values()
                   if o.lock_address == settle_addr)
         assert got > 0
     assert harness.hub.plans_confirmed >= 1
@@ -658,3 +659,10 @@ def test_user_counters_never_decrease(harness):
     snap()
     for series in traces.values():
         assert all(b >= a for a, b in zip(series, series[1:]))
+
+
+def test_apply_request_refuses_front_end_requests(harness):
+    # snapshots and init belong to the front end; the hub has no branch for them
+    for req in (wire.Snapshot(), wire.InitRun()):
+        with pytest.raises(UnknownType):
+            harness.hub.apply_request(req)

@@ -3,13 +3,12 @@ import pytest
 from routee.errors import ChainTooShort, PeerError
 from routee.headers import BlockHeader
 from routee.lightclient import (
-    ClientConfig,
     NodeHeaderSource,
     StaticHeaderSource,
     choose_boundary,
     sync_headers,
 )
-from routee.simchain import ForgeSpec, forge_chain
+from routee.simchain import forge_chain
 
 
 def test_single_honest_peer_matches_node(node):
@@ -39,7 +38,7 @@ def test_batched_download_uses_batch_size(node):
 
 def test_forged_lower_work_peer_loses(node):
     node.mine_blocks(6)
-    forged = forge_chain(node, ForgeSpec(fork_height=4, extra_blocks=0))
+    forged = forge_chain(node, 4)
     node.mine_blocks(2)  # honest chain is now strictly longer
     forged_raw = [b.header.serialize() for b in node.blocks[:5]] + [
         b.header.serialize() for b in forged
@@ -127,7 +126,8 @@ def test_boundary_advances_with_new_blocks(node):
     assert h2 == h1 + 2
 
 
-def test_client_config_requires_positive_k():
+def test_client_config_requires_positive_k(node):
+    node.mine_blocks(10)
+    store = sync_headers([("p", NodeHeaderSource(node))], node.params)
     with pytest.raises(ValueError):
-        ClientConfig(k_user=0)
-    assert ClientConfig().k_user == 6
+        choose_boundary(store, 0)

@@ -181,6 +181,10 @@ def test_truncated_frame_rejected():
 def test_unknown_type_rejected():
     with pytest.raises(UnknownType):
         wire.decode_request(b"\xee")
+    # a declared record without a kind, and an object that is no record
+    for not_a_request in (wire.PaymentItem(b"\x01" * 20, 5, 1), object()):
+        with pytest.raises(UnknownType):
+            wire.encode_request(not_a_request)
 
 
 def test_frame_pack_unpack():

@@ -3,7 +3,7 @@ import pytest
 from routee.errors import TxRejected
 from routee.headers import ChainParams
 from routee.lightclient import NodeHeaderSource, StaticHeaderSource, sync_headers
-from routee.simchain import ForgeSpec, SimClock, SimNode, forge_chain, replay_utxo
+from routee.simchain import SimClock, SimNode, forge_chain, replay_utxo
 
 
 def scripted_run(seed):
@@ -23,7 +23,7 @@ def test_seeded_simulation_replays_bit_identically():
     b = scripted_run(99)
     assert a.chain.tip_hash == b.chain.tip_hash
     assert [blk.serialize() for blk in a.blocks] == [blk.serialize() for blk in b.blocks]
-    assert a.utxo.entries == b.utxo.entries
+    assert a.utxo == b.utxo
 
 
 def test_different_seeds_diverge():
@@ -79,14 +79,14 @@ def test_clone_at_replays_to_same_state():
     clone = node.clone_at(4)
     assert clone.tip_height == 4
     assert clone.chain.tip_hash == node.chain.hash_at(4)
-    assert clone.utxo.entries == replay_utxo(node.blocks[:5]).entries
+    assert clone.utxo == replay_utxo(node.blocks[:5])
 
 
 def test_forged_chain_is_internally_valid_but_foreign_to_main():
     node = SimNode(seed=13)
     node.mine_blocks(5)
     manager = b"\x0a" * 20
-    forged = forge_chain(node, ForgeSpec(fork_height=5, payments=[(manager, 9_000)]))
+    forged = forge_chain(node, 5, [(manager, 9_000)])
     assert len(forged) == 2
     # internally valid: a detached validator accepts every forged block
     clone = node.clone_at(5)
@@ -109,7 +109,7 @@ def test_forged_chain_is_internally_valid_but_foreign_to_main():
 def test_forged_chain_loses_work_comparison():
     node = SimNode(seed=13)
     node.mine_blocks(5)
-    forged_blocks = forge_chain(node, ForgeSpec(fork_height=3, extra_blocks=0))
+    forged_blocks = forge_chain(node, 3)
     node.mine_blocks(2)  # honest chain pulls ahead
     forged_headers = [b.header.serialize() for b in node.blocks[:4]] + [
         b.header.serialize() for b in forged_blocks
@@ -158,4 +158,4 @@ def test_high_volume_blocks_all_valid():
         block = node.mine_block(txs)
         assert len(block.txs) == per_block + 1
         spendable = [(tx.txid(), 0) for tx in txs]
-    assert replay_utxo(node.blocks).entries == node.utxo.entries
+    assert replay_utxo(node.blocks) == node.utxo
