@@ -70,7 +70,7 @@ def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
     return in_total - out_total
 
 
-def _apply_tx(tx: Transaction, view: dict[Outpoint, TxOutput]) -> None:
+def apply_tx(tx: Transaction, view: dict[Outpoint, TxOutput]) -> None:
     if not tx.is_coinbase:
         for txin in tx.inputs:
             del view[txin.outpoint]
@@ -85,7 +85,7 @@ def spend_txs(txs: list[Transaction], view: dict[Outpoint, TxOutput], scheme) ->
     fees = 0
     for tx in txs:
         fees += check_tx(tx, view, scheme)
-        _apply_tx(tx, view)
+        apply_tx(tx, view)
     return fees
 
 
@@ -128,5 +128,5 @@ def apply_block(utxo: dict[Outpoint, TxOutput], block: Block) -> dict[Outpoint, 
     new outputs enter keyed by (txid, index)."""
     view = dict(utxo)
     for tx in block.txs:
-        _apply_tx(tx, view)
+        apply_tx(tx, view)
     return view

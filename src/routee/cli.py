@@ -240,6 +240,13 @@ def _add_chain_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pow-limit-bits", type=lambda v: int(v, 0), default=0x207FFFFF)
 
 
+def _depth(value: str) -> int:
+    k = int(value)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--peer", action="append", required=True, help="host:port, repeatable")
     p.add_argument("--batch-size", type=int, default=2016)
@@ -275,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_hub_flags(p)
     _add_peer_flags(p)
     p.add_argument("--key", required=True)
-    p.add_argument("--k", type=int, default=6, help="confirmation depth below tip")
+    p.add_argument("--k", type=_depth, default=6, help="confirmation depth below tip")
     p.set_defaults(fn=cmd_set_boundary)
 
     p = sub.add_parser("pay")

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import wire
-from .crypto import address_of
+from .crypto import Secret, address_of, get_scheme
 from .errors import HandshakeFailure, InitFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
@@ -28,7 +28,7 @@ PRE_HANDSHAKE_FRAME = 1 + len(wire.encode(wire.HandshakeInit(bytes(32))))
 @dataclass
 class Keys:
     scheme_name: str
-    secret: bytes
+    secret: Secret
     public: bytes
 
     @property
@@ -42,13 +42,15 @@ class Keys:
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            fh.write(f"{self.scheme_name}\n{self.secret.hex()}\n{self.public.hex()}\n")
+            secret = get_scheme(self.scheme_name).secret_bytes(self.secret)
+            fh.write(f"{self.scheme_name}\n{secret.hex()}\n{self.public.hex()}\n")
 
     @classmethod
     def load(cls, path: str) -> "Keys":
         with open(path) as fh:
             lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
-        return cls(lines[0], bytes.fromhex(lines[1]), bytes.fromhex(lines[2]))
+        secret = get_scheme(lines[0]).load_secret(bytes.fromhex(lines[1]))
+        return cls(lines[0], secret, bytes.fromhex(lines[2]))
 
 
 def _sign(scheme, keys: Keys, digest: bytes) -> bytes:

@@ -5,16 +5,27 @@ and on-chain output unlocking ("onchain"). Each role can be served by any
 scheme; the `full` suite uses RSA-3072 for auth and secp256k1 ECDSA on-chain,
 while the `fast-test` suite substitutes a deterministic HMAC scheme for both
 so that whole simulations replay bit-identically from a seed.
+
+A secret key has an in-memory form, which `generate` returns and `sign`
+takes, and a stored form, the bytes a snapshot or key file holds. Each scheme
+converts between them with `secret_bytes` and `load_secret`. For `fast` and
+`rsa3072` both forms are the same bytes (RSA's are PKCS#8 DER). An ECDSA
+secret in memory is an `EcdsaSecret`: its PKCS#8 DER, which is the stored
+form, plus the parsed key. `generate` keeps the key it made; a secret loaded
+from bytes parses its DER when it first signs, since on secp256k1 that parse
+costs about as much as a signature.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
+from cryptography.hazmat.primitives.serialization import load_der_private_key
 
 from .errors import AuthFailure
 
@@ -62,7 +73,17 @@ class DeterministicRng:
         return cls(state[0], state[1])
 
 
-class FastScheme:
+class _BytesSecret:
+    """A scheme whose secret is the same bytes in memory and when stored."""
+
+    def secret_bytes(self, secret: bytes) -> bytes:
+        return secret
+
+    def load_secret(self, raw: bytes) -> bytes:
+        return raw
+
+
+class FastScheme(_BytesSecret):
     """Deterministic MAC-based stand-in scheme for tests and simulations.
 
     The "public" key reveals the secret (pk == sk), so verification is just a
@@ -84,7 +105,7 @@ class FastScheme:
         return hmac.compare_digest(expected, signature)
 
 
-class RsaScheme:
+class RsaScheme(_BytesSecret):
     """RSA-3072 with PKCS#1 v1.5 / SHA-256; DER-encoded keys."""
 
     name = "rsa3072"
@@ -104,7 +125,7 @@ class RsaScheme:
         return sk, pk
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        key = serialization.load_der_private_key(secret_key, password=None)
+        key = load_der_private_key(secret_key, password=None)
         return key.sign(message, padding.PKCS1v15(), hashes.SHA256())
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -116,12 +137,20 @@ class RsaScheme:
             return False
 
 
+@dataclass
+class EcdsaSecret:
+    """A secp256k1 secret: its PKCS#8 DER, and the parsed key once known."""
+
+    der: bytes = field(repr=False)
+    key: ec.EllipticCurvePrivateKey | None = field(default=None, repr=False, compare=False)
+
+
 class EcdsaScheme:
     """secp256k1 ECDSA / SHA-256; compressed-point public keys, DER signatures."""
 
     name = "ecdsa"
 
-    def generate(self, rng=None) -> tuple[bytes, bytes]:
+    def generate(self, rng=None) -> tuple[EcdsaSecret, bytes]:
         key = ec.generate_private_key(ec.SECP256K1())
         sk = key.private_bytes(
             serialization.Encoding.DER,
@@ -132,11 +161,12 @@ class EcdsaScheme:
             serialization.Encoding.X962,
             serialization.PublicFormat.CompressedPoint,
         )
-        return sk, pk
+        return EcdsaSecret(sk, key), pk
 
-    def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        key = serialization.load_der_private_key(secret_key, password=None)
-        return key.sign(message, ec.ECDSA(hashes.SHA256()))
+    def sign(self, secret_key: EcdsaSecret, message: bytes) -> bytes:
+        if secret_key.key is None:
+            secret_key.key = load_der_private_key(secret_key.der, password=None)
+        return secret_key.key.sign(message, ec.ECDSA(hashes.SHA256()))
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:
@@ -145,6 +175,15 @@ class EcdsaScheme:
             return True
         except (InvalidSignature, ValueError, TypeError):
             return False
+
+    def secret_bytes(self, secret: EcdsaSecret) -> bytes:
+        return secret.der
+
+    def load_secret(self, raw: bytes) -> EcdsaSecret:
+        return EcdsaSecret(raw)
+
+
+Secret = bytes | EcdsaSecret
 
 
 SCHEMES = {s.name: s for s in (FastScheme(), RsaScheme(), EcdsaScheme())}

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .blocks import Block
-from .crypto import ADDRESS_SIZE, CryptoSuite, DeterministicRng, address_of
+from .crypto import ADDRESS_SIZE, CryptoSuite, DeterministicRng, Secret, address_of
 from .errors import (
     AlreadyInitialized,
     AlreadyRegistered,
@@ -210,7 +210,7 @@ class Hub:
         self.users: dict[bytes, UserState] = {}
         self.pending_deposits: dict[bytes, PendingDeposit] = {}
         self.owned: dict[Outpoint, OwnedDeposit] = {}
-        self.manager_keys: dict[bytes, tuple[bytes, bytes]] = {}
+        self.manager_keys: dict[bytes, tuple[Secret, bytes]] = {}
         self.queue: list[SettleRequest] = []
         self._next_enqueue_seq = 0
         self.plan: SettlementPlan | None = None

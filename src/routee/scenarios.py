@@ -25,7 +25,7 @@ from .client import (
     build_terminate,
     build_update_boundary,
 )
-from .crypto import CryptoSuite, DeterministicRng
+from .crypto import CryptoSuite, DeterministicRng, Secret
 from .errors import TxRejected
 from .headers import ChainParams
 from .hub import Hub, HubConfig, OwnedDeposit
@@ -138,7 +138,7 @@ class World:
 
 def naive_settlement_tx(
     deposits: list[OwnedDeposit],
-    manager_keys: dict[bytes, tuple[bytes, bytes]],
+    manager_keys: dict[bytes, tuple[Secret, bytes]],
     scheme,
     payout_address: bytes,
     amount: int,

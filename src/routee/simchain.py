@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 
-from .blocks import Block, apply_block, check_tx, spend_txs, validate_block
-from .crypto import address_of
+from .blocks import Block, apply_block, apply_tx, check_tx, spend_txs
+from .crypto import Secret, address_of
 from .errors import TxRejected
 from .headers import (
     BlockHeader,
@@ -48,7 +48,7 @@ class Wallet:
     def __init__(self, scheme, rng: random.Random):
         self.scheme = scheme
         self.rng = rng
-        self.keys: dict[bytes, tuple[bytes, bytes]] = {}  # address -> (sk, pk)
+        self.keys: dict[bytes, tuple[Secret, bytes]] = {}  # address -> (sk, pk)
         self.utxos: dict[Outpoint, TxOutput] = {}
         self.pending_spends: set[Outpoint] = set()  # spent by not-yet-mined txs
 
@@ -150,19 +150,21 @@ class SimNode:
 
     def mine_block(self, txs: list[Transaction] | None = None) -> Block:
         """Mine the next block. With txs=None the mempool is drained; an
-        explicitly passed list is validated before any work is spent."""
+        explicitly passed list is checked once, before any work is spent, and
+        the view it was checked against becomes the node's UTXO set."""
         if txs is None:
             txs = self.mempool
             self.mempool = []
             self._mempool_spends.clear()
         height = self.chain.tip_height + 1
-        fees = spend_txs(txs, dict(self.utxo), self.scheme)
+        view = dict(self.utxo)
+        fees = spend_txs(txs, view, self.scheme)
         coinbase = coinbase_tx(height, self.params.block_subsidy + fees, self.wallet.fresh_address())
+        apply_tx(coinbase, view)
         self.clock.advance(self.params.target_spacing)
         block = self._mine_header(self.chain.tip_hash, None, self.next_bits(), [coinbase] + list(txs))
-        validate_block(self.chain, self.utxo, block, self.scheme)
         self.chain.append(block.header)
-        self.utxo = apply_block(self.utxo, block)
+        self.utxo = view
         self.blocks.append(block)
         self.wallet.scan_block(block)
         return block

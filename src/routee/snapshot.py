@@ -120,7 +120,8 @@ def _image(hub: Hub) -> HubImage:
         users=list(hub.users.values()),
         pending=list(hub.pending_deposits.values()),
         owned=list(hub.owned.values()),
-        manager_keys=[ManagerKey(address, sk, pk) for address, (sk, pk) in hub.manager_keys.items()],
+        manager_keys=[ManagerKey(address, hub.suite.onchain.secret_bytes(sk), pk)
+                      for address, (sk, pk) in hub.manager_keys.items()],
         queue=hub.queue,
         plan=plans,
     )
@@ -144,7 +145,8 @@ def _restore(image: HubImage) -> Hub:
     hub.users = {user.user_address: user for user in image.users}
     hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}
     hub.owned = {deposit.outpoint: deposit for deposit in image.owned}
-    hub.manager_keys = {row.address: (row.secret, row.public) for row in image.manager_keys}
+    load_secret = hub.suite.onchain.load_secret
+    hub.manager_keys = {row.address: (load_secret(row.secret), row.public) for row in image.manager_keys}
     hub.queue = image.queue
     hub._next_enqueue_seq = image.next_enqueue_seq
     if len(image.plan) > 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .crypto import ADDRESS_SIZE, address_of, sha256d
+from .crypto import ADDRESS_SIZE, Secret, address_of, sha256d
 from .errors import MalformedFrame
 
 FORMULA_INPUT_BYTES = 148
@@ -135,7 +135,7 @@ class Transaction:
         return self.input_value() - self.output_value()
 
 
-def make_unlock(scheme, secret_key: bytes, public_key: bytes, sighash: bytes) -> bytes:
+def make_unlock(scheme, secret_key: Secret, public_key: bytes, sighash: bytes) -> bytes:
     sig = scheme.sign(secret_key, sighash)
     return _LENGTH.pack(len(public_key)) + public_key + _LENGTH.pack(len(sig)) + sig
 

@@ -151,6 +151,12 @@ def test_cli_set_boundary_syncs_headers(stack, capsys, tmp_path):
     assert code == 0
     assert out["boundary_block"] == stack["node"].tip_height - 1
 
+    # a depth below 1 is a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["set-boundary", "--port", port, "--key", bob_path, "--peer", sim, "--k", "0"])
+    assert exc.value.code == 2
+    assert "--k: must be at least 1" in capsys.readouterr().err
+
 
 def test_daemon_snapshot_restart_restores_ledger(stack, capsys, tmp_path):
     port = str(stack["daemon"].port)
@@ -263,6 +269,17 @@ def test_json_flag_before_or_after_subcommand(stack, capsys, tmp_path, where):
         assert captured.err.startswith("error: unknown-user")
     else:
         assert _parse(where, captured.err)["error"] == "unknown-user"
+
+
+@pytest.mark.parametrize("scheme", ["fast", "rsa3072", "ecdsa"])
+def test_keygen_writes_a_key_file_that_signs(capsys, tmp_path, scheme):
+    key_path = str(tmp_path / f"{scheme}.key")
+    code, out, _ = run_cli(capsys, ["keygen", "--out", key_path, "--scheme", scheme])
+    assert code == 0
+    keys = Keys.load(key_path)
+    assert out["address"] == keys.address.hex()
+    signer = cli.get_scheme(scheme)
+    assert signer.verify(keys.public, b"m", signer.sign(keys.secret, b"m"))
 
 
 def test_closed_connections_leave_no_sessions(stack):

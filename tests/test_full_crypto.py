@@ -2,7 +2,7 @@
 secp256k1 ECDSA on-chain unlocks. Slower than fast-test mode because of RSA
 key generation, so deliberately small."""
 
-from routee import wire
+from routee import crypto, wire
 from routee.client import (
     Keys,
     build_add_deposit,
@@ -16,14 +16,23 @@ from routee.errors import AuthFailure
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
 from routee.simchain import SimNode
-from routee.snapshot import dump_hub
+from routee.snapshot import dump_hub, load_hub
 
 import pytest
 
 FULL = CryptoSuite.full()
 
 
-def test_full_mode_deposit_payment_settlement():
+def test_full_mode_deposit_payment_settlement(monkeypatch):
+    parses = []
+    load = crypto.load_der_private_key
+
+    def counting_load(*args, **kwargs):
+        parses.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(crypto, "load_der_private_key", counting_load)
+
     node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=31)
     node.mine_blocks(3)
     host = Keys.generate(FULL.auth)
@@ -61,18 +70,38 @@ def test_full_mode_deposit_payment_settlement():
     with pytest.raises(AuthFailure):
         hub.multi_hop_payment(forged)
 
-    # the ECDSA-signed settlement validates on the chain
-    hub.request_settlement(build_settle(FULL.auth, alice, 2, 10_000, 800))
+    # the ECDSA-signed settlement validates on the chain, and signing with
+    # keys the hub generated parses no key
+    settle = build_settle(FULL.auth, alice, 2, 10_000, 800)
+    parses.clear()
+    hub.request_settlement(settle)
     plan = hub.plan
     assert plan is not None
+    assert parses == []
     node.submit_tx(plan.transaction)
     insert(node.mine_block())
     assert hub.plans_confirmed == 1
     assert hub.conservation()["ok"]
 
     # with one deposit left pending, each manager secret is stored once
-    hub.add_deposit(build_add_deposit(FULL.auth, bob, 1))
+    second = hub.add_deposit(build_add_deposit(FULL.auth, bob, 1))
     assert hub.pending_deposits
     data = dump_hub(hub)
     for secret, _ in hub.manager_keys.values():
-        assert data.count(secret) == 1
+        assert data.count(FULL.onchain.secret_bytes(secret)) == 1
+
+    # a restored hub parses each owned deposit's key once, when it signs,
+    # and its plan validates on the chain
+    node.pay(second, 50_000)
+    insert(node.mine_block())
+    assert len(hub.owned) == 2
+    parses.clear()
+    restored = load_hub(dump_hub(hub))
+    assert parses == []
+    settle = build_settle(FULL.auth, alice, 3, 10_000, 800)
+    parses.clear()
+    restored.request_settlement(settle)
+    plan = restored.plan
+    assert plan is not None
+    assert len(parses) == len(plan.transaction.inputs) == 2
+    node.submit_tx(plan.transaction)

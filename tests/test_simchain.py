@@ -41,6 +41,27 @@ def test_mempool_drained_into_block():
     assert not node.mempool
 
 
+def test_mining_checks_each_transaction_once(monkeypatch):
+    from routee import blocks
+
+    node = SimNode(seed=4)
+    node.mine_blocks(2)
+    for amount in (500, 600, 700):
+        node.pay(node.wallet.fresh_address(), amount)
+    checked = []
+    check_tx = blocks.check_tx
+
+    def counting_check(tx, view, scheme):
+        checked.append(tx)
+        return check_tx(tx, view, scheme)
+
+    monkeypatch.setattr(blocks, "check_tx", counting_check)
+    block = node.mine_block()
+    assert checked == block.txs[1:]
+    assert len(checked) == 3
+    assert replay_utxo(node.blocks) == node.utxo
+
+
 def test_submit_rejects_missing_utxo():
     node = SimNode(seed=4)
     node.mine_blocks(2)
