@@ -15,17 +15,7 @@ import signal
 import sys
 
 from . import wire
-from .client import (
-    Keys,
-    RemoteHub,
-    build_add_deposit,
-    build_insert_block,
-    build_payment,
-    build_query_user,
-    build_settle,
-    build_terminate,
-    build_update_boundary,
-)
+from .client import Keys, RemoteHub, sign
 from .crypto import get_scheme
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
@@ -33,6 +23,7 @@ from .headers import ChainParams
 from .lightclient import choose_boundary, sync_headers
 from .simchain import SimClock, SimNode
 from .simchain_server import SimchainClient, SimchainServer
+from .transactions import Transaction
 
 
 def _emit(args, payload: dict) -> None:
@@ -62,7 +53,7 @@ def _scheme_for(args):
 
 
 def _user_nonce(hub: RemoteHub, scheme, keys: Keys) -> int:
-    state = hub.request(build_query_user(scheme, keys, hub.session_id))
+    state = hub.request(sign(scheme, keys, wire.QueryUser(keys.address), hub.session_id))
     return state["nonce"]
 
 
@@ -94,7 +85,7 @@ def cmd_add_deposit(args) -> int:
     scheme = get_scheme(keys.scheme_name)
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(build_add_deposit(scheme, keys, nonce))
+        result = hub.request(sign(scheme, keys, wire.AddDeposit(keys.address, nonce)))
     _emit(args, result)
     return 0
 
@@ -116,8 +107,8 @@ def cmd_sync_headers(args) -> int:
         {
             "peers_ok": len(store.candidates),
             "peers_dropped": len(store.rejected),
-            "tip_height": selected.chain.tip_height if selected else None,
-            "tip_hash": selected.chain.tip_hash if selected else None,
+            "tip_height": selected.chain.tip_height,
+            "tip_hash": selected.chain.tip_hash,
             "storage_bytes": store.storage_bytes(),
         },
     )
@@ -131,7 +122,7 @@ def cmd_set_boundary(args) -> int:
     height, block_hash = choose_boundary(store, args.k)
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(build_update_boundary(scheme, keys, nonce, height, block_hash))
+        result = hub.request(sign(scheme, keys, wire.UpdateBoundary(keys.address, nonce, height, block_hash)))
     _emit(args, result)
     return 0
 
@@ -147,7 +138,7 @@ def cmd_pay(args) -> int:
         batch.append(wire.PaymentItem(bytes.fromhex(addr), int(amount), int(fee)))
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(build_payment(scheme, keys, nonce, batch))
+        result = hub.request(sign(scheme, keys, wire.Payment(keys.address, nonce, batch)))
     _emit(args, result)
     return 0
 
@@ -157,7 +148,7 @@ def cmd_settle(args) -> int:
     scheme = get_scheme(keys.scheme_name)
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(build_settle(scheme, keys, nonce, args.amount, args.fee))
+        result = hub.request(sign(scheme, keys, wire.Settle(keys.address, nonce, args.amount, args.fee)))
     _emit(args, result)
     return 0
 
@@ -174,7 +165,7 @@ def cmd_balance(args) -> int:
     keys = Keys.load(args.key)
     scheme = get_scheme(keys.scheme_name)
     with _hub(args) as hub:
-        result = hub.request(build_query_user(scheme, keys, hub.session_id))
+        result = hub.request(sign(scheme, keys, wire.QueryUser(keys.address), hub.session_id))
     _emit(args, result)
     return 0
 
@@ -195,7 +186,7 @@ def cmd_insert_block(args) -> int:
             block = sim.get_block(next_height)
             if block is None:
                 break
-            msg = build_insert_block(scheme, host_keys, block.serialize(), block.header.hash())
+            msg = sign(scheme, host_keys, wire.InsertBlock(block.serialize()), block.header.hash())
             result = hub.request(msg)
             inserted.append(result["height"])
             if args.height is not None and result["height"] >= args.height:
@@ -205,8 +196,6 @@ def cmd_insert_block(args) -> int:
 
 
 def cmd_broadcast(args) -> int:
-    from .transactions import Transaction
-
     sim = _simchain_client(args)
     with _hub(args) as hub:
         plan = hub.request(wire.GetSettlement())
@@ -224,7 +213,7 @@ def cmd_terminate(args) -> int:
     scheme = get_scheme(host_keys.scheme_name)
     with _hub(args) as hub:
         state = hub.request(wire.QueryLatestBlock())
-        result = hub.request(build_terminate(scheme, host_keys, state["hash"]))
+        result = hub.request(sign(scheme, host_keys, wire.Terminate(state["hash"])))
     _emit(args, result)
     return 0
 
@@ -361,12 +350,19 @@ def main(argv: list[str] | None = None) -> int:
 
 def _serve(args, server, status: dict) -> None:
     """Print the ready line, then run the server's loop in this thread until
-    SIGTERM or SIGINT. The handler only sets the loop's stop flag and wakes it."""
+    SIGTERM or SIGINT. The handler only sets the loop's stop flag and wakes it.
+    A Python handler runs only once the loop's select returns, and a signal
+    that lands just before the loop blocks in select does not interrupt it;
+    so the signal itself also wakes the loop, through the wakeup fd."""
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: server.shutdown())
+    previous = signal.set_wakeup_fd(server.wake_fd)
     _emit(args, status)
     sys.stdout.flush()
-    server.serve_forever()
+    try:
+        server.serve_forever()
+    finally:
+        signal.set_wakeup_fd(previous)
 
 
 def hubd_main(argv: list[str] | None = None) -> int:

@@ -53,49 +53,11 @@ class Keys:
         return cls(lines[0], secret, bytes.fromhex(lines[2]))
 
 
-def _sign(scheme, keys: Keys, digest: bytes) -> bytes:
-    return scheme.sign(keys.secret, digest)
-
-
-def build_add_deposit(scheme, keys: Keys, nonce: int) -> wire.AddDeposit:
-    msg = wire.AddDeposit(keys.address, nonce)
-    msg.signature = _sign(scheme, keys, msg.signing_digest())
-    return msg
-
-
-def build_update_boundary(scheme, keys: Keys, nonce: int, number: int, block_hash: bytes) -> wire.UpdateBoundary:
-    msg = wire.UpdateBoundary(keys.address, nonce, number, block_hash)
-    msg.signature = _sign(scheme, keys, msg.signing_digest())
-    return msg
-
-
-def build_payment(scheme, keys: Keys, nonce: int, batch: list[wire.PaymentItem]) -> wire.Payment:
-    msg = wire.Payment(keys.address, nonce, batch)
-    msg.signature = _sign(scheme, keys, msg.signing_digest())
-    return msg
-
-
-def build_settle(scheme, keys: Keys, nonce: int, amount: int, fee: int) -> wire.Settle:
-    msg = wire.Settle(keys.address, nonce, amount, fee)
-    msg.signature = _sign(scheme, keys, msg.signing_digest())
-    return msg
-
-
-def build_query_user(scheme, keys: Keys, session_id: bytes) -> wire.QueryUser:
-    msg = wire.QueryUser(keys.address)
-    msg.signature = _sign(scheme, keys, msg.signing_digest(session_id))
-    return msg
-
-
-def build_insert_block(scheme, host_keys: Keys, block_bytes: bytes, header_hash: bytes) -> wire.InsertBlock:
-    msg = wire.InsertBlock(block_bytes)
-    msg.host_signature = _sign(scheme, host_keys, wire.InsertBlock.signing_digest_for(header_hash))
-    return msg
-
-
-def build_terminate(scheme, host_keys: Keys, tip_hash: bytes) -> wire.Terminate:
-    msg = wire.Terminate(tip_hash)
-    msg.host_signature = _sign(scheme, host_keys, msg.signing_digest())
+def sign(scheme, keys: Keys, msg, *context):
+    """Sign `msg` over `msg.signing_digest(*context)` and return it. The
+    context is the session id of a `QueryUser` and the block's header hash
+    of an `InsertBlock`; other requests sign their fields alone."""
+    setattr(msg, msg._layout.signature, scheme.sign(keys.secret, msg.signing_digest(*context)))
     return msg
 
 
@@ -196,7 +158,6 @@ class LocalConnection:
     def __init__(self, endpoint: LocalHubEndpoint, relay=None, rng=None):
         self.endpoint = endpoint
         self.relay = relay
-        self.replies: list[bytes] = []
         handshake = ClientHandshake(endpoint.endpoint.static_public, rng=rng)
         ack_frame = endpoint.handle_frame(pack_frame(FRAME_HANDSHAKE_INIT, handshake.init_payload()))
         if ack_frame is None:
@@ -204,17 +165,14 @@ class LocalConnection:
         _, ack = unpack_frame(ack_frame)
         self.session: Session = handshake.complete(ack)
 
+    def _deliver(self, frames: list[bytes]) -> list[bytes]:
+        replies = [self.endpoint.handle_frame(frame) for frame in frames]
+        return [reply for reply in replies if reply is not None]
+
     def send_raw_frame(self, frame: bytes) -> list[bytes]:
         """Push one frame toward the hub (through the relay when present) and
         collect any replies that come back."""
-        frames = self.relay.feed(frame) if self.relay else [frame]
-        replies = []
-        for delivered in frames:
-            reply = self.endpoint.handle_frame(delivered)
-            if reply is not None:
-                replies.append(reply)
-        self.replies.extend(replies)
-        return replies
+        return self._deliver(self.relay.feed(frame) if self.relay else [frame])
 
     def request(self, req) -> dict:
         frame = pack_frame(FRAME_ENVELOPE, self.session.seal(wire.encode_request(req)))
@@ -225,15 +183,8 @@ class LocalConnection:
         return wire.decode_response(self.session.open(envelope))
 
     def flush_relay(self) -> list[bytes]:
-        if not self.relay:
-            return []
-        replies = []
-        for frame in self.relay.flush():
-            reply = self.endpoint.handle_frame(frame)
-            if reply is not None:
-                replies.append(reply)
-        self.replies.extend(replies)
-        return replies
+        """Deliver every frame the relay still holds."""
+        return self._deliver(self.relay.flush()) if self.relay else []
 
 
 class RemoteHub:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -93,7 +94,6 @@ class FastScheme(_BytesSecret):
     name = "fast"
 
     def generate(self, rng=None) -> tuple[bytes, bytes]:
-        import os
         sk = rng.randbytes(32) if rng is not None else os.urandom(32)
         return sk, sk
 

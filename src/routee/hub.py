@@ -190,15 +190,6 @@ class SettlementPlan:
         return [txin.outpoint for txin in self.transaction.inputs]
 
 
-@dataclass
-class InsertReport:
-    height: int
-    credited: list[tuple[bytes, int]]
-    expired: int
-    confirmed_plan: bool
-    plan_built: bool
-
-
 class Hub:
     def __init__(self, config: HubConfig):
         self.config = config
@@ -496,7 +487,7 @@ class Hub:
         if not self.suite.auth.verify(self.config.host_public_key, digest, signature):
             raise HostAuthFailure()
 
-    def insert_block(self, msg: wire.InsertBlock) -> InsertReport:
+    def insert_block(self, msg: wire.InsertBlock) -> dict:
         chain = self._require_init()
         try:
             block = Block.deserialize(msg.block_bytes)
@@ -524,7 +515,7 @@ class Hub:
             del self.pending_deposits[addr]
             expired += 1
 
-        credited: list[tuple[bytes, int]] = []
+        credited = 0
         confirmed = False
         fee_avg = self.estimator.fee_avg
         for tx, txid in zip(block.txs, txids):
@@ -545,13 +536,18 @@ class Hub:
                 user.balance += increase
                 if user.max_source_block is None or user.max_source_block < height:
                     user.max_source_block = height
-                credited.append((pending.beneficiary, increase))
+                credited += 1
                 del self.pending_deposits[txout.lock_address]
 
         if self.terminating:
             self._termination_progress()
-        plan_built = self.try_build_settlement() is not None
-        return InsertReport(height, credited, expired, confirmed, plan_built)
+        return {
+            "height": height,
+            "credited": credited,
+            "expired": expired,
+            "confirmed_plan": int(confirmed),
+            "plan_built": int(self.try_build_settlement() is not None),
+        }
 
     def terminate(self, msg: wire.Terminate) -> int:
         """Stop accepting payments and deposits, then settle every balance.
@@ -654,10 +650,13 @@ class Hub:
             "cumulative_work": min(chain.cumulative_work, (1 << 64) - 1),
         }
 
-    def query_user(self, user_address: bytes) -> dict:
-        user = self.users.get(user_address)
+    def query_user(self, msg: wire.QueryUser, session_id: bytes) -> dict:
+        """A user's own state, to a query signed for this session only."""
+        user = self.users.get(msg.user_address)
         if user is None:
-            raise UnknownUser(user_address.hex())
+            raise UnknownUser(msg.user_address.hex())
+        if not self.suite.auth.verify(user.public_key, msg.signing_digest(session_id), msg.signature):
+            raise AuthFailure("query not bound to this session")
         return {
             "address": user.user_address,
             "nonce": user.nonce,
@@ -665,6 +664,28 @@ class Hub:
             "max_source_block": user.max_source_block,
             "boundary_block": user.boundary_block,
             "settle_address": user.settle_address,
+        }
+
+    def get_settlement(self) -> dict:
+        plan = self.plan
+        if plan is None:
+            return {"present": 0}
+        return {
+            "present": 1,
+            "tx": plan.transaction.serialize(),
+            "tx_fee": plan.tx_fee,
+            "tx_size": plan.tx_size,
+            "tx_inputs": plan.tx_inputs,
+            "tx_outputs": plan.tx_outputs,
+            "s_amount": plan.s_amount,
+            "b_total": plan.b_total,
+            "rf_confirmed_on_confirm": plan.rf_confirmed_on_confirm,
+        }
+
+    def init_status(self) -> dict:
+        return {
+            "initialized": int(self.chain is not None),
+            "height": self.chain.tip_height if self.chain else 0,
         }
 
     def query_ledger(self) -> dict:
@@ -728,55 +749,27 @@ class Hub:
     # message dispatch (daemon entry point)
 
     def apply_request(self, req, session_id: bytes = b"\x00" * 8) -> dict:
-        if isinstance(req, wire.AddUser):
-            return {"user_address": self.add_user(req.public_key, req.settle_address)}
-        if isinstance(req, wire.AddDeposit):
-            return {"manager_address": self.add_deposit(req)}
-        if isinstance(req, wire.UpdateBoundary):
-            return {"boundary_block": self.update_boundary_block(req)}
-        if isinstance(req, wire.Payment):
-            return {"accepted": self.multi_hop_payment(req)}
-        if isinstance(req, wire.Settle):
-            return {"enqueue_seq": self.request_settlement(req)}
-        if isinstance(req, wire.QueryLatestBlock):
-            return self.query_latest_block()
-        if isinstance(req, wire.QueryLedger):
-            return self.query_ledger()
-        if isinstance(req, wire.QueryUser):
-            user = self.users.get(req.user_address)
-            if user is None:
-                raise UnknownUser(req.user_address.hex())
-            if not self.suite.auth.verify(user.public_key, req.signing_digest(session_id), req.signature):
-                raise AuthFailure("query not bound to this session")
-            return self.query_user(req.user_address)
-        if isinstance(req, wire.InsertBlock):
-            report = self.insert_block(req)
-            return {
-                "height": report.height,
-                "credited": len(report.credited),
-                "expired": report.expired,
-                "confirmed_plan": int(report.confirmed_plan),
-                "plan_built": int(report.plan_built),
-            }
-        if isinstance(req, wire.GetSettlement):
-            if self.plan is None:
-                return {"present": 0}
-            return {
-                "present": 1,
-                "tx": self.plan.transaction.serialize(),
-                "tx_fee": self.plan.tx_fee,
-                "tx_size": self.plan.tx_size,
-                "tx_inputs": self.plan.tx_inputs,
-                "tx_outputs": self.plan.tx_outputs,
-                "s_amount": self.plan.s_amount,
-                "b_total": self.plan.b_total,
-                "rf_confirmed_on_confirm": self.plan.rf_confirmed_on_confirm,
-            }
-        if isinstance(req, wire.Terminate):
-            return {"enqueued": self.terminate(req)}
-        if isinstance(req, wire.InitStatus):
-            return {
-                "initialized": int(self.chain is not None),
-                "height": self.chain.tip_height if self.chain else 0,
-            }
-        raise UnknownType(f"unhandled request {type(req).__name__}")
+        handler = _HANDLERS.get(type(req))
+        if handler is None:
+            raise UnknownType(f"unhandled request {type(req).__name__}")
+        return handler(self, req, session_id)
+
+
+# Each request kind the hub answers, mapped to its reply fields. An entry
+# looks its hub method up when it runs, so a method replaced on the class
+# (the benchmark's tracer does this) is the one called. `Snapshot` and
+# `InitRun` belong to the front end (`client.HubFrontEnd`).
+_HANDLERS = {
+    wire.AddUser: lambda hub, req, sid: {"user_address": hub.add_user(req.public_key, req.settle_address)},
+    wire.AddDeposit: lambda hub, req, sid: {"manager_address": hub.add_deposit(req)},
+    wire.UpdateBoundary: lambda hub, req, sid: {"boundary_block": hub.update_boundary_block(req)},
+    wire.Payment: lambda hub, req, sid: {"accepted": hub.multi_hop_payment(req)},
+    wire.Settle: lambda hub, req, sid: {"enqueue_seq": hub.request_settlement(req)},
+    wire.QueryLatestBlock: lambda hub, req, sid: hub.query_latest_block(),
+    wire.QueryUser: lambda hub, req, sid: hub.query_user(req, sid),
+    wire.QueryLedger: lambda hub, req, sid: hub.query_ledger(),
+    wire.InsertBlock: lambda hub, req, sid: hub.insert_block(req),
+    wire.GetSettlement: lambda hub, req, sid: hub.get_settlement(),
+    wire.Terminate: lambda hub, req, sid: {"enqueued": hub.terminate(req)},
+    wire.InitStatus: lambda hub, req, sid: hub.init_status(),
+}

@@ -76,7 +76,7 @@ def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
                  batch_size: int = HEADER_BATCH, store: HeaderStore | None = None) -> HeaderStore:
     """Download every peer's chain in `batch_size` batches. Passing an
     existing store resumes each candidate from its current tip. Unreachable
-    or invalid peers are dropped; at least one must survive."""
+    or invalid peers are dropped; at least one must survive, else `PeerError`."""
     store = store if store is not None else HeaderStore(params)
     reachable = 0
     for peer_id, source in peers:
@@ -98,6 +98,8 @@ def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
             store.rejected[peer_id] = f"unreachable: {exc}"
     if reachable == 0:
         raise PeerError("all peers unreachable")
+    if not store.candidates:
+        raise PeerError(f"no peer served a valid chain: {store.rejected}")
     return store
 
 

@@ -115,6 +115,11 @@ class FrameServer:
     def port(self) -> int:
         return self.listener.getsockname()[1]
 
+    @property
+    def wake_fd(self) -> int:
+        """A non-blocking socket; a byte written to it wakes the loop."""
+        return self._wake_w.fileno()
+
     def start_background(self) -> threading.Thread:
         self.thread = threading.Thread(target=self.serve_forever, name="frame-server", daemon=True)
         self.thread.start()

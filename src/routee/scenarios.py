@@ -14,17 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import wire
-from .client import (
-    Keys,
-    LocalConnection,
-    LocalHubEndpoint,
-    build_add_deposit,
-    build_insert_block,
-    build_payment,
-    build_settle,
-    build_terminate,
-    build_update_boundary,
-)
+from .client import Keys, LocalConnection, LocalHubEndpoint, sign
 from .crypto import CryptoSuite, DeterministicRng, Secret
 from .errors import TxRejected
 from .headers import ChainParams
@@ -90,12 +80,13 @@ class World:
         return keys, address, settle
 
     def insert(self, block) -> None:
-        msg = build_insert_block(self.suite.auth, self.host, block.serialize(), block.header.hash())
+        msg = sign(self.suite.auth, self.host, wire.InsertBlock(block.serialize()), block.header.hash())
         self.hub.insert_block(msg)
 
     def deposit(self, keys: Keys, amount: int) -> bytes:
         user = self.hub.users[keys.address]
-        manager = self.hub.add_deposit(build_add_deposit(self.suite.auth, keys, user.nonce))
+        msg = sign(self.suite.auth, keys, wire.AddDeposit(keys.address, user.nonce))
+        manager = self.hub.add_deposit(msg)
         self.node.pay(manager, amount)
         block = self.node.mine_block()
         self.insert(block)
@@ -104,25 +95,24 @@ class World:
     def set_boundary_tip(self, keys: Keys) -> int:
         user = self.hub.users[keys.address]
         height = self.hub.chain.tip_height
-        msg = build_update_boundary(
-            self.suite.auth, keys, user.nonce, height, self.hub.chain.hash_at(height)
-        )
-        return self.hub.update_boundary_block(msg)
+        msg = wire.UpdateBoundary(keys.address, user.nonce, height, self.hub.chain.hash_at(height))
+        return self.hub.update_boundary_block(sign(self.suite.auth, keys, msg))
 
     def pay(self, sender: Keys, receiver_address: bytes, amount: int, fee: int) -> None:
         user = self.hub.users[sender.address]
-        msg = build_payment(self.suite.auth, sender, user.nonce, [wire.PaymentItem(receiver_address, amount, fee)])
-        self.hub.multi_hop_payment(msg)
+        msg = wire.Payment(sender.address, user.nonce, [wire.PaymentItem(receiver_address, amount, fee)])
+        self.hub.multi_hop_payment(sign(self.suite.auth, sender, msg))
 
     def settle(self, keys: Keys, amount: int, fee: int) -> None:
         user = self.hub.users[keys.address]
-        self.hub.request_settlement(build_settle(self.suite.auth, keys, user.nonce, amount, fee))
+        msg = wire.Settle(keys.address, user.nonce, amount, fee)
+        self.hub.request_settlement(sign(self.suite.auth, keys, msg))
 
     def onchain_value(self, address: bytes) -> int:
         return sum(o.value for o in self.node.utxo.values() if o.lock_address == address)
 
     def terminate(self) -> None:
-        self.hub.terminate(build_terminate(self.suite.auth, self.host, self.hub.chain.tip_hash))
+        self.hub.terminate(sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash)))
 
     def run_settlements_to_completion(self) -> int:
         """Honest host loop: broadcast the outstanding plan, mine, insert, for
@@ -188,7 +178,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
 
     attacker, attacker_addr, attacker_settle = w.new_user()
     user = hub.users[attacker_addr]
-    manager = hub.add_deposit(build_add_deposit(w.suite.auth, attacker, user.nonce))
+    manager = hub.add_deposit(sign(w.suite.auth, attacker, wire.AddDeposit(attacker_addr, user.nonce)))
 
     fork_height = node.tip_height
     forged = forge_chain(node, fork_height, [(manager, 40_000)])
@@ -402,7 +392,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     # --- replay: one payment envelope injected 100 extra times ---
     conn = LocalConnection(endpoint, rng=session_rng)
     nonce = hub.users[alice_addr].nonce
-    payment = build_payment(w.suite.auth, alice, nonce, [wire.PaymentItem(bob_addr, 500, 10)])
+    payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 500, 10)]))
     frame = wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(payment)))
     bob_before = hub.users[bob_addr].balance
     endpoint.handle_frame(frame)
@@ -421,7 +411,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     for _ in range(30):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[alice_addr].nonce
-        payment = build_payment(w.suite.auth, alice, nonce, [wire.PaymentItem(bob_addr, 100, 10)])
+        payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
         sent += 1
         try:
             conn.request(payment)
@@ -446,7 +436,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     for _ in range(10):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[alice_addr].nonce
-        payment = build_payment(w.suite.auth, alice, nonce, [wire.PaymentItem(bob_addr, 100, 10)])
+        payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
         try:
             conn.request(payment)
         except Exception:
@@ -465,8 +455,8 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[sender_addr].nonce
         signed_fee = 10 + i
-        payment = build_payment(
-            w.suite.auth, sender, nonce, [wire.PaymentItem(bob_addr, 50, signed_fee)]
+        payment = sign(
+            w.suite.auth, sender, wire.Payment(sender_addr, nonce, [wire.PaymentItem(bob_addr, 50, signed_fee)])
         )
         rf_before = hub.rf_pending
         try:

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import os
 
 from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import wire
 from .crypto import sha256
@@ -35,9 +38,6 @@ STUB_MEASUREMENT = sha256(b"routee-enclave-measurement-v1")
 
 
 def _derive(shared1: bytes, shared2: bytes, transcript: bytes) -> tuple[bytes, bytes]:
-    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-    from cryptography.hazmat.primitives import hashes
-
     okm = HKDF(
         algorithm=hashes.SHA256(),
         length=48,
@@ -116,7 +116,6 @@ class HubSessionEndpoint:
     def _randbytes(self, n: int) -> bytes:
         if self._rng is not None:
             return self._rng.randbytes(n)
-        import os
         return os.urandom(n)
 
     def handle_init(self, init_payload: bytes) -> tuple[bytes, Session]:

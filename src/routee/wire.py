@@ -228,8 +228,9 @@ class _Layout:
         self.head_values = (lambda obj: (get(obj),)) if len(getters) == 1 else get
         self.sized = [(name, int(code[:-1])) for name, code in zip(names, codes) if code.endswith("s")]
         self.repeated = [(name, codec.layout) for name, codec in self.tail if isinstance(codec, _Repeated)]
-        signed = bool(self.tail) and self.tail[-1][1] is _SIGNATURE
-        self.unsigned_tail = self.tail[:-1] if signed else self.tail
+        # the signature field's name, for a request whose last field is one
+        self.signature = self.tail[-1][0] if self.tail and self.tail[-1][1] is _SIGNATURE else None
+        self.unsigned_tail = self.tail[:-1] if self.signature else self.tail
         wire_order = names + [name for name, _ in self.tail]
         field_order = [f.name for f in dataclasses.fields(cls)]
         # decode builds values in wire order; the constructor takes field order
@@ -390,6 +391,9 @@ class InsertBlock:
     @staticmethod
     def signing_digest_for(header_hash: bytes) -> bytes:
         return sha256(_SIGNING_CONTEXT + bytes([InsertBlock.kind]) + header_hash)
+
+    def signing_digest(self, header_hash: bytes) -> bytes:
+        return self.signing_digest_for(header_hash)
 
 
 @request(10)

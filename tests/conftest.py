@@ -3,15 +3,7 @@ import socket
 import pytest
 from hypothesis import strategies as st
 
-from routee.client import (
-    Keys,
-    build_add_deposit,
-    build_insert_block,
-    build_payment,
-    build_settle,
-    build_terminate,
-    build_update_boundary,
-)
+from routee.client import Keys, sign
 from routee.crypto import CryptoSuite
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
@@ -45,6 +37,27 @@ def mutated(draw, samples):
             else:
                 del data[pos]
     return bytes(data)
+
+
+def every_request_kind():
+    """One sample of every request kind `wire` declares."""
+    batch = [wire.PaymentItem(b"\x02" * 20, 30, 7), wire.PaymentItem(b"\x03" * 20, 1, 2)]
+    return [
+        wire.AddUser(b"k" * 33, b"\x01" * 20),
+        wire.AddDeposit(b"\x01" * 20, 1, b"s" * 32),
+        wire.UpdateBoundary(b"\x01" * 20, 2, 9, b"\x04" * 32, b"s" * 32),
+        wire.Payment(b"\x01" * 20, 3, batch, b"s" * 32),
+        wire.Settle(b"\x01" * 20, 4, 500, 40, b"s" * 32),
+        wire.QueryLatestBlock(),
+        wire.QueryUser(b"\x01" * 20, b"s" * 32),
+        wire.QueryLedger(),
+        wire.InsertBlock(b"b" * 90, b"h" * 32),
+        wire.GetSettlement(),
+        wire.Terminate(b"\x05" * 32, b"h" * 32),
+        wire.Snapshot(),
+        wire.InitStatus(),
+        wire.InitRun(),
+    ]
 
 
 @pytest.fixture
@@ -94,7 +107,7 @@ class HubHarness:
         return self.hub.users[keys.address].nonce
 
     def insert(self, block):
-        msg = build_insert_block(self.suite.auth, self.host, block.serialize(), block.header.hash())
+        msg = sign(self.suite.auth, self.host, wire.InsertBlock(block.serialize()), block.header.hash())
         return self.hub.insert_block(msg)
 
     def catch_up(self):
@@ -107,37 +120,33 @@ class HubHarness:
         sample equal to the current average, keeping fee_avg stable."""
         if fee is None:
             fee = 226 * self.hub.estimator.fee_avg  # 1-in/2-out formula size
-        manager = self.hub.add_deposit(build_add_deposit(self.suite.auth, keys, self.nonce(keys)))
+        msg = sign(self.suite.auth, keys, wire.AddDeposit(keys.address, self.nonce(keys)))
+        manager = self.hub.add_deposit(msg)
         self.node.pay(manager, amount, fee=fee)
         self.insert(self.node.mine_block())
         return manager
 
     def set_boundary(self, keys, height=None):
         height = self.hub.chain.tip_height if height is None else height
-        msg = build_update_boundary(
-            self.suite.auth, keys, self.nonce(keys), height, self.hub.chain.hash_at(height)
-        )
-        return self.hub.update_boundary_block(msg)
+        msg = wire.UpdateBoundary(keys.address, self.nonce(keys), height, self.hub.chain.hash_at(height))
+        return self.hub.update_boundary_block(sign(self.suite.auth, keys, msg))
 
     def pay(self, sender, receiver_addr, amount, fee):
-        msg = build_payment(
-            self.suite.auth, sender, self.nonce(sender), [wire.PaymentItem(receiver_addr, amount, fee)]
-        )
-        return self.hub.multi_hop_payment(msg)
+        return self.pay_batch(sender, [(receiver_addr, amount, fee)])
 
     def pay_batch(self, sender, items):
         batch = [wire.PaymentItem(addr, amount, fee) for addr, amount, fee in items]
-        msg = build_payment(self.suite.auth, sender, self.nonce(sender), batch)
+        msg = sign(self.suite.auth, sender, wire.Payment(sender.address, self.nonce(sender), batch))
         return self.hub.multi_hop_payment(msg)
 
     def settle(self, keys, amount, fee):
         return self.hub.request_settlement(
-            build_settle(self.suite.auth, keys, self.nonce(keys), amount, fee)
+            sign(self.suite.auth, keys, wire.Settle(keys.address, self.nonce(keys), amount, fee))
         )
 
     def terminate(self):
         return self.hub.terminate(
-            build_terminate(self.suite.auth, self.host, self.hub.chain.tip_hash)
+            sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash))
         )
 
     def confirm_outstanding(self):

@@ -14,7 +14,7 @@ from routee.client import (
     Keys,
     LocalConnection,
     LocalHubEndpoint,
-    build_payment,
+    sign,
 )
 from routee.crypto import DeterministicRng, SCHEMES, address_of
 from routee.errors import BlockRejected
@@ -316,7 +316,7 @@ def _encode_payment_frames(harness, endpoint, sender, receiver, count, batch_siz
     nonce = harness.nonce(sender)
     for _ in range(count):
         batch = [wire.PaymentItem(receiver.address, 1, 2) for _ in range(batch_size)]
-        msg = build_payment(harness.suite.auth, sender, nonce, batch)
+        msg = sign(harness.suite.auth, sender, wire.Payment(sender.address, nonce, batch))
         frames.append(wire.pack_frame(
             wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(msg))
         ))
@@ -444,9 +444,8 @@ def test_criterion_9_settlement_generation_2000x2001():
         keys = Keys.generate(FAST.auth, rng)
         hub.add_user(keys.public, keys.address)
         users.append(keys)
-        from routee.client import build_add_deposit
 
-        managers.append(hub.add_deposit(build_add_deposit(FAST.auth, keys, 0)))
+        managers.append(hub.add_deposit(sign(FAST.auth, keys, wire.AddDeposit(keys.address, 0))))
 
     # one fan-out transaction funds every manager address on-chain
     coin_op, coin_out = next(iter(node.wallet.utxos.items()))
@@ -463,15 +462,15 @@ def test_criterion_9_settlement_generation_2000x2001():
     assert len(hub.owned) == n_users
 
     # queue 2,000 requests; fees keep every prefix infeasible until the last
-    from routee.client import build_settle
 
     fee_avg = hub.estimator.fee_avg
     base_fee = 34 * fee_avg
     for keys in users[:-1]:
-        hub.request_settlement(build_settle(FAST.auth, keys, 1, 40_000, base_fee))
+        hub.request_settlement(sign(FAST.auth, keys, wire.Settle(keys.address, 1, 40_000, base_fee)))
         assert hub.plan is None
     start = time.perf_counter()
-    hub.request_settlement(build_settle(FAST.auth, users[-1], 1, 40_000, base_fee + 60))
+    last = users[-1]
+    hub.request_settlement(sign(FAST.auth, last, wire.Settle(last.address, 1, 40_000, base_fee + 60)))
     build_time = time.perf_counter() - start
     plan = hub.plan
     assert plan is not None
@@ -524,9 +523,8 @@ def test_criterion_10_session_robustness():
             credit_before = hub.users[bob.address].balance
             try:
                 conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
-                msg = build_payment(harness.suite.auth, alice, nonce_before,
-                                    [wire.PaymentItem(bob.address, 1, 2)])
-                conn.request(msg)
+                msg = wire.Payment(alice.address, nonce_before, [wire.PaymentItem(bob.address, 1, 2)])
+                conn.request(sign(harness.suite.auth, alice, msg))
             except Exception:
                 pass
             finally:

@@ -7,9 +7,13 @@ import os
 
 import pytest
 
+from routee import wire
+from routee.client import LocalConnection, LocalHubEndpoint, sign
 from routee.crypto import DeterministicRng
 from routee.session import ClientHandshake, HubSessionEndpoint
 from routee.wire import FRAME_ENVELOPE
+
+from conftest import HubHarness
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -45,3 +49,27 @@ def test_envelope_rid_reads_session_id_and_seq():
     envelope = session.seal(b"second")
     rid = _load_tracing().envelope_rid(FRAME_ENVELOPE, envelope)
     assert rid == (int.from_bytes(session.session_id, "big", signed=True), 1)
+
+
+def test_tracer_sees_the_calls_of_the_hub_table():
+    # the hub's dispatch table looks each method up when it runs, so the
+    # methods the tracer replaced on the class are the ones called
+    harness = HubHarness()
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 50_000)
+    harness.set_boundary(bob)
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install("inproc")
+        conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
+        tracer.buf().on = True
+        payment = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 100, 2)])
+        assert conn.request(sign(harness.suite.auth, alice, payment)) == {"accepted": 1}
+        query = wire.QueryUser(alice.address)
+        reply = conn.request(sign(harness.suite.auth, alice, query, conn.session.session_id))
+        assert reply["balance"] == harness.balance(alice)
+        tracer.buf().on = False
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[nid] for buf in tracer.buffers for nid in buf.name}
+    assert {"hub.dispatch", "hub.payment", "hub.query_user"} <= recorded

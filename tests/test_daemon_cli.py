@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import select
@@ -18,13 +19,7 @@ from routee.client import (
     LocalConnection,
     LocalHubEndpoint,
     RemoteHub,
-    build_add_deposit,
-    build_insert_block,
-    build_payment,
-    build_query_user,
-    build_settle,
-    build_terminate,
-    build_update_boundary,
+    sign,
 )
 from routee.daemon import DaemonConfig, HubDaemon
 from routee.headers import ChainParams
@@ -299,16 +294,16 @@ def _parity_script(scheme, host, alice, bob, block, tip_hash, session_id):
     requests = [
         wire.AddUser(alice.public, alice.address),
         wire.AddUser(bob.public, bob.address),
-        build_add_deposit(scheme, alice, 0),
-        build_update_boundary(scheme, alice, 1, 4, tip_hash),
-        build_payment(scheme, alice, 2, [wire.PaymentItem(bob.address, 10, 2)]),
-        build_settle(scheme, alice, 3, 1_000, 40),
+        sign(scheme, alice, wire.AddDeposit(alice.address, 0)),
+        sign(scheme, alice, wire.UpdateBoundary(alice.address, 1, 4, tip_hash)),
+        sign(scheme, alice, wire.Payment(alice.address, 2, [wire.PaymentItem(bob.address, 10, 2)])),
+        sign(scheme, alice, wire.Settle(alice.address, 3, 1_000, 40)),
         wire.QueryLatestBlock(),
-        build_query_user(scheme, alice, session_id),
+        sign(scheme, alice, wire.QueryUser(alice.address), session_id),
         wire.QueryLedger(),
-        build_insert_block(scheme, host, block.serialize(), block.header.hash()),
+        sign(scheme, host, wire.InsertBlock(block.serialize()), block.header.hash()),
         wire.GetSettlement(),
-        build_terminate(scheme, host, block.header.hash()),
+        sign(scheme, host, wire.Terminate(block.header.hash())),
         wire.Snapshot(),
         wire.InitStatus(),
         wire.InitRun(),
@@ -466,6 +461,37 @@ def test_sigterm_stops_hubd_with_its_snapshot(tmp_path):
                 "--set", f"snapshot_path={snap}"]
         assert _stop_right_after_ready("hubd_main", argv, tmp_path / f"hubd-{i}.log") == 0, i
         assert snap.stat().st_size > 0
+
+
+def test_sigterm_that_misses_the_select_still_stops_the_loop():
+    # a SIGTERM that lands after the interpreter's last signal check but
+    # before the loop blocks in select does not interrupt that select; one
+    # delivered to another thread while this one blocks it never does
+    server = netio.FrameServer(("127.0.0.1", 0), lambda *args: None)
+    handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+    stopped = threading.Event()
+
+    def send_sigterm():
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGTERM)
+        if not stopped.wait(5):  # else only the loop's next event runs the handler
+            socket.create_connection(("127.0.0.1", server.port)).close()
+
+    sender = threading.Thread(target=send_sigterm)
+    sender.start()  # before the mask changes, so this thread takes the signal
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    start = time.monotonic()
+    try:
+        cli._serve(argparse.Namespace(json=True), server, {"listening": server.port})
+        elapsed = time.monotonic() - start
+    finally:
+        stopped.set()
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+        sender.join(10)
+        server.server_close()
+    assert elapsed < 2
 
 
 def test_sigterm_stops_simchain_serve(tmp_path):

@@ -3,14 +3,7 @@ secp256k1 ECDSA on-chain unlocks. Slower than fast-test mode because of RSA
 key generation, so deliberately small."""
 
 from routee import crypto, wire
-from routee.client import (
-    Keys,
-    build_add_deposit,
-    build_insert_block,
-    build_payment,
-    build_settle,
-    build_update_boundary,
-)
+from routee.client import Keys, sign
 from routee.crypto import CryptoSuite
 from routee.errors import AuthFailure
 from routee.headers import ChainParams
@@ -41,7 +34,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     hub.initialize(headers[0], 0, headers[1:], node.blocks)
 
     def insert(block):
-        msg = build_insert_block(FULL.auth, host, block.serialize(), block.header.hash())
+        msg = sign(FULL.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
         return hub.insert_block(msg)
 
     alice = Keys.generate(FULL.auth)
@@ -49,30 +42,30 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     a_addr = hub.add_user(alice.public, b"\x0a" * 20)
     b_addr = hub.add_user(bob.public, b"\x0b" * 20)
 
-    manager = hub.add_deposit(build_add_deposit(FULL.auth, alice, 0))
+    manager = hub.add_deposit(sign(FULL.auth, alice, wire.AddDeposit(alice.address, 0)))
     node.pay(manager, 100_000)
     insert(node.mine_block())
     assert hub.users[a_addr].balance == 100_000 - 148
 
     tip = hub.chain.tip_height
     hub.update_boundary_block(
-        build_update_boundary(FULL.auth, bob, 0, tip, hub.chain.hash_at(tip))
+        sign(FULL.auth, bob, wire.UpdateBoundary(bob.address, 0, tip, hub.chain.hash_at(tip)))
     )
     hub.multi_hop_payment(
-        build_payment(FULL.auth, alice, 1, [wire.PaymentItem(b_addr, 500, 5)])
+        sign(FULL.auth, alice, wire.Payment(alice.address, 1, [wire.PaymentItem(b_addr, 500, 5)]))
     )
     assert hub.users[b_addr].balance == 500
 
     # a signature from the wrong RSA key is rejected
     mallory = Keys.generate(FULL.auth)
-    forged = build_payment(FULL.auth, mallory, 2, [wire.PaymentItem(b_addr, 1, 5)])
+    forged = sign(FULL.auth, mallory, wire.Payment(mallory.address, 2, [wire.PaymentItem(b_addr, 1, 5)]))
     forged.sender_address = a_addr
     with pytest.raises(AuthFailure):
         hub.multi_hop_payment(forged)
 
     # the ECDSA-signed settlement validates on the chain, and signing with
     # keys the hub generated parses no key
-    settle = build_settle(FULL.auth, alice, 2, 10_000, 800)
+    settle = sign(FULL.auth, alice, wire.Settle(alice.address, 2, 10_000, 800))
     parses.clear()
     hub.request_settlement(settle)
     plan = hub.plan
@@ -84,7 +77,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     assert hub.conservation()["ok"]
 
     # with one deposit left pending, each manager secret is stored once
-    second = hub.add_deposit(build_add_deposit(FULL.auth, bob, 1))
+    second = hub.add_deposit(sign(FULL.auth, bob, wire.AddDeposit(bob.address, 1)))
     assert hub.pending_deposits
     data = dump_hub(hub)
     for secret, _ in hub.manager_keys.values():
@@ -98,7 +91,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     parses.clear()
     restored = load_hub(dump_hub(hub))
     assert parses == []
-    settle = build_settle(FULL.auth, alice, 3, 10_000, 800)
+    settle = sign(FULL.auth, alice, wire.Settle(alice.address, 3, 10_000, 800))
     parses.clear()
     restored.request_settlement(settle)
     plan = restored.plan

@@ -90,6 +90,14 @@ def test_peer_with_invalid_pow_dropped(node):
     assert store.rejected["bad"] == "bad-bits"
 
 
+def test_sole_invalid_peer_raises(node):
+    # a peer that answers with a broken chain leaves no candidate to select
+    node.mine_blocks(6)
+    raw = [b.header.serialize() for b in node.blocks]
+    with pytest.raises(PeerError):
+        sync_headers([("bad", StaticHeaderSource(raw[:3] + raw[4:]))], node.params)
+
+
 def test_all_peers_unreachable_raises(node):
     class DeadSource(NodeHeaderSource):
         def fetch_headers(self, from_height, count):

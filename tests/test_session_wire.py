@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import routee.hub
 import routee.snapshot
 from routee import wire
-from routee.client import build_add_deposit
+from routee.client import sign
 from routee.crypto import DeterministicRng, sha256
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
@@ -15,7 +15,7 @@ from routee.errors import (
 from routee.session import ClientHandshake, HubSessionEndpoint
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
 
-from conftest import HubHarness, mutated
+from conftest import HubHarness, every_request_kind, mutated
 
 
 def fresh_pair(seed=1):
@@ -246,28 +246,8 @@ def test_encode_refuses_wrong_sized_fields():
         wire.encode_request(wire.Payment(b"\x01" * 20, 0, [wire.PaymentItem(b"\x02" * 21, 1, 2)]))
 
 
-def _every_kind():
-    batch = [wire.PaymentItem(b"\x02" * 20, 30, 7), wire.PaymentItem(b"\x03" * 20, 1, 2)]
-    return [
-        wire.AddUser(b"k" * 33, b"\x01" * 20),
-        wire.AddDeposit(b"\x01" * 20, 1, b"s" * 32),
-        wire.UpdateBoundary(b"\x01" * 20, 2, 9, b"\x04" * 32, b"s" * 32),
-        wire.Payment(b"\x01" * 20, 3, batch, b"s" * 32),
-        wire.Settle(b"\x01" * 20, 4, 500, 40, b"s" * 32),
-        wire.QueryLatestBlock(),
-        wire.QueryUser(b"\x01" * 20, b"s" * 32),
-        wire.QueryLedger(),
-        wire.InsertBlock(b"b" * 90, b"h" * 32),
-        wire.GetSettlement(),
-        wire.Terminate(b"\x05" * 32, b"h" * 32),
-        wire.Snapshot(),
-        wire.InitStatus(),
-        wire.InitRun(),
-    ]
-
-
 def test_every_kind_roundtrips():
-    requests = _every_kind()
+    requests = every_request_kind()
     assert len({req.kind for req in requests}) == 14
     for req in requests:
         assert wire.decode_request(wire.encode_request(req)) == req
@@ -288,7 +268,7 @@ def _snapshot() -> bytes:
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 400_000)
     harness.set_boundary(bob)
-    harness.hub.add_deposit(build_add_deposit(harness.suite.auth, bob, harness.nonce(bob)))
+    harness.hub.add_deposit(sign(harness.suite.auth, bob, wire.AddDeposit(bob.address, harness.nonce(bob))))
     harness.settle(alice, 10_000, 1_000)
     harness.settle(alice, 5_000, 1_000)
     return dump_hub(harness.hub)
@@ -301,7 +281,7 @@ def _records(snapshot_bytes: bytes) -> list:
     ack, _ = endpoint.handle_init(handshake.init_payload())
     image = wire.decode(HubImage, snapshot_bytes[6:-TRAILER_SIZE])
     tables = [value[0] for value in vars(image).values() if isinstance(value, list)]
-    return _every_kind() + tables + [
+    return every_request_kind() + tables + [
         wire.PaymentItem(b"\x02" * 20, 30, 7),
         wire.decode(wire.OkReply, wire.encode_ok({"height": 9, "hash": b"\x01" * 32, "missing": None})),
         wire.decode(wire.ErrorReply, wire.encode_err(FeeTooLow("fee 33 below 34"))),
