@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import wire
 from .errors import BlockRejected, TxRejected
 from .headers import HeaderChain, BlockHeader, check_pow, expected_target, merkle_root
-from .transactions import MAX_MONEY, Outpoint, Transaction, TxOutput, verify_unlock
+from .transactions import BLOCK_SUBSIDY, MAX_MONEY, Outpoint, Transaction, TxOutput, verify_unlock
 
 
 @dataclass
@@ -116,10 +116,10 @@ def validate_block(chain: HeaderChain, utxo: dict[Outpoint, TxOutput], block: Bl
         raise BlockRejected(exc.code, exc.detail)
 
     coinbase_out = block.txs[0].output_value()
-    if coinbase_out > chain.params.block_subsidy + fees:
+    if coinbase_out > BLOCK_SUBSIDY + fees:
         raise BlockRejected(
             "coinbase-overspend",
-            f"coinbase pays {coinbase_out}, allowed {chain.params.block_subsidy + fees}",
+            f"coinbase pays {coinbase_out}, allowed {BLOCK_SUBSIDY + fees}",
         )
 
 

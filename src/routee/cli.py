@@ -16,7 +16,7 @@ import sys
 
 from . import wire
 from .client import Keys, RemoteHub, sign
-from .crypto import get_scheme
+from .crypto import ADDRESS_SIZE, get_scheme
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
@@ -48,13 +48,13 @@ def _hub(args) -> RemoteHub:
     return RemoteHub(args.host, args.port)
 
 
-def _scheme_for(args):
-    return get_scheme(args.scheme)
-
-
 def _user_nonce(hub: RemoteHub, scheme, keys: Keys) -> int:
     state = hub.request(sign(scheme, keys, wire.QueryUser(keys.address), hub.session_id))
     return state["nonce"]
+
+
+def _scheme_for(args):
+    return get_scheme(args.scheme)
 
 
 def _simchain_client(args) -> SimchainClient:
@@ -75,7 +75,7 @@ def cmd_keygen(args) -> int:
 def cmd_add_user(args) -> int:
     keys = Keys.load(args.key)
     with _hub(args) as hub:
-        result = hub.request(wire.AddUser(keys.public, bytes.fromhex(args.settle_address)))
+        result = hub.request(wire.AddUser(keys.public, args.settle_address))
     _emit(args, result)
     return 0
 
@@ -130,12 +130,8 @@ def cmd_set_boundary(args) -> int:
 def cmd_pay(args) -> int:
     keys = Keys.load(args.key)
     scheme = get_scheme(keys.scheme_name)
-    batch = []
-    if args.to:
-        batch.append(wire.PaymentItem(bytes.fromhex(args.to), args.amount, args.fee))
-    for item in args.batch or []:
-        addr, amount, fee = item.split(":")
-        batch.append(wire.PaymentItem(bytes.fromhex(addr), int(amount), int(fee)))
+    batch = [wire.PaymentItem(args.to, args.amount, args.fee)] if args.to is not None else []
+    batch += args.batch or []
     with _hub(args) as hub:
         nonce = _user_nonce(hub, scheme, keys)
         result = hub.request(sign(scheme, keys, wire.Payment(keys.address, nonce, batch)))
@@ -236,6 +232,19 @@ def _depth(value: str) -> int:
     return k
 
 
+# argparse reports a converter's ValueError as a usage error naming the converter
+def hex_address(value: str) -> bytes:
+    address = bytes.fromhex(value)
+    if len(address) != ADDRESS_SIZE:
+        raise ValueError(value)
+    return address
+
+
+def batch_item(value: str) -> wire.PaymentItem:
+    addr, amount, fee = value.split(":")
+    return wire.PaymentItem(hex_address(addr), int(amount), int(fee))
+
+
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--peer", action="append", required=True, help="host:port, repeatable")
     p.add_argument("--batch-size", type=int, default=2016)
@@ -255,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("add-user")
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
-    p.add_argument("--settle-address", required=True, help="20-byte hex")
+    p.add_argument("--settle-address", type=hex_address, required=True, help="20-byte hex")
     p.set_defaults(fn=cmd_add_user)
 
     p = sub.add_parser("add-deposit")
@@ -277,10 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("pay")
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
-    p.add_argument("--to", help="receiver address hex")
+    p.add_argument("--to", type=hex_address, help="receiver address hex")
     p.add_argument("--amount", type=int, default=0)
     p.add_argument("--fee", type=int, default=0)
-    p.add_argument("--batch", action="append", help="addrhex:amount:fee, repeatable")
+    p.add_argument("--batch", type=batch_item, action="append", help="addrhex:amount:fee, repeatable")
     p.set_defaults(fn=cmd_pay)
 
     p = sub.add_parser("settle")
@@ -416,7 +425,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
         if name == "mine":
             p.add_argument("--count", type=int, default=1)
         if name == "pay":
-            p.add_argument("--to", required=True, help="20-byte address hex")
+            p.add_argument("--to", type=hex_address, required=True, help="20-byte address hex")
             p.add_argument("--amount", type=int, required=True)
             p.add_argument("--fee", type=int, default=0)
         p.set_defaults(mode=name)
@@ -443,7 +452,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
             height, tip_hash = client.tip()
             _emit(args, {"height": height, "hash": tip_hash})
         elif args.mode == "pay":
-            txid = client.pay(bytes.fromhex(args.to), args.amount, args.fee)
+            txid = client.pay(args.to, args.amount, args.fee)
             _emit(args, {"txid": txid})
         return 0
     except RouteeError as exc:

@@ -132,7 +132,6 @@ class ChainParams:
     retarget_interval: int = 2016
     target_spacing: int = 600
     pow_limit_bits: int = MAX_TARGET_BITS
-    block_subsidy: int = 50 * 100_000_000
 
     @property
     def target_timespan(self) -> int:

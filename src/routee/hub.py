@@ -19,6 +19,7 @@ size, fee, inputs and leftover are read off its transaction.
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -70,7 +71,6 @@ class HubConfig:
     min_routing_fee: int
     chain_params: ChainParams = field(default_factory=ChainParams.regtest)
     suite: CryptoSuite = field(default_factory=CryptoSuite.fast_test)
-    deposit_expiry_blocks: int = DEPOSIT_EXPIRY_BLOCKS
     rng_seed: bytes | int = 0
 
 
@@ -120,6 +120,17 @@ class SettleRequest:
         return self.amount + self.fee
 
 
+def queue_order(request: SettleRequest) -> tuple[int, int]:
+    """Settlement priority: fee descending, ties oldest first."""
+    return (-request.fee, request.enqueue_seq)
+
+
+def user_value(requests: list[SettleRequest]) -> int:
+    """What the pro-rata fee confirmation measures: host withdrawals queue
+    like requests but are not user value."""
+    return sum(r.total for r in requests if not r.is_host)
+
+
 class FeeEstimator:
     """Per-block satoshi/byte samples over a bounded window; blocks without a
     non-coinbase transaction contribute no sample. The average never drops
@@ -150,20 +161,22 @@ class FeeEstimator:
 class SettlementPlan:
     """An outstanding spend-all settlement. Its size, fee, inputs and
     leftover output are read off the signed transaction, whose last output
-    is the leftover."""
+    is the leftover, and its settled user value off the selected requests."""
 
     transaction: Transaction
     selected: list[SettleRequest]
-    s_amount: int
     b_total: int
     rf_confirmed_on_confirm: int
-    collected: int
     host_subsidy: int = 0
 
     def __post_init__(self):
         # hashed once, by the request that builds or restores the plan:
         # every inserted block compares its transactions against it
         self.txid: bytes = self.transaction.txid()
+
+    @property
+    def s_amount(self) -> int:
+        return user_value(self.selected)
 
     @property
     def tx_inputs(self) -> int:
@@ -272,36 +285,36 @@ class Hub:
         self.users[user_address] = UserState(user_address, public_key, settle_address, 0, 0, None, None)
         return user_address
 
-    def _authenticate(self, user_address: bytes, nonce: int, signature: bytes, digest: bytes) -> UserState:
-        """Verify signature and nonce. Failures here do not consume the nonce;
-        any later business rejection does (the caller bumps it)."""
+    def _authenticate(self, user_address: bytes, msg) -> UserState:
+        """Verify a user request's signature and nonce, then consume the
+        nonce. Failures here leave the nonce unspent; any later business
+        rejection does not give it back."""
         user = self.users.get(user_address)
         if user is None:
             raise UnknownUser(user_address.hex())
-        if not self.suite.auth.verify(user.public_key, digest, signature):
+        if not self.suite.auth.verify(user.public_key, msg.signing_digest(), msg.signature):
             raise AuthFailure("bad signature")
-        if nonce != user.nonce:
-            raise StaleRequest(f"nonce {nonce}, expected {user.nonce}")
+        if msg.nonce != user.nonce:
+            raise StaleRequest(f"nonce {msg.nonce}, expected {user.nonce}")
+        user.nonce += 1
         return user
 
     def add_deposit(self, msg: wire.AddDeposit) -> bytes:
         chain = self._require_init()
-        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-        user.nonce += 1
+        user = self._authenticate(msg.user_address, msg)
         if self.terminating:
             raise HubTerminated()
         sk, pk = self.suite.onchain.generate(self.rng)
         manager_address = address_of(pk)
         self.pending_deposits[manager_address] = PendingDeposit(
-            manager_address, user.user_address, chain.tip_height + self.config.deposit_expiry_blocks
+            manager_address, user.user_address, chain.tip_height + DEPOSIT_EXPIRY_BLOCKS
         )
         self.manager_keys[manager_address] = (sk, pk)
         return manager_address
 
     def update_boundary_block(self, msg: wire.UpdateBoundary) -> int:
         chain = self._require_init()
-        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-        user.nonce += 1
+        user = self._authenticate(msg.user_address, msg)
         if not chain.has_header(msg.block_number, msg.block_hash):
             raise NotInChain(f"height {msg.block_number}")
         if user.boundary_block is not None and msg.block_number <= user.boundary_block:
@@ -315,8 +328,7 @@ class Hub:
         """Apply a batch of routed payments atomically: either every item in
         the batch lands or none do."""
         self._require_init()
-        sender = self._authenticate(msg.sender_address, msg.nonce, msg.signature, msg.signing_digest())
-        sender.nonce += 1
+        sender = self._authenticate(msg.sender_address, msg)
         if self.terminating:
             raise HubTerminated()
         if not msg.batch:
@@ -360,8 +372,7 @@ class Hub:
 
     def request_settlement(self, msg: wire.Settle) -> int:
         self._require_init()
-        user = self._authenticate(msg.user_address, msg.nonce, msg.signature, msg.signing_digest())
-        user.nonce += 1
+        user = self._authenticate(msg.user_address, msg)
         min_fee = FORMULA_OUTPUT_BYTES * self.estimator.fee_avg
         if msg.fee < min_fee:
             raise FeeTooLow(f"fee {msg.fee} below {min_fee}")
@@ -378,70 +389,54 @@ class Hub:
         seq = self._next_enqueue_seq
         self._next_enqueue_seq += 1
         request = SettleRequest(user_address, settle_address, amount, fee, seq, is_host)
-        self.queue.append(request)
-        # fee descending, ties oldest first
-        self.queue.sort(key=lambda r: (-r.fee, r.enqueue_seq))
+        bisect.insort(self.queue, request, key=queue_order)
         return seq
 
     # ------------------------------------------------------------------
     # settlement planning
 
+    def _uncovered(self, outputs: int) -> int:
+        """What a spend-all transaction with `outputs` outputs costs beyond
+        the owned deposits' fares and the carried reserve: the part request
+        fees, or at termination the host, must pay. Each further output adds
+        `FORMULA_OUTPUT_BYTES * fee_avg`."""
+        fares = sum(d.fare_precollected for d in self.owned.values())
+        return formula_size(len(self.owned), outputs) * self.estimator.fee_avg - fares - self.fee_reserve
+
     def try_build_settlement(self) -> SettlementPlan | None:
         """Greedy spend-all settlement: pick the largest fee-sorted prefix of
-        the queue whose collected fees (deposit fares + request fees + carried
-        reserve) cover the formula transaction fee."""
+        the queue whose request fees pay what the deposit fares and the
+        carried reserve leave uncovered of the formula transaction fee."""
         if self.plan is not None or not self.owned or not self.queue:
             return None
         fee_avg = self.estimator.fee_avg
-        deposits = list(self.owned.values())
-        n_inputs = len(deposits)
-        fares = sum(d.fare_precollected for d in deposits)
-        total_in = sum(d.value for d in deposits)
-
-        prefix_fee = 0
-        feasible_n = 0
-        collected_at_n = 0
+        per_output = FORMULA_OUTPUT_BYTES * fee_avg
+        base = self._uncovered(1)  # the inputs, base bytes and the leftover output
+        fees = 0
+        n = 0
+        for i, request in enumerate(self.queue, 1):
+            fees += request.fee
+            if fees >= base + i * per_output:
+                n = i
         host_subsidy = 0
-        prefix_fees = []
-        for request in self.queue:
-            prefix_fee += request.fee
-            prefix_fees.append(prefix_fee)
-        for n in range(len(self.queue), 0, -1):
-            tx_fee = formula_size(n_inputs, n + 1) * fee_avg
-            collected = fares + prefix_fees[n - 1] + self.fee_reserve
-            if collected >= tx_fee:
-                feasible_n = n
-                collected_at_n = collected
-                break
-        if feasible_n == 0:
+        if n == 0:
             if not self.terminating:
                 return None
             # termination must drain every balance: the host covers the
             # shortfall from its confirmed fees to buy the confirmations
-            n_full = len(self.queue)
-            tx_fee_full = formula_size(n_inputs, n_full + 1) * fee_avg
-            collected_full = fares + prefix_fees[-1] + self.fee_reserve
-            shortfall = tx_fee_full - collected_full
-            if shortfall > self.host_balance:
+            n = len(self.queue)
+            host_subsidy = base + n * per_output - fees
+            if host_subsidy > self.host_balance:
                 return None
-            host_subsidy = shortfall
-            self.host_balance -= shortfall
-            feasible_n = n_full
-            collected_at_n = collected_full + shortfall
+            self.host_balance -= host_subsidy
 
-        n = feasible_n
         selected = self.queue[:n]
-        tx_fee = formula_size(n_inputs, n + 1) * fee_avg
-
-        # user-owned value measures for the pro-rata fee confirmation;
-        # host withdrawals queue like requests but are not user value
-        s_amount = sum(r.total for r in selected if not r.is_host)
-        b_total = sum(u.balance for u in self.users.values())
-        b_total += sum(r.total for r in self.queue if not r.is_host)
-        if b_total == 0:
-            rf_delta = self.rf_pending
-        else:
-            rf_delta = min(self.rf_pending, self.rf_pending * s_amount // b_total)
+        tx_fee = formula_size(len(self.owned), n + 1) * fee_avg
+        total_in = sum(d.value for d in self.owned.values())
+        b_total = sum(u.balance for u in self.users.values()) + user_value(self.queue)
+        rf_delta = self.rf_pending
+        if b_total:
+            rf_delta = min(rf_delta, rf_delta * user_value(selected) // b_total)
 
         # the leftover output, last, goes to a fresh manager key
         sk, pk = self.suite.onchain.generate(self.rng)
@@ -461,19 +456,20 @@ class Hub:
 
         self.queue = self.queue[n:]
         self.rf_pending -= rf_delta
-        self.plan = SettlementPlan(tx, selected, s_amount, b_total, rf_delta, collected_at_n, host_subsidy)
+        self.plan = SettlementPlan(tx, selected, b_total, rf_delta, host_subsidy)
         return self.plan
 
     def _confirm_plan(self, height: int) -> None:
         plan = self.plan
         assert plan is not None
-        for outpoint in plan.input_outpoints:
-            self.owned.pop(outpoint)
+        # nothing moves the reserve while a plan is outstanding, so it gains
+        # exactly what the plan collected beyond its transaction fee
+        fares = sum(self.owned.pop(outpoint).fare_precollected for outpoint in plan.input_outpoints)
         leftover = plan.transaction.outputs[-1]
         self.owned[plan.leftover_outpoint] = OwnedDeposit(
             *plan.leftover_outpoint, leftover.value, 0, height, leftover.lock_address
         )
-        self.fee_reserve = plan.collected - plan.tx_fee
+        self.fee_reserve += fares + sum(r.fee for r in plan.selected) + plan.host_subsidy - plan.tx_fee
         self.rf_confirmed += plan.rf_confirmed_on_confirm
         self.host_balance += plan.rf_confirmed_on_confirm
         self.settled_amount_total += sum(r.amount for r in plan.selected)
@@ -539,14 +535,17 @@ class Hub:
                 credited += 1
                 del self.pending_deposits[txout.lock_address]
 
+        outstanding = self.plan
         if self.terminating:
             self._termination_progress()
+        else:
+            self.try_build_settlement()
         return {
             "height": height,
             "credited": credited,
             "expired": expired,
             "confirmed_plan": int(confirmed),
-            "plan_built": int(self.try_build_settlement() is not None),
+            "plan_built": int(self.plan is not outstanding),
         }
 
     def terminate(self, msg: wire.Terminate) -> int:
@@ -569,31 +568,15 @@ class Hub:
         holders = [u for u in self.users.values() if u.balance > 0]
         if not holders:
             return 0
-        fee_avg = self.estimator.fee_avg
-        min_fee = FORMULA_OUTPUT_BYTES * fee_avg
-        fares = sum(d.fare_precollected for d in self.owned.values())
-        queued_fees = sum(r.fee for r in self.queue)
-        outputs = len(self.queue) + len(holders) + 1
-        total_cost = formula_size(len(self.owned), outputs) * fee_avg
-        fees = {
-            u.user_address: (min(min_fee, u.balance - 1) if u.balance > 1 else 0)
-            for u in holders
-        }
-        need = total_cost - fares - self.fee_reserve - queued_fees - sum(fees.values())
-        for user in holders:
-            if need <= 0:
-                break
-            spare = user.balance - 1 - fees[user.user_address]
-            if spare <= 0:
-                continue
-            extra = min(spare, need)
-            fees[user.user_address] += extra
+        min_fee = FORMULA_OUTPUT_BYTES * self.estimator.fee_avg
+        fees = [min(min_fee, u.balance - 1) for u in holders]
+        need = self._uncovered(len(self.queue) + len(holders) + 1) - sum(r.fee for r in self.queue) - sum(fees)
+        for user, fee in zip(holders, fees):
+            # the first balances that can spare it pay what is still needed
+            extra = max(0, min(user.balance - 1 - fee, need))
             need -= extra
-        for user in holders:
-            fee = fees[user.user_address]
-            amount = user.balance - fee
+            self._enqueue(user.user_address, user.settle_address, user.balance - fee - extra, fee + extra)
             user.balance = 0
-            self._enqueue(user.user_address, user.settle_address, amount, fee)
         return len(holders)
 
     def _maybe_host_payout(self) -> None:
@@ -601,18 +584,9 @@ class Hub:
         host's withdrawable fees to its settle address. The fee is sized so
         the payout plan is feasible on its own; a balance too small to carry
         its own transaction is forfeited into the fee reserve instead."""
-        if (
-            self.plan is not None
-            or self.queue
-            or self.rf_pending != 0
-            or self.host_balance <= 0
-            or any(u.balance > 0 for u in self.users.values())
-        ):
+        if self.host_balance <= 0 or not self._users_settled():
             return
-        fee_avg = self.estimator.fee_avg
-        fares = sum(d.fare_precollected for d in self.owned.values())
-        needed = formula_size(len(self.owned), 2) * fee_avg - fares - self.fee_reserve
-        fee = max(FORMULA_OUTPUT_BYTES * fee_avg, needed)
+        fee = max(FORMULA_OUTPUT_BYTES * self.estimator.fee_avg, self._uncovered(2))
         if self.host_balance <= fee:
             self.fee_reserve += self.host_balance
             self.host_balance = 0
@@ -622,22 +596,26 @@ class Hub:
         self._enqueue(b"\x00" * ADDRESS_SIZE, self.config.host_settle_address, amount, fee, is_host=True)
 
     def _termination_progress(self) -> int:
+        # the payout waits for an empty queue and no outstanding plan, so
+        # one build after it settles the users' requests or the payout
         enqueued = self._terminal_sweep_users()
-        self.try_build_settlement()
         self._maybe_host_payout()
         self.try_build_settlement()
         return enqueued
 
-    @property
-    def termination_complete(self) -> bool:
+    def _users_settled(self) -> bool:
+        """Every user balance is settled and confirmed, with the routing fees
+        it carried: nothing is held, queued, in flight or pending."""
         return (
-            self.terminating
-            and self.plan is None
+            self.plan is None
             and not self.queue
             and self.rf_pending == 0
-            and self.host_balance == 0
             and all(u.balance == 0 for u in self.users.values())
         )
+
+    @property
+    def termination_complete(self) -> bool:
+        return self.terminating and self.host_balance == 0 and self._users_settled()
 
     # ------------------------------------------------------------------
     # queries

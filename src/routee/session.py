@@ -47,6 +47,15 @@ def _derive(shared1: bytes, shared2: bytes, transcript: bytes) -> tuple[bytes, b
     return okm[:16], okm[16:]
 
 
+def _exchange(secret: X25519PrivateKey, peer_public: bytes) -> bytes:
+    """X25519 against a peer's public key. A low-order key, whose shared
+    secret would be all zeros, fails the handshake."""
+    try:
+        return secret.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    except ValueError:
+        raise HandshakeFailure("low-order X25519 key") from None
+
+
 def _confirm_mac(confirm_key: bytes, transcript: bytes) -> bytes:
     return hmac.new(confirm_key, b"confirm" + transcript, hashlib.sha256).digest()
 
@@ -120,14 +129,13 @@ class HubSessionEndpoint:
 
     def handle_init(self, init_payload: bytes) -> tuple[bytes, Session]:
         client_eph = wire.decode(wire.HandshakeInit, init_payload).client_eph
+        shared_static = _exchange(self._static, client_eph)
         eph_secret = X25519PrivateKey.from_private_bytes(self._randbytes(32))
         hub_eph = eph_secret.public_key().public_bytes_raw()
         session_id = self._randbytes(SESSION_ID_SIZE)
         while session_id in self.sessions:
             session_id = self._randbytes(SESSION_ID_SIZE)
-        peer = X25519PublicKey.from_public_bytes(client_eph)
-        shared_static = self._static.exchange(peer)
-        shared_eph = eph_secret.exchange(peer)
+        shared_eph = _exchange(eph_secret, client_eph)
         transcript = sha256(
             client_eph + session_id + hub_eph + self.measurement + self.static_public
         )
@@ -165,8 +173,8 @@ class ClientHandshake:
         ack = wire.decode(wire.HandshakeAck, ack_payload)
         if ack.measurement != self.expected_measurement:
             raise HandshakeFailure("attestation measurement mismatch")
-        shared_static = self._eph.exchange(X25519PublicKey.from_public_bytes(self.hub_static_public))
-        shared_eph = self._eph.exchange(X25519PublicKey.from_public_bytes(ack.hub_eph))
+        shared_static = _exchange(self._eph, self.hub_static_public)
+        shared_eph = _exchange(self._eph, ack.hub_eph)
         transcript = sha256(
             self.client_eph + ack.session_id + ack.hub_eph + ack.measurement + self.hub_static_public
         )

@@ -20,6 +20,7 @@ from .headers import (
     merkle_root,
 )
 from .transactions import (
+    BLOCK_SUBSIDY,
     Outpoint,
     Transaction,
     TxInput,
@@ -122,7 +123,7 @@ class SimNode:
             prev_hash=GENESIS_PREV_HASH,
             merkle=None,
             bits=self.params.pow_limit_bits,
-            txs=[coinbase_tx(0, self.params.block_subsidy, self.wallet.fresh_address())],
+            txs=[coinbase_tx(0, BLOCK_SUBSIDY, self.wallet.fresh_address())],
         )
         self.blocks: list[Block] = [genesis]
         self.chain = HeaderChain(self.params, genesis.header, 0)
@@ -159,7 +160,7 @@ class SimNode:
         height = self.chain.tip_height + 1
         view = dict(self.utxo)
         fees = spend_txs(txs, view, self.scheme)
-        coinbase = coinbase_tx(height, self.params.block_subsidy + fees, self.wallet.fresh_address())
+        coinbase = coinbase_tx(height, BLOCK_SUBSIDY + fees, self.wallet.fresh_address())
         apply_tx(coinbase, view)
         self.clock.advance(self.params.target_spacing)
         block = self._mine_header(self.chain.tip_hash, None, self.next_bits(), [coinbase] + list(txs))

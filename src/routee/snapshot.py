@@ -1,6 +1,6 @@
 """Versioned binary dump of the full hub state.
 
-Layout (version 3): magic "RTEE", 2-byte big-endian version, a `HubImage`
+Layout (version 4): magic "RTEE", 2-byte big-endian version, a `HubImage`
 record (configuration, RNG position, totals, then one table per kind of hub
 state), then the SHA-256 of everything before it. The tables hold the hub's
 own records (users, pending and owned deposits, settle requests), so memory,
@@ -9,8 +9,8 @@ transaction plus what that transaction does not determine. Loading
 reconstructs an identical hub, including the deterministic RNG position, so
 manager-key generation continues where it left off. Any bytes load as a hub
 or raise `SnapshotError`: the trailer refuses a damaged file, and a restored
-hub must balance its ledger and hold the key of every deposit it owns or
-awaits and own every input of its plan.
+hub must balance its ledger, keep its queue in settlement order, hold the key
+of every deposit it owns or awaits and own every input of its plan.
 
 Known limitation: snapshots carry no rollback protection. An operator
 restoring an old file resurrects old state; guarding against that would need
@@ -22,12 +22,12 @@ from . import wire
 from .crypto import CryptoSuite, DeterministicRng, address_of, sha256
 from .errors import RouteeError, SnapshotError
 from .headers import BlockHeader, ChainParams, HeaderChain
-from .hub import Hub, HubConfig, OwnedDeposit, PendingDeposit, SettleRequest, SettlementPlan, UserState
+from .hub import Hub, HubConfig, OwnedDeposit, PendingDeposit, SettleRequest, SettlementPlan, UserState, queue_order
 from .transactions import Transaction
 from .wire import fixed, record, repeated, text, trailing
 
 MAGIC = b"RTEE"
-VERSION = 3
+VERSION = 4
 TRAILER_SIZE = 32
 
 
@@ -45,13 +45,12 @@ class ManagerKey:
 
 @record
 class PlanRow:
-    """What a plan's transaction does not determine: its size, fee and
-    leftover output follow from the transaction."""
+    """What a plan's transaction and requests do not determine: its size,
+    fee and leftover output follow from the transaction, its settled value
+    from the requests."""
 
-    s_amount: int = fixed("Q")
     b_total: int = fixed("Q")
     rf_confirmed_on_confirm: int = fixed("Q")
-    collected: int = fixed("Q")
     host_subsidy: int = fixed("Q")
     transaction: bytes = trailing()
     selected: list[SettleRequest] = repeated(SettleRequest)
@@ -64,10 +63,8 @@ class HubImage:
     retarget_interval: int = fixed("Q")
     target_spacing: int = fixed("Q")
     pow_limit_bits: int = fixed("I")
-    block_subsidy: int = fixed("Q")
     host_settle_address: bytes = fixed("20s")
     min_routing_fee: int = fixed("Q")
-    deposit_expiry_blocks: int = fixed("Q")
     rf_pending: int = fixed("Q")
     rf_confirmed: int = fixed("Q")
     host_balance: int = fixed("Q")
@@ -94,9 +91,9 @@ class HubImage:
 
 # attributes the image keeps under their own names: of the hub's chain
 # parameters, of its configuration and of the hub itself
-_PARAMS = ("retarget_interval", "target_spacing", "pow_limit_bits", "block_subsidy")
-_CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee", "deposit_expiry_blocks")
-_PLAN = ("s_amount", "b_total", "rf_confirmed_on_confirm", "collected", "host_subsidy")
+_PARAMS = ("retarget_interval", "target_spacing", "pow_limit_bits")
+_CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee")
+_PLAN = ("b_total", "rf_confirmed_on_confirm", "host_subsidy")
 _TOTALS = ("rf_pending", "rf_confirmed", "host_balance", "fee_reserve", "rf_collected_total",
            "settled_amount_total", "plans_confirmed", "terminating")
 
@@ -166,6 +163,9 @@ def _check(hub: Hub) -> None:
     """Refuse a hub that no sequence of requests could have left behind."""
     if any(address_of(user.public_key) != address for address, user in hub.users.items()):
         raise SnapshotError("user address does not match its key")
+    order = [queue_order(request) for request in hub.queue]
+    if order != sorted(order):
+        raise SnapshotError("queue out of settlement order")
     locks = [deposit.lock_address for deposit in hub.owned.values()] + list(hub.pending_deposits)
     if hub.plan is not None:
         if any(outpoint not in hub.owned for outpoint in hub.plan.input_outpoints):

@@ -29,6 +29,7 @@ FORMULA_OUTPUT_BYTES = 34
 FORMULA_BASE_BYTES = 10
 
 MAX_MONEY = 21_000_000 * 100_000_000
+BLOCK_SUBSIDY = 50 * 100_000_000  # what a coinbase may mint on top of its block's fees
 
 COINBASE_PREV_TXID = b"\x00" * 32
 COINBASE_PREV_VOUT = 0xFFFFFFFF

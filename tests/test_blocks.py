@@ -8,7 +8,7 @@ from routee.crypto import SCHEMES
 from routee.errors import BlockRejected, RouteeError, TxRejected
 from routee.headers import BlockHeader, ChainParams, HeaderChain
 from routee.simchain import SimNode, replay_utxo
-from routee.transactions import Transaction, TxInput, TxOutput, make_unlock
+from routee.transactions import BLOCK_SUBSIDY, Transaction, TxInput, TxOutput, make_unlock
 
 from conftest import mutated
 
@@ -98,7 +98,7 @@ def test_block_with_missing_utxo_tx_rejected(node):
     from routee.headers import expected_target, merkle_root as mr
     from routee.transactions import coinbase_tx
 
-    cb = coinbase_tx(node.tip_height + 1, node.params.block_subsidy, b"\x02" * 20)
+    cb = coinbase_tx(node.tip_height + 1, BLOCK_SUBSIDY, b"\x02" * 20)
     txs = [cb, ghost]
     bits = expected_target(chain, chain.tip_height + 1).bits
     header = None

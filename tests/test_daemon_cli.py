@@ -153,6 +153,38 @@ def test_cli_set_boundary_syncs_headers(stack, capsys, tmp_path):
     assert "--k: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, argv, flag", [
+    ("routee", ["pay", "--to", "zz"], "--to"),
+    ("routee", ["pay", "--batch", "00:1"], "--batch"),
+    ("routee", ["add-user", "--settle-address", "zz"], "--settle-address"),
+    ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", "zz", "--amount", "1"], "--to"),
+], ids=["pay-to", "pay-batch", "add-user-settle-address", "simchain-pay-to"])
+def test_bad_cli_input_is_a_usage_error(capsys, tmp_path, entry, argv, flag):
+    # refused while parsing, before any connection: the ports here are closed
+    key_path = str(tmp_path / "user.key")
+    Keys.generate(cli.get_scheme("fast")).save(key_path)
+    if entry == "routee":
+        argv = argv[:1] + ["--port", "1", "--key", key_path] + argv[1:]
+    main = cli.main if entry == "routee" else cli.simchain_main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_low_order_handshake_key_closes_the_connection_quietly(stack, capfd):
+    port = stack["daemon"].port
+    capfd.readouterr()
+    for low_order in (bytes(32), b"\x01" + bytes(31)):
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as peer:
+            peer.sendall(wire.pack_frame(wire.FRAME_HANDSHAKE_INIT, wire.encode(wire.HandshakeInit(low_order))))
+            assert closed_by_peer(peer)
+    with RemoteHub("127.0.0.1", port) as hub:
+        assert hub.request(wire.InitStatus())["initialized"] == 1
+    assert capfd.readouterr().err == ""
+
+
 def test_daemon_snapshot_restart_restores_ledger(stack, capsys, tmp_path):
     port = str(stack["daemon"].port)
     alice_path = str(tmp_path / "alice3.key")

@@ -21,7 +21,7 @@ from routee.errors import (
     StaleRequest,
     UnknownType,
 )
-from routee.hub import Hub, HubConfig, OwnedDeposit
+from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
 from routee.simchain import SimNode
 from routee.transactions import formula_size
 
@@ -238,12 +238,12 @@ def test_pending_deposit_expires():
     node = SimNode(seed=5)
     node.mine_blocks(2)
     host = Keys.generate(FAST.auth)
-    hub = make_hub(node, host, deposit_expiry_blocks=2)
+    hub = make_hub(node, host)
     alice = Keys.generate(FAST.auth)
     hub.add_user(alice.public, b"\x0a" * 20)
     manager = hub.add_deposit(sign(FAST.auth, alice, wire.AddDeposit(alice.address, 0)))
     reports = []
-    for _ in range(4):
+    for _ in range(DEPOSIT_EXPIRY_BLOCKS + 2):
         block = node.mine_block()
         msg = sign(FAST.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
         reports.append(hub.insert_block(msg))
@@ -441,7 +441,6 @@ def test_try_build_feasible_at_higher_fee():
     assert plan is not None
     assert len(plan.selected) == 1
     assert plan.tx_fee == 2_260
-    assert plan.collected - plan.tx_fee == 20
     harness.confirm_outstanding()
     assert harness.hub.fee_reserve == 20
     assert harness.hub.conservation()["ok"]
@@ -484,38 +483,64 @@ def test_spend_all_inputs_equal_owned_set():
 
 
 def test_greedy_matches_bruteforce_over_random_queues():
+    # at termination a queue with no feasible prefix settles whole when the
+    # host's confirmed fees cover the shortfall, and not at all otherwise
     rng = random.Random(555)
-    for trial in range(60):
-        harness = settlement_hub(fee_avg=rng.randrange(1, 12))
-        hub = harness.hub
-        fee_avg = hub.estimator.fee_avg
-        n_dep = rng.randrange(1, 5)
-        for i in range(n_dep):
-            outpoint = (rng.randbytes(32), 0)
-            sk, pk = FAST.onchain.generate()
-            addr = address_of(pk)
-            hub.manager_keys[addr] = (sk, pk)
-            hub.owned[outpoint] = OwnedDeposit(
-                *outpoint, rng.randrange(200_000, 300_000),
-                rng.randrange(0, 148 * fee_avg + 1), i, addr,
-            )
-        hub.fee_reserve = rng.randrange(0, 300)
-        queue_len = rng.randrange(1, 13)
-        for _ in range(queue_len):
-            hub._enqueue(rng.randbytes(20), rng.randbytes(20),
-                         rng.randrange(1, 2_000), rng.randrange(0, 40 * fee_avg))
-        fares = sum(d.fare_precollected for d in hub.owned.values())
-        fees = [r.fee for r in hub.queue]
-        feasible = [
-            n for n in range(1, queue_len + 1)
-            if fares + sum(fees[:n]) + hub.fee_reserve >= formula_size(n_dep, n + 1) * fee_avg
-        ]
-        plan = hub.try_build_settlement()
-        if not feasible:
-            assert plan is None, f"trial {trial}: built where oracle says infeasible"
-        else:
-            assert plan is not None, f"trial {trial}: not-yet where oracle says {max(feasible)}"
-            assert len(plan.selected) == max(feasible), f"trial {trial}"
+    for terminating in (False, True):
+        for trial in range(60):
+            harness = settlement_hub(fee_avg=rng.randrange(1, 12))
+            hub = harness.hub
+            fee_avg = hub.estimator.fee_avg
+            n_dep = rng.randrange(1, 5)
+            for i in range(n_dep):
+                outpoint = (rng.randbytes(32), 0)
+                sk, pk = FAST.onchain.generate()
+                addr = address_of(pk)
+                hub.manager_keys[addr] = (sk, pk)
+                hub.owned[outpoint] = OwnedDeposit(
+                    *outpoint, rng.randrange(200_000, 300_000),
+                    rng.randrange(0, 148 * fee_avg + 1), i, addr,
+                )
+            hub.fee_reserve = rng.randrange(0, 300)
+            if terminating:
+                hub.terminating = True
+                hub.host_balance = rng.randrange(0, 30 * fee_avg)
+            host_balance = hub.host_balance
+            queue_len = rng.randrange(1, 13)
+            for _ in range(queue_len):
+                hub._enqueue(rng.randbytes(20), rng.randbytes(20),
+                             rng.randrange(1, 2_000), rng.randrange(0, 40 * fee_avg))
+            fares = sum(d.fare_precollected for d in hub.owned.values())
+            fees = [r.fee for r in hub.queue]
+
+            def collected(n):
+                return fares + sum(fees[:n]) + hub.fee_reserve
+
+            feasible = [
+                n for n in range(1, queue_len + 1)
+                if collected(n) >= formula_size(n_dep, n + 1) * fee_avg
+            ]
+            shortfall = formula_size(n_dep, queue_len + 1) * fee_avg - collected(queue_len)
+            plan = hub.try_build_settlement()
+            label = f"trial {trial}, terminating {terminating}"
+            if feasible:
+                assert plan is not None, f"{label}: not-yet where oracle says {max(feasible)}"
+                assert len(plan.selected) == max(feasible), label
+                assert plan.host_subsidy == 0, label
+            elif terminating and shortfall <= host_balance:
+                assert plan is not None, f"{label}: a covered shortfall of {shortfall} left unsettled"
+                assert len(plan.selected) == queue_len, label
+                assert plan.host_subsidy == shortfall, label
+            else:
+                assert plan is None, f"{label}: built where oracle says infeasible"
+                assert hub.host_balance == host_balance, label
+                continue
+            assert hub.host_balance == host_balance - plan.host_subsidy, label
+            n = len(plan.selected)
+            assert plan.tx_fee == formula_size(n_dep, n + 1) * fee_avg, label
+            reserve = collected(n) + plan.host_subsidy - plan.tx_fee
+            hub._confirm_plan(hub.chain.tip_height)
+            assert hub.fee_reserve == reserve, label
 
 
 # ------------------------------------------------------------------
@@ -571,13 +596,20 @@ def test_terminate_settles_everyone_exactly():
     harness.set_boundary(carol)
     harness.pay(alice, carol.address, 7_000, 999)
     harness.terminate()
-    rounds = 0
-    while not harness.hub.termination_complete and rounds < 12:
-        if harness.hub.plan is not None:
-            harness.node.submit_tx(harness.hub.plan.transaction)
-        harness.insert(harness.node.mine_block())
-        rounds += 1
     hub = harness.hub
+    rounds = 0
+    built = []
+    while not hub.termination_complete and rounds < 12:
+        outstanding = hub.plan
+        if outstanding is not None:
+            harness.node.submit_tx(outstanding.transaction)
+        report = harness.insert(harness.node.mine_block())
+        # a block that leaves a new plan outstanding says so
+        assert report["plan_built"] == int(hub.plan is not None and hub.plan is not outstanding)
+        built.append((report["confirmed_plan"], report["plan_built"]))
+        rounds += 1
+    # the block confirming the users' plan builds the host's payout
+    assert (1, 1) in built
     assert hub.termination_complete
     assert hub.rf_pending == 0
     assert hub.rf_confirmed == hub.rf_collected_total == 999
@@ -590,6 +622,32 @@ def test_terminate_settles_everyone_exactly():
                   if o.lock_address == settle_addr)
         assert got > 0
     assert harness.hub.plans_confirmed >= 1
+
+
+def test_terminal_host_balance_too_small_for_its_payout_is_forfeited():
+    # at fee_avg 10 the host's own 1-in/2-out payout would cost 2,260, more
+    # than the 500 it earned, so the 500 goes to the fee reserve instead
+    harness = settlement_hub(fee_avg=10)
+    hub = harness.hub
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 1_000_000)  # fare 1,480
+    harness.set_boundary(bob)
+    harness.pay(alice, bob.address, 10_000, 500)
+    assert harness.terminate() == 2
+    plan = hub.plan
+    assert plan is not None and len(plan.selected) == 2
+    # 1-in/3-out costs 2,600: fares 1,480, the two 340 minimums and 440 more from alice
+    assert plan.tx_fee == 2_600
+    assert sorted(r.fee for r in plan.selected) == [340, 780]
+    assert plan.rf_confirmed_on_confirm == 500
+    report = harness.confirm_outstanding()
+    assert (report["confirmed_plan"], report["plan_built"]) == (1, 0)
+    assert hub.rf_confirmed == 500
+    assert hub.host_balance == 0
+    assert hub.fee_reserve == 500
+    assert not hub.queue and hub.plan is None
+    assert hub.termination_complete
+    assert hub.conservation()["ok"]
 
 
 def test_terminate_empty_hub_is_noop(harness):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import routee.hub
 import routee.snapshot
 from routee import wire
-from routee.client import sign
+from routee.client import LocalHubEndpoint, sign
 from routee.crypto import DeterministicRng, sha256
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
@@ -77,6 +77,22 @@ def test_wrong_static_key_fails_confirmation():
     ack, _ = imposter.handle_init(handshake.init_payload())
     with pytest.raises(HandshakeFailure):
         handshake.complete(ack)
+
+
+@pytest.mark.parametrize("low_order", [bytes(32), b"\x01" + bytes(31)], ids=["zero", "one"])
+def test_low_order_key_fails_the_handshake_on_both_sides(low_order):
+    hub = HubHarness(seed=7).hub
+    endpoint = LocalHubEndpoint(hub, session_rng=DeterministicRng(7))
+    init = wire.pack_frame(wire.FRAME_HANDSHAKE_INIT, wire.encode(wire.HandshakeInit(low_order)))
+    with pytest.raises(HandshakeFailure):
+        endpoint.handle_frame(init)
+    assert not endpoint.endpoint.sessions
+    # a client refuses an ack whose hub key is of low order
+    handshake = ClientHandshake(endpoint.endpoint.static_public, rng=DeterministicRng(8))
+    ack = wire.decode(wire.HandshakeAck, endpoint.endpoint.handle_init(handshake.init_payload())[0])
+    ack.hub_eph = low_order
+    with pytest.raises(HandshakeFailure):
+        handshake.complete(wire.encode(ack))
 
 
 # --- seal / open ---

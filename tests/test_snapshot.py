@@ -79,6 +79,8 @@ def test_snapshot_bad_magic_and_version():
         load_hub(b"XXXX" + data[4:])
     with pytest.raises(SnapshotError):
         load_hub(data[:4] + b"\x00\x63" + data[6:])
+    with pytest.raises(SnapshotError, match="version 3"):
+        load_hub(data[:4] + b"\x00\x03" + data[6:])
 
 
 def test_snapshot_refuses_any_flipped_bit():
@@ -107,6 +109,7 @@ _UNREACHABLE = {
     "pending_key": ("manager key", lambda image: _without_key(image, image.pending[0].manager_address)),
     "leftover_key": ("manager key", lambda image: _without_key(image, _leftover_address(image))),
     "user_address": ("user address", lambda image: setattr(image.users[0], "user_address", b"\x01" * 20)),
+    "queue_order": ("settlement order", lambda image: image.queue.reverse()),
 }
 
 
@@ -117,8 +120,12 @@ def test_snapshot_refuses_state_no_request_sequence_reaches(name):
     harness.deposit(alice, 400_000)
     harness.hub.add_deposit(sign(harness.suite.auth, bob, wire.AddDeposit(bob.address, harness.nonce(bob))))
     harness.settle(alice, 10_000, 1_000)
+    # with the plan outstanding, further requests wait in the queue
+    harness.settle(alice, 1_000, 40)
+    harness.settle(alice, 1_000, 50)
     data = dump_hub(harness.hub)
     assert load_hub(data).plan is not None
+    assert [r.fee for r in harness.hub.queue] == [50, 40]
     reason, edit = _UNREACHABLE[name]
     image = wire.decode(HubImage, data[6:-TRAILER_SIZE])
     edit(image)
