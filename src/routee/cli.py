@@ -232,6 +232,14 @@ def _depth(value: str) -> int:
     return k
 
 
+def _amount(value: str) -> int:
+    """An amount or fee: what an unsigned 8-byte wire field holds."""
+    n = int(value)
+    if not 0 <= n < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be from 0 to 2**64 - 1, got {n}")
+    return n
+
+
 # argparse reports a converter's ValueError as a usage error naming the converter
 def hex_address(value: str) -> bytes:
     address = bytes.fromhex(value)
@@ -242,7 +250,7 @@ def hex_address(value: str) -> bytes:
 
 def batch_item(value: str) -> wire.PaymentItem:
     addr, amount, fee = value.split(":")
-    return wire.PaymentItem(hex_address(addr), int(amount), int(fee))
+    return wire.PaymentItem(hex_address(addr), _amount(amount), _amount(fee))
 
 
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
@@ -287,16 +295,16 @@ def main(argv: list[str] | None = None) -> int:
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
     p.add_argument("--to", type=hex_address, help="receiver address hex")
-    p.add_argument("--amount", type=int, default=0)
-    p.add_argument("--fee", type=int, default=0)
+    p.add_argument("--amount", type=_amount, default=0)
+    p.add_argument("--fee", type=_amount, default=0)
     p.add_argument("--batch", type=batch_item, action="append", help="addrhex:amount:fee, repeatable")
     p.set_defaults(fn=cmd_pay)
 
     p = sub.add_parser("settle")
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
-    p.add_argument("--amount", type=int, required=True)
-    p.add_argument("--fee", type=int, required=True)
+    p.add_argument("--amount", type=_amount, required=True)
+    p.add_argument("--fee", type=_amount, required=True)
     p.set_defaults(fn=cmd_settle)
 
     p = sub.add_parser("balance")
@@ -426,8 +434,8 @@ def simchain_main(argv: list[str] | None = None) -> int:
             p.add_argument("--count", type=int, default=1)
         if name == "pay":
             p.add_argument("--to", type=hex_address, required=True, help="20-byte address hex")
-            p.add_argument("--amount", type=int, required=True)
-            p.add_argument("--fee", type=int, default=0)
+            p.add_argument("--amount", type=_amount, required=True)
+            p.add_argument("--fee", type=_amount, default=0)
         p.set_defaults(mode=name)
 
     # SUPPRESS: a flag after the subcommand sets json, its absence leaves the top-level value

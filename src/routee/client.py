@@ -134,7 +134,8 @@ class HubFrontEnd:
 class LocalHubEndpoint(HubFrontEnd):
     """In-memory hub front end speaking whole frames, for tests and scenario
     scripts. It has no connections, so every envelope finds its session by
-    the session id it carries."""
+    the session id it carries. It signs a plan a frame built before that
+    frame returns, so its callers see every plan signed."""
 
     def __init__(self, hub, session_rng=None):
         super().__init__(hub, HubSessionEndpoint(rng=session_rng))
@@ -148,6 +149,7 @@ class LocalHubEndpoint(HubFrontEnd):
             except SessionAborted:
                 return None
         reply = self.handle(frame_type, payload, ctx)
+        self.hub.sign_plan()
         return None if reply is None else pack_frame(*reply)
 
 

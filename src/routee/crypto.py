@@ -18,6 +18,7 @@ costs about as much as a signature.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -32,6 +33,7 @@ from .errors import AuthFailure
 
 ADDRESS_SIZE = 20
 HASH_SIZE = 32
+RSA_KEY_CACHE = 1024  # parsed RSA public keys kept, most recently used first
 
 
 def sha256(data: bytes) -> bytes:
@@ -105,6 +107,13 @@ class FastScheme(_BytesSecret):
         return hmac.compare_digest(expected, signature)
 
 
+@functools.lru_cache(maxsize=RSA_KEY_CACHE)
+def _rsa_public_key(der: bytes):
+    # a key object set up once verifies faster than a fresh parse does; bad
+    # DER raises and is not cached
+    return serialization.load_der_public_key(der)
+
+
 class RsaScheme(_BytesSecret):
     """RSA-3072 with PKCS#1 v1.5 / SHA-256; DER-encoded keys."""
 
@@ -130,7 +139,7 @@ class RsaScheme(_BytesSecret):
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:
-            key = serialization.load_der_public_key(public_key)
+            key = _rsa_public_key(public_key)
             key.verify(signature, message, padding.PKCS1v15(), hashes.SHA256())
             return True
         except (InvalidSignature, ValueError, TypeError):

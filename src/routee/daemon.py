@@ -5,12 +5,17 @@ One event loop (`netio.FrameServer`) owns every connection and applies one
 request at a time, so the hub has a single writer without a lock, and each
 session's messages are answered in the order they arrive. A connection's
 session leaves the session table when the connection closes or idles out.
-Snapshots are written on demand and on shutdown, after the loop has stopped.
+Between frames the loop signs the outstanding settlement plan, a slice of
+`SIGN_SLICE_S` at a time, so no connection waits for a whole plan's
+signatures. Snapshots are written on demand and on shutdown, after the loop
+has stopped; a plan still being signed is stored as it stands, and signing
+resumes after a load.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 from . import snapshot as snapshot_mod
 from .client import HubFrontEnd, Keys
@@ -21,6 +26,8 @@ from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
 from .session import HubSessionEndpoint
 from .simchain_server import SimchainClient
+
+SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may wait
 
 
 class DaemonConfig:
@@ -111,7 +118,7 @@ class HubDaemon(HubFrontEnd):
         self.simchain = SimchainClient(config["simchain_host"], config.get_int("simchain_port"))
         self.server = FrameServer(
             (config["listen_host"], config.get_int("listen_port")), self._handle, self.drop_session,
-            self.frame_limit,
+            self.frame_limit, self._sign_slice,
         )
 
     @property
@@ -181,3 +188,7 @@ class HubDaemon(HubFrontEnd):
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):
         # the frame server's callback; bench/tracing.py wraps it by this name
         return self.handle(frame_type, payload, ctx)
+
+    def _sign_slice(self) -> bool:
+        # the loop's idle hook; with no plan left to sign it returns at once
+        return self.hub.sign_plan(time.perf_counter() + SIGN_SLICE_S)

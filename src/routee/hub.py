@@ -15,11 +15,17 @@ Users, pending and owned deposits and settle requests are `wire` records,
 declared once for memory and for the snapshot. Each fact is held once: a
 pending deposit's key lives only in `manager_keys`, and a settlement plan's
 size, fee, inputs and leftover are read off its transaction.
+
+A plan is decided inside the request that builds it and signed afterwards:
+`sign_plan` signs its inputs, and the front ends call it between frames, so
+that request answers before its ECDSA signatures exist. A plan is matched on
+chain by its sighash, which no signature changes.
 """
 
 from __future__ import annotations
 
 import bisect
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -160,8 +166,9 @@ class FeeEstimator:
 @dataclass
 class SettlementPlan:
     """An outstanding spend-all settlement. Its size, fee, inputs and
-    leftover output are read off the signed transaction, whose last output
-    is the leftover, and its settled user value off the selected requests."""
+    leftover output are read off its transaction, whose last output is the
+    leftover, and its settled user value off the selected requests. It is
+    signed once every input's unlock is set."""
 
     transaction: Transaction
     selected: list[SettleRequest]
@@ -170,9 +177,16 @@ class SettlementPlan:
     host_subsidy: int = 0
 
     def __post_init__(self):
-        # hashed once, by the request that builds or restores the plan:
-        # every inserted block compares its transactions against it
-        self.txid: bytes = self.transaction.txid()
+        # hashed once, by the request that builds or restores the plan: every
+        # input signs it, and it is what a block transaction must match
+        self.sighash: bytes = self.transaction.sighash()
+        # inputs are signed in order, so the unsigned ones are a suffix
+        inputs = self.transaction.inputs
+        self.next_unsigned = next((i for i, txin in enumerate(inputs) if not txin.unlock), len(inputs))
+
+    @property
+    def signed(self) -> bool:
+        return self.next_unsigned == len(self.transaction.inputs)
 
     @property
     def s_amount(self) -> int:
@@ -193,10 +207,6 @@ class SettlementPlan:
     @property
     def tx_fee(self) -> int:
         return self.transaction.fee()
-
-    @property
-    def leftover_outpoint(self) -> Outpoint:
-        return (self.txid, self.tx_outputs - 1)
 
     @property
     def input_outpoints(self) -> list[Outpoint]:
@@ -406,7 +416,8 @@ class Hub:
     def try_build_settlement(self) -> SettlementPlan | None:
         """Greedy spend-all settlement: pick the largest fee-sorted prefix of
         the queue whose request fees pay what the deposit fares and the
-        carried reserve leave uncovered of the formula transaction fee."""
+        carried reserve leave uncovered of the formula transaction fee. The
+        plan's inputs are left unsigned, for `sign_plan`."""
         if self.plan is not None or not self.owned or not self.queue:
             return None
         fee_avg = self.estimator.fee_avg
@@ -449,26 +460,41 @@ class Hub:
             [TxOutput(r.amount, r.settle_address) for r in selected]
             + [TxOutput(total_in - amounts - tx_fee, manager_address)],
         )
-        digest = tx.sighash()
-        for txin, deposit in zip(tx.inputs, self.owned.values()):
-            dep_sk, dep_pk = self.manager_keys[deposit.lock_address]
-            txin.unlock = make_unlock(self.suite.onchain, dep_sk, dep_pk, digest)
 
         self.queue = self.queue[n:]
         self.rf_pending -= rf_delta
         self.plan = SettlementPlan(tx, selected, b_total, rf_delta, host_subsidy)
         return self.plan
 
-    def _confirm_plan(self, height: int) -> None:
+    def sign_plan(self, deadline: float | None = None) -> bool:
+        """Sign the outstanding plan's unsigned inputs in input order: at
+        least one, then more until `time.perf_counter()` passes `deadline`
+        (no deadline: all of them). True once nothing is left to sign."""
+        plan = self.plan
+        if plan is None or plan.signed:
+            return True
+        inputs = plan.transaction.inputs
+        while True:
+            txin = inputs[plan.next_unsigned]
+            sk, pk = self.manager_keys[self.owned[txin.outpoint].lock_address]
+            txin.unlock = make_unlock(self.suite.onchain, sk, pk, plan.sighash)
+            plan.next_unsigned += 1
+            if plan.signed:
+                return True
+            if deadline is not None and time.perf_counter() > deadline:
+                return False
+
+    def _confirm_plan(self, height: int, txid: bytes) -> None:
+        """Confirm the plan as mined under `txid`, the block's: whoever
+        broadcast the plan may have reshaped its signatures, and so its txid."""
         plan = self.plan
         assert plan is not None
         # nothing moves the reserve while a plan is outstanding, so it gains
         # exactly what the plan collected beyond its transaction fee
         fares = sum(self.owned.pop(outpoint).fare_precollected for outpoint in plan.input_outpoints)
         leftover = plan.transaction.outputs[-1]
-        self.owned[plan.leftover_outpoint] = OwnedDeposit(
-            *plan.leftover_outpoint, leftover.value, 0, height, leftover.lock_address
-        )
+        vout = plan.tx_outputs - 1
+        self.owned[(txid, vout)] = OwnedDeposit(txid, vout, leftover.value, 0, height, leftover.lock_address)
         self.fee_reserve += fares + sum(r.fee for r in plan.selected) + plan.host_subsidy - plan.tx_fee
         self.rf_confirmed += plan.rf_confirmed_on_confirm
         self.host_balance += plan.rf_confirmed_on_confirm
@@ -515,8 +541,13 @@ class Hub:
         confirmed = False
         fee_avg = self.estimator.fee_avg
         for tx, txid in zip(block.txs, txids):
-            if self.plan is not None and txid == self.plan.txid:
-                self._confirm_plan(height)
+            # the plan spends every deposit owned when it was built, its
+            # first input included; only such a transaction can carry its
+            # sighash
+            plan = self.plan
+            if (plan is not None and tx.inputs and tx.inputs[0].outpoint in self.owned
+                    and tx.sighash() == plan.sighash):
+                self._confirm_plan(height, txid)
                 confirmed = True
                 continue
             if tx.is_coinbase:
@@ -645,8 +676,10 @@ class Hub:
         }
 
     def get_settlement(self) -> dict:
+        """The outstanding plan, once it is signed: before then there is
+        nothing the host could broadcast."""
         plan = self.plan
-        if plan is None:
+        if plan is None or not plan.signed:
             return {"present": 0}
         return {
             "present": 1,

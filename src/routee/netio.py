@@ -94,12 +94,18 @@ class FrameServer:
     included) the connection may send next; a longer length prefix closes the
     connection before its body is read. A callback that raises closes its own
     connection only. A connection's next frame waits until its last reply has
-    left, so a peer that does not read holds one reply, not the loop."""
+    left, so a peer that does not read holds one reply, not the loop.
 
-    def __init__(self, address: tuple[str, int], handler_fn, close_fn=None, limit_fn=None):
+    `idle_fn()`, when given, runs once per turn of the loop, after that
+    turn's frames are answered and their replies flushed: it does a bounded
+    slice of deferred work and returns True once none is left. While it
+    returns False the loop polls for frames instead of blocking."""
+
+    def __init__(self, address: tuple[str, int], handler_fn, close_fn=None, limit_fn=None, idle_fn=None):
         self.handler_fn = handler_fn
         self.close_fn = close_fn
         self.limit_fn = limit_fn
+        self.idle_fn = idle_fn
         self.listener = socket.create_server(address)
         self._wake_r, self._wake_w = socket.socketpair()
         for sock in (self.listener, self._wake_r, self._wake_w):
@@ -128,9 +134,11 @@ class FrameServer:
     def serve_forever(self) -> None:
         """Serve until `shutdown()`, then close every connection."""
         sweep_at = time.monotonic() + IDLE_TIMEOUT_S
+        busy = self.idle_fn is not None  # the first turn asks the hook
         try:
             while not self.stopping:
-                for key, _ in self.selector.select(max(0.0, sweep_at - time.monotonic())):
+                timeout = 0.0 if busy else max(0.0, sweep_at - time.monotonic())
+                for key, _ in self.selector.select(timeout):
                     if key.data is not None:
                         self._serve(key.data)
                     elif key.fileobj is self.listener:
@@ -142,6 +150,8 @@ class FrameServer:
                     for conn in [c for c in self.conns if now - c.seen >= IDLE_TIMEOUT_S]:
                         self._close(conn)
                     sweep_at = min((c.seen for c in self.conns), default=now) + IDLE_TIMEOUT_S
+                if self.idle_fn is not None:
+                    busy = not self.idle_fn()
         finally:
             for conn in list(self.conns):
                 self._close(conn)

@@ -114,13 +114,19 @@ class World:
     def terminate(self) -> None:
         self.hub.terminate(sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash)))
 
+    def signed_plan(self):
+        """The outstanding plan, signed as a front end signs it between frames."""
+        self.hub.sign_plan()
+        return self.hub.plan
+
     def run_settlements_to_completion(self) -> int:
         """Honest host loop: broadcast the outstanding plan, mine, insert, for
         at most 32 rounds."""
         rounds = 0
         while not self.hub.termination_complete and rounds < 32:
-            if self.hub.plan is not None:
-                self.node.submit_tx(self.hub.plan.transaction)
+            plan = self.signed_plan()
+            if plan is not None:
+                self.node.submit_tx(plan.transaction)
             self.insert(self.node.mine_block())
             rounds += 1
         return rounds
@@ -200,7 +206,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
     fee_avg = hub.estimator.fee_avg
 
     if builder == "spend-all":
-        plan = hub.plan
+        plan = w.signed_plan()
         if plan is None:
             report.verdict = "error"
             report.log("no settlement plan was built")
@@ -312,7 +318,7 @@ def scenario_abort_economics(seed: int) -> ScenarioReport:
     def payoff_withhold() -> int:
         w = _economics_world(seed, with_fees=True)
         w.terminate()
-        plan1 = w.hub.plan
+        plan1 = w.signed_plan()
         if plan1 is None:
             return w.onchain_value(w.host_settle)
         rf_before = w.hub.rf_confirmed
@@ -321,7 +327,7 @@ def scenario_abort_economics(seed: int) -> ScenarioReport:
         forger.submit_tx(plan1.transaction)
         w.insert(forger.mine_block())
         report.details["rf_confirmed_after_fake_confirm"] = w.hub.rf_confirmed
-        plan2 = w.hub.plan
+        plan2 = w.signed_plan()
         if plan2 is not None:
             try:
                 w.node.submit_tx(plan2.transaction)

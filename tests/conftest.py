@@ -149,9 +149,15 @@ class HubHarness:
             sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash))
         )
 
+    def signed_plan(self):
+        """The outstanding plan, signed as a front end signs it between frames."""
+        self.hub.sign_plan()
+        return self.hub.plan
+
     def confirm_outstanding(self):
-        assert self.hub.plan is not None
-        self.node.submit_tx(self.hub.plan.transaction)
+        plan = self.signed_plan()
+        assert plan is not None
+        self.node.submit_tx(plan.transaction)
         return self.insert(self.node.mine_block())
 
     def balance(self, keys):
@@ -204,8 +210,9 @@ def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
             elif roll < 0.97:
                 harness.insert(harness.node.mine_block())
             else:
-                if harness.hub.plan is not None:
-                    harness.node.submit_tx(harness.hub.plan.transaction)
+                plan = harness.signed_plan()
+                if plan is not None:
+                    harness.node.submit_tx(plan.transaction)
                 harness.insert(harness.node.mine_block())
         except RouteeError:
             pass
@@ -215,8 +222,9 @@ def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
     check()
     rounds = 0
     while not harness.hub.termination_complete and rounds < 64:
-        if harness.hub.plan is not None:
-            harness.node.submit_tx(harness.hub.plan.transaction)
+        plan = harness.signed_plan()
+        if plan is not None:
+            harness.node.submit_tx(plan.transaction)
         harness.insert(harness.node.mine_block())
         check()
         rounds += 1

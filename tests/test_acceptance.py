@@ -471,13 +471,14 @@ def test_criterion_9_settlement_generation_2000x2001():
     start = time.perf_counter()
     last = users[-1]
     hub.request_settlement(sign(FAST.auth, last, wire.Settle(last.address, 1, 40_000, base_fee + 60)))
+    assert hub.sign_plan()
     build_time = time.perf_counter() - start
     plan = hub.plan
     assert plan is not None
 
     node.submit_tx(plan.transaction)  # full validation incl. 2,000 signatures
     block = node.mine_block()
-    assert plan.txid in [tx.txid() for tx in block.txs]
+    assert plan.transaction.txid() in [tx.txid() for tx in block.txs]
 
     ok = (
         plan.tx_inputs == 2_000

@@ -74,3 +74,29 @@ def test_rsa_sizing_is_3072_bit():
     sk, pk = scheme.generate()
     sig = scheme.sign(sk, b"m")
     assert len(sig) == 384  # 3072 / 8
+
+
+def test_rsa_public_keys_are_parsed_once_and_bad_der_still_fails(monkeypatch):
+    from routee import crypto
+
+    parses = []
+    load = crypto.serialization.load_der_public_key
+
+    def counting_load(der):
+        parses.append(der)
+        return load(der)
+
+    monkeypatch.setattr(crypto.serialization, "load_der_public_key", counting_load)
+    crypto._rsa_public_key.cache_clear()
+    scheme = SCHEMES["rsa3072"]
+    sk, pk = scheme.generate()
+    sig = scheme.sign(sk, b"m")
+    assert scheme.verify(pk, b"m", sig) and scheme.verify(pk, b"m", sig)
+    assert not scheme.verify(pk, b"n", sig)
+    assert parses == [pk]
+    # bad DER is refused every time, and is not kept
+    for _ in range(2):
+        assert not scheme.verify(pk[:-1], b"m", sig)
+        assert not scheme.verify(b"", b"m", sig)
+    assert crypto._rsa_public_key.cache_info().currsize == 1
+    crypto._rsa_public_key.cache_clear()

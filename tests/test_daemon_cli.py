@@ -153,12 +153,25 @@ def test_cli_set_boundary_syncs_headers(stack, capsys, tmp_path):
     assert "--k: must be at least 1" in capsys.readouterr().err
 
 
+TO = "00" * 20
+
+
 @pytest.mark.parametrize("entry, argv, flag", [
     ("routee", ["pay", "--to", "zz"], "--to"),
     ("routee", ["pay", "--batch", "00:1"], "--batch"),
     ("routee", ["add-user", "--settle-address", "zz"], "--settle-address"),
     ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", "zz", "--amount", "1"], "--to"),
-], ids=["pay-to", "pay-batch", "add-user-settle-address", "simchain-pay-to"])
+    # a negative amount or fee cannot be packed into a request
+    ("routee", ["pay", "--to", TO, "--amount", "-1", "--fee", "5"], "--amount"),
+    ("routee", ["pay", "--to", TO, "--amount", "1", "--fee", "-5"], "--fee"),
+    ("routee", ["pay", "--batch", f"{TO}:-1:5"], "--batch"),
+    ("routee", ["settle", "--amount", "-1", "--fee", "5"], "--amount"),
+    ("routee", ["settle", "--amount", "1", "--fee", "-5"], "--fee"),
+    ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", TO, "--amount", "-1"], "--amount"),
+    ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", TO, "--amount", "1", "--fee", "-1"], "--fee"),
+], ids=["pay-to", "pay-batch", "add-user-settle-address", "simchain-pay-to", "pay-negative-amount",
+        "pay-negative-fee", "pay-batch-negative-amount", "settle-negative-amount", "settle-negative-fee",
+        "simchain-pay-negative-amount", "simchain-pay-negative-fee"])
 def test_bad_cli_input_is_a_usage_error(capsys, tmp_path, entry, argv, flag):
     # refused while parsing, before any connection: the ports here are closed
     key_path = str(tmp_path / "user.key")

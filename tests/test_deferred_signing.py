@@ -1,0 +1,101 @@
+"""A settlement plan is decided inside the request that builds it and signed
+afterwards, by `Hub.sign_plan`: in process before the frame returns, in the
+daemon a slice at a time between frames. Until every input is signed the hub
+does not hand the plan out."""
+
+import time
+
+from routee import wire
+from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub, sign
+from routee.crypto import DeterministicRng
+from routee.daemon import DaemonConfig, HubDaemon
+from routee.snapshot import dump_hub, load_hub
+
+from conftest import HubHarness
+
+WAIT_S = 5.0
+
+
+def three_input_plan(seed):
+    """A harness whose hub owns three deposits and holds an unsigned plan
+    spending all of them."""
+    harness = HubHarness(seed=seed)
+    alice = harness.new_user()
+    for _ in range(3):
+        harness.deposit(alice, 200_000)
+    harness.settle(alice, 10_000, 1_000)
+    plan = harness.hub.plan
+    assert plan is not None and plan.tx_inputs == 3
+    return harness
+
+
+def test_sign_plan_past_its_deadline_signs_one_input_per_call():
+    harness = three_input_plan(seed=42)
+    hub = harness.hub
+    inputs = hub.plan.transaction.inputs
+    for signed in range(3):
+        assert [bool(txin.unlock) for txin in inputs] == [True] * signed + [False] * (3 - signed)
+        assert not hub.plan.signed
+        assert hub.apply_request(wire.GetSettlement()) == {"present": 0}
+        assert hub.sign_plan(deadline=0.0) is (signed == 2)
+    assert hub.sign_plan(deadline=0.0) is True  # nothing left: no more signing
+    reply = hub.apply_request(wire.GetSettlement())
+    assert reply["present"] == 1 and reply["tx_inputs"] == 3
+    tx = hub.plan.transaction
+    assert reply["tx"] == tx.serialize()
+    harness.node.submit_tx(tx)
+    assert harness.insert(harness.node.mine_block())["confirmed_plan"] == 1
+    assert hub.conservation()["ok"]
+    assert HubHarness(seed=1).hub.sign_plan() is True  # no plan at all
+
+
+def test_half_signed_plan_survives_a_snapshot_and_finishes_after_load():
+    harness = three_input_plan(seed=43)
+    assert harness.hub.sign_plan(deadline=0.0) is False
+    restored = load_hub(dump_hub(harness.hub))
+    plan = restored.plan
+    assert [bool(txin.unlock) for txin in plan.transaction.inputs] == [True, False, False]
+    assert restored.apply_request(wire.GetSettlement()) == {"present": 0}
+    assert restored.sign_plan() is True
+    assert restored.conservation()["ok"]
+    harness.node.submit_tx(plan.transaction)
+    block = harness.node.mine_block()
+    msg = sign(harness.suite.auth, harness.host, wire.InsertBlock(block.serialize()), block.header.hash())
+    assert restored.insert_block(msg)["confirmed_plan"] == 1
+    assert restored.conservation()["ok"]
+
+
+def test_in_process_front_end_signs_before_the_frame_returns():
+    harness = HubHarness(seed=44)
+    alice = harness.new_user()
+    for _ in range(3):
+        harness.deposit(alice, 200_000)
+    conn = LocalConnection(LocalHubEndpoint(harness.hub, session_rng=DeterministicRng(44)))
+    settle = wire.Settle(alice.address, harness.nonce(alice), 10_000, 1_000)
+    conn.request(sign(harness.suite.auth, alice, settle))
+    assert harness.hub.plan.signed
+    reply = conn.request(wire.GetSettlement())
+    assert reply["present"] == 1
+    harness.node.submit_tx(harness.hub.plan.transaction)
+
+
+def test_daemon_loop_finishes_a_loaded_half_signed_plan(tmp_path):
+    harness = three_input_plan(seed=45)
+    assert harness.hub.sign_plan(deadline=0.0) is False
+    path = tmp_path / "hub.snap"
+    path.write_bytes(dump_hub(harness.hub))
+    daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
+    daemon.start()
+    try:
+        # no frame arrives: the loop's first turn runs the signing hook
+        deadline = time.monotonic() + WAIT_S
+        while not daemon.hub.plan.signed:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with RemoteHub("127.0.0.1", daemon.port) as remote:
+            reply = remote.request(wire.GetSettlement())
+    finally:
+        daemon.stop()
+    assert reply["present"] == 1
+    assert daemon.hub.conservation()["ok"]
+    harness.node.submit_tx(daemon.hub.plan.transaction)

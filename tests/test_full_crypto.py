@@ -10,10 +10,23 @@ from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
 from routee.simchain import SimNode
 from routee.snapshot import dump_hub, load_hub
+from routee.transactions import Transaction, parse_unlock
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
 
 FULL = CryptoSuite.full()
+SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+
+
+def malleate(unlock: bytes) -> bytes:
+    """The same unlock with its ECDSA signature (r, s) swapped for (r, n - s),
+    which verifies just as well."""
+    public_key, signature = parse_unlock(unlock)
+    r, s = decode_dss_signature(signature)
+    swapped = encode_dss_signature(r, SECP256K1_ORDER - s)
+    return (len(public_key).to_bytes(2, "big") + public_key
+            + len(swapped).to_bytes(2, "big") + swapped)
 
 
 def test_full_mode_deposit_payment_settlement(monkeypatch):
@@ -68,6 +81,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     settle = sign(FULL.auth, alice, wire.Settle(alice.address, 2, 10_000, 800))
     parses.clear()
     hub.request_settlement(settle)
+    assert hub.sign_plan()
     plan = hub.plan
     assert plan is not None
     assert parses == []
@@ -94,7 +108,53 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     settle = sign(FULL.auth, alice, wire.Settle(alice.address, 3, 10_000, 800))
     parses.clear()
     restored.request_settlement(settle)
+    assert restored.sign_plan()
     plan = restored.plan
     assert plan is not None
     assert len(parses) == len(plan.transaction.inputs) == 2
     node.submit_tx(plan.transaction)
+
+
+def test_plan_confirms_when_its_signatures_are_malleated():
+    node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=32)
+    node.mine_blocks(3)
+    host = Keys.generate(FULL.auth)
+    hub = Hub(HubConfig(host.public, b"\x68" * 20, 2, node.params, FULL))
+    headers = [b.header for b in node.blocks]
+    hub.initialize(headers[0], 0, headers[1:], node.blocks)
+
+    def insert(block):
+        return hub.insert_block(sign(FULL.auth, host, wire.InsertBlock(block.serialize()), block.header.hash()))
+
+    alice = Keys.generate(FULL.auth)
+    hub.add_user(alice.public, b"\x0a" * 20)
+    for nonce in range(2):
+        node.pay(hub.add_deposit(sign(FULL.auth, alice, wire.AddDeposit(alice.address, nonce))), 100_000)
+        insert(node.mine_block())
+    hub.request_settlement(sign(FULL.auth, alice, wire.Settle(alice.address, 2, 10_000, 800)))
+    assert hub.sign_plan()
+    plan = hub.plan
+    assert plan.tx_inputs == 2
+
+    # whoever holds the plan may reshape every signature before it is mined
+    tx = Transaction.deserialize(plan.transaction.serialize())
+    for txin in tx.inputs:
+        txin.unlock = malleate(txin.unlock)
+    assert tx.sighash() == plan.transaction.sighash()
+    assert tx.txid() != plan.transaction.txid()
+    node.submit_tx(tx)
+    report = insert(node.mine_block())
+    assert report["confirmed_plan"] == 1
+    assert hub.plans_confirmed == 1 and hub.plan is None
+    leftover = (tx.txid(), len(tx.outputs) - 1)
+    assert list(hub.owned) == [leftover]
+    assert hub.owned[leftover].value == tx.outputs[-1].value
+    assert hub.conservation()["ok"]
+
+    # the next plan spends the leftover the chain holds
+    hub.request_settlement(sign(FULL.auth, alice, wire.Settle(alice.address, 3, 10_000, 800)))
+    assert hub.sign_plan()
+    assert hub.plan.input_outpoints == [leftover]
+    node.submit_tx(hub.plan.transaction)
+    assert insert(node.mine_block())["confirmed_plan"] == 1
+    assert hub.conservation()["ok"]

@@ -539,7 +539,7 @@ def test_greedy_matches_bruteforce_over_random_queues():
             n = len(plan.selected)
             assert plan.tx_fee == formula_size(n_dep, n + 1) * fee_avg, label
             reserve = collected(n) + plan.host_subsidy - plan.tx_fee
-            hub._confirm_plan(hub.chain.tip_height)
+            hub._confirm_plan(hub.chain.tip_height, plan.transaction.txid())
             assert hub.fee_reserve == reserve, label
 
 
@@ -551,14 +551,14 @@ def test_sequential_plans_chain_through_leftover():
     alice = harness.new_user()
     harness.deposit(alice, 400_000)
     harness.settle(alice, 10_000, 1_000)
-    plan1 = harness.hub.plan
+    plan1 = harness.signed_plan()
     assert plan1 is not None
     harness.confirm_outstanding()
 
     harness.settle(alice, 10_000, 1_000)
     plan2 = harness.hub.plan
     assert plan2 is not None
-    assert plan1.leftover_outpoint in plan2.input_outpoints
+    assert (plan1.transaction.txid(), plan1.tx_outputs - 1) in plan2.input_outpoints
 
 
 def test_withheld_broadcast_invalidates_next_plan_on_main_chain():
@@ -566,7 +566,7 @@ def test_withheld_broadcast_invalidates_next_plan_on_main_chain():
     alice = harness.new_user()
     harness.deposit(alice, 400_000)
     harness.settle(alice, 10_000, 1_000)
-    plan1 = harness.hub.plan
+    plan1 = harness.signed_plan()
     assert plan1 is not None
 
     # host never broadcasts plan1; it forges a private confirmation instead
@@ -576,7 +576,7 @@ def test_withheld_broadcast_invalidates_next_plan_on_main_chain():
     assert harness.hub.plans_confirmed == 1
 
     harness.settle(alice, 10_000, 1_000)
-    plan2 = harness.hub.plan
+    plan2 = harness.signed_plan()
     assert plan2 is not None
     from routee.errors import TxRejected
 
@@ -600,7 +600,7 @@ def test_terminate_settles_everyone_exactly():
     rounds = 0
     built = []
     while not hub.termination_complete and rounds < 12:
-        outstanding = hub.plan
+        outstanding = harness.signed_plan()
         if outstanding is not None:
             harness.node.submit_tx(outstanding.transaction)
         report = harness.insert(harness.node.mine_block())

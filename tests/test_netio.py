@@ -24,8 +24,8 @@ def serve():
     """Start a frame server on a background loop; stop every one at teardown."""
     servers = []
 
-    def start(handler_fn=_echo, close_fn=None, limit_fn=None):
-        server = FrameServer(("127.0.0.1", 0), handler_fn, close_fn, limit_fn)
+    def start(handler_fn=_echo, close_fn=None, limit_fn=None, idle_fn=None):
+        server = FrameServer(("127.0.0.1", 0), handler_fn, close_fn, limit_fn, idle_fn)
         server.start_background()
         servers.append(server)
         return server
@@ -132,3 +132,37 @@ def test_shutdown_joins_the_loop_and_closes_connections():
     conn.close()
     server.server_close()
     server.shutdown()  # a second stop after close is harmless
+
+
+def _wait_for(condition) -> None:
+    deadline = time.monotonic() + WAIT_S
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def test_idle_hook_runs_after_each_turn_and_keeps_the_loop_polling(serve):
+    frames = []
+    turns = []  # frames answered when the hook ran
+
+    def handler(frame_type, payload, ctx):
+        frames.append(payload)
+        return frame_type, payload
+
+    def idle():
+        turns.append(len(frames))
+        # busy for the first five turns, then again once two frames are in
+        return len(turns) >= 5 and len(frames) != 2
+
+    server = serve(handler, idle_fn=idle)
+    # no peer sends anything, yet the loop turns while the hook is busy
+    _wait_for(lambda: len(turns) >= 5)
+    assert turns[:5] == [0] * 5
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as conn:
+        assert conn.request(7, b"a") == (7, b"a")
+        # the hook ran after the frame was answered, said it was done, and
+        # the loop went back to waiting
+        _wait_for(lambda: turns[-1] == 1)
+        assert conn.request(7, b"b") == (7, b"b")
+        # busy again: the loop keeps asking without another frame
+        _wait_for(lambda: turns.count(2) >= 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -66,3 +67,12 @@ def test_scenario_cli_json(capsys):
     out = json.loads(capsys.readouterr().out.strip())
     assert code == 0  # the naive run is expected to demonstrate vulnerability
     assert out["verdict"] == "vulnerable"
+
+
+def test_scenario_output_is_pinned(capsys):
+    # the bytes of `routee-scenario all --seed 7 --json`: a change to how
+    # plans are built, signed or matched must not move them
+    assert scenarios.main(["all", "--seed", "7", "--json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 1_774
+    assert hashlib.sha256(out).hexdigest() == "8b771ba90fa55cbdc018cd45e246debec9a051df2f6c8112c29221c6babd262c"

@@ -48,10 +48,10 @@ def test_snapshot_mid_plan_keeps_outstanding_settlement():
     alice = harness.new_user()
     harness.deposit(alice, 400_000)
     harness.settle(alice, 10_000, 1_000)
-    assert harness.hub.plan is not None
+    assert harness.signed_plan() is not None
     restored = load_hub(dump_hub(harness.hub))
     assert restored.plan is not None
-    assert restored.plan.txid == harness.hub.plan.txid
+    assert restored.plan.transaction == harness.hub.plan.transaction
     assert restored.plan.input_outpoints == harness.hub.plan.input_outpoints
     # the reply derived from the restored plan matches the original's
     assert restored.apply_request(wire.GetSettlement()) == harness.hub.apply_request(wire.GetSettlement())
