@@ -15,7 +15,7 @@ import signal
 import sys
 
 from . import wire
-from .client import Keys, RemoteHub, sign
+from .client import Keys, RemoteHub
 from .crypto import ADDRESS_SIZE, get_scheme
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
@@ -44,29 +44,34 @@ def _fail(args, exc: RouteeError) -> int:
     return 2
 
 
+def _run(args, fn) -> int:
+    """Run `fn(args)`; a protocol, connection or file error exits 2 with a structured error."""
+    try:
+        return fn(args)
+    except RouteeError as exc:
+        return _fail(args, exc)
+    except (ConnectionError, OSError) as exc:
+        return _fail(args, RouteeError(str(exc)))
+
+
 def _hub(args) -> RemoteHub:
     return RemoteHub(args.host, args.port)
 
 
-def _user_nonce(hub: RemoteHub, scheme, keys: Keys) -> int:
-    state = hub.request(sign(scheme, keys, wire.QueryUser(keys.address), hub.session_id))
-    return state["nonce"]
-
-
-def _scheme_for(args):
-    return get_scheme(args.scheme)
-
-
-def _simchain_client(args) -> SimchainClient:
-    host, _, port = args.simchain.partition(":")
-    return SimchainClient(host, int(port))
+def _send_signed(args, keys: Keys, build) -> int:
+    """Read the user's nonce, then sign and send `build(nonce)` and print the reply."""
+    with _hub(args) as hub:
+        nonce = hub.request(keys.sign(wire.QueryUser(keys.address), hub.session_id))["nonce"]
+        result = hub.request(keys.sign(build(nonce)))
+    _emit(args, result)
+    return 0
 
 
 # ----------------------------------------------------------------------
 # user + host client
 
 def cmd_keygen(args) -> int:
-    keys = Keys.generate(_scheme_for(args))
+    keys = Keys.generate(get_scheme(args.scheme))
     keys.save(args.out)
     _emit(args, {"key_file": args.out, "address": keys.address, "scheme": args.scheme})
     return 0
@@ -82,20 +87,13 @@ def cmd_add_user(args) -> int:
 
 def cmd_add_deposit(args) -> int:
     keys = Keys.load(args.key)
-    scheme = get_scheme(keys.scheme_name)
-    with _hub(args) as hub:
-        nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(sign(scheme, keys, wire.AddDeposit(keys.address, nonce)))
-    _emit(args, result)
-    return 0
+    return _send_signed(args, keys, lambda nonce: wire.AddDeposit(keys.address, nonce))
 
 
 def _sync_store(args):
     params = ChainParams(args.retarget_interval, args.target_spacing, args.pow_limit_bits)
-    peers = []
-    for idx, spec in enumerate(args.peer):
-        host, _, port = spec.partition(":")
-        peers.append((f"peer{idx}:{spec}", SimchainClient(host, int(port))))
+    peers = [(f"peer{idx}:{host}:{port}", SimchainClient(host, port))
+             for idx, (host, port) in enumerate(args.peer)]
     return sync_headers(peers, params, args.batch_size)
 
 
@@ -117,36 +115,20 @@ def cmd_sync_headers(args) -> int:
 
 def cmd_set_boundary(args) -> int:
     keys = Keys.load(args.key)
-    scheme = get_scheme(keys.scheme_name)
-    store = _sync_store(args)
-    height, block_hash = choose_boundary(store, args.k)
-    with _hub(args) as hub:
-        nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(sign(scheme, keys, wire.UpdateBoundary(keys.address, nonce, height, block_hash)))
-    _emit(args, result)
-    return 0
+    height, block_hash = choose_boundary(_sync_store(args), args.k)
+    return _send_signed(args, keys, lambda nonce: wire.UpdateBoundary(keys.address, nonce, height, block_hash))
 
 
 def cmd_pay(args) -> int:
     keys = Keys.load(args.key)
-    scheme = get_scheme(keys.scheme_name)
     batch = [wire.PaymentItem(args.to, args.amount, args.fee)] if args.to is not None else []
     batch += args.batch or []
-    with _hub(args) as hub:
-        nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(sign(scheme, keys, wire.Payment(keys.address, nonce, batch)))
-    _emit(args, result)
-    return 0
+    return _send_signed(args, keys, lambda nonce: wire.Payment(keys.address, nonce, batch))
 
 
 def cmd_settle(args) -> int:
     keys = Keys.load(args.key)
-    scheme = get_scheme(keys.scheme_name)
-    with _hub(args) as hub:
-        nonce = _user_nonce(hub, scheme, keys)
-        result = hub.request(sign(scheme, keys, wire.Settle(keys.address, nonce, args.amount, args.fee)))
-    _emit(args, result)
-    return 0
+    return _send_signed(args, keys, lambda nonce: wire.Settle(keys.address, nonce, args.amount, args.fee))
 
 
 def cmd_request(args) -> int:
@@ -159,17 +141,15 @@ def cmd_request(args) -> int:
 
 def cmd_balance(args) -> int:
     keys = Keys.load(args.key)
-    scheme = get_scheme(keys.scheme_name)
     with _hub(args) as hub:
-        result = hub.request(sign(scheme, keys, wire.QueryUser(keys.address), hub.session_id))
+        result = hub.request(keys.sign(wire.QueryUser(keys.address), hub.session_id))
     _emit(args, result)
     return 0
 
 
 def cmd_insert_block(args) -> int:
     host_keys = Keys.load(args.host_key)
-    scheme = get_scheme(host_keys.scheme_name)
-    sim = _simchain_client(args)
+    sim = SimchainClient(*args.simchain)
     with _hub(args) as hub:
         inserted = []
         while True:
@@ -182,8 +162,7 @@ def cmd_insert_block(args) -> int:
             block = sim.get_block(next_height)
             if block is None:
                 break
-            msg = sign(scheme, host_keys, wire.InsertBlock(block.serialize()), block.header.hash())
-            result = hub.request(msg)
+            result = hub.request(host_keys.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
             inserted.append(result["height"])
             if args.height is not None and result["height"] >= args.height:
                 break
@@ -192,7 +171,7 @@ def cmd_insert_block(args) -> int:
 
 
 def cmd_broadcast(args) -> int:
-    sim = _simchain_client(args)
+    sim = SimchainClient(*args.simchain)
     with _hub(args) as hub:
         plan = hub.request(wire.GetSettlement())
     if not plan.get("present"):
@@ -206,10 +185,9 @@ def cmd_broadcast(args) -> int:
 
 def cmd_terminate(args) -> int:
     host_keys = Keys.load(args.host_key)
-    scheme = get_scheme(host_keys.scheme_name)
     with _hub(args) as hub:
         state = hub.request(wire.QueryLatestBlock())
-        result = hub.request(sign(scheme, host_keys, wire.Terminate(state["hash"])))
+        result = hub.request(host_keys.sign(wire.Terminate(state["hash"])))
     _emit(args, result)
     return 0
 
@@ -248,13 +226,20 @@ def hex_address(value: str) -> bytes:
     return address
 
 
+def host_port(value: str) -> tuple[str, int]:
+    host, sep, port = value.rpartition(":")
+    if not sep or not 0 <= int(port) < 1 << 16:
+        raise ValueError(value)
+    return host, int(port)
+
+
 def batch_item(value: str) -> wire.PaymentItem:
     addr, amount, fee = value.split(":")
     return wire.PaymentItem(hex_address(addr), _amount(amount), _amount(fee))
 
 
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--peer", action="append", required=True, help="host:port, repeatable")
+    p.add_argument("--peer", type=host_port, action="append", required=True, help="host:port, repeatable")
     p.add_argument("--batch-size", type=int, default=2016)
     _add_chain_flags(p)
 
@@ -327,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("insert-block")
     _add_hub_flags(p)
     p.add_argument("--host-key", required=True)
-    p.add_argument("--simchain", required=True, help="host:port")
+    p.add_argument("--simchain", type=host_port, required=True, help="host:port")
     p.add_argument("--height", type=int, help="insert up to this height (default: simchain tip)")
     p.set_defaults(fn=cmd_insert_block)
 
@@ -337,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("broadcast")
     _add_hub_flags(p)
-    p.add_argument("--simchain", required=True)
+    p.add_argument("--simchain", type=host_port, required=True, help="host:port")
     p.set_defaults(fn=cmd_broadcast)
 
     p = sub.add_parser("terminate")
@@ -354,12 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except RouteeError as exc:
-        return _fail(args, exc)
-    except (ConnectionError, OSError) as exc:
-        return _fail(args, RouteeError(str(exc)))
+    return _run(args, args.fn)
 
 
 # ----------------------------------------------------------------------
@@ -388,23 +368,20 @@ def hubd_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--set", action="append", default=[], help="KEY=VALUE override, repeatable")
     parser.add_argument("--oneshot", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    return _run(parser.parse_args(argv), _hubd)
+
+
+def _hubd(args) -> int:
     overrides = {}
     for item in args.set:
         key, _, value = item.partition("=")
         overrides[key] = value
-    config = DaemonConfig(args.config, overrides)
+    daemon = HubDaemon(DaemonConfig(args.config, overrides))
     try:
-        daemon = HubDaemon(config)
-        try:
-            daemon.auto_init()
-        except BaseException:
-            daemon.server.server_close()
-            raise
-    except RouteeError as exc:
-        return _fail(args, exc)
-    except (ConnectionError, OSError) as exc:
-        return _fail(args, RouteeError(str(exc)))
+        daemon.auto_init()
+    except BaseException:
+        daemon.server.server_close()
+        raise
     status = {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)}
     if args.oneshot:
         _emit(args, status)
@@ -429,7 +406,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
 
     for name in ("mine", "tip", "pay"):
         p = sub.add_parser(name)
-        p.add_argument("--addr", required=True, help="host:port of a running server")
+        p.add_argument("--addr", type=host_port, required=True, help="host:port of a running server")
         if name == "mine":
             p.add_argument("--count", type=int, default=1)
         if name == "pay":
@@ -442,31 +419,28 @@ def simchain_main(argv: list[str] | None = None) -> int:
     for p in sub.choices.values():
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
-    args = parser.parse_args(argv)
-    try:
-        if args.mode == "serve":
-            params = ChainParams(args.retarget_interval, args.target_spacing, args.pow_limit_bits)
-            node = SimNode(params, seed=args.seed, clock=SimClock(args.start_time))
-            node.mine_blocks(args.premine)
-            server = SimchainServer(node, ("127.0.0.1", args.port))
-            _serve(args, server.server, {"listening": server.port, "tip": node.tip_height})
-            server.stop()
-            return 0
-        host, _, port = args.addr.partition(":")
-        client = SimchainClient(host, int(port))
-        if args.mode == "mine":
-            _emit(args, {"tip": client.mine(args.count)})
-        elif args.mode == "tip":
-            height, tip_hash = client.tip()
-            _emit(args, {"height": height, "hash": tip_hash})
-        elif args.mode == "pay":
-            txid = client.pay(args.to, args.amount, args.fee)
-            _emit(args, {"txid": txid})
+    return _run(parser.parse_args(argv), _simchain)
+
+
+def _simchain(args) -> int:
+    if args.mode == "serve":
+        params = ChainParams(args.retarget_interval, args.target_spacing, args.pow_limit_bits)
+        node = SimNode(params, seed=args.seed, clock=SimClock(args.start_time))
+        node.mine_blocks(args.premine)
+        server = SimchainServer(node, ("127.0.0.1", args.port))
+        _serve(args, server.server, {"listening": server.port, "tip": node.tip_height})
+        server.stop()
         return 0
-    except RouteeError as exc:
-        return _fail(args, exc)
-    except (ConnectionError, OSError) as exc:
-        return _fail(args, RouteeError(str(exc)))
+    client = SimchainClient(*args.addr)
+    if args.mode == "mine":
+        _emit(args, {"tip": client.mine(args.count)})
+    elif args.mode == "tip":
+        height, tip_hash = client.tip()
+        _emit(args, {"height": height, "hash": tip_hash})
+    elif args.mode == "pay":
+        txid = client.pay(args.to, args.amount, args.fee)
+        _emit(args, {"txid": txid})
+    return 0
 
 
 if __name__ == "__main__":

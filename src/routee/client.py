@@ -4,11 +4,11 @@ hub's frame pipeline, which the daemon and the in-memory endpoint share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import wire
 from .crypto import Secret, address_of, get_scheme
-from .errors import HandshakeFailure, InitFailure, MalformedFrame, RouteeError, SessionAborted
+from .errors import AuthFailure, HandshakeFailure, InitFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
@@ -27,8 +27,10 @@ PRE_HANDSHAKE_FRAME = 1 + len(wire.encode(wire.HandshakeInit(bytes(32))))
 
 @dataclass
 class Keys:
-    scheme_name: str
-    secret: Secret
+    """A keypair that signs with its own scheme, an object of `crypto.SCHEMES`."""
+
+    scheme: object
+    secret: Secret = field(repr=False)
     public: bytes
 
     @property
@@ -37,28 +39,32 @@ class Keys:
 
     @classmethod
     def generate(cls, scheme, rng=None) -> "Keys":
-        sk, pk = scheme.generate(rng)
-        return cls(scheme.name, sk, pk)
+        return cls(scheme, *scheme.generate(rng))
+
+    def sign(self, msg, *context):
+        """Sign `msg` over `msg.signing_digest(*context)` and return it. The
+        context is the session id of a `QueryUser` and the block's header hash
+        of an `InsertBlock`; other requests sign their fields alone."""
+        setattr(msg, msg._layout.signature, self.scheme.sign(self.secret, msg.signing_digest(*context)))
+        return msg
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
-            secret = get_scheme(self.scheme_name).secret_bytes(self.secret)
-            fh.write(f"{self.scheme_name}\n{secret.hex()}\n{self.public.hex()}\n")
+            secret = self.scheme.secret_bytes(self.secret)
+            fh.write(f"{self.scheme.name}\n{secret.hex()}\n{self.public.hex()}\n")
 
     @classmethod
     def load(cls, path: str) -> "Keys":
+        """Read a key file: scheme name, secret hex and public hex, one a line.
+        A file that is not one raises `AuthFailure` naming the path."""
         with open(path) as fh:
             lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
-        secret = get_scheme(lines[0]).load_secret(bytes.fromhex(lines[1]))
-        return cls(lines[0], secret, bytes.fromhex(lines[2]))
-
-
-def sign(scheme, keys: Keys, msg, *context):
-    """Sign `msg` over `msg.signing_digest(*context)` and return it. The
-    context is the session id of a `QueryUser` and the block's header hash
-    of an `InsertBlock`; other requests sign their fields alone."""
-    setattr(msg, msg._layout.signature, scheme.sign(keys.secret, msg.signing_digest(*context)))
-    return msg
+        try:
+            name, secret, public = lines
+            scheme = get_scheme(name)
+            return cls(scheme, scheme.load_secret(bytes.fromhex(secret)), bytes.fromhex(public))
+        except (ValueError, AuthFailure) as exc:
+            raise AuthFailure(f"bad key file {path!r}: {exc}") from None
 
 
 class HubFrontEnd:

@@ -9,11 +9,11 @@ so that whole simulations replay bit-identically from a seed.
 A secret key has an in-memory form, which `generate` returns and `sign`
 takes, and a stored form, the bytes a snapshot or key file holds. Each scheme
 converts between them with `secret_bytes` and `load_secret`. For `fast` and
-`rsa3072` both forms are the same bytes (RSA's are PKCS#8 DER). An ECDSA
-secret in memory is an `EcdsaSecret`: its PKCS#8 DER, which is the stored
-form, plus the parsed key. `generate` keeps the key it made; a secret loaded
-from bytes parses its DER when it first signs, since on secp256k1 that parse
-costs about as much as a signature.
+`rsa3072` both forms are the same bytes (RSA's are PKCS#8 DER, parsed once
+per key into a cache). An ECDSA secret in memory is an `EcdsaSecret`: its
+PKCS#8 DER, which is the stored form, plus the parsed key. `generate` keeps
+the key it made; a secret loaded from bytes parses its DER when it first
+signs, since on secp256k1 that parse costs about as much as a signature.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import AuthFailure
 
 ADDRESS_SIZE = 20
 HASH_SIZE = 32
-RSA_KEY_CACHE = 1024  # parsed RSA public keys kept, most recently used first
+RSA_KEY_CACHE = 1024  # parsed RSA keys kept, of each kind, most recently used first
 
 
 def sha256(data: bytes) -> bytes:
@@ -114,6 +114,13 @@ def _rsa_public_key(der: bytes):
     return serialization.load_der_public_key(der)
 
 
+@functools.lru_cache(maxsize=RSA_KEY_CACHE)
+def _rsa_private_key(der: bytes):
+    # the parse checks the key and costs about 100 signatures; the secret
+    # itself stays DER bytes
+    return load_der_private_key(der, password=None)
+
+
 class RsaScheme(_BytesSecret):
     """RSA-3072 with PKCS#1 v1.5 / SHA-256; DER-encoded keys."""
 
@@ -134,8 +141,7 @@ class RsaScheme(_BytesSecret):
         return sk, pk
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
-        key = load_der_private_key(secret_key, password=None)
-        return key.sign(message, padding.PKCS1v15(), hashes.SHA256())
+        return _rsa_private_key(secret_key).sign(message, padding.PKCS1v15(), hashes.SHA256())
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:

@@ -15,12 +15,13 @@ resumes after a load.
 from __future__ import annotations
 
 import os
+import re
 import time
 
 from . import snapshot as snapshot_mod
 from .client import HubFrontEnd, Keys
 from .crypto import CryptoSuite
-from .errors import InitFailure
+from .errors import AuthFailure, InitFailure
 from .headers import BlockHeader, ChainParams
 from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
@@ -113,7 +114,10 @@ class HubDaemon(HubFrontEnd):
         key_path = config["hub_key_path"]
         if key_path and os.path.exists(key_path):
             with open(key_path) as fh:
-                hub_key = bytes.fromhex(fh.read().strip())
+                text = fh.read().strip()
+            if not re.fullmatch("[0-9a-fA-F]{64}", text):
+                raise AuthFailure(f"bad hub key file {key_path!r}: want a 32-byte X25519 secret in hex")
+            hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
         self.simchain = SimchainClient(config["simchain_host"], config.get_int("simchain_port"))
         self.server = FrameServer(

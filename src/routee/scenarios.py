@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import wire
-from .client import Keys, LocalConnection, LocalHubEndpoint, sign
+from .client import Keys, LocalConnection, LocalHubEndpoint
 from .crypto import CryptoSuite, DeterministicRng, Secret
 from .errors import TxRejected
 from .headers import ChainParams
@@ -80,12 +80,12 @@ class World:
         return keys, address, settle
 
     def insert(self, block) -> None:
-        msg = sign(self.suite.auth, self.host, wire.InsertBlock(block.serialize()), block.header.hash())
+        msg = self.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
         self.hub.insert_block(msg)
 
     def deposit(self, keys: Keys, amount: int) -> bytes:
         user = self.hub.users[keys.address]
-        msg = sign(self.suite.auth, keys, wire.AddDeposit(keys.address, user.nonce))
+        msg = keys.sign(wire.AddDeposit(keys.address, user.nonce))
         manager = self.hub.add_deposit(msg)
         self.node.pay(manager, amount)
         block = self.node.mine_block()
@@ -96,23 +96,23 @@ class World:
         user = self.hub.users[keys.address]
         height = self.hub.chain.tip_height
         msg = wire.UpdateBoundary(keys.address, user.nonce, height, self.hub.chain.hash_at(height))
-        return self.hub.update_boundary_block(sign(self.suite.auth, keys, msg))
+        return self.hub.update_boundary_block(keys.sign(msg))
 
     def pay(self, sender: Keys, receiver_address: bytes, amount: int, fee: int) -> None:
         user = self.hub.users[sender.address]
         msg = wire.Payment(sender.address, user.nonce, [wire.PaymentItem(receiver_address, amount, fee)])
-        self.hub.multi_hop_payment(sign(self.suite.auth, sender, msg))
+        self.hub.multi_hop_payment(sender.sign(msg))
 
     def settle(self, keys: Keys, amount: int, fee: int) -> None:
         user = self.hub.users[keys.address]
         msg = wire.Settle(keys.address, user.nonce, amount, fee)
-        self.hub.request_settlement(sign(self.suite.auth, keys, msg))
+        self.hub.request_settlement(keys.sign(msg))
 
     def onchain_value(self, address: bytes) -> int:
         return sum(o.value for o in self.node.utxo.values() if o.lock_address == address)
 
     def terminate(self) -> None:
-        self.hub.terminate(sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash)))
+        self.hub.terminate(self.host.sign(wire.Terminate(self.hub.chain.tip_hash)))
 
     def signed_plan(self):
         """The outstanding plan, signed as a front end signs it between frames."""
@@ -184,7 +184,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
 
     attacker, attacker_addr, attacker_settle = w.new_user()
     user = hub.users[attacker_addr]
-    manager = hub.add_deposit(sign(w.suite.auth, attacker, wire.AddDeposit(attacker_addr, user.nonce)))
+    manager = hub.add_deposit(attacker.sign(wire.AddDeposit(attacker_addr, user.nonce)))
 
     fork_height = node.tip_height
     forged = forge_chain(node, fork_height, [(manager, 40_000)])
@@ -398,7 +398,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     # --- replay: one payment envelope injected 100 extra times ---
     conn = LocalConnection(endpoint, rng=session_rng)
     nonce = hub.users[alice_addr].nonce
-    payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 500, 10)]))
+    payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 500, 10)]))
     frame = wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(payment)))
     bob_before = hub.users[bob_addr].balance
     endpoint.handle_frame(frame)
@@ -417,7 +417,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     for _ in range(30):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[alice_addr].nonce
-        payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
+        payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
         sent += 1
         try:
             conn.request(payment)
@@ -442,7 +442,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     for _ in range(10):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[alice_addr].nonce
-        payment = sign(w.suite.auth, alice, wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
+        payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
         try:
             conn.request(payment)
         except Exception:
@@ -461,9 +461,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
         nonce = hub.users[sender_addr].nonce
         signed_fee = 10 + i
-        payment = sign(
-            w.suite.auth, sender, wire.Payment(sender_addr, nonce, [wire.PaymentItem(bob_addr, 50, signed_fee)])
-        )
+        payment = sender.sign(wire.Payment(sender_addr, nonce, [wire.PaymentItem(bob_addr, 50, signed_fee)]))
         rf_before = hub.rf_pending
         try:
             conn.request(payment)

@@ -163,8 +163,9 @@ def verify_unlock(scheme, lock_address: bytes, sighash: bytes, unlock: bytes) ->
     return scheme.verify(public_key, sighash, sig)
 
 
-def coinbase_tx(height: int, value: int, lock_address: bytes, extra: bytes = b"") -> Transaction:
-    # the height in the unlock field keeps coinbase txids unique per block
-    tag = struct.pack(">QH", height, len(extra)) + extra
+def coinbase_tx(height: int, value: int, lock_address: bytes) -> Transaction:
+    # the height in the unlock field keeps coinbase txids unique per block; the
+    # zero after it is the length of an extra-data field no coinbase fills
+    tag = struct.pack(">QH", height, 0)
     txin = TxInput(COINBASE_PREV_TXID, COINBASE_PREV_VOUT, 0, tag)
     return Transaction([txin], [TxOutput(value, lock_address)])

@@ -3,7 +3,7 @@ import socket
 import pytest
 from hypothesis import strategies as st
 
-from routee.client import Keys, sign
+from routee.client import Keys
 from routee.crypto import CryptoSuite
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
@@ -107,7 +107,7 @@ class HubHarness:
         return self.hub.users[keys.address].nonce
 
     def insert(self, block):
-        msg = sign(self.suite.auth, self.host, wire.InsertBlock(block.serialize()), block.header.hash())
+        msg = self.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
         return self.hub.insert_block(msg)
 
     def catch_up(self):
@@ -120,7 +120,7 @@ class HubHarness:
         sample equal to the current average, keeping fee_avg stable."""
         if fee is None:
             fee = 226 * self.hub.estimator.fee_avg  # 1-in/2-out formula size
-        msg = sign(self.suite.auth, keys, wire.AddDeposit(keys.address, self.nonce(keys)))
+        msg = keys.sign(wire.AddDeposit(keys.address, self.nonce(keys)))
         manager = self.hub.add_deposit(msg)
         self.node.pay(manager, amount, fee=fee)
         self.insert(self.node.mine_block())
@@ -129,24 +129,24 @@ class HubHarness:
     def set_boundary(self, keys, height=None):
         height = self.hub.chain.tip_height if height is None else height
         msg = wire.UpdateBoundary(keys.address, self.nonce(keys), height, self.hub.chain.hash_at(height))
-        return self.hub.update_boundary_block(sign(self.suite.auth, keys, msg))
+        return self.hub.update_boundary_block(keys.sign(msg))
 
     def pay(self, sender, receiver_addr, amount, fee):
         return self.pay_batch(sender, [(receiver_addr, amount, fee)])
 
     def pay_batch(self, sender, items):
         batch = [wire.PaymentItem(addr, amount, fee) for addr, amount, fee in items]
-        msg = sign(self.suite.auth, sender, wire.Payment(sender.address, self.nonce(sender), batch))
+        msg = sender.sign(wire.Payment(sender.address, self.nonce(sender), batch))
         return self.hub.multi_hop_payment(msg)
 
     def settle(self, keys, amount, fee):
         return self.hub.request_settlement(
-            sign(self.suite.auth, keys, wire.Settle(keys.address, self.nonce(keys), amount, fee))
+            keys.sign(wire.Settle(keys.address, self.nonce(keys), amount, fee))
         )
 
     def terminate(self):
         return self.hub.terminate(
-            sign(self.suite.auth, self.host, wire.Terminate(self.hub.chain.tip_hash))
+            self.host.sign(wire.Terminate(self.hub.chain.tip_hash))
         )
 
     def signed_plan(self):

@@ -14,7 +14,6 @@ from routee.client import (
     Keys,
     LocalConnection,
     LocalHubEndpoint,
-    sign,
 )
 from routee.crypto import DeterministicRng, SCHEMES, address_of
 from routee.errors import BlockRejected
@@ -316,7 +315,7 @@ def _encode_payment_frames(harness, endpoint, sender, receiver, count, batch_siz
     nonce = harness.nonce(sender)
     for _ in range(count):
         batch = [wire.PaymentItem(receiver.address, 1, 2) for _ in range(batch_size)]
-        msg = sign(harness.suite.auth, sender, wire.Payment(sender.address, nonce, batch))
+        msg = sender.sign(wire.Payment(sender.address, nonce, batch))
         frames.append(wire.pack_frame(
             wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(msg))
         ))
@@ -445,7 +444,7 @@ def test_criterion_9_settlement_generation_2000x2001():
         hub.add_user(keys.public, keys.address)
         users.append(keys)
 
-        managers.append(hub.add_deposit(sign(FAST.auth, keys, wire.AddDeposit(keys.address, 0))))
+        managers.append(hub.add_deposit(keys.sign(wire.AddDeposit(keys.address, 0))))
 
     # one fan-out transaction funds every manager address on-chain
     coin_op, coin_out = next(iter(node.wallet.utxos.items()))
@@ -466,11 +465,11 @@ def test_criterion_9_settlement_generation_2000x2001():
     fee_avg = hub.estimator.fee_avg
     base_fee = 34 * fee_avg
     for keys in users[:-1]:
-        hub.request_settlement(sign(FAST.auth, keys, wire.Settle(keys.address, 1, 40_000, base_fee)))
+        hub.request_settlement(keys.sign(wire.Settle(keys.address, 1, 40_000, base_fee)))
         assert hub.plan is None
     start = time.perf_counter()
     last = users[-1]
-    hub.request_settlement(sign(FAST.auth, last, wire.Settle(last.address, 1, 40_000, base_fee + 60)))
+    hub.request_settlement(last.sign(wire.Settle(last.address, 1, 40_000, base_fee + 60)))
     assert hub.sign_plan()
     build_time = time.perf_counter() - start
     plan = hub.plan
@@ -525,7 +524,7 @@ def test_criterion_10_session_robustness():
             try:
                 conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
                 msg = wire.Payment(alice.address, nonce_before, [wire.PaymentItem(bob.address, 1, 2)])
-                conn.request(sign(harness.suite.auth, alice, msg))
+                conn.request(alice.sign(msg))
             except Exception:
                 pass
             finally:

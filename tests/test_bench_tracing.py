@@ -8,7 +8,7 @@ import os
 import pytest
 
 from routee import wire
-from routee.client import LocalConnection, LocalHubEndpoint, sign
+from routee.client import LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng
 from routee.session import ClientHandshake, HubSessionEndpoint
 from routee.wire import FRAME_ENVELOPE
@@ -64,9 +64,9 @@ def test_tracer_sees_the_calls_of_the_hub_table():
         conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
         tracer.buf().on = True
         payment = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 100, 2)])
-        assert conn.request(sign(harness.suite.auth, alice, payment)) == {"accepted": 1}
+        assert conn.request(alice.sign(payment)) == {"accepted": 1}
         query = wire.QueryUser(alice.address)
-        reply = conn.request(sign(harness.suite.auth, alice, query, conn.session.session_id))
+        reply = conn.request(alice.sign(query, conn.session.session_id))
         assert reply["balance"] == harness.balance(alice)
         tracer.buf().on = False
     finally:

@@ -19,7 +19,6 @@ from routee.client import (
     LocalConnection,
     LocalHubEndpoint,
     RemoteHub,
-    sign,
 )
 from routee.daemon import DaemonConfig, HubDaemon
 from routee.headers import ChainParams
@@ -186,6 +185,47 @@ def test_bad_cli_input_is_a_usage_error(capsys, tmp_path, entry, argv, flag):
     assert f"argument {flag}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, argv, flag", [
+    ("routee", ["sync-headers", "--peer", "127.0.0.1"], "--peer"),
+    ("routee", ["broadcast", "--port", "1", "--simchain", "localhost:x"], "--simchain"),
+    ("routee", ["insert-block", "--port", "1", "--host-key", "k", "--simchain", "127.0.0.1:99999"], "--simchain"),
+    ("routee-simchain", ["tip", "--addr", "127.0.0.1"], "--addr"),
+], ids=["sync-headers-peer", "broadcast-simchain", "insert-block-simchain", "simchain-tip-addr"])
+def test_bad_host_port_is_a_usage_error(capsys, entry, argv, flag):
+    # a host:port without a valid port is refused while parsing, before any connection
+    main = cli.main if entry == "routee" else cli.simchain_main
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["fast\nzz\n", ""], ids=["bad-hex", "empty"])
+def test_malformed_key_file_is_a_structured_error(capsys, tmp_path, text):
+    key_path = tmp_path / "user.key"
+    key_path.write_text(text)
+    # the key file is read before any connection: nothing listens on port 1
+    code = cli.main(["--json", "balance", "--port", "1", "--key", str(key_path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
+
+
+@pytest.mark.parametrize("key, text", [
+    ("host_key_path", "fast\nzz\n"),
+    ("host_key_path", ""),
+    ("hub_key_path", "not hex\n"),
+    ("hub_key_path", "00" * 16),
+], ids=["host-bad-hex", "host-empty", "hub-not-hex", "hub-short"])
+def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, key, text):
+    key_path = tmp_path / "bad.key"
+    key_path.write_text(text)
+    code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1", "--set", f"{key}={key_path}"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
+
+
 def test_low_order_handshake_key_closes_the_connection_quietly(stack, capfd):
     port = stack["daemon"].port
     capfd.readouterr()
@@ -320,6 +360,40 @@ def test_keygen_writes_a_key_file_that_signs(capsys, tmp_path, scheme):
     assert out["address"] == keys.address.hex()
     signer = cli.get_scheme(scheme)
     assert signer.verify(keys.public, b"m", signer.sign(keys.secret, b"m"))
+    msg = keys.sign(wire.AddDeposit(keys.address, 3))
+    assert signer.verify(keys.public, msg.signing_digest(), msg.signature)
+    if scheme == "rsa3072":
+        assert keys.secret.hex() not in repr(keys) and repr(keys.secret) not in repr(keys)
+
+
+def test_cli_round_trip_with_an_rsa_key_file(capsys, tmp_path):
+    # full crypto: the hub verifies the key file's RSA-3072 signatures
+    node = SimNode(ChainParams.regtest(), scheme=cli.get_scheme("ecdsa"), seed=5)
+    node.mine_blocks(4)
+    sim_server = SimchainServer(node)
+    sim_server.start()
+    daemon = HubDaemon(DaemonConfig(overrides={
+        "simchain_port": sim_server.port,
+        "crypto_mode": "full",
+        "host_pubkey_hex": "00" * 32,
+    }))
+    daemon.start()
+    try:
+        port = str(daemon.port)
+        key_path = str(tmp_path / "alice.key")
+        assert run_cli(capsys, ["keygen", "--out", key_path, "--scheme", "rsa3072"])[0] == 0
+        code, _, _ = run_cli(capsys, ["add-user", "--port", port, "--key", key_path, "--settle-address", TO])
+        assert code == 0
+        code, before, _ = run_cli(capsys, ["balance", "--port", port, "--key", key_path])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["add-deposit", "--port", port, "--key", key_path])
+        assert code == 0 and len(out["manager_address"]) == 40
+        code, after, _ = run_cli(capsys, ["balance", "--port", port, "--key", key_path])
+        assert code == 0
+        assert after["nonce"] == before["nonce"] + 1
+    finally:
+        daemon.stop()
+        sim_server.stop()
 
 
 def test_closed_connections_leave_no_sessions(stack):
@@ -334,21 +408,21 @@ def test_closed_connections_leave_no_sessions(stack):
     assert len(daemon.endpoint.sessions) == 0
 
 
-def _parity_script(scheme, host, alice, bob, block, tip_hash, session_id):
+def _parity_script(host, alice, bob, block, tip_hash, session_id):
     """Every request kind, as plaintext, then a malformed body and an unknown kind."""
     requests = [
         wire.AddUser(alice.public, alice.address),
         wire.AddUser(bob.public, bob.address),
-        sign(scheme, alice, wire.AddDeposit(alice.address, 0)),
-        sign(scheme, alice, wire.UpdateBoundary(alice.address, 1, 4, tip_hash)),
-        sign(scheme, alice, wire.Payment(alice.address, 2, [wire.PaymentItem(bob.address, 10, 2)])),
-        sign(scheme, alice, wire.Settle(alice.address, 3, 1_000, 40)),
+        alice.sign(wire.AddDeposit(alice.address, 0)),
+        alice.sign(wire.UpdateBoundary(alice.address, 1, 4, tip_hash)),
+        alice.sign(wire.Payment(alice.address, 2, [wire.PaymentItem(bob.address, 10, 2)])),
+        alice.sign(wire.Settle(alice.address, 3, 1_000, 40)),
         wire.QueryLatestBlock(),
-        sign(scheme, alice, wire.QueryUser(alice.address), session_id),
+        alice.sign(wire.QueryUser(alice.address), session_id),
         wire.QueryLedger(),
-        sign(scheme, host, wire.InsertBlock(block.serialize()), block.header.hash()),
+        host.sign(wire.InsertBlock(block.serialize()), block.header.hash()),
         wire.GetSettlement(),
-        sign(scheme, host, wire.Terminate(block.header.hash())),
+        host.sign(wire.Terminate(block.header.hash())),
         wire.Snapshot(),
         wire.InitStatus(),
         wire.InitRun(),
@@ -391,9 +465,9 @@ def test_in_process_and_daemon_front_ends_agree(stack):
             _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
             return wire.decode_response(remote.session.open(reply))
 
-        script = _parity_script(scheme, host, alice, bob, block, tip_hash, local.session.session_id)
+        script = _parity_script(host, alice, bob, block, tip_hash, local.session.session_id)
         got_local = [outcome(send_local, raw) for raw in script]
-        script = _parity_script(scheme, host, alice, bob, block, tip_hash, remote.session_id)
+        script = _parity_script(host, alice, bob, block, tip_hash, remote.session_id)
         got_remote = [outcome(send_remote, raw) for raw in script]
 
     assert got_local == got_remote

@@ -6,7 +6,7 @@ does not hand the plan out."""
 import time
 
 from routee import wire
-from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub, sign
+from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub
 from routee.crypto import DeterministicRng
 from routee.daemon import DaemonConfig, HubDaemon
 from routee.snapshot import dump_hub, load_hub
@@ -60,7 +60,7 @@ def test_half_signed_plan_survives_a_snapshot_and_finishes_after_load():
     assert restored.conservation()["ok"]
     harness.node.submit_tx(plan.transaction)
     block = harness.node.mine_block()
-    msg = sign(harness.suite.auth, harness.host, wire.InsertBlock(block.serialize()), block.header.hash())
+    msg = harness.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
     assert restored.insert_block(msg)["confirmed_plan"] == 1
     assert restored.conservation()["ok"]
 
@@ -72,7 +72,7 @@ def test_in_process_front_end_signs_before_the_frame_returns():
         harness.deposit(alice, 200_000)
     conn = LocalConnection(LocalHubEndpoint(harness.hub, session_rng=DeterministicRng(44)))
     settle = wire.Settle(alice.address, harness.nonce(alice), 10_000, 1_000)
-    conn.request(sign(harness.suite.auth, alice, settle))
+    conn.request(alice.sign(settle))
     assert harness.hub.plan.signed
     reply = conn.request(wire.GetSettlement())
     assert reply["present"] == 1

@@ -3,7 +3,7 @@ secp256k1 ECDSA on-chain unlocks. Slower than fast-test mode because of RSA
 key generation, so deliberately small."""
 
 from routee import crypto, wire
-from routee.client import Keys, sign
+from routee.client import Keys
 from routee.crypto import CryptoSuite
 from routee.errors import AuthFailure
 from routee.headers import ChainParams
@@ -29,6 +29,23 @@ def malleate(unlock: bytes) -> bytes:
             + len(swapped).to_bytes(2, "big") + swapped)
 
 
+def test_rsa_sign_parses_each_private_key_once(monkeypatch):
+    parses = []
+    load = crypto.load_der_private_key
+
+    def counting_load(*args, **kwargs):
+        parses.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(crypto, "load_der_private_key", counting_load)
+    sk, pk = FULL.auth.generate()
+    messages = (b"one", b"two")
+    signatures = [FULL.auth.sign(sk, m) for m in messages]
+    assert parses == [sk]
+    assert isinstance(sk, bytes)
+    assert all(FULL.auth.verify(pk, m, sig) for m, sig in zip(messages, signatures))
+
+
 def test_full_mode_deposit_payment_settlement(monkeypatch):
     parses = []
     load = crypto.load_der_private_key
@@ -47,7 +64,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     hub.initialize(headers[0], 0, headers[1:], node.blocks)
 
     def insert(block):
-        msg = sign(FULL.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
+        msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
         return hub.insert_block(msg)
 
     alice = Keys.generate(FULL.auth)
@@ -55,30 +72,30 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     a_addr = hub.add_user(alice.public, b"\x0a" * 20)
     b_addr = hub.add_user(bob.public, b"\x0b" * 20)
 
-    manager = hub.add_deposit(sign(FULL.auth, alice, wire.AddDeposit(alice.address, 0)))
+    manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
     node.pay(manager, 100_000)
     insert(node.mine_block())
     assert hub.users[a_addr].balance == 100_000 - 148
 
     tip = hub.chain.tip_height
     hub.update_boundary_block(
-        sign(FULL.auth, bob, wire.UpdateBoundary(bob.address, 0, tip, hub.chain.hash_at(tip)))
+        bob.sign(wire.UpdateBoundary(bob.address, 0, tip, hub.chain.hash_at(tip)))
     )
     hub.multi_hop_payment(
-        sign(FULL.auth, alice, wire.Payment(alice.address, 1, [wire.PaymentItem(b_addr, 500, 5)]))
+        alice.sign(wire.Payment(alice.address, 1, [wire.PaymentItem(b_addr, 500, 5)]))
     )
     assert hub.users[b_addr].balance == 500
 
     # a signature from the wrong RSA key is rejected
     mallory = Keys.generate(FULL.auth)
-    forged = sign(FULL.auth, mallory, wire.Payment(mallory.address, 2, [wire.PaymentItem(b_addr, 1, 5)]))
+    forged = mallory.sign(wire.Payment(mallory.address, 2, [wire.PaymentItem(b_addr, 1, 5)]))
     forged.sender_address = a_addr
     with pytest.raises(AuthFailure):
         hub.multi_hop_payment(forged)
 
     # the ECDSA-signed settlement validates on the chain, and signing with
     # keys the hub generated parses no key
-    settle = sign(FULL.auth, alice, wire.Settle(alice.address, 2, 10_000, 800))
+    settle = alice.sign(wire.Settle(alice.address, 2, 10_000, 800))
     parses.clear()
     hub.request_settlement(settle)
     assert hub.sign_plan()
@@ -91,7 +108,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     assert hub.conservation()["ok"]
 
     # with one deposit left pending, each manager secret is stored once
-    second = hub.add_deposit(sign(FULL.auth, bob, wire.AddDeposit(bob.address, 1)))
+    second = hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, 1)))
     assert hub.pending_deposits
     data = dump_hub(hub)
     for secret, _ in hub.manager_keys.values():
@@ -105,7 +122,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     parses.clear()
     restored = load_hub(dump_hub(hub))
     assert parses == []
-    settle = sign(FULL.auth, alice, wire.Settle(alice.address, 3, 10_000, 800))
+    settle = alice.sign(wire.Settle(alice.address, 3, 10_000, 800))
     parses.clear()
     restored.request_settlement(settle)
     assert restored.sign_plan()
@@ -124,14 +141,14 @@ def test_plan_confirms_when_its_signatures_are_malleated():
     hub.initialize(headers[0], 0, headers[1:], node.blocks)
 
     def insert(block):
-        return hub.insert_block(sign(FULL.auth, host, wire.InsertBlock(block.serialize()), block.header.hash()))
+        return hub.insert_block(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
 
     alice = Keys.generate(FULL.auth)
     hub.add_user(alice.public, b"\x0a" * 20)
     for nonce in range(2):
-        node.pay(hub.add_deposit(sign(FULL.auth, alice, wire.AddDeposit(alice.address, nonce))), 100_000)
+        node.pay(hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, nonce))), 100_000)
         insert(node.mine_block())
-    hub.request_settlement(sign(FULL.auth, alice, wire.Settle(alice.address, 2, 10_000, 800)))
+    hub.request_settlement(alice.sign(wire.Settle(alice.address, 2, 10_000, 800)))
     assert hub.sign_plan()
     plan = hub.plan
     assert plan.tx_inputs == 2
@@ -152,7 +169,7 @@ def test_plan_confirms_when_its_signatures_are_malleated():
     assert hub.conservation()["ok"]
 
     # the next plan spends the leftover the chain holds
-    hub.request_settlement(sign(FULL.auth, alice, wire.Settle(alice.address, 3, 10_000, 800)))
+    hub.request_settlement(alice.sign(wire.Settle(alice.address, 3, 10_000, 800)))
     assert hub.sign_plan()
     assert hub.plan.input_outpoints == [leftover]
     node.submit_tx(hub.plan.transaction)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from routee import wire
-from routee.client import Keys, LocalConnection, LocalHubEndpoint, sign
+from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import CryptoSuite, DeterministicRng, address_of
 from routee.errors import (
     AlreadyRegistered,
@@ -120,20 +120,20 @@ def test_add_user_fresh_duplicate_distinct(harness):
 
 def test_add_deposit_grows_pending_and_blocks_replay(harness):
     alice = harness.new_user()
-    msg = sign(harness.suite.auth, alice, wire.AddDeposit(alice.address, 0))
+    msg = alice.sign(wire.AddDeposit(alice.address, 0))
     m1 = harness.hub.add_deposit(msg)
     assert len(m1) == 20
     assert len(harness.hub.pending_deposits) == 1
     with pytest.raises(StaleRequest):
         harness.hub.add_deposit(msg)  # identical replayed message
-    m2 = harness.hub.add_deposit(sign(harness.suite.auth, alice, wire.AddDeposit(alice.address, 1)))
+    m2 = harness.hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 1)))
     assert m1 != m2
     assert len(harness.hub.pending_deposits) == 2
 
 
 def test_bad_signature_does_not_consume_nonce(harness):
     alice = harness.new_user()
-    msg = sign(harness.suite.auth, alice, wire.AddDeposit(alice.address, 0))
+    msg = alice.sign(wire.AddDeposit(alice.address, 0))
     msg.signature = bytes(32)
     with pytest.raises(AuthFailure):
         harness.hub.add_deposit(msg)
@@ -146,7 +146,7 @@ def test_authentic_rejection_consumes_nonce(harness):
     harness.set_boundary(bob)
     # no balance: payment rejected, but the nonce is spent
     msg = wire.Payment(alice.address, 0, [wire.PaymentItem(bob.address, 10, 5)])
-    msg = sign(harness.suite.auth, alice, msg)
+    msg = alice.sign(msg)
     with pytest.raises(InsufficientBalance):
         harness.hub.multi_hop_payment(msg)
     assert harness.nonce(alice) == 1
@@ -175,7 +175,7 @@ def test_boundary_rejects_forged_hash(harness):
     forged = forge_chain(harness.node, harness.node.tip_height)
     msg = wire.UpdateBoundary(bob.address, 0, harness.hub.chain.tip_height, forged[0].header.hash())
     with pytest.raises(NotInChain):
-        harness.hub.update_boundary_block(sign(harness.suite.auth, bob, msg))
+        harness.hub.update_boundary_block(bob.sign(msg))
 
 
 # ------------------------------------------------------------------
@@ -198,10 +198,10 @@ def test_deposit_credit_uses_balance_increase_formula():
 
     alice = Keys.generate(FAST.auth)
     addr = hub.add_user(alice.public, b"\x0a" * 20)
-    manager = hub.add_deposit(sign(FAST.auth, alice, wire.AddDeposit(alice.address, 0)))
+    manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
     node.pay(manager, 100_000, fee=2_260)  # deposit block sample stays 10
     block = node.mine_block()
-    msg = sign(FAST.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
+    msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
     assert hub.insert_block(msg)["credited"] == 1
     user = hub.users[addr]
     deposit = hub.owned[next(iter(hub.owned))]
@@ -241,18 +241,18 @@ def test_pending_deposit_expires():
     hub = make_hub(node, host)
     alice = Keys.generate(FAST.auth)
     hub.add_user(alice.public, b"\x0a" * 20)
-    manager = hub.add_deposit(sign(FAST.auth, alice, wire.AddDeposit(alice.address, 0)))
+    manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
     reports = []
     for _ in range(DEPOSIT_EXPIRY_BLOCKS + 2):
         block = node.mine_block()
-        msg = sign(FAST.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
+        msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
         reports.append(hub.insert_block(msg))
     assert sum(r["expired"] for r in reports) == 1
     assert manager not in hub.pending_deposits
     # a payment arriving after expiry is ignored
     node.pay(manager, 50_000)
     block = node.mine_block()
-    msg = sign(FAST.auth, host, wire.InsertBlock(block.serialize()), block.header.hash())
+    msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
     assert hub.insert_block(msg)["credited"] == 0
     assert hub.users[alice.address].balance == 0
 
@@ -262,13 +262,13 @@ def test_insert_block_rejects_non_tip_and_bad_host_sig(harness):
     stale = harness.node.get_block(harness.node.tip_height - 1)
     tip = harness.node.get_block(harness.node.tip_height)
 
-    bad_sig = sign(FAST.auth, harness.host, wire.InsertBlock(tip.serialize()), tip.header.hash())
+    bad_sig = harness.host.sign(wire.InsertBlock(tip.serialize()), tip.header.hash())
     bad_sig.host_signature = bytes(32)
     with pytest.raises(HostAuthFailure):
         harness.hub.insert_block(bad_sig)
 
     forged_signer = Keys.generate(FAST.auth)
-    wrong_key = sign(FAST.auth, forged_signer, wire.InsertBlock(tip.serialize()), tip.header.hash())
+    wrong_key = forged_signer.sign(wire.InsertBlock(tip.serialize()), tip.header.hash())
     with pytest.raises(HostAuthFailure):
         harness.hub.insert_block(wrong_key)
 
@@ -285,7 +285,7 @@ def two_phase_setup():
     """Alice holds balance 90 sourced at block 3; Bob's boundary starts at 1."""
     harness = HubHarness(seed=8, premine=2, min_routing_fee=2)
     alice, bob = harness.new_user(), harness.new_user()
-    manager = harness.hub.add_deposit(sign(FAST.auth, alice, wire.AddDeposit(alice.address, 0)))
+    manager = harness.hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
     harness.node.pay(manager, 238)  # fee_avg 1: fare 148, balance 90
     harness.insert(harness.node.mine_block())  # height 3 holds the deposit
     harness.node.mine_blocks(1)
@@ -372,7 +372,7 @@ def test_gating_matches_bruteforce_oracle():
         )
         msg = wire.Payment(sender.address, s.nonce, [wire.PaymentItem(receiver.address, amount, fee)])
         try:
-            harness.hub.multi_hop_payment(sign(FAST.auth, sender, msg))
+            harness.hub.multi_hop_payment(sender.sign(msg))
             accepted = True
         except (FeeBelowMinimum, ReceiverNotReady, InsufficientBalance):
             accepted = False
@@ -453,7 +453,7 @@ def test_rf_confirmed_fraction_formula():
     harness.deposit(alice, 3_000 + 148)  # fare 148 leaves balance 3,000
     harness.set_boundary(bob)
     msg = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 0, 1_000)])
-    harness.hub.multi_hop_payment(sign(FAST.auth, alice, msg))
+    harness.hub.multi_hop_payment(alice.sign(msg))
     assert harness.hub.rf_pending == 1_000
     # settle amount 400 + fee 100 -> s_amount 500;
     # b_total = alice 1,500 remaining + queued 500 = 2,000
@@ -658,7 +658,7 @@ def test_terminate_empty_hub_is_noop(harness):
 
 def test_terminate_requires_fresh_tip_signature(harness):
     stale_hash = harness.hub.chain.hash_at(0)
-    msg = sign(FAST.auth, harness.host, wire.Terminate(stale_hash))
+    msg = harness.host.sign(wire.Terminate(stale_hash))
     with pytest.raises(HostAuthFailure):
         harness.hub.terminate(msg)
 
@@ -672,7 +672,7 @@ def test_operations_blocked_after_terminate(harness):
     with pytest.raises(HubTerminated):
         harness.hub.add_user(Keys.generate(FAST.auth).public, b"\x01" * 20)
     with pytest.raises(HubTerminated):
-        harness.hub.add_deposit(sign(FAST.auth, alice, wire.AddDeposit(alice.address, harness.nonce(alice))))
+        harness.hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, harness.nonce(alice))))
 
 
 # ------------------------------------------------------------------

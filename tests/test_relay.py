@@ -1,7 +1,7 @@
 import pytest
 
 from routee import wire
-from routee.client import LocalConnection, LocalHubEndpoint, sign
+from routee.client import LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng
 from routee.errors import SessionAborted
 from routee.relay import Relay, RelaySchedule
@@ -23,7 +23,7 @@ def test_passthrough_schedule_is_identity():
     relay = Relay(RelaySchedule(seed=0))
     conn = LocalConnection(endpoint, relay=relay, rng=DeterministicRng(1))
     msg = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 250, 5)])
-    result = conn.request(sign(harness.suite.auth, alice, msg))
+    result = conn.request(alice.sign(msg))
     assert result == {"accepted": 1}
     assert harness.balance(bob) == 250
     assert relay.dropped == relay.duplicated == relay.reordered == 0
@@ -36,7 +36,7 @@ def test_duplicate_everything_never_double_applies():
     for _ in range(15):
         conn = LocalConnection(endpoint, relay=relay, rng=DeterministicRng(applied + 2))
         msg = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 100, 5)])
-        msg = sign(harness.suite.auth, alice, msg)
+        msg = alice.sign(msg)
         try:
             conn.request(msg)
         except SessionAborted:
@@ -55,7 +55,7 @@ def test_drop_all_settlement_requests_costs_nothing():
     relay = Relay(RelaySchedule(seed=2, p_drop=1.0))
     for i in range(10):
         conn = LocalConnection(endpoint, relay=relay, rng=DeterministicRng(100 + i))
-        msg = sign(harness.suite.auth, alice, wire.Settle(alice.address, harness.nonce(alice), 1_000, 340))
+        msg = alice.sign(wire.Settle(alice.address, harness.nonce(alice), 1_000, 340))
         with pytest.raises(SessionAborted):
             conn.request(msg)
     assert relay.dropped == 10

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import routee.hub
 import routee.snapshot
 from routee import wire
-from routee.client import LocalHubEndpoint, sign
+from routee.client import LocalHubEndpoint
 from routee.crypto import DeterministicRng, sha256
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
@@ -284,7 +284,7 @@ def _snapshot() -> bytes:
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 400_000)
     harness.set_boundary(bob)
-    harness.hub.add_deposit(sign(harness.suite.auth, bob, wire.AddDeposit(bob.address, harness.nonce(bob))))
+    harness.hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, harness.nonce(bob))))
     harness.settle(alice, 10_000, 1_000)
     harness.settle(alice, 5_000, 1_000)
     return dump_hub(harness.hub)

@@ -1,7 +1,6 @@
 import pytest
 
 from routee import wire
-from routee.client import sign
 from routee.crypto import sha256
 from routee.errors import SnapshotError
 from routee.snapshot import MAGIC, TRAILER_SIZE, HubImage, dump_hub, load_hub
@@ -58,7 +57,7 @@ def test_snapshot_mid_plan_keeps_outstanding_settlement():
     # the restored hub can confirm the same plan
     harness.node.submit_tx(restored.plan.transaction)
     block = harness.node.mine_block()
-    msg = sign(harness.suite.auth, harness.host, wire.InsertBlock(block.serialize()), block.header.hash())
+    msg = harness.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
     assert restored.insert_block(msg)["confirmed_plan"] == 1
     assert restored.conservation()["ok"]
 
@@ -68,7 +67,7 @@ def test_restored_hub_continues_deterministically():
     harness = HubHarness(seed=10)
     alice = harness.new_user()
     restored = load_hub(dump_hub(harness.hub))
-    msg = sign(harness.suite.auth, alice, wire.AddDeposit(alice.address, 0))
+    msg = alice.sign(wire.AddDeposit(alice.address, 0))
     assert harness.hub.add_deposit(msg) == restored.add_deposit(msg)
 
 
@@ -118,7 +117,7 @@ def test_snapshot_refuses_state_no_request_sequence_reaches(name):
     harness = HubHarness(seed=12)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 400_000)
-    harness.hub.add_deposit(sign(harness.suite.auth, bob, wire.AddDeposit(bob.address, harness.nonce(bob))))
+    harness.hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, harness.nonce(bob))))
     harness.settle(alice, 10_000, 1_000)
     # with the plan outstanding, further requests wait in the queue
     harness.settle(alice, 1_000, 40)
