@@ -16,12 +16,12 @@ import sys
 
 from . import wire
 from .client import Keys, RemoteHub
-from .crypto import ADDRESS_SIZE, get_scheme
+from .crypto import get_scheme, hex_address
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
 from .lightclient import choose_boundary, sync_headers
-from .simchain import SimClock, SimNode
+from .simchain import SimNode
 from .simchain_server import SimchainClient, SimchainServer
 from .transactions import Transaction
 
@@ -91,10 +91,9 @@ def cmd_add_deposit(args) -> int:
 
 
 def _sync_store(args):
-    params = ChainParams(args.retarget_interval, args.target_spacing, args.pow_limit_bits)
     peers = [(f"peer{idx}:{host}:{port}", SimchainClient(host, port))
              for idx, (host, port) in enumerate(args.peer)]
-    return sync_headers(peers, params, args.batch_size)
+    return sync_headers(peers, ChainParams.regtest())
 
 
 def cmd_sync_headers(args) -> int:
@@ -197,12 +196,6 @@ def _add_hub_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--port", type=int, required=True)
 
 
-def _add_chain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--retarget-interval", type=int, default=100_000)
-    p.add_argument("--target-spacing", type=int, default=600)
-    p.add_argument("--pow-limit-bits", type=lambda v: int(v, 0), default=0x207FFFFF)
-
-
 def _depth(value: str) -> int:
     k = int(value)
     if k < 1:
@@ -219,13 +212,6 @@ def _amount(value: str) -> int:
 
 
 # argparse reports a converter's ValueError as a usage error naming the converter
-def hex_address(value: str) -> bytes:
-    address = bytes.fromhex(value)
-    if len(address) != ADDRESS_SIZE:
-        raise ValueError(value)
-    return address
-
-
 def host_port(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not 0 <= int(port) < 1 << 16:
@@ -240,8 +226,6 @@ def batch_item(value: str) -> wire.PaymentItem:
 
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--peer", type=host_port, action="append", required=True, help="host:port, repeatable")
-    p.add_argument("--batch-size", type=int, default=2016)
-    _add_chain_flags(p)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,11 +356,7 @@ def hubd_main(argv: list[str] | None = None) -> int:
 
 
 def _hubd(args) -> int:
-    overrides = {}
-    for item in args.set:
-        key, _, value = item.partition("=")
-        overrides[key] = value
-    daemon = HubDaemon(DaemonConfig(args.config, overrides))
+    daemon = HubDaemon(DaemonConfig(args.config, dict(item.partition("=")[::2] for item in args.set)))
     try:
         daemon.auto_init()
     except BaseException:
@@ -400,8 +380,6 @@ def simchain_main(argv: list[str] | None = None) -> int:
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--premine", type=int, default=0)
-    p.add_argument("--start-time", type=int, default=1_600_000_000)
-    _add_chain_flags(p)
     p.set_defaults(mode="serve")
 
     for name in ("mine", "tip", "pay"):
@@ -424,8 +402,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
 
 def _simchain(args) -> int:
     if args.mode == "serve":
-        params = ChainParams(args.retarget_interval, args.target_spacing, args.pow_limit_bits)
-        node = SimNode(params, seed=args.seed, clock=SimClock(args.start_time))
+        node = SimNode(ChainParams.regtest(), seed=args.seed)
         node.mine_blocks(args.premine)
         server = SimchainServer(node, ("127.0.0.1", args.port))
         _serve(args, server.server, {"listening": server.port, "tip": node.tip_height})

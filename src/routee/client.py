@@ -56,15 +56,20 @@ class Keys:
     @classmethod
     def load(cls, path: str) -> "Keys":
         """Read a key file: scheme name, secret hex and public hex, one a line.
-        A file that is not one raises `AuthFailure` naming the path."""
+        A file that is not one, or whose secret does not sign for its public
+        key, raises `AuthFailure` naming the path. The trial signature parses
+        the secret now rather than at the first request; the parse is kept."""
         with open(path) as fh:
             lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
         try:
             name, secret, public = lines
             scheme = get_scheme(name)
-            return cls(scheme, scheme.load_secret(bytes.fromhex(secret)), bytes.fromhex(public))
-        except (ValueError, AuthFailure) as exc:
+            keys = cls(scheme, scheme.load_secret(bytes.fromhex(secret)), bytes.fromhex(public))
+            if not scheme.verify(keys.public, b"", scheme.sign(keys.secret, b"")):
+                raise ValueError("the secret does not sign for the public key")
+        except (ValueError, TypeError, AuthFailure) as exc:
             raise AuthFailure(f"bad key file {path!r}: {exc}") from None
+        return keys
 
 
 class HubFrontEnd:

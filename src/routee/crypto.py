@@ -49,6 +49,14 @@ def address_of(public_key: bytes) -> bytes:
     return sha256(public_key)[:ADDRESS_SIZE]
 
 
+def hex_address(value: str) -> bytes:
+    """An address from its hex; anything else raises ValueError."""
+    address = bytes.fromhex(value)
+    if len(address) != ADDRESS_SIZE:
+        raise ValueError(f"want {ADDRESS_SIZE} bytes, got {len(address)}")
+    return address
+
+
 class DeterministicRng:
     """Counter-mode HMAC-SHA256 byte generator. State is (seed, counter) so it
     serializes into snapshots and replays exactly."""

@@ -19,10 +19,10 @@ import re
 import time
 
 from . import snapshot as snapshot_mod
-from .client import HubFrontEnd, Keys
-from .crypto import CryptoSuite
-from .errors import AuthFailure, InitFailure
-from .headers import BlockHeader, ChainParams
+from .client import HubFrontEnd
+from .crypto import CryptoSuite, hex_address
+from .errors import AuthFailure, ConfigError, InitFailure
+from .headers import BlockHeader
 from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
 from .session import HubSessionEndpoint
@@ -31,71 +31,63 @@ from .simchain_server import SimchainClient
 SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may wait
 
 
-class DaemonConfig:
+def _below(limit: int):
+    """A parser of the integers from 0 to `limit` - 1."""
+    def parse(value: str) -> int:
+        n = int(value)
+        if not 0 <= n < limit:
+            raise ValueError(f"want 0 to {limit - 1}")
+        return n
+    return parse
+
+
+class DaemonConfig(dict):
     """Flat configuration: defaults < config file < ROUTEE_* env < overrides.
-    The keys are those of `DEFAULTS`."""
+    `DEFAULTS` maps each key to its default and to the parser that checks a
+    value; the config holds the parsed values. An unknown key or a value its
+    parser refuses raises `ConfigError` naming the key and where it was set."""
 
     DEFAULTS = {
-        "listen_host": "127.0.0.1",
-        "listen_port": "0",
-        "simchain_host": "127.0.0.1",
-        "simchain_port": "0",
-        "snapshot_path": "",
-        "min_routing_fee": "1",
-        "host_pubkey_hex": "",
-        "host_key_path": "",  # alternative to host_pubkey_hex: a key file
-        "host_settle_address_hex": "00" * 20,
-        "hub_key_path": "",
-        "start_height": "0",
-        "crypto_mode": "fast-test",
-        "retarget_interval": "100000",
-        "target_spacing": "600",
-        "pow_limit_bits": str(0x207FFFFF),
-        "auto_init": "1",
+        "listen_host": ("127.0.0.1", str),
+        "listen_port": ("0", _below(1 << 16)),
+        "simchain_host": ("127.0.0.1", str),
+        "simchain_port": ("0", _below(1 << 16)),
+        "snapshot_path": ("", str),
+        "min_routing_fee": ("1", _below(1 << 64)),
+        "host_pubkey_hex": ("", bytes.fromhex),
+        "host_settle_address_hex": ("00" * 20, hex_address),
+        "hub_key_path": ("", str),
+        "crypto_mode": ("fast-test", CryptoSuite.from_mode),
+        "auto_init": ("1", _below(2)),
     }
 
     def __init__(self, path: str | None = None, overrides: dict | None = None):
-        values = dict(self.DEFAULTS)
+        super().__init__((key, parse(default)) for key, (default, parse) in self.DEFAULTS.items())
+        layers = []  # (key, value, where it was set), lowest precedence first
         if path:
             with open(path) as fh:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     line = line.strip()
-                    if not line or line.startswith("#") or "=" not in line:
-                        continue
-                    key, _, value = line.partition("=")
-                    values[key.strip()] = value.strip()
-        for key in list(values):
-            env = os.environ.get(f"ROUTEE_{key.upper()}")
-            if env is not None:
-                values[key] = env
-        for key, value in (overrides or {}).items():
-            if value is not None:
-                values[key] = str(value)
-        self.values = values
-
-    def __getitem__(self, key: str) -> str:
-        return self.values[key]
-
-    def get_int(self, key: str) -> int:
-        return int(self.values[key], 0)
-
-    def chain_params(self) -> ChainParams:
-        return ChainParams(
-            self.get_int("retarget_interval"),
-            self.get_int("target_spacing"),
-            self.get_int("pow_limit_bits"),
-        )
+                    if line and not line.startswith("#"):
+                        key, _, value = line.partition("=")
+                        layers.append((key.strip(), value.strip(), f"{path}:{number}"))
+        layers += [(name.removeprefix("ROUTEE_").lower(), value, name)
+                   for name, value in os.environ.items() if name.startswith("ROUTEE_")]
+        layers += [(key, str(value), "override") for key, value in (overrides or {}).items()]
+        for key, value, source in layers:
+            if key not in self:
+                raise ConfigError(f"unknown key {key!r} ({source})")
+            try:
+                self[key] = self.DEFAULTS[key][1](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad {key} {value!r} ({source}): {exc}") from None
 
     def hub_config(self) -> HubConfig:
-        host_pk = bytes.fromhex(self["host_pubkey_hex"])
-        if not host_pk and self["host_key_path"]:
-            host_pk = Keys.load(self["host_key_path"]).public
         return HubConfig(
-            host_public_key=host_pk,
-            host_settle_address=bytes.fromhex(self["host_settle_address_hex"]),
-            min_routing_fee=self.get_int("min_routing_fee"),
-            chain_params=self.chain_params(),
-            suite=CryptoSuite.from_mode(self["crypto_mode"]),
+            host_public_key=self["host_pubkey_hex"],
+            host_settle_address=self["host_settle_address_hex"],
+            min_routing_fee=self["min_routing_fee"],
+            suite=self["crypto_mode"],
         )
 
 
@@ -119,9 +111,9 @@ class HubDaemon(HubFrontEnd):
                 raise AuthFailure(f"bad hub key file {key_path!r}: want a 32-byte X25519 secret in hex")
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
-        self.simchain = SimchainClient(config["simchain_host"], config.get_int("simchain_port"))
+        self.simchain = SimchainClient(config["simchain_host"], config["simchain_port"])
         self.server = FrameServer(
-            (config["listen_host"], config.get_int("listen_port")), self._handle, self.drop_session,
+            (config["listen_host"], config["listen_port"]), self._handle, self.drop_session,
             self.frame_limit, self._sign_slice,
         )
 
@@ -132,29 +124,25 @@ class HubDaemon(HubFrontEnd):
     # --- lifecycle ---
 
     def run_init(self) -> None:
-        """Pull the start header, the newer headers, and the fee-window blocks
-        from the block source, then initialize the hub."""
+        """Pull every header from genesis up and the fee-window blocks from
+        the block source, then initialize the hub."""
         tip_height, _ = self.simchain.tip()
-        start_height = self.config.get_int("start_height")
-        interval = self.config.get_int("retarget_interval")
-        if start_height % interval:
-            raise InitFailure(f"start height {start_height} not aligned to interval {interval}")
-        raw = self.simchain.fetch_headers(start_height, tip_height - start_height + 1)
+        raw = self.simchain.fetch_headers(0, tip_height + 1)
         if not raw:
             raise InitFailure("block source returned no headers")
         headers = [BlockHeader.deserialize(h) for h in raw]
-        first_fee_height = max(start_height, tip_height - FEE_WINDOW_CAPACITY + 1)
+        first_fee_height = max(0, tip_height - FEE_WINDOW_CAPACITY + 1)
         fee_blocks = []
         for height in range(first_fee_height, tip_height + 1):
             block = self.simchain.get_block(height)
             if block is not None:
                 fee_blocks.append(block)
-        self.hub.initialize(headers[0], start_height, headers[1:], fee_blocks)
+        self.hub.initialize(headers[0], 0, headers[1:], fee_blocks)
 
     def auto_init(self) -> None:
         """Run init at start-up unless `auto_init` is off or the hub already
         has a chain (from its snapshot)."""
-        if self.config["auto_init"] not in ("0", "false") and self.hub.chain is None:
+        if self.config["auto_init"] and self.hub.chain is None:
             self.run_init()
 
     def start(self) -> None:

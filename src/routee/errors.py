@@ -111,6 +111,10 @@ class SnapshotError(RouteeError):
     code = "snapshot-error"
 
 
+class ConfigError(RouteeError):
+    code = "bad-config"
+
+
 # --- wire / session ---
 
 class MalformedFrame(RouteeError):

@@ -79,6 +79,31 @@ def test_daemon_auto_initializes_to_simchain_tip(stack):
         assert status["initialized"] == 1
 
 
+def test_cli_init_initializes_a_daemon_started_without_auto_init(capsys):
+    node = SimNode(ChainParams.regtest(), seed=5)
+    node.mine_blocks(4)
+    sim_server = SimchainServer(node)
+    sim_server.start()
+    daemon = HubDaemon(DaemonConfig(overrides={
+        "simchain_port": sim_server.port,
+        "auto_init": 0,
+        "host_pubkey_hex": "00" * 32,
+    }))
+    daemon.start()
+    try:
+        port = str(daemon.port)
+        code, _, err = run_cli(capsys, ["latest-block", "--port", port])
+        assert code == 2 and json.loads(err)["error"] == "not-initialized"
+        assert run_cli(capsys, ["init", "--port", port]) == (0, {"initialized": 1}, "")
+        code, out, _ = run_cli(capsys, ["latest-block", "--port", port])
+        assert code == 0
+        assert (out["height"], out["hash"]) == (node.tip_height, node.chain.tip_hash.hex())
+        assert run_cli(capsys, ["init", "--port", port]) == (0, {"already": 1, "initialized": 1}, "")
+    finally:
+        daemon.stop()
+        sim_server.stop()
+
+
 def test_cli_user_flow_over_daemon(stack, capsys, tmp_path):
     port = str(stack["daemon"].port)
     sim = f"127.0.0.1:{stack['sim_port']}"
@@ -200,7 +225,8 @@ def test_bad_host_port_is_a_usage_error(capsys, entry, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["fast\nzz\n", ""], ids=["bad-hex", "empty"])
+@pytest.mark.parametrize("text", ["fast\nzz\n", "", "rsa3072\n00\n00\n", "ecdsa\n00\n00\n"],
+                         ids=["bad-hex", "empty", "rsa-not-a-key", "ecdsa-not-a-key"])
 def test_malformed_key_file_is_a_structured_error(capsys, tmp_path, text):
     key_path = tmp_path / "user.key"
     key_path.write_text(text)
@@ -211,16 +237,11 @@ def test_malformed_key_file_is_a_structured_error(capsys, tmp_path, text):
     assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
 
 
-@pytest.mark.parametrize("key, text", [
-    ("host_key_path", "fast\nzz\n"),
-    ("host_key_path", ""),
-    ("hub_key_path", "not hex\n"),
-    ("hub_key_path", "00" * 16),
-], ids=["host-bad-hex", "host-empty", "hub-not-hex", "hub-short"])
-def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, key, text):
+@pytest.mark.parametrize("text", ["not hex\n", "00" * 16], ids=["hub-not-hex", "hub-short"])
+def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, text):
     key_path = tmp_path / "bad.key"
     key_path.write_text(text)
-    code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1", "--set", f"{key}={key_path}"])
+    code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1", "--set", f"hub_key_path={key_path}"])
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
@@ -267,15 +288,40 @@ def test_daemon_snapshot_restart_restores_ledger(stack, capsys, tmp_path):
 
 def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
     cfg = tmp_path / "hub.conf"
-    cfg.write_text("min_routing_fee=7\nstart_height=99\n")
+    cfg.write_text("min_routing_fee=7\nsnapshot_path=hub.snap\n")
     config = DaemonConfig(str(cfg))
-    assert config.get_int("min_routing_fee") == 7
+    assert config["min_routing_fee"] == 7
     monkeypatch.setenv("ROUTEE_MIN_ROUTING_FEE", "9")
     config = DaemonConfig(str(cfg))
-    assert config.get_int("min_routing_fee") == 9
+    assert config["min_routing_fee"] == 9
     config = DaemonConfig(str(cfg), overrides={"min_routing_fee": 11})
-    assert config.get_int("min_routing_fee") == 11
-    assert config.get_int("start_height") == 99
+    assert config["min_routing_fee"] == 11
+    assert config["snapshot_path"] == "hub.snap"
+
+
+@pytest.mark.parametrize("where", ["set", "env", "file"])
+@pytest.mark.parametrize("key, value", [
+    ("min_routing_fe", "5"),  # a typo of a key
+    ("min_routing_fee", "abc"),
+    ("host_pubkey_hex", "zz"),
+    ("crypto_mode", "fulll"),
+], ids=["unknown-key", "fee-not-a-number", "pubkey-not-hex", "unknown-crypto-mode"])
+def test_hubd_refuses_a_bad_setting(capsys, tmp_path, monkeypatch, key, value, where):
+    # refused before the daemon listens or reaches for its block source
+    argv = ["--json", "--oneshot"]
+    if where == "set":
+        argv += ["--set", f"{key}={value}"]
+    elif where == "env":
+        monkeypatch.setenv(f"ROUTEE_{key.upper()}", value)
+    else:
+        cfg = tmp_path / "hub.conf"
+        cfg.write_text(f"# a comment\n{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code = cli.hubd_main(argv)
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "bad-config"
+    assert err["detail"].startswith(f"unknown key {key!r}" if key == "min_routing_fe" else f"bad {key} {value!r}")
 
 
 def test_daemon_unreachable_block_source_fails_startup(capsys):
