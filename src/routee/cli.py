@@ -193,7 +193,7 @@ def cmd_terminate(args) -> int:
 
 def _add_hub_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=port, required=True)
 
 
 def _depth(value: str) -> int:
@@ -212,11 +212,17 @@ def _amount(value: str) -> int:
 
 
 # argparse reports a converter's ValueError as a usage error naming the converter
-def host_port(value: str) -> tuple[str, int]:
-    host, sep, port = value.rpartition(":")
-    if not sep or not 0 <= int(port) < 1 << 16:
+def port(value: str) -> int:
+    if not 0 <= int(value) < 1 << 16:
         raise ValueError(value)
-    return host, int(port)
+    return int(value)
+
+
+def host_port(value: str) -> tuple[str, int]:
+    host, sep, number = value.rpartition(":")
+    if not sep:
+        raise ValueError(value)
+    return host, port(number)
 
 
 def batch_item(value: str) -> wire.PaymentItem:
@@ -377,7 +383,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=port, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--premine", type=int, default=0)
     p.set_defaults(mode="serve")

@@ -113,7 +113,7 @@ class HubFrontEnd:
             # replay/gap/tamper: no reply at all, the envelope is dead
             return None
         try:
-            req = wire.decode_request(plaintext)
+            req = wire.received_request(plaintext)
             if isinstance(req, wire.Snapshot):
                 fields = {"bytes_written": self.write_snapshot()}
             elif isinstance(req, wire.InitRun):

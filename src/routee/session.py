@@ -10,6 +10,8 @@ a remote-attestation check).
 Envelopes: AES-128-GCM with nonce = 4-byte direction tag + 8-byte sequence
 number, with session_id || seq as associated data. Each direction's sequence
 increases by exactly one per message; a gap or repeat aborts the session.
+An envelope is a `wire.Envelope`, packed and sliced with `wire.ENVELOPE_HEAD`;
+a malformed one raises `MalformedFrame` and spends no sequence number.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from . import wire
 from .crypto import sha256
-from .errors import HandshakeFailure, SessionAborted
+from .errors import HandshakeFailure, MalformedFrame, SessionAborted
 
 SESSION_ID_SIZE = 8
+_ENVELOPE = wire.ENVELOPE_HEAD
+_AD_SIZE = SESSION_ID_SIZE + 8  # session id and sequence number
 DIR_CLIENT_TO_HUB = b"\x00\x00\x00\x01"
 DIR_HUB_TO_CLIENT = b"\x00\x00\x00\x02"
 
@@ -67,30 +71,30 @@ class Session:
     def __init__(self, session_id: bytes, key: bytes, is_hub: bool):
         self.session_id = session_id
         self.key = key
-        self.is_hub = is_hub
         self._aead = AESGCM(key)
+        self._seal_dir = DIR_HUB_TO_CLIENT if is_hub else DIR_CLIENT_TO_HUB
+        self._open_dir = DIR_CLIENT_TO_HUB if is_hub else DIR_HUB_TO_CLIENT
         self.send_seq = 0
         self.recv_seq = 0
         self.aborted = False
 
-    def _nonce(self, direction: bytes, seq: int) -> bytes:
-        return direction + seq.to_bytes(8, "big")
-
     def seal(self, plaintext: bytes) -> bytes:
         if self.aborted:
             raise SessionAborted("aborted", "session previously aborted")
-        direction = DIR_HUB_TO_CLIENT if self.is_hub else DIR_CLIENT_TO_HUB
         seq = self.send_seq
-        ad = self.session_id + seq.to_bytes(8, "big")
-        ct = self._aead.encrypt(self._nonce(direction, seq), plaintext, ad)
+        seq_bytes = seq.to_bytes(8, "big")
+        ct = self._aead.encrypt(self._seal_dir + seq_bytes, plaintext, self.session_id + seq_bytes)
         self.send_seq += 1
-        return wire.encode(wire.Envelope(self.session_id, seq, ct))
+        return _ENVELOPE.pack(self.session_id, seq, len(ct)) + ct
 
     def open(self, envelope: bytes) -> bytes:
         if self.aborted:
             raise SessionAborted("aborted", "session previously aborted")
-        env = wire.decode(wire.Envelope, envelope)
-        session_id, seq = env.session_id, env.seq
+        if len(envelope) < _ENVELOPE.size:
+            raise MalformedFrame(f"short envelope: {len(envelope)} bytes")
+        session_id, seq, size = _ENVELOPE.unpack_from(envelope)
+        if size != len(envelope) - _ENVELOPE.size:
+            raise MalformedFrame(f"envelope of {len(envelope)} bytes announces {size} ciphertext bytes")
         if session_id != self.session_id:
             raise SessionAborted("wrong-session", session_id.hex())
         if seq < self.recv_seq:
@@ -99,10 +103,9 @@ class Session:
         if seq > self.recv_seq:
             self.aborted = True
             raise SessionAborted("seq-gap", f"seq {seq}, expected {self.recv_seq}")
-        direction = DIR_CLIENT_TO_HUB if self.is_hub else DIR_HUB_TO_CLIENT
-        ad = session_id + seq.to_bytes(8, "big")
+        nonce = self._open_dir + envelope[SESSION_ID_SIZE:_AD_SIZE]
         try:
-            plaintext = self._aead.decrypt(self._nonce(direction, seq), env.ciphertext, ad)
+            plaintext = self._aead.decrypt(nonce, envelope[_ENVELOPE.size:], envelope[:_AD_SIZE])
         except InvalidTag:
             self.aborted = True
             raise SessionAborted("auth-tag", f"seq {seq}")

@@ -24,6 +24,7 @@ an `InsertBlock` is signed over the block's header hash.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -251,6 +252,12 @@ class _Layout:
             out += codec.pack(getattr(obj, name))
         return out
 
+    def unsigned(self, obj) -> bytes:
+        """The encoding without the signature, as it arrived for a request
+        from `received_request`."""
+        received = obj.__dict__.get("_received")
+        return self.encode(obj, signed=False) if received is None else received[0][:received[1]]
+
     def decode_from(self, data: bytes, pos: int):
         values = self.head.unpack_from(data, pos)
         if self.kind is not None:
@@ -311,7 +318,7 @@ def decode(cls: type, data: bytes):
 def _signing_digest(self) -> bytes:
     # assigned in each signed request's class body, not inherited: the
     # benchmark's tracer wraps `signing_digest` per class
-    return sha256(_SIGNING_CONTEXT + self._layout.encode(self, signed=False))
+    return sha256(_SIGNING_CONTEXT + self._layout.unsigned(self))
 
 
 @request(1)
@@ -375,7 +382,7 @@ class QueryUser:
     signature: bytes = trailing_signature()
 
     def signing_digest(self, session_id: bytes) -> bytes:
-        return sha256(_SIGNING_CONTEXT + self._layout.encode(self, signed=False) + session_id)
+        return sha256(_SIGNING_CONTEXT + self._layout.unsigned(self) + session_id)
 
 
 @request(8)
@@ -440,10 +447,25 @@ def decode_request(data: bytes):
     return layout.decode(data)
 
 
+def received_request(data: bytes):
+    """`decode_request` for a request answered as it arrived and never changed.
+    A signed one keeps those bytes; its digest hashes them up to the length of
+    its signature, the last field. Decoding is exact: an encoding gives these."""
+    req = decode_request(data)
+    name = req._layout.signature
+    if name is not None:
+        req._received = data, len(data) - _SIGNATURE.length.size - len(getattr(req, name))
+    return req
+
+
 # --- replies ---
 
 STATUS_OK = 0
 STATUS_ERR = 1
+_OK = bytes([STATUS_OK])
+
+
+_key_text = functools.lru_cache(maxsize=128)(_TEXT.pack)  # a hub's replies use a few dozen keys
 
 
 class _Fields:
@@ -452,7 +474,7 @@ class _Fields:
     count = struct.Struct(">H")
 
     def pack(self, fields: dict) -> bytes:
-        items = [_TEXT.pack(key) + _VALUE.pack(item) for key, item in fields.items()]
+        items = [_key_text(key) + _VALUE.pack(item) for key, item in fields.items()]
         return self.count.pack(len(fields)) + b"".join(items)
 
     def unpack(self, data: bytes, pos: int) -> tuple[dict, int]:
@@ -465,10 +487,13 @@ class _Fields:
         return out, pos
 
 
+_FIELDS = _Fields()
+
+
 @record
 class OkReply:
     kind = STATUS_OK
-    fields: dict = field(default_factory=dict, metadata={"wire": _Fields()})
+    fields: dict = field(default_factory=dict, metadata={"wire": _FIELDS})
 
 
 @record
@@ -479,7 +504,8 @@ class ErrorReply:
 
 
 def encode_ok(fields: dict) -> bytes:
-    return encode(OkReply(fields))
+    """`encode(OkReply(fields))`, packed without building the record."""
+    return _OK + _FIELDS.pack(fields)
 
 
 def encode_err(exc: RouteeError) -> bytes:
@@ -525,6 +551,10 @@ class Envelope:
     session_id: bytes = fixed("8s")
     seq: int = fixed("Q")
     ciphertext: bytes = trailing()
+
+
+# `Envelope`'s head, then its ciphertext's length: `session` packs and slices with it
+ENVELOPE_HEAD = struct.Struct(Envelope._layout.head.format + _BYTES.length.format.lstrip(">"))
 
 
 # --- simchain frame bodies ---

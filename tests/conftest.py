@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from routee.client import Keys
 from routee.crypto import CryptoSuite
+from routee.errors import RouteeError
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
 from routee.simchain import SimNode
@@ -37,6 +38,26 @@ def mutated(draw, samples):
             else:
                 del data[pos]
     return bytes(data)
+
+
+def refused_flips(send, req) -> int:
+    """Send `req` with each byte flipped in turn and return how many copies
+    failed authentication. Every copy is refused; one still of the same kind
+    and user (the first 21 bytes) must fail authentication."""
+    raw = wire.encode_request(req)
+    auth_failures = 0
+    for pos in range(len(raw)):
+        flipped = raw[:pos] + bytes([raw[pos] ^ 0x01]) + raw[pos + 1:]
+        with pytest.raises(wire.RemoteError) as exc:
+            send(flipped)
+        try:
+            wire.decode_request(flipped)
+        except RouteeError:
+            continue
+        if flipped[:21] == raw[:21]:
+            assert exc.value.code == "auth-failure", pos
+            auth_failures += 1
+    return auth_failures
 
 
 def every_request_kind():

@@ -10,7 +10,7 @@ import threading
 import time
 
 import pytest
-from conftest import closed_by_peer
+from conftest import closed_by_peer, refused_flips
 
 from routee import cli, netio, snapshot, wire
 from routee.client import (
@@ -215,9 +215,14 @@ def test_bad_cli_input_is_a_usage_error(capsys, tmp_path, entry, argv, flag):
     ("routee", ["broadcast", "--port", "1", "--simchain", "localhost:x"], "--simchain"),
     ("routee", ["insert-block", "--port", "1", "--host-key", "k", "--simchain", "127.0.0.1:99999"], "--simchain"),
     ("routee-simchain", ["tip", "--addr", "127.0.0.1"], "--addr"),
-], ids=["sync-headers-peer", "broadcast-simchain", "insert-block-simchain", "simchain-tip-addr"])
+    # a port past 65535 would wrap around or overflow in the socket call
+    ("routee", ["latest-block", "--port", "70000"], "--port"),
+    ("routee", ["latest-block", "--port", "-1"], "--port"),
+    ("routee-simchain", ["serve", "--port", "70000"], "--port"),
+], ids=["sync-headers-peer", "broadcast-simchain", "insert-block-simchain", "simchain-tip-addr",
+        "latest-block-port", "latest-block-negative-port", "simchain-serve-port"])
 def test_bad_host_port_is_a_usage_error(capsys, entry, argv, flag):
-    # a host:port without a valid port is refused while parsing, before any connection
+    # a port or host:port without a valid port is refused while parsing, before any connection
     main = cli.main if entry == "routee" else cli.simchain_main
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -452,6 +457,21 @@ def test_closed_connections_leave_no_sessions(stack):
     while daemon.endpoint.sessions and time.monotonic() < deadline:
         time.sleep(0.01)
     assert len(daemon.endpoint.sessions) == 0
+
+
+def test_a_flipped_byte_in_a_signed_request_is_refused_by_the_daemon(stack):
+    alice = Keys.generate(cli.get_scheme("fast"))
+    with RemoteHub("127.0.0.1", stack["daemon"].port) as remote:
+
+        def send(raw):
+            _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
+            return wire.decode_response(remote.session.open(reply))
+
+        remote.request(wire.AddUser(alice.public, alice.address))
+        deposit = alice.sign(wire.AddDeposit(alice.address, 0))
+        # the nonce and the signature; the signature's length no longer decodes
+        assert refused_flips(send, deposit) == 8 + len(deposit.signature)
+        assert "manager_address" in send(wire.encode_request(deposit))
 
 
 def _parity_script(host, alice, bob, block, tip_hash, session_id):

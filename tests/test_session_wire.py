@@ -2,20 +2,21 @@ import functools
 import random
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings, strategies as st
 
 import routee.hub
 import routee.snapshot
 from routee import wire
-from routee.client import LocalHubEndpoint
+from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng, sha256
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
 )
-from routee.session import ClientHandshake, HubSessionEndpoint
+from routee.session import DIR_CLIENT_TO_HUB, DIR_HUB_TO_CLIENT, ClientHandshake, HubSessionEndpoint, Session
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
 
-from conftest import HubHarness, every_request_kind, mutated
+from conftest import HubHarness, every_request_kind, mutated, refused_flips
 
 
 def fresh_pair(seed=1):
@@ -350,3 +351,202 @@ def test_decoders_return_a_value_or_a_routee_error(data):
             continue
         if decode is load_hub:
             assert value.conservation()["ok"]
+
+
+# --- the hub's frame path: the bytes a request arrived in, and records it skips ---
+
+SID = b"\x09" * 8
+
+
+def _context(req) -> tuple:
+    """What a request's signing digest takes besides the request."""
+    return (SID,) if isinstance(req, wire.QueryUser) else ()
+
+
+def _encoded_digest(req) -> bytes:
+    """The signing digest as defined: over the encoding without the signature."""
+    return sha256(b"routee/v1/" + req._layout.encode(req, signed=False) + b"".join(_context(req)))
+
+
+def _signs_its_encoding(req) -> bool:
+    # an InsertBlock's signature covers the block's header hash instead
+    return req._layout.signature is not None and not isinstance(req, wire.InsertBlock)
+
+
+SIGNED = [req for req in every_request_kind() if _signs_its_encoding(req)]
+
+
+def test_received_digest_is_the_encoding_digest_of_every_signed_kind():
+    assert len(SIGNED) == 6
+    for req in SIGNED:
+        received = wire.received_request(wire.encode_request(req))
+        assert received == req
+        assert received.signing_digest(*_context(req)) == _encoded_digest(req) == req.signing_digest(*_context(req))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated([wire.encode_request(req) for req in SIGNED]))
+def test_received_digest_of_any_decodable_bytes_is_the_encoding_digest(data):
+    try:
+        received = wire.received_request(data)
+    except RouteeError:
+        return
+    if _signs_its_encoding(received):
+        assert received.signing_digest(*_context(received)) == _encoded_digest(wire.decode_request(data))
+
+
+@pytest.mark.parametrize("change", [
+    lambda req, other: setattr(req, "nonce", req.nonce + 1),
+    lambda req, other: setattr(req.batch[0], "amount", 150),
+    lambda req, other: setattr(req.batch[0], "receiver", other),
+], ids=["nonce", "amount", "receiver"])
+def test_a_changed_decoded_request_digests_its_new_fields(change):
+    harness = HubHarness()
+    alice, bob, carol = harness.new_user(), harness.new_user(), harness.new_user()
+    harness.deposit(alice, 50_000)
+    harness.set_boundary(bob)
+    harness.set_boundary(carol)
+    payment = wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 100, 2)])
+    raw = wire.encode_request(alice.sign(payment))
+    req = wire.decode_request(raw)
+    change(req, carol.address)
+    assert req.signing_digest() == _encoded_digest(req) != payment.signing_digest()
+    # signed again, the hub takes the new fields and refuses the new signature on the old ones
+    alice.sign(req)
+    old = wire.decode_request(raw)
+    old.signature = req.signature
+    conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
+    with pytest.raises(wire.RemoteError) as exc:
+        conn.request(old)
+    assert exc.value.code == "auth-failure"
+    if req.nonce == payment.nonce:
+        assert conn.request(req) == {"accepted": 1}
+        assert harness.balance(bob) + harness.balance(carol) == req.batch[0].amount
+    else:  # signed correctly, but for a nonce not yet due
+        with pytest.raises(wire.RemoteError) as exc:
+            conn.request(req)
+        assert exc.value.code == "stale-request"
+
+
+def test_a_flipped_byte_in_a_signed_payment_is_refused():
+    harness = HubHarness()
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 50_000)
+    harness.set_boundary(bob)
+    conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
+
+    def send(raw):
+        envelope = conn.session.seal(raw)
+        _, reply = wire.unpack_frame(conn.send_raw_frame(wire.pack_frame(wire.FRAME_ENVELOPE, envelope))[-1])
+        return wire.decode_response(conn.session.open(reply))
+
+    payment = alice.sign(wire.Payment(alice.address, harness.nonce(alice), [wire.PaymentItem(bob.address, 100, 2)]))
+    # the nonce, the item and the signature; the item count and the
+    # signature's length no longer decode
+    assert refused_flips(send, payment) == 8 + 36 + len(payment.signature)
+    assert send(wire.encode_request(payment)) == {"accepted": 1}
+
+
+def test_seal_packs_the_envelope_record():
+    client, hub, _ = fresh_pair()
+    for session, direction in ((client, DIR_CLIENT_TO_HUB), (hub, DIR_HUB_TO_CLIENT)):
+        for payload in (b"", b"x" * 100):
+            seq = session.send_seq.to_bytes(8, "big")
+            ct = AESGCM(session.key).encrypt(direction + seq, payload, session.session_id + seq)
+            expected = wire.encode(wire.Envelope(session.session_id, session.send_seq, ct))
+            assert session.seal(payload) == expected
+
+
+def test_open_refuses_short_truncated_and_overlong_envelopes():
+    client, hub, _ = fresh_pair()
+    env = client.seal(b"payload")
+    longer = env[:16] + (len(env) - 19).to_bytes(4, "big") + env[20:]
+    for bad in (b"", env[:15], env[:19], env[:20], env[:-1], env + b"\x00", longer):
+        with pytest.raises(MalformedFrame):
+            hub.open(bad)
+    # a malformed envelope spends no sequence number
+    assert hub.open(env) == b"payload"
+
+
+def _reference_ok(fields: dict) -> bytes:
+    """An ok reply spelled out: status, count, then each key and tagged value."""
+    out = bytes([wire.STATUS_OK]) + len(fields).to_bytes(2, "big")
+    for key, value in fields.items():
+        out += len(key.encode()).to_bytes(2, "big") + key.encode()
+        if value is None:
+            out += b"\x00"
+        elif isinstance(value, int):
+            out += b"\x01" + value.to_bytes(8, "big")
+        else:
+            out += b"\x02" + len(value).to_bytes(4, "big") + value
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.text(st.characters(codec="utf-8"), max_size=12),
+    st.one_of(st.none(), st.booleans(), st.integers(0, 2**64 - 1), st.binary(max_size=40)),
+    max_size=8,
+))
+def test_encode_ok_packs_the_reply_record(fields):
+    assert wire.encode_ok(fields) == wire.encode(wire.OkReply(fields)) == _reference_ok(fields)
+    assert wire.decode_response(wire.encode_ok(fields)) == fields
+
+
+def test_every_parity_script_reply_packs_as_its_record(monkeypatch):
+    from test_daemon_cli import _parity_script
+
+    replies = []
+    encode_ok = wire.encode_ok
+    monkeypatch.setattr(wire, "encode_ok", lambda fields: replies.append(fields) or encode_ok(fields))
+    harness = HubHarness()
+    # the script registers its users itself
+    alice, bob = (Keys.generate(harness.suite.auth, harness.key_rng) for _ in range(2))
+    block = harness.node.mine_block()
+    conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
+    for raw in _parity_script(harness.host, alice, bob, block, harness.hub.chain.hash_at(4), conn.session.session_id):
+        conn.send_raw_frame(wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(raw)))
+    assert len(replies) >= 12
+    for fields in replies:
+        assert encode_ok(fields) == wire.encode(wire.OkReply(fields)) == _reference_ok(fields)
+
+
+# Golden vectors: a fast path that drifts from the wire fails here.
+
+def test_sealed_envelope_golden_vector():
+    hub = Session(b"\x11" * 8, bytes(range(16)), is_hub=True)
+    hub.send_seq = 5
+    envelope = hub.seal(b"routee")
+    assert envelope.hex() == (
+        "1111111111111111" "0000000000000005" "00000016" "dd7884334be0e08dc8f29c69496fe8d5cfb6350c9909"
+    )
+    client = Session(b"\x11" * 8, bytes(range(16)), is_hub=False)
+    client.recv_seq = 5
+    assert client.open(envelope) == b"routee"
+
+
+def test_payment_golden_vector():
+    payment = wire.Payment(b"\x01" * 20, 7, [wire.PaymentItem(b"\x02" * 20, 1000, 3)], b"\x05" * 32)
+    raw = wire.encode_request(payment)
+    assert raw.hex() == (
+        "04" + "01" * 20 + "0000000000000007" + "00000001"
+        + "02" * 20 + "00000000000003e8" + "0000000000000003" + "00000020" + "05" * 32
+    )
+    digest = "b39d7d83396f18363ea1a0ec42f8425436ed9b3fc46d0ffd628f0f5f1e6c698d"
+    assert payment.signing_digest().hex() == digest
+    assert wire.received_request(raw).signing_digest().hex() == digest
+
+
+def test_ok_reply_golden_vectors():
+    assert wire.encode_ok({"accepted": 1}).hex() == "0000010008" + b"accepted".hex() + "010000000000000001"
+    query_user = {"address": b"\x01" * 20, "nonce": 3, "balance": 5000, "max_source_block": None,
+                  "boundary_block": 4, "settle_address": b"\x02" * 20}
+    assert wire.encode_ok(query_user).hex() == (
+        "000006"
+        "0007" + b"address".hex() + "0200000014" + "01" * 20
+        + "0005" + b"nonce".hex() + "010000000000000003"
+        + "0007" + b"balance".hex() + "010000000000001388"
+        + "0010" + b"max_source_block".hex() + "00"
+        + "000e" + b"boundary_block".hex() + "010000000000000004"
+        + "000e" + b"settle_address".hex() + "0200000014" + "02" * 20
+    )
