@@ -218,6 +218,13 @@ def port(value: str) -> int:
     return int(value)
 
 
+def count(value: str) -> int:
+    """Blocks to mine: what `wire.MineRequest`'s 2-byte count holds."""
+    if not 0 <= int(value) < 1 << 16:
+        raise ValueError(value)
+    return int(value)
+
+
 def host_port(value: str) -> tuple[str, int]:
     host, sep, number = value.rpartition(":")
     if not sep:
@@ -286,10 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
     p.set_defaults(fn=cmd_balance)
-
-    p = sub.add_parser("init")
-    _add_hub_flags(p)
-    p.set_defaults(fn=cmd_request, request=wire.InitRun)
 
     p = sub.add_parser("latest-block")
     _add_hub_flags(p)
@@ -363,11 +366,6 @@ def hubd_main(argv: list[str] | None = None) -> int:
 
 def _hubd(args) -> int:
     daemon = HubDaemon(DaemonConfig(args.config, dict(item.partition("=")[::2] for item in args.set)))
-    try:
-        daemon.auto_init()
-    except BaseException:
-        daemon.server.server_close()
-        raise
     status = {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)}
     if args.oneshot:
         _emit(args, status)
@@ -392,7 +390,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--addr", type=host_port, required=True, help="host:port of a running server")
         if name == "mine":
-            p.add_argument("--count", type=int, default=1)
+            p.add_argument("--count", type=count, default=1)
         if name == "pay":
             p.add_argument("--to", type=hex_address, required=True, help="20-byte address hex")
             p.add_argument("--amount", type=_amount, required=True)

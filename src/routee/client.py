@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .crypto import Secret, address_of, get_scheme
-from .errors import AuthFailure, HandshakeFailure, InitFailure, MalformedFrame, RouteeError, SessionAborted
+from .errors import AuthFailure, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
@@ -76,7 +76,7 @@ class HubFrontEnd:
     """The hub's one frame pipeline, shared by the daemon and the in-memory
     endpoint: hub info and handshakes, then sealed requests opened, decoded,
     applied to the hub, answered and sealed again. Subclasses supply what a
-    deployment owns beyond the hub: writing a snapshot and running init."""
+    deployment owns beyond the hub: writing a snapshot."""
 
     def __init__(self, hub, endpoint: HubSessionEndpoint):
         self.hub = hub
@@ -85,9 +85,6 @@ class HubFrontEnd:
     def write_snapshot(self) -> int:
         """Bytes written; an in-memory hub keeps no snapshot file."""
         return 0
-
-    def run_init(self) -> None:
-        raise InitFailure("no block source to initialize from")
 
     def handle(self, frame_type: int, payload: bytes, ctx: dict) -> tuple[int, bytes] | None:
         """Answer one frame. `ctx` belongs to one connection and holds its
@@ -116,11 +113,6 @@ class HubFrontEnd:
             req = wire.received_request(plaintext)
             if isinstance(req, wire.Snapshot):
                 fields = {"bytes_written": self.write_snapshot()}
-            elif isinstance(req, wire.InitRun):
-                already = self.hub.chain is not None
-                if not already:
-                    self.run_init()
-                fields = {"initialized": 1, "already": 1} if already else {"initialized": 1}
             else:
                 fields = self.hub.apply_request(req, session.session_id)
             reply = wire.encode_ok(fields)

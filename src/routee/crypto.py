@@ -32,7 +32,6 @@ from cryptography.hazmat.primitives.serialization import load_der_private_key
 from .errors import AuthFailure
 
 ADDRESS_SIZE = 20
-HASH_SIZE = 32
 RSA_KEY_CACHE = 1024  # parsed RSA keys kept, of each kind, most recently used first
 
 

@@ -1,6 +1,12 @@
 """The hub daemon: serves the hub's frame pipeline (`client.HubFrontEnd`) over
 TCP.
 
+Init runs once, while the daemon is built and before it listens: with
+`auto_init` 1 and no chain in the snapshot, the hub pulls its headers and
+fee-window blocks from the block source. No request can start init, so a hub
+built without a chain answers `not-initialized` until it is restarted with
+`auto_init` 1.
+
 One event loop (`netio.FrameServer`) owns every connection and applies one
 request at a time, so the hub has a single writer without a lock, and each
 session's messages are answered in the order they arrive. A connection's
@@ -93,7 +99,8 @@ class DaemonConfig(dict):
 
 class HubDaemon(HubFrontEnd):
     """The frame pipeline over TCP, one session per connection, with the
-    hub's snapshot file and its block source for init."""
+    hub's snapshot file. Init from the block source, if configured, runs
+    before the listener exists."""
 
     def __init__(self, config: DaemonConfig):
         self.config = config
@@ -112,6 +119,8 @@ class HubDaemon(HubFrontEnd):
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
         self.simchain = SimchainClient(config["simchain_host"], config["simchain_port"])
+        if config["auto_init"] and hub.chain is None:
+            self.run_init()
         self.server = FrameServer(
             (config["listen_host"], config["listen_port"]), self._handle, self.drop_session,
             self.frame_limit, self._sign_slice,
@@ -139,15 +148,8 @@ class HubDaemon(HubFrontEnd):
                 fee_blocks.append(block)
         self.hub.initialize(headers[0], 0, headers[1:], fee_blocks)
 
-    def auto_init(self) -> None:
-        """Run init at start-up unless `auto_init` is off or the hub already
-        has a chain (from its snapshot)."""
-        if self.config["auto_init"] and self.hub.chain is None:
-            self.run_init()
-
     def start(self) -> None:
-        """Init as configured, then serve from a background thread."""
-        self.auto_init()
+        """Serve from a background thread."""
         self.server.start_background()
 
     def stop(self) -> None:

@@ -693,12 +693,6 @@ class Hub:
             "rf_confirmed_on_confirm": plan.rf_confirmed_on_confirm,
         }
 
-    def init_status(self) -> dict:
-        return {
-            "initialized": int(self.chain is not None),
-            "height": self.chain.tip_height if self.chain else 0,
-        }
-
     def query_ledger(self) -> dict:
         parts = self.conservation()
         return {
@@ -768,8 +762,8 @@ class Hub:
 
 # Each request kind the hub answers, mapped to its reply fields. An entry
 # looks its hub method up when it runs, so a method replaced on the class
-# (the benchmark's tracer does this) is the one called. `Snapshot` and
-# `InitRun` belong to the front end (`client.HubFrontEnd`).
+# (the benchmark's tracer does this) is the one called. `Snapshot` belongs
+# to the front end (`client.HubFrontEnd`).
 _HANDLERS = {
     wire.AddUser: lambda hub, req, sid: {"user_address": hub.add_user(req.public_key, req.settle_address)},
     wire.AddDeposit: lambda hub, req, sid: {"manager_address": hub.add_deposit(req)},
@@ -782,5 +776,4 @@ _HANDLERS = {
     wire.InsertBlock: lambda hub, req, sid: hub.insert_block(req),
     wire.GetSettlement: lambda hub, req, sid: hub.get_settlement(),
     wire.Terminate: lambda hub, req, sid: {"enqueued": hub.terminate(req)},
-    wire.InitStatus: lambda hub, req, sid: hub.init_status(),
 }

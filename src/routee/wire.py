@@ -420,16 +420,6 @@ class Snapshot:
     pass
 
 
-@request(13)
-class InitStatus:
-    pass
-
-
-@request(14)
-class InitRun:
-    pass
-
-
 def encode_request(req) -> bytes:
     """The encoding of a request declared with `request`, else `UnknownType`."""
     layout = getattr(type(req), "_layout", None)

@@ -76,8 +76,6 @@ def every_request_kind():
         wire.GetSettlement(),
         wire.Terminate(b"\x05" * 32, b"h" * 32),
         wire.Snapshot(),
-        wire.InitStatus(),
-        wire.InitRun(),
     ]
 
 

@@ -71,37 +71,53 @@ def run_cli(capsys, argv):
     return code, (lines[-1] if lines else {}), out.err
 
 
+def send_remote(remote: RemoteHub, raw: bytes) -> dict:
+    """Seal `raw` as a request's plaintext on `remote`'s session; the reply's fields."""
+    _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
+    return wire.decode_response(remote.session.open(reply))
+
+
+def send_local(local: LocalConnection, raw: bytes) -> dict:
+    """`send_remote` through an in-memory front end."""
+    frame = wire.pack_frame(wire.FRAME_ENVELOPE, local.session.seal(raw))
+    _, reply = wire.unpack_frame(local.send_raw_frame(frame)[-1])
+    return wire.decode_response(local.session.open(reply))
+
+
 def test_daemon_auto_initializes_to_simchain_tip(stack):
     with RemoteHub("127.0.0.1", stack["daemon"].port) as hub:
         state = hub.request(wire.QueryLatestBlock())
         assert state["height"] == stack["node"].tip_height
-        status = hub.request(wire.InitStatus())
-        assert status["initialized"] == 1
 
 
-def test_cli_init_initializes_a_daemon_started_without_auto_init(capsys):
-    node = SimNode(ChainParams.regtest(), seed=5)
-    node.mine_blocks(4)
-    sim_server = SimchainServer(node)
-    sim_server.start()
-    daemon = HubDaemon(DaemonConfig(overrides={
-        "simchain_port": sim_server.port,
-        "auto_init": 0,
-        "host_pubkey_hex": "00" * 32,
-    }))
+def test_daemon_started_without_auto_init_never_initializes(capsys, monkeypatch):
+    # no request starts init: kinds 13 and 14, once init's status and run,
+    # are unknown, and the daemon never calls its block source
+    calls = []
+    request = SimchainClient._request
+    monkeypatch.setattr(SimchainClient, "_request", lambda client, *args: calls.append(args) or request(client, *args))
+    daemon = HubDaemon(DaemonConfig(overrides={"simchain_port": 1, "auto_init": 0, "host_pubkey_hex": "00" * 32}))
     daemon.start()
     try:
         port = str(daemon.port)
         code, _, err = run_cli(capsys, ["latest-block", "--port", port])
         assert code == 2 and json.loads(err)["error"] == "not-initialized"
-        assert run_cli(capsys, ["init", "--port", port]) == (0, {"initialized": 1}, "")
-        code, out, _ = run_cli(capsys, ["latest-block", "--port", port])
-        assert code == 0
-        assert (out["height"], out["hash"]) == (node.tip_height, node.chain.tip_hash.hex())
-        assert run_cli(capsys, ["init", "--port", port]) == (0, {"already": 1, "initialized": 1}, "")
+        local = LocalConnection(LocalHubEndpoint(Hub(daemon.config.hub_config())))
+        with RemoteHub("127.0.0.1", daemon.port) as first:
+            for raw in (b"\x0d", b"\x0e"):
+                for send, conn in ((send_local, local), (send_remote, first)):
+                    with pytest.raises(wire.RemoteError) as exc:
+                        send(conn, raw)
+                    assert exc.value.code == "unknown-type"
+        with RemoteHub("127.0.0.1", daemon.port) as second:
+            assert second.request(wire.GetSettlement()) == {"present": 0}
+        assert daemon.hub.chain is None and local.endpoint.hub.chain is None
+        assert calls == []
     finally:
         daemon.stop()
-        sim_server.stop()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["init", "--port", "1"])
+    assert exc.value.code == 2 and "invalid choice: 'init'" in capsys.readouterr().err
 
 
 def test_cli_user_flow_over_daemon(stack, capsys, tmp_path):
@@ -193,9 +209,13 @@ TO = "00" * 20
     ("routee", ["settle", "--amount", "1", "--fee", "-5"], "--fee"),
     ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", TO, "--amount", "-1"], "--amount"),
     ("routee-simchain", ["pay", "--addr", "127.0.0.1:1", "--to", TO, "--amount", "1", "--fee", "-1"], "--fee"),
+    # a block count is a 2-byte wire field
+    ("routee-simchain", ["mine", "--addr", "127.0.0.1:1", "--count", "-1"], "--count"),
+    ("routee-simchain", ["mine", "--addr", "127.0.0.1:1", "--count", "70000"], "--count"),
 ], ids=["pay-to", "pay-batch", "add-user-settle-address", "simchain-pay-to", "pay-negative-amount",
         "pay-negative-fee", "pay-batch-negative-amount", "settle-negative-amount", "settle-negative-fee",
-        "simchain-pay-negative-amount", "simchain-pay-negative-fee"])
+        "simchain-pay-negative-amount", "simchain-pay-negative-fee", "simchain-mine-negative-count",
+        "simchain-mine-count-past-65535"])
 def test_bad_cli_input_is_a_usage_error(capsys, tmp_path, entry, argv, flag):
     # refused while parsing, before any connection: the ports here are closed
     key_path = str(tmp_path / "user.key")
@@ -260,7 +280,7 @@ def test_low_order_handshake_key_closes_the_connection_quietly(stack, capfd):
             peer.sendall(wire.pack_frame(wire.FRAME_HANDSHAKE_INIT, wire.encode(wire.HandshakeInit(low_order))))
             assert closed_by_peer(peer)
     with RemoteHub("127.0.0.1", port) as hub:
-        assert hub.request(wire.InitStatus())["initialized"] == 1
+        assert hub.request(wire.QueryLatestBlock())["height"] == stack["node"].tip_height
     assert capfd.readouterr().err == ""
 
 
@@ -330,12 +350,18 @@ def test_hubd_refuses_a_bad_setting(capsys, tmp_path, monkeypatch, key, value, w
 
 
 def test_daemon_unreachable_block_source_fails_startup(capsys):
-    # nothing listens on port 1; auto-init must abort with a diagnostic
+    # nothing listens on port 1; init aborts with a diagnostic before the
+    # daemon listens, so its port is free again at once
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        listen_port = probe.getsockname()[1]
     code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1",
-                          "--set", "host_pubkey_hex=" + "00" * 32])
+                          "--set", f"listen_port={listen_port}", "--set", "host_pubkey_hex=" + "00" * 32])
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in json.loads(captured.err.strip())
+    with socket.socket() as again:
+        again.bind(("127.0.0.1", listen_port))
 
 
 def test_simchain_cli_verbs(stack, capsys):
@@ -462,16 +488,11 @@ def test_closed_connections_leave_no_sessions(stack):
 def test_a_flipped_byte_in_a_signed_request_is_refused_by_the_daemon(stack):
     alice = Keys.generate(cli.get_scheme("fast"))
     with RemoteHub("127.0.0.1", stack["daemon"].port) as remote:
-
-        def send(raw):
-            _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
-            return wire.decode_response(remote.session.open(reply))
-
         remote.request(wire.AddUser(alice.public, alice.address))
         deposit = alice.sign(wire.AddDeposit(alice.address, 0))
         # the nonce and the signature; the signature's length no longer decodes
-        assert refused_flips(send, deposit) == 8 + len(deposit.signature)
-        assert "manager_address" in send(wire.encode_request(deposit))
+        assert refused_flips(lambda raw: send_remote(remote, raw), deposit) == 8 + len(deposit.signature)
+        assert "manager_address" in send_remote(remote, wire.encode_request(deposit))
 
 
 def _parity_script(host, alice, bob, block, tip_hash, session_id):
@@ -490,10 +511,8 @@ def _parity_script(host, alice, bob, block, tip_hash, session_id):
         wire.GetSettlement(),
         host.sign(wire.Terminate(block.header.hash())),
         wire.Snapshot(),
-        wire.InitStatus(),
-        wire.InitRun(),
     ]
-    assert len({req.kind for req in requests}) == 14
+    assert len({req.kind for req in requests}) == 12
     malformed = wire.encode_request(wire.QueryLedger()) + b"\x00"
     return [wire.encode_request(req) for req in requests] + [malformed, b"\xee"]
 
@@ -519,33 +538,21 @@ def test_in_process_and_daemon_front_ends_agree(stack):
             return "err", exc.code
 
     local = LocalConnection(LocalHubEndpoint(hub))
-
-    def send_local(raw):
-        frame = wire.pack_frame(wire.FRAME_ENVELOPE, local.session.seal(raw))
-        _, reply = wire.unpack_frame(local.send_raw_frame(frame)[-1])
-        return wire.decode_response(local.session.open(reply))
-
     with RemoteHub("127.0.0.1", daemon.port) as remote:
-
-        def send_remote(raw):
-            _, reply = remote.conn.request(wire.FRAME_ENVELOPE, remote.session.seal(raw))
-            return wire.decode_response(remote.session.open(reply))
-
         script = _parity_script(host, alice, bob, block, tip_hash, local.session.session_id)
-        got_local = [outcome(send_local, raw) for raw in script]
+        got_local = [outcome(lambda raw: send_local(local, raw), raw) for raw in script]
         script = _parity_script(host, alice, bob, block, tip_hash, remote.session_id)
-        got_remote = [outcome(send_remote, raw) for raw in script]
+        got_remote = [outcome(lambda raw: send_remote(remote, raw), raw) for raw in script]
 
     assert got_local == got_remote
     assert got_local[-2:] == [("err", "malformed-frame"), ("err", "unknown-type")]
     assert got_local[12] == ("ok", ["bytes_written"])  # Snapshot
-    assert got_local[14] == ("ok", ["already", "initialized"])  # InitRun
-    assert sum(status == "ok" for status, _ in got_local) >= 12
+    assert sum(status == "ok" for status, _ in got_local) >= 10
 
 
 def test_stopped_servers_leave_no_threads(stack):
     with RemoteHub("127.0.0.1", stack["daemon"].port) as hub:
-        hub.request(wire.InitStatus())
+        hub.request(wire.QueryLatestBlock())
     stack["sim"].tip()
     stack["daemon"].stop()
     stack["sim_server"].stop()
@@ -594,9 +601,9 @@ def test_oversized_prefix_before_the_handshake_is_cut_off(stack):
     with RemoteHub("127.0.0.1", port) as first, socket.create_connection(("127.0.0.1", port)) as peer:
         peer.sendall(wire.pack_frame(wire.FRAME_ENVELOPE, first.session_id + bytes(24)))
         assert closed_by_peer(peer)
-        assert first.request(wire.InitStatus())["initialized"] == 1
+        assert first.request(wire.QueryLatestBlock())["height"] == stack["node"].tip_height
     with RemoteHub("127.0.0.1", port) as second:
-        assert second.request(wire.InitStatus())["initialized"] == 1
+        assert second.request(wire.QueryLatestBlock())["height"] == stack["node"].tip_height
 
 
 def test_idle_connection_is_closed_and_its_session_dropped(monkeypatch):
@@ -608,7 +615,7 @@ def test_idle_connection_is_closed_and_its_session_dropped(monkeypatch):
             assert len(daemon.endpoint.sessions) == 2
             start = time.monotonic()
             while time.monotonic() - start < 1.25:  # 2.5 idle timeouts
-                assert busy.request(wire.InitStatus())["initialized"] == 0
+                assert busy.request(wire.GetSettlement()) == {"present": 0}
                 time.sleep(0.05)
             assert closed_by_peer(idle.conn.sock)
             assert list(daemon.endpoint.sessions) == [busy.session_id]

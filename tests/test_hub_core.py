@@ -706,7 +706,7 @@ def test_user_counters_never_decrease(harness):
 
 def test_apply_request_refuses_front_end_requests(harness):
     # every kind `wire` declares is answered in exactly one place: snapshots
-    # and init by the front end, every other kind by the hub's table
+    # by the front end, every other kind by the hub's table
     samples = every_request_kind()
     assert {type(req) for req in samples} == {layout.cls for layout in wire._LAYOUTS.values()}
     refused = set()
@@ -717,7 +717,7 @@ def test_apply_request_refuses_front_end_requests(harness):
             refused.add(type(req))
         except RouteeError:
             pass  # answered: a sample's signature or block does not hold here
-    assert refused == {wire.Snapshot, wire.InitRun}
+    assert refused == {wire.Snapshot}
     conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(1))
     for req in samples:
         try:
