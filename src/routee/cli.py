@@ -93,7 +93,11 @@ def cmd_add_deposit(args) -> int:
 def _sync_store(args):
     peers = [(f"peer{idx}:{host}:{port}", SimchainClient(host, port))
              for idx, (host, port) in enumerate(args.peer)]
-    return sync_headers(peers, ChainParams.regtest())
+    try:
+        return sync_headers(peers, ChainParams.regtest())
+    finally:
+        for _, peer in peers:
+            peer.close()
 
 
 def cmd_sync_headers(args) -> int:
@@ -148,36 +152,29 @@ def cmd_balance(args) -> int:
 
 def cmd_insert_block(args) -> int:
     host_keys = Keys.load(args.host_key)
-    sim = SimchainClient(*args.simchain)
-    with _hub(args) as hub:
-        inserted = []
-        while True:
-            state = hub.request(wire.QueryLatestBlock())
-            next_height = state["height"] + 1
-            tip_height, _ = sim.tip()
-            target = tip_height if args.height is None else args.height
-            if next_height > target:
-                break
-            block = sim.get_block(next_height)
+    with SimchainClient(*args.simchain) as sim, _hub(args) as hub:
+        tip = hub.request(wire.QueryLatestBlock())["height"]
+        target = sim.tip()[0] if args.height is None else args.height
+        inserted = 0
+        for height in range(tip + 1, target + 1):
+            block = sim.get_block(height)
             if block is None:
                 break
-            result = hub.request(host_keys.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
-            inserted.append(result["height"])
-            if args.height is not None and result["height"] >= args.height:
-                break
-        _emit(args, {"inserted": len(inserted), "tip": inserted[-1] if inserted else state["height"]})
+            tip = hub.request(host_keys.sign(wire.InsertBlock(block.serialize()), block.header.hash()))["height"]
+            inserted += 1
+    _emit(args, {"inserted": inserted, "tip": tip})
     return 0
 
 
 def cmd_broadcast(args) -> int:
-    sim = SimchainClient(*args.simchain)
     with _hub(args) as hub:
         plan = hub.request(wire.GetSettlement())
     if not plan.get("present"):
         _emit(args, {"broadcast": 0})
         return 0
     tx = Transaction.deserialize(plan["tx"])
-    sim.submit_tx(tx)
+    with SimchainClient(*args.simchain) as sim:
+        sim.submit_tx(tx)
     _emit(args, {"broadcast": 1, "txid": tx.txid()})
     return 0
 
@@ -412,15 +409,14 @@ def _simchain(args) -> int:
         _serve(args, server.server, {"listening": server.port, "tip": node.tip_height})
         server.stop()
         return 0
-    client = SimchainClient(*args.addr)
-    if args.mode == "mine":
-        _emit(args, {"tip": client.mine(args.count)})
-    elif args.mode == "tip":
-        height, tip_hash = client.tip()
-        _emit(args, {"height": height, "hash": tip_hash})
-    elif args.mode == "pay":
-        txid = client.pay(args.to, args.amount, args.fee)
-        _emit(args, {"txid": txid})
+    with SimchainClient(*args.addr) as client:
+        if args.mode == "mine":
+            _emit(args, {"tip": client.mine(args.count)})
+        elif args.mode == "tip":
+            height, tip_hash = client.tip()
+            _emit(args, {"height": height, "hash": tip_hash})
+        elif args.mode == "pay":
+            _emit(args, {"txid": client.pay(args.to, args.amount, args.fee)})
     return 0
 
 

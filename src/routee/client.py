@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from . import wire
 from .crypto import Secret, address_of, get_scheme
 from .errors import AuthFailure, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted
-from .netio import FrameConn
+from .netio import Closing, FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
     FRAME_ENVELOPE,
@@ -88,8 +88,8 @@ class HubFrontEnd:
 
     def handle(self, frame_type: int, payload: bytes, ctx: dict) -> tuple[int, bytes] | None:
         """Answer one frame. `ctx` belongs to one connection and holds its
-        session once that connection has shaken hands; an envelope before
-        then raises `MalformedFrame`, which closes the connection."""
+        session once that connection has shaken hands. An envelope before
+        then, or one its session refuses, raises and so closes the connection."""
         if frame_type == FRAME_HUB_INFO_REQ:
             body = wire.encode_ok(
                 {"static_public": self.endpoint.static_public, "measurement": self.endpoint.measurement}
@@ -104,11 +104,7 @@ class HubFrontEnd:
         session = ctx.get("session")
         if session is None:
             raise MalformedFrame("envelope before the handshake")
-        try:
-            plaintext = session.open(payload)
-        except SessionAborted:
-            # replay/gap/tamper: no reply at all, the envelope is dead
-            return None
+        plaintext = session.open(payload)
         try:
             req = wire.received_request(plaintext)
             if isinstance(req, wire.Snapshot):
@@ -146,12 +142,12 @@ class LocalHubEndpoint(HubFrontEnd):
     def handle_frame(self, frame: bytes) -> bytes | None:
         frame_type, payload = unpack_frame(frame)
         ctx = {}
-        if frame_type == FRAME_ENVELOPE:
-            try:
+        try:
+            if frame_type == FRAME_ENVELOPE:
                 ctx["session"] = self.endpoint.session_for(payload)
-            except SessionAborted:
-                return None
-        reply = self.handle(frame_type, payload, ctx)
+            reply = self.handle(frame_type, payload, ctx)
+        except SessionAborted:
+            return None  # replay/gap/tamper: no reply at all, the envelope is dead
         self.hub.sign_plan()
         return None if reply is None else pack_frame(*reply)
 
@@ -192,18 +188,23 @@ class LocalConnection:
         return self._deliver(self.relay.flush()) if self.relay else []
 
 
-class RemoteHub:
-    """TCP client for a running hub daemon; one session per connection."""
+class RemoteHub(Closing):
+    """TCP client for a running hub daemon; one session per connection. A
+    failed handshake closes the connection before it raises."""
 
     def __init__(self, host: str, port: int):
         self.conn = FrameConn(host, port)
-        _, info_body = self.conn.request(FRAME_HUB_INFO_REQ, b"")
-        info = wire.decode_response(info_body)
-        handshake = ClientHandshake(info["static_public"], info["measurement"])
-        frame_type, ack = self.conn.request(FRAME_HANDSHAKE_INIT, handshake.init_payload())
-        if frame_type != FRAME_HANDSHAKE_ACK:
-            raise HandshakeFailure(f"unexpected frame {frame_type}")
-        self.session = handshake.complete(ack)
+        try:
+            _, info_body = self.conn.request(FRAME_HUB_INFO_REQ, b"")
+            info = wire.decode_response(info_body)
+            handshake = ClientHandshake(info["static_public"])  # checks the published measurement
+            frame_type, ack = self.conn.request(FRAME_HANDSHAKE_INIT, handshake.init_payload())
+            if frame_type != FRAME_HANDSHAKE_ACK:
+                raise HandshakeFailure(f"unexpected frame {frame_type}")
+            self.session = handshake.complete(ack)
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def session_id(self) -> bytes:
@@ -218,9 +219,3 @@ class RemoteHub:
 
     def close(self) -> None:
         self.conn.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

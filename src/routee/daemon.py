@@ -3,7 +3,8 @@ TCP.
 
 Init runs once, while the daemon is built and before it listens: with
 `auto_init` 1 and no chain in the snapshot, the hub pulls its headers and
-fee-window blocks from the block source. No request can start init, so a hub
+fee-window blocks over one connection to the block source, which closes
+before the daemon listens. No request can start init, so a hub
 built without a chain answers `not-initialized` until it is restarted with
 `auto_init` 1.
 
@@ -24,7 +25,7 @@ import os
 import re
 import time
 
-from . import snapshot as snapshot_mod
+from . import lightclient, snapshot as snapshot_mod
 from .client import HubFrontEnd
 from .crypto import CryptoSuite, hex_address
 from .errors import AuthFailure, ConfigError, InitFailure
@@ -118,7 +119,6 @@ class HubDaemon(HubFrontEnd):
                 raise AuthFailure(f"bad hub key file {key_path!r}: want a 32-byte X25519 secret in hex")
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
-        self.simchain = SimchainClient(config["simchain_host"], config["simchain_port"])
         if config["auto_init"] and hub.chain is None:
             self.run_init()
         self.server = FrameServer(
@@ -133,19 +133,22 @@ class HubDaemon(HubFrontEnd):
     # --- lifecycle ---
 
     def run_init(self) -> None:
-        """Pull every header from genesis up and the fee-window blocks from
-        the block source, then initialize the hub."""
-        tip_height, _ = self.simchain.tip()
-        raw = self.simchain.fetch_headers(0, tip_height + 1)
-        if not raw:
-            raise InitFailure("block source returned no headers")
+        """Pull every header from genesis up, `lightclient.HEADER_BATCH` at a
+        time until a short batch, and the fee-window blocks over one
+        connection to the block source, then initialize the hub."""
+        with SimchainClient(self.config["simchain_host"], self.config["simchain_port"]) as source:
+            raw = []
+            while True:
+                batch = source.fetch_headers(len(raw), lightclient.HEADER_BATCH)
+                raw += batch
+                if len(batch) < lightclient.HEADER_BATCH:
+                    break
+            if not raw:
+                raise InitFailure("block source returned no headers")
+            tip_height = len(raw) - 1
+            fee_heights = range(max(0, tip_height - FEE_WINDOW_CAPACITY + 1), tip_height + 1)
+            fee_blocks = [block for block in map(source.get_block, fee_heights) if block is not None]
         headers = [BlockHeader.deserialize(h) for h in raw]
-        first_fee_height = max(0, tip_height - FEE_WINDOW_CAPACITY + 1)
-        fee_blocks = []
-        for height in range(first_fee_height, tip_height + 1):
-            block = self.simchain.get_block(height)
-            if block is not None:
-                fee_blocks.append(block)
         self.hub.initialize(headers[0], 0, headers[1:], fee_blocks)
 
     def start(self) -> None:

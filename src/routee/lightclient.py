@@ -1,9 +1,10 @@
 """User-side header synchronization and boundary-block selection.
 
 The client downloads header chains from several peers in fixed-size batches,
-validates each candidate fully (linkage, proof of work, retarget), and keeps
-the one with the most cumulative work; ties go to the earliest peer. A user
-then picks its boundary block a self-chosen confirmation depth below the tip.
+validates each candidate fully (base target, linkage, proof of work,
+retarget), and keeps the one with the most cumulative work; ties go to the
+earliest peer. A user then picks its boundary block a self-chosen
+confirmation depth below the tip.
 
 A header source is anything with `fetch_headers(from_height, count)`
 returning raw headers: a simchain node, a fixed list, or a network peer.
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BlockRejected, ChainTooShort, PeerError
-from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain
+from .errors import ChainTooShort, PeerError, RouteeError
+from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain, check_pow
 
 HEADER_BATCH = 2016
 
@@ -54,16 +55,18 @@ class HeaderStore:
                     raise PeerError("first batch must start at the chain base")
                 if not raw_headers:
                     raise PeerError("empty first batch")
-                chain = HeaderChain(self.params, BlockHeader.deserialize(raw_headers[0]), 0)
+                base = BlockHeader.deserialize(raw_headers[0])
+                if base.bits != self.params.pow_limit_bits or not check_pow(base):
+                    raise PeerError("chain base lacks the base proof of work")
+                chain = HeaderChain(self.params, base, 0)
                 cand = PeerCandidate(peer_id, chain)
                 idx = 1
             elif from_height != cand.chain.tip_height + 1:
                 raise PeerError(f"batch starts at {from_height}, expected {cand.chain.tip_height + 1}")
             for raw in raw_headers[idx:]:
                 cand.chain.append(BlockHeader.deserialize(raw))
-        except (BlockRejected, PeerError, ValueError) as exc:
-            reason = getattr(exc, "code", str(exc))
-            self.rejected[peer_id] = str(reason)
+        except (RouteeError, ValueError) as exc:
+            self.rejected[peer_id] = getattr(exc, "code", str(exc))
             self.candidates.pop(peer_id, None)
             return
         self.candidates[peer_id] = cand
@@ -96,6 +99,10 @@ def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
             reachable += 1
         except (ConnectionError, OSError) as exc:
             store.rejected[peer_id] = f"unreachable: {exc}"
+        except RouteeError as exc:  # an error or malformed reply: the peer answered, wrongly
+            reachable += 1
+            store.rejected[peer_id] = exc.code
+            store.candidates.pop(peer_id, None)
     if reachable == 0:
         raise PeerError("all peers unreachable")
     if not store.candidates:

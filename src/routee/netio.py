@@ -40,7 +40,17 @@ def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
     return body[0], body[1:]
 
 
-class FrameConn:
+class Closing:
+    """Leaving a `with` block calls the object's `close()`."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class FrameConn(Closing):
     """Client-side connection: send a typed frame, read one back."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -61,12 +71,6 @@ class FrameConn:
             self.sock.close()
         except OSError:
             pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class _Connection:

@@ -2,19 +2,49 @@
 
 Serves the public header-fetch and get-block protocols used by light clients
 and the hub daemon, accepts transaction broadcasts, and exposes the mining
-and faucet controls that scenario scripts drive. The server's one event
-loop (`netio.FrameServer`) answers one request at a time, so requests reach
-the node one by one without a lock. Server and client share each frame
-body's declaration in `wire`."""
+and faucet controls that scenario scripts drive. It answers as the hub's
+front end does: one table maps each request frame type to its body record
+and a node call, and the answer, an ok reply or an error reply with the
+node's code, goes back in the request's own frame type. The server's one
+event loop (`netio.FrameServer`) answers one request at a time, so requests
+reach the node one by one without a lock."""
 
 from __future__ import annotations
 
 from .blocks import Block
-from .errors import TxRejected
-from .netio import FrameConn, FrameServer
+from .errors import MalformedFrame, RouteeError
+from .headers import HEADER_SIZE
+from .netio import Closing, FrameConn, FrameServer
 from .simchain import SimNode
 from .transactions import Transaction
 from . import wire
+
+
+def _submit(node: SimNode, req: wire.RawTx) -> dict:
+    tx = Transaction.deserialize(req.raw)
+    node.submit_tx(tx)
+    return {"txid": tx.txid()}
+
+
+def _mine(node: SimNode, req: wire.MineRequest) -> dict:
+    for _ in range(req.count):
+        node.mine_block()
+    return {"height": node.tip_height}
+
+
+# request frame type -> (body record, node call from the body to the reply's fields)
+_CALLS = {
+    wire.FRAME_HEADERS_REQ: (wire.HeadersRequest, lambda node, req: {
+        "headers": b"".join([h.serialize() for h in node.headers_from(req.from_height, req.count)])}),
+    wire.FRAME_BLOCK_REQ: (wire.Height, lambda node, req: {
+        "block": node.get_block(req.height).serialize() if req.height <= node.tip_height else None}),
+    wire.FRAME_TX_SUBMIT: (wire.RawTx, _submit),
+    wire.FRAME_MINE_REQ: (wire.MineRequest, _mine),
+    wire.FRAME_TIP_REQ: (wire.TipRequest, lambda node, req: {
+        "height": node.tip_height, "hash": node.chain.tip_hash}),
+    wire.FRAME_PAY_REQ: (wire.PayRequest, lambda node, req: {
+        "txid": node.pay(req.address, req.amount, req.fee).txid()}),
+}
 
 
 class SimchainServer:
@@ -34,80 +64,65 @@ class SimchainServer:
         self.server.server_close()
 
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):
-        if frame_type == wire.FRAME_HEADERS_REQ:
-            req = wire.decode(wire.HeadersRequest, payload)
-            headers = self.node.headers_from(req.from_height, req.count)
-            reply = wire.Headers([wire.RawHeader(header.serialize()) for header in headers])
-            return wire.FRAME_HEADERS_RESP, wire.encode(reply)
-
-        if frame_type == wire.FRAME_BLOCK_REQ:
-            height = wire.decode(wire.Height, payload).height
-            block = self.node.get_block(height).serialize() if height <= self.node.tip_height else b""
-            return wire.FRAME_BLOCK_RESP, block
-
-        if frame_type == wire.FRAME_TX_SUBMIT:
-            tx = Transaction.deserialize(wire.decode(wire.RawTx, payload).raw)
-            try:
-                self.node.submit_tx(tx)
-                result = wire.ChainResult(tx.txid(), "", "")
-            except TxRejected as exc:
-                result = wire.ChainResult(tx.txid(), exc.code, exc.detail)
-            return wire.FRAME_TX_RESULT, wire.encode(result)
-
-        if frame_type == wire.FRAME_MINE_REQ:
-            for _ in range(wire.decode(wire.MineRequest, payload).count):
-                self.node.mine_block()
-            return wire.FRAME_MINE_RESP, wire.encode(wire.Height(self.node.tip_height))
-
-        if frame_type == wire.FRAME_TIP_REQ:  # no body
-            return wire.FRAME_TIP_RESP, wire.encode(wire.Tip(self.node.tip_height, self.node.chain.tip_hash))
-
-        if frame_type == wire.FRAME_PAY_REQ:
-            req = wire.decode(wire.PayRequest, payload)
-            try:
-                result = wire.ChainResult(self.node.pay(req.address, req.amount, req.fee).txid(), "", "")
-            except TxRejected as exc:
-                result = wire.ChainResult(bytes(32), exc.code, exc.detail)
-            return wire.FRAME_PAY_RESP, wire.encode(result)
-
-        return None
+        if frame_type not in _CALLS:
+            return None
+        body, call = _CALLS[frame_type]
+        try:
+            reply = wire.encode_ok(call(self.node, wire.decode(body, payload)))
+        except RouteeError as exc:
+            reply = wire.encode_err(exc)
+        return frame_type, reply
 
 
-class SimchainClient:
-    """Typed client for a running simchain server."""
+class SimchainClient(Closing):
+    """Typed client for a running simchain server. Its one connection opens
+    on the first call; `close()`, or leaving a `with` block, closes it. A
+    refused transaction raises `wire.RemoteError` with the node's code, and
+    a reply without the fields a call reads raises `MalformedFrame`."""
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
+        self.conn: FrameConn | None = None
 
-    def _request(self, frame_type: int, payload: bytes) -> bytes:
-        with FrameConn(self.host, self.port) as conn:
-            return conn.request(frame_type, payload)[1]
+    def _request(self, frame_type: int, body, kinds: dict) -> dict:
+        """Send `body` and return the ok reply's fields, where each field
+        `kinds` names must hold the type it maps to."""
+        if self.conn is None:
+            self.conn = FrameConn(self.host, self.port)
+        reply_type, payload = self.conn.request(frame_type, wire.encode(body))
+        if reply_type != frame_type:
+            raise MalformedFrame(f"reply in frame type {reply_type}, not {frame_type}")
+        fields = wire.decode_response(payload)
+        for name, kind in kinds.items():
+            if not isinstance(fields.get(name, ...), kind):
+                raise MalformedFrame(f"reply field {name!r}: {fields.get(name, 'missing')!r}")
+        return fields
 
     def fetch_headers(self, from_height: int, count: int) -> list[bytes]:
-        payload = self._request(wire.FRAME_HEADERS_REQ, wire.encode(wire.HeadersRequest(from_height, count)))
-        return [header.raw for header in wire.decode(wire.Headers, payload).headers]
+        fields = self._request(wire.FRAME_HEADERS_REQ, wire.HeadersRequest(from_height, count), {"headers": bytes})
+        raw = fields["headers"]
+        if len(raw) % HEADER_SIZE:
+            raise MalformedFrame(f"{len(raw)} header bytes")
+        return [raw[pos:pos + HEADER_SIZE] for pos in range(0, len(raw), HEADER_SIZE)]
 
     def get_block(self, height: int) -> Block | None:
-        payload = self._request(wire.FRAME_BLOCK_REQ, wire.encode(wire.Height(height)))
-        return Block.deserialize(payload) if payload else None
-
-    def _accepted(self, frame_type: int, body) -> wire.ChainResult:
-        result = wire.decode(wire.ChainResult, self._request(frame_type, wire.encode(body)))
-        if result.code:
-            raise TxRejected(result.code, result.detail)
-        return result
+        raw = self._request(wire.FRAME_BLOCK_REQ, wire.Height(height), {"block": (bytes, type(None))})["block"]
+        return None if raw is None else Block.deserialize(raw)
 
     def submit_tx(self, tx: Transaction) -> None:
-        self._accepted(wire.FRAME_TX_SUBMIT, wire.RawTx(tx.serialize()))
+        self._request(wire.FRAME_TX_SUBMIT, wire.RawTx(tx.serialize()), {})
 
     def mine(self, count: int = 1) -> int:
-        payload = self._request(wire.FRAME_MINE_REQ, wire.encode(wire.MineRequest(count)))
-        return wire.decode(wire.Height, payload).height
+        return self._request(wire.FRAME_MINE_REQ, wire.MineRequest(count), {"height": int})["height"]
 
     def tip(self) -> tuple[int, bytes]:
-        tip = wire.decode(wire.Tip, self._request(wire.FRAME_TIP_REQ, b""))
-        return tip.height, tip.tip_hash
+        fields = self._request(wire.FRAME_TIP_REQ, wire.TipRequest(), {"height": int, "hash": bytes})
+        return fields["height"], fields["hash"]
 
     def pay(self, address: bytes, amount: int, fee: int = 0) -> bytes:
-        return self._accepted(wire.FRAME_PAY_REQ, wire.PayRequest(address, amount, fee)).txid
+        return self._request(wire.FRAME_PAY_REQ, wire.PayRequest(address, amount, fee), {"txid": bytes})["txid"]
+
+    def close(self) -> None:
+        if self.conn is not None:
+            self.conn.close()

@@ -2,8 +2,9 @@
 
 Frame: 4-byte big-endian length, 1-byte frame type, payload (`netio` moves
 frames over sockets with the same packing and length check). Handshake and
-envelope frames carry the encrypted session traffic; the other frame types
-serve public chain data unencrypted.
+envelope frames carry the encrypted session traffic. The block source's
+frames carry public chain data unencrypted: each request is answered in its
+own frame type with the ok or error reply a hub request gets.
 
 Each layout is declared once, as a record: a dataclass whose fields name
 their wire format. A record travels as its kind byte if it has one (requests,
@@ -36,18 +37,13 @@ from .errors import MalformedFrame, RouteeError, UnknownType
 FRAME_HANDSHAKE_INIT = 1
 FRAME_HANDSHAKE_ACK = 2
 FRAME_ENVELOPE = 3
+# block source requests, each answered with an ok or error reply in its own frame type
 FRAME_HEADERS_REQ = 4
-FRAME_HEADERS_RESP = 5
 FRAME_BLOCK_REQ = 6
-FRAME_BLOCK_RESP = 7
 FRAME_TX_SUBMIT = 8
-FRAME_TX_RESULT = 9
 FRAME_MINE_REQ = 10
-FRAME_MINE_RESP = 11
 FRAME_TIP_REQ = 12
-FRAME_TIP_RESP = 13
 FRAME_PAY_REQ = 14
-FRAME_PAY_RESP = 15
 FRAME_HUB_INFO_REQ = 16
 FRAME_HUB_INFO_RESP = 17
 
@@ -564,14 +560,7 @@ class RawHeader:
 
 
 @record
-class Headers:
-    headers: list[RawHeader] = repeated(RawHeader)
-
-
-@record
 class Height:
-    """A block request, or the tip height after mining."""
-
     height: int = fixed("Q")
 
 
@@ -584,8 +573,7 @@ class RawTx:
 
 @record
 class RawBlock:
-    """A serialized block: its header, then its transactions. A block reply
-    is one, or empty past the tip."""
+    """A serialized block: its header, then its transactions."""
 
     header: bytes = fixed("80s")
     txs: list[RawTx] = repeated(RawTx)
@@ -597,9 +585,8 @@ class MineRequest:
 
 
 @record
-class Tip:
-    height: int = fixed("Q")
-    tip_hash: bytes = fixed("32s")
+class TipRequest:
+    """A tip request's body, which has no fields."""
 
 
 @record
@@ -607,13 +594,3 @@ class PayRequest:
     address: bytes = fixed("20s")
     amount: int = fixed("Q")
     fee: int = fixed("Q")
-
-
-@record
-class ChainResult:
-    """The answer to a broadcast or a faucet payment; `code` is empty when
-    the node accepted it."""
-
-    txid: bytes = fixed("32s")
-    code: str = text()
-    detail: str = text()

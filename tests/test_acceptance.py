@@ -112,10 +112,10 @@ def test_criterion_2_payment_walkthrough_cli(tmp_path, capsys):
         "host_pubkey_hex": host_key.public.hex(),
     }))
     daemon.start()
+    sim = SimchainClient("127.0.0.1", sim_server.port)
     try:
         port = str(daemon.port)
         sim_addr = f"127.0.0.1:{sim_server.port}"
-        sim = SimchainClient("127.0.0.1", sim_server.port)
         alice_path, bob_path = str(tmp_path / "a.key"), str(tmp_path / "b.key")
 
         _, alice_out = _cli_json(capsys, ["keygen", "--out", alice_path])
@@ -167,6 +167,7 @@ def test_criterion_2_payment_walkthrough_cli(tmp_path, capsys):
             f"bob={bob_state['balance']}, rf={ledger['rf_pending']}, {elapsed:.2f}s",
         )
     finally:
+        sim.close()
         daemon.stop()
         sim_server.stop()
 

@@ -21,6 +21,7 @@ from routee.client import (
     RemoteHub,
 )
 from routee.daemon import DaemonConfig, HubDaemon
+from routee.errors import HandshakeFailure
 from routee.headers import ChainParams
 from routee.hub import Hub
 from routee.simchain import SimNode
@@ -48,10 +49,11 @@ def stack(tmp_path):
     })
     daemon = HubDaemon(config)
     daemon.start()
+    sim = SimchainClient("127.0.0.1", sim_server.port)
     try:
         yield {
             "node": node,
-            "sim": SimchainClient("127.0.0.1", sim_server.port),
+            "sim": sim,
             "sim_port": sim_server.port,
             "daemon": daemon,
             "sim_server": sim_server,
@@ -60,6 +62,7 @@ def stack(tmp_path):
             "tmp": tmp_path,
         }
     finally:
+        sim.close()
         daemon.stop()
         sim_server.stop()
 
@@ -483,6 +486,28 @@ def test_closed_connections_leave_no_sessions(stack):
     while daemon.endpoint.sessions and time.monotonic() < deadline:
         time.sleep(0.01)
     assert len(daemon.endpoint.sessions) == 0
+
+
+def test_replayed_envelope_ends_its_connection_and_session(stack, capfd):
+    daemon = stack["daemon"]
+    capfd.readouterr()
+    with RemoteHub("127.0.0.1", daemon.port) as remote:
+        envelope = remote.session.seal(wire.encode_request(wire.QueryLatestBlock()))
+        assert remote.conn.request(wire.FRAME_ENVELOPE, envelope)[0] == wire.FRAME_ENVELOPE
+        remote.conn.send(wire.FRAME_ENVELOPE, envelope)
+        assert closed_by_peer(remote.conn.sock)
+    assert daemon.endpoint.sessions == {}
+    assert capfd.readouterr().err == ""
+
+
+def test_remote_hub_checks_the_published_measurement(stack, capsys):
+    # the hub's own report of its measurement is no evidence for it
+    daemon = stack["daemon"]
+    daemon.endpoint.measurement = b"\xaa" * 32
+    with pytest.raises(HandshakeFailure):
+        RemoteHub("127.0.0.1", daemon.port)
+    code, _, err = run_cli(capsys, ["latest-block", "--port", str(daemon.port)])
+    assert code == 2 and json.loads(err)["error"] == "handshake-failure"
 
 
 def test_a_flipped_byte_in_a_signed_request_is_refused_by_the_daemon(stack):

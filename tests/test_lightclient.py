@@ -1,6 +1,6 @@
 import pytest
 
-from routee.errors import ChainTooShort, PeerError
+from routee.errors import ChainTooShort, MalformedFrame, PeerError
 from routee.headers import BlockHeader
 from routee.lightclient import (
     NodeHeaderSource,
@@ -88,6 +88,48 @@ def test_peer_with_invalid_pow_dropped(node):
         [("bad", StaticHeaderSource(bad)), ("good", NodeHeaderSource(node))], node.params
     )
     assert store.rejected["bad"] == "bad-bits"
+
+
+def test_forged_base_without_proof_of_work_is_dropped(node):
+    # one header at a near-zero target would outweigh any honest chain if
+    # its target counted as work; it carries no proof of work for it
+    node.mine_blocks(50)
+    forged = BlockHeader(1, bytes(32), bytes(32), 0, 0x03000001, 0)
+    store = sync_headers(
+        [("forged", StaticHeaderSource([forged.serialize()])), ("honest", NodeHeaderSource(node))],
+        node.params,
+    )
+    assert store.selected.peer_id == "honest"
+    assert "forged" in store.rejected and "forged" not in store.candidates
+    assert choose_boundary(store, 6) == (44, node.chain.hash_at(44))
+
+
+def test_base_with_a_malformed_target_drops_only_its_peer(node):
+    node.mine_blocks(5)
+    h = node.blocks[0].header
+    negative = BlockHeader(h.version, h.prev_hash, h.merkle_root, h.timestamp, 0x04923456, h.nonce)
+    store = sync_headers(
+        [("negative", StaticHeaderSource([negative.serialize()])), ("honest", NodeHeaderSource(node))],
+        node.params,
+    )
+    assert store.selected.peer_id == "honest"
+    assert "negative" in store.rejected
+
+
+def test_peer_with_a_malformed_reply_is_dropped(node):
+    node.mine_blocks(5)
+
+    class GarbledSource(NodeHeaderSource):
+        def fetch_headers(self, from_height, count):
+            if from_height:
+                raise MalformedFrame("not a batch of headers")
+            return super().fetch_headers(from_height, 2)
+
+    store = sync_headers(
+        [("garbled", GarbledSource(node)), ("honest", NodeHeaderSource(node))], node.params, batch_size=2
+    )
+    assert store.rejected["garbled"] == "malformed-frame"
+    assert list(store.candidates) == ["honest"]
 
 
 def test_sole_invalid_peer_raises(node):

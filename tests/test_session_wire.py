@@ -307,14 +307,12 @@ def _records(snapshot_bytes: bytes) -> list:
         wire.decode(wire.Envelope, client.seal(b"payload")),
         image,
         wire.HeadersRequest(5, 10),
-        wire.Headers([image.headers[0]]),
         wire.Height(3),
         wire.RawTx(image.plan[0].transaction),
         wire.RawBlock(image.headers[0].raw, [wire.RawTx(image.plan[0].transaction)]),
         wire.MineRequest(2),
-        wire.Tip(4, b"\x06" * 32),
+        wire.TipRequest(),
         wire.PayRequest(b"\x01" * 20, 500, 10),
-        wire.ChainResult(b"\x07" * 32, "mempool-conflict", "spent"),
     ]
 
 
