@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("keygen")
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", default="fast", choices=["fast", "rsa3072", "ecdsa"])
+    p.add_argument("--scheme", default="fast", choices=["fast", "rsa3072"])
     p.set_defaults(fn=cmd_keygen)
 
     p = sub.add_parser("add-user")
@@ -354,20 +354,14 @@ def _serve(args, server, status: dict) -> None:
 
 def hubd_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="routee-hubd")
-    parser.add_argument("--config", help="flat key=value file")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--set", action="append", default=[], help="KEY=VALUE override, repeatable")
-    parser.add_argument("--oneshot", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--set", action="append", default=[], help="KEY=VALUE setting, repeatable")
     return _run(parser.parse_args(argv), _hubd)
 
 
 def _hubd(args) -> int:
-    daemon = HubDaemon(DaemonConfig(args.config, dict(item.partition("=")[::2] for item in args.set)))
-    status = {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)}
-    if args.oneshot:
-        _emit(args, status)
-    else:
-        _serve(args, daemon.server, status)
+    daemon = HubDaemon(DaemonConfig(dict(item.partition("=")[::2] for item in args.set)))
+    _serve(args, daemon.server, {"listening": daemon.port, "initialized": int(daemon.hub.chain is not None)})
     daemon.stop()
     return 0
 

@@ -13,7 +13,6 @@ from .netio import Closing, FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
     FRAME_ENVELOPE,
-    FRAME_HANDSHAKE_ACK,
     FRAME_HANDSHAKE_INIT,
     FRAME_HUB_INFO_REQ,
     MAX_FRAME_SIZE,
@@ -87,18 +86,17 @@ class HubFrontEnd:
         return 0
 
     def handle(self, frame_type: int, payload: bytes, ctx: dict) -> tuple[int, bytes] | None:
-        """Answer one frame. `ctx` belongs to one connection and holds its
-        session once that connection has shaken hands. An envelope before
-        then, or one its session refuses, raises and so closes the connection."""
+        """Answer one frame, in its own frame type. `ctx` belongs to one
+        connection and holds its session once that connection has shaken
+        hands. An envelope before then, or one its session refuses, raises
+        and so closes the connection."""
         if frame_type == FRAME_HUB_INFO_REQ:
-            body = wire.encode_ok(
-                {"static_public": self.endpoint.static_public, "measurement": self.endpoint.measurement}
-            )
-            return wire.FRAME_HUB_INFO_RESP, body
+            info = {"static_public": self.endpoint.static_public, "measurement": self.endpoint.measurement}
+            return frame_type, wire.encode_ok(info)
         if frame_type == FRAME_HANDSHAKE_INIT:
             self.drop_session(ctx)
             ack, ctx["session"] = self.endpoint.handle_init(payload)
-            return FRAME_HANDSHAKE_ACK, ack
+            return frame_type, ack
         if frame_type != FRAME_ENVELOPE:
             return None
         session = ctx.get("session")
@@ -195,12 +193,10 @@ class RemoteHub(Closing):
     def __init__(self, host: str, port: int):
         self.conn = FrameConn(host, port)
         try:
-            _, info_body = self.conn.request(FRAME_HUB_INFO_REQ, b"")
-            info = wire.decode_response(info_body)
-            handshake = ClientHandshake(info["static_public"])  # checks the published measurement
-            frame_type, ack = self.conn.request(FRAME_HANDSHAKE_INIT, handshake.init_payload())
-            if frame_type != FRAME_HANDSHAKE_ACK:
-                raise HandshakeFailure(f"unexpected frame {frame_type}")
+            _, info = self.conn.request(FRAME_HUB_INFO_REQ, b"")
+            static_public = wire.decode_response(info, {"static_public": bytes})["static_public"]
+            handshake = ClientHandshake(static_public)  # checks the published measurement
+            _, ack = self.conn.request(FRAME_HANDSHAKE_INIT, handshake.init_payload())
             self.session = handshake.complete(ack)
         except BaseException:
             self.close()
@@ -211,10 +207,7 @@ class RemoteHub(Closing):
         return self.session.session_id
 
     def request(self, req) -> dict:
-        envelope = self.session.seal(wire.encode_request(req))
-        frame_type, reply = self.conn.request(FRAME_ENVELOPE, envelope)
-        if frame_type != FRAME_ENVELOPE:
-            raise SessionAborted("no-reply", f"frame {frame_type}")
+        _, reply = self.conn.request(FRAME_ENVELOPE, self.session.seal(wire.encode_request(req)))
         return wire.decode_response(self.session.open(reply))
 
     def close(self) -> None:

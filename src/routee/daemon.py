@@ -49,10 +49,10 @@ def _below(limit: int):
 
 
 class DaemonConfig(dict):
-    """Flat configuration: defaults < config file < ROUTEE_* env < overrides.
-    `DEFAULTS` maps each key to its default and to the parser that checks a
-    value; the config holds the parsed values. An unknown key or a value its
-    parser refuses raises `ConfigError` naming the key and where it was set."""
+    """Flat configuration: `DEFAULTS`, then the overrides (`routee-hubd
+    --set`). `DEFAULTS` maps each key to its default and to the parser that
+    checks a value; the config holds the parsed values. An unknown key or a
+    value its parser refuses raises `ConfigError` naming the key and value."""
 
     DEFAULTS = {
         "listen_host": ("127.0.0.1", str),
@@ -68,26 +68,17 @@ class DaemonConfig(dict):
         "auto_init": ("1", _below(2)),
     }
 
-    def __init__(self, path: str | None = None, overrides: dict | None = None):
-        super().__init__((key, parse(default)) for key, (default, parse) in self.DEFAULTS.items())
-        layers = []  # (key, value, where it was set), lowest precedence first
-        if path:
-            with open(path) as fh:
-                for number, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if line and not line.startswith("#"):
-                        key, _, value = line.partition("=")
-                        layers.append((key.strip(), value.strip(), f"{path}:{number}"))
-        layers += [(name.removeprefix("ROUTEE_").lower(), value, name)
-                   for name, value in os.environ.items() if name.startswith("ROUTEE_")]
-        layers += [(key, str(value), "override") for key, value in (overrides or {}).items()]
-        for key, value, source in layers:
-            if key not in self:
-                raise ConfigError(f"unknown key {key!r} ({source})")
+    def __init__(self, overrides: dict | None = None):
+        values = {key: default for key, (default, _) in self.DEFAULTS.items()}
+        for key, value in (overrides or {}).items():
+            if key not in values:
+                raise ConfigError(f"unknown key {key!r}")
+            values[key] = str(value)
+        for key, value in values.items():
             try:
                 self[key] = self.DEFAULTS[key][1](value)
             except ValueError as exc:
-                raise ConfigError(f"bad {key} {value!r} ({source}): {exc}") from None
+                raise ConfigError(f"bad {key} {value!r}: {exc}") from None
 
     def hub_config(self) -> HubConfig:
         return HubConfig(

@@ -51,14 +51,19 @@ class Closing:
 
 
 class FrameConn(Closing):
-    """Client-side connection: send a typed frame, read one back."""
+    """Client-side connection: send a typed frame, read one back. Every
+    server here answers a frame in its own frame type, so `request` refuses
+    a reply in another type with `MalformedFrame`."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
 
     def request(self, frame_type: int, payload: bytes) -> tuple[int, bytes]:
         send_frame(self.sock, frame_type, payload)
-        return recv_frame(self.sock)
+        reply_type, reply = recv_frame(self.sock)
+        if reply_type != frame_type:
+            raise MalformedFrame(f"reply in frame type {reply_type}, not {frame_type}")
+        return reply_type, reply
 
     def send(self, frame_type: int, payload: bytes) -> None:
         send_frame(self.sock, frame_type, payload)

@@ -86,18 +86,10 @@ class SimchainClient(Closing):
         self.conn: FrameConn | None = None
 
     def _request(self, frame_type: int, body, kinds: dict) -> dict:
-        """Send `body` and return the ok reply's fields, where each field
-        `kinds` names must hold the type it maps to."""
+        """Send `body` and return the ok reply's fields, checked against `kinds`."""
         if self.conn is None:
             self.conn = FrameConn(self.host, self.port)
-        reply_type, payload = self.conn.request(frame_type, wire.encode(body))
-        if reply_type != frame_type:
-            raise MalformedFrame(f"reply in frame type {reply_type}, not {frame_type}")
-        fields = wire.decode_response(payload)
-        for name, kind in kinds.items():
-            if not isinstance(fields.get(name, ...), kind):
-                raise MalformedFrame(f"reply field {name!r}: {fields.get(name, 'missing')!r}")
-        return fields
+        return wire.decode_response(self.conn.request(frame_type, wire.encode(body))[1], kinds)
 
     def fetch_headers(self, from_height: int, count: int) -> list[bytes]:
         fields = self._request(wire.FRAME_HEADERS_REQ, wire.HeadersRequest(from_height, count), {"headers": bytes})

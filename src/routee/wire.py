@@ -1,10 +1,11 @@
 """Canonical encoding of every binary layout the hub speaks or stores.
 
 Frame: 4-byte big-endian length, 1-byte frame type, payload (`netio` moves
-frames over sockets with the same packing and length check). Handshake and
-envelope frames carry the encrypted session traffic. The block source's
-frames carry public chain data unencrypted: each request is answered in its
-own frame type with the ok or error reply a hub request gets.
+frames over sockets with the same packing and length check). Every frame
+is answered in its own frame type. Handshake and envelope frames carry the
+encrypted session traffic. Hub info and the block source's frames carry
+public data unencrypted, each answered with the ok or error reply a hub
+request gets.
 
 Each layout is declared once, as a record: a dataclass whose fields name
 their wire format. A record travels as its kind byte if it has one (requests,
@@ -33,11 +34,10 @@ from operator import attrgetter
 from .crypto import sha256
 from .errors import MalformedFrame, RouteeError, UnknownType
 
-# outer frame types
+# frame types; a reply comes back in its request's frame type
 FRAME_HANDSHAKE_INIT = 1
-FRAME_HANDSHAKE_ACK = 2
 FRAME_ENVELOPE = 3
-# block source requests, each answered with an ok or error reply in its own frame type
+# hub info and the block source's requests, answered with an ok or error reply
 FRAME_HEADERS_REQ = 4
 FRAME_BLOCK_REQ = 6
 FRAME_TX_SUBMIT = 8
@@ -45,7 +45,6 @@ FRAME_MINE_REQ = 10
 FRAME_TIP_REQ = 12
 FRAME_PAY_REQ = 14
 FRAME_HUB_INFO_REQ = 16
-FRAME_HUB_INFO_RESP = 17
 
 MAX_FRAME_SIZE = 64 * 1024 * 1024
 
@@ -506,11 +505,18 @@ class RemoteError(RouteeError):
         super().__init__(detail)
 
 
-def decode_response(data: bytes) -> dict:
+def decode_response(data: bytes, kinds: dict | None = None) -> dict:
+    """The fields of an ok reply; an error reply raises `RemoteError` with
+    its code. Each field `kinds` names must hold the type it maps to, else
+    `MalformedFrame`."""
     if data and data[0] == STATUS_ERR:
         reply = decode(ErrorReply, data)
         raise RemoteError(reply.code, reply.detail)
-    return decode(OkReply, data).fields
+    fields = decode(OkReply, data).fields
+    for name, kind in (kinds or {}).items():
+        if not isinstance(fields.get(name, ...), kind):
+            raise MalformedFrame(f"reply field {name!r}: {fields.get(name, 'missing')!r}")
+    return fields
 
 
 # --- session handshake and envelope ---

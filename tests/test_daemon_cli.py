@@ -265,11 +265,18 @@ def test_malformed_key_file_is_a_structured_error(capsys, tmp_path, text):
     assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
 
 
+@pytest.fixture
+def ready_only(monkeypatch):
+    """`routee-hubd` prints its ready line and stops instead of serving, so a
+    start-up that no longer fails cannot hang the test."""
+    monkeypatch.setattr(cli, "_serve", lambda args, server, status: cli._emit(args, status))
+
+
 @pytest.mark.parametrize("text", ["not hex\n", "00" * 16], ids=["hub-not-hex", "hub-short"])
-def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, text):
+def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, ready_only, text):
     key_path = tmp_path / "bad.key"
     key_path.write_text(text)
-    code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1", "--set", f"hub_key_path={key_path}"])
+    code = cli.hubd_main(["--json", "--set", "simchain_port=1", "--set", f"hub_key_path={key_path}"])
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
@@ -314,51 +321,65 @@ def test_daemon_snapshot_restart_restores_ledger(stack, capsys, tmp_path):
         daemon2.stop()
 
 
-def test_config_precedence_env_then_flags(tmp_path, monkeypatch):
-    cfg = tmp_path / "hub.conf"
-    cfg.write_text("min_routing_fee=7\nsnapshot_path=hub.snap\n")
-    config = DaemonConfig(str(cfg))
-    assert config["min_routing_fee"] == 7
+def test_config_precedence_env_then_flags(monkeypatch):
+    # the environment sets nothing: defaults, then the overrides alone
     monkeypatch.setenv("ROUTEE_MIN_ROUTING_FEE", "9")
-    config = DaemonConfig(str(cfg))
-    assert config["min_routing_fee"] == 9
-    config = DaemonConfig(str(cfg), overrides={"min_routing_fee": 11})
+    monkeypatch.setenv("ROUTEE_HOME", "/tmp")
+    config = DaemonConfig()
+    assert config["min_routing_fee"] == 1 and config["snapshot_path"] == ""
+    config = DaemonConfig(overrides={"min_routing_fee": 11, "snapshot_path": "hub.snap"})
     assert config["min_routing_fee"] == 11
     assert config["snapshot_path"] == "hub.snap"
+    assert config["auto_init"] == 1
 
 
-@pytest.mark.parametrize("where", ["set", "env", "file"])
+@pytest.mark.parametrize("argv, fee", [([], 1), (["--set", "min_routing_fee=3"], 3)], ids=["default", "set"])
+def test_hubd_ignores_routee_environment_variables(capsys, monkeypatch, ready_only, argv, fee):
+    monkeypatch.setenv("ROUTEE_HOME", "/tmp")
+    monkeypatch.setenv("ROUTEE_MIN_ROUTING_FEE", "9")
+    daemons = []
+
+    def build(config):
+        daemons.append(HubDaemon(config))
+        return daemons[-1]
+
+    monkeypatch.setattr(cli, "HubDaemon", build)
+    code = cli.hubd_main(["--json", "--set", "auto_init=0"] + argv)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["initialized"] == 0
+    assert daemons[0].hub.config.min_routing_fee == fee
+
+
+@pytest.mark.parametrize("argv", [["--config", "hub.conf"], ["--oneshot"]], ids=["config", "oneshot"])
+def test_hubd_has_no_config_file_or_oneshot_flag(capsys, ready_only, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.hubd_main(["--json", "--set", "simchain_port=1"] + argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("min_routing_fe", "5"),  # a typo of a key
     ("min_routing_fee", "abc"),
     ("host_pubkey_hex", "zz"),
     ("crypto_mode", "fulll"),
-], ids=["unknown-key", "fee-not-a-number", "pubkey-not-hex", "unknown-crypto-mode"])
-def test_hubd_refuses_a_bad_setting(capsys, tmp_path, monkeypatch, key, value, where):
+], ids=["unknown-key-set", "fee-not-a-number-set", "pubkey-not-hex-set", "unknown-crypto-mode-set"])
+def test_hubd_refuses_a_bad_setting(capsys, ready_only, key, value):
     # refused before the daemon listens or reaches for its block source
-    argv = ["--json", "--oneshot"]
-    if where == "set":
-        argv += ["--set", f"{key}={value}"]
-    elif where == "env":
-        monkeypatch.setenv(f"ROUTEE_{key.upper()}", value)
-    else:
-        cfg = tmp_path / "hub.conf"
-        cfg.write_text(f"# a comment\n{key} = {value}\n")
-        argv += ["--config", str(cfg)]
-    code = cli.hubd_main(argv)
+    code = cli.hubd_main(["--json", "--set", f"{key}={value}"])
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "bad-config"
     assert err["detail"].startswith(f"unknown key {key!r}" if key == "min_routing_fe" else f"bad {key} {value!r}")
 
 
-def test_daemon_unreachable_block_source_fails_startup(capsys):
+def test_daemon_unreachable_block_source_fails_startup(capsys, ready_only):
     # nothing listens on port 1; init aborts with a diagnostic before the
     # daemon listens, so its port is free again at once
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         listen_port = probe.getsockname()[1]
-    code = cli.hubd_main(["--json", "--oneshot", "--set", "simchain_port=1",
+    code = cli.hubd_main(["--json", "--set", "simchain_port=1",
                           "--set", f"listen_port={listen_port}", "--set", "host_pubkey_hex=" + "00" * 32])
     captured = capsys.readouterr()
     assert code == 2
@@ -431,7 +452,7 @@ def test_json_flag_before_or_after_subcommand(stack, capsys, tmp_path, where):
         assert _parse(where, captured.err)["error"] == "unknown-user"
 
 
-@pytest.mark.parametrize("scheme", ["fast", "rsa3072", "ecdsa"])
+@pytest.mark.parametrize("scheme", ["fast", "rsa3072"])
 def test_keygen_writes_a_key_file_that_signs(capsys, tmp_path, scheme):
     key_path = str(tmp_path / f"{scheme}.key")
     code, out, _ = run_cli(capsys, ["keygen", "--out", key_path, "--scheme", scheme])
@@ -444,6 +465,30 @@ def test_keygen_writes_a_key_file_that_signs(capsys, tmp_path, scheme):
     assert signer.verify(keys.public, msg.signing_digest(), msg.signature)
     if scheme == "rsa3072":
         assert keys.secret.hex() not in repr(keys) and repr(keys.secret) not in repr(keys)
+
+
+def test_keygen_refuses_an_ecdsa_key_that_no_hub_verifies(capsys, tmp_path):
+    # a hub verifies requests with its crypto mode's auth scheme: fast or rsa3072
+    key_path = tmp_path / "ecdsa.key"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json", "keygen", "--out", str(key_path), "--scheme", "ecdsa"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'ecdsa'" in capsys.readouterr().err
+    assert not key_path.exists()
+
+
+def test_hub_info_without_a_static_key_is_a_malformed_frame(capsys):
+    server = netio.FrameServer(
+        ("127.0.0.1", 0), lambda frame_type, payload, ctx: (frame_type, wire.encode_ok({"measurement": bytes(32)})))
+    server.start_background()
+    try:
+        code = cli.main(["--json", "latest-block", "--port", str(server.port)])
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "malformed-frame" and "static_public" in err["detail"]
 
 
 def test_cli_round_trip_with_an_rsa_key_file(capsys, tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from conftest import closed_by_peer
 
 from routee import netio, wire
+from routee.errors import MalformedFrame
 from routee.netio import FrameConn, FrameServer
 
 WAIT_S = 5.0
@@ -34,6 +35,14 @@ def serve():
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+def test_request_refuses_a_reply_in_another_frame_type(serve):
+    with FrameConn("127.0.0.1", serve().port) as conn:
+        assert conn.request(4, b"x") == (4, b"x")
+    other = serve(lambda frame_type, payload, ctx: (frame_type + 1, payload))
+    with FrameConn("127.0.0.1", other.port) as conn, pytest.raises(MalformedFrame):
+        conn.request(4, b"x")
 
 
 def test_connection_after_the_cap_is_closed_at_once(serve, monkeypatch):

@@ -49,7 +49,7 @@ def test_readme_commands_parse(monkeypatch, capsys):
             pytest.fail(f"README: {shlex.join(argv)}\n{capsys.readouterr().err}")
         if argv[0] == "routee-hubd":
             # an unknown key or a malformed value raises ConfigError naming it
-            DaemonConfig(parsed[-1].config, dict(item.partition("=")[::2] for item in parsed[-1].set))
+            DaemonConfig(dict(item.partition("=")[::2] for item in parsed[-1].set))
     assert len(parsed) == len(commands)
 
 
