@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import wire
 from .errors import BlockRejected, TxRejected
-from .headers import HeaderChain, BlockHeader, check_pow, expected_target, merkle_root
+from .headers import HeaderChain, BlockHeader, merkle_root
 from .transactions import BLOCK_SUBSIDY, MAX_MONEY, Outpoint, Transaction, TxOutput, verify_unlock
 
 
@@ -34,7 +34,7 @@ class Block:
         return cls(BlockHeader.deserialize(block.header), [Transaction.deserialize(tx.raw) for tx in block.txs])
 
 
-def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
+def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput]) -> int:
     """Validate one non-coinbase transaction against a UTXO view and return
     its fee. Raises TxRejected; does not mutate the view."""
     if not tx.inputs:
@@ -55,7 +55,7 @@ def check_tx(tx: Transaction, view: dict[Outpoint, TxOutput], scheme) -> int:
                 "value-mismatch",
                 f"declared {txin.value}, utxo holds {entry.value}",
             )
-        if not verify_unlock(scheme, entry.lock_address, sighash, txin.unlock):
+        if not verify_unlock(entry.lock_address, sighash, txin.unlock):
             raise TxRejected("bad-signature", f"{op[0].hex()}:{op[1]}")
         in_total += txin.value
     out_total = 0
@@ -79,39 +79,31 @@ def apply_tx(tx: Transaction, view: dict[Outpoint, TxOutput]) -> None:
         view[(txid, idx)] = txout
 
 
-def spend_txs(txs: list[Transaction], view: dict[Outpoint, TxOutput], scheme) -> int:
+def spend_txs(txs: list[Transaction], view: dict[Outpoint, TxOutput]) -> int:
     """Check and apply non-coinbase transactions to `view` in order and
     return their fees. Raises TxRejected, leaving `view` partly applied."""
     fees = 0
     for tx in txs:
-        fees += check_tx(tx, view, scheme)
+        fees += check_tx(tx, view)
         apply_tx(tx, view)
     return fees
 
 
-def validate_block(chain: HeaderChain, utxo: dict[Outpoint, TxOutput], block: Block, scheme) -> None:
+def validate_block(chain: HeaderChain, utxo: dict[Outpoint, TxOutput], block: Block) -> None:
     """Full acceptance check for the next block on `chain`. Each failure mode
     raises BlockRejected with a distinct reason code."""
-    new_height = chain.tip_height + 1
-    header = block.header
-    if header.prev_hash != chain.tip_hash:
-        raise BlockRejected("prev-mismatch", f"height {new_height}")
-    expected = expected_target(chain, new_height)
-    if header.bits != expected.bits:
-        raise BlockRejected("bad-bits", f"height {new_height}")
     if not block.txs:
         raise BlockRejected("no-coinbase", "empty block")
-    if merkle_root(block.txids()) != header.merkle_root:
-        raise BlockRejected("merkle-mismatch", f"height {new_height}")
-    if not check_pow(header):
-        raise BlockRejected("bad-pow", f"height {new_height}")
+    if merkle_root(block.txids()) != block.header.merkle_root:
+        raise BlockRejected("merkle-mismatch", f"height {chain.tip_height + 1}")
+    chain.check(block.header)
     if not block.txs[0].is_coinbase:
         raise BlockRejected("no-coinbase", "first transaction is not a coinbase")
     if any(tx.is_coinbase for tx in block.txs[1:]):
         raise BlockRejected("extra-coinbase", "coinbase after position 0")
 
     try:
-        fees = spend_txs(block.txs[1:], dict(utxo), scheme)
+        fees = spend_txs(block.txs[1:], dict(utxo))
     except TxRejected as exc:
         raise BlockRejected(exc.code, exc.detail)
 

@@ -209,6 +209,9 @@ Secret = bytes | EcdsaSecret
 
 
 SCHEMES = {s.name: s for s in (FastScheme(), RsaScheme(), EcdsaScheme())}
+# an unlock's key length names the one scheme that verifies it, never another:
+# 32 bytes is a fast key, 33 a compressed secp256k1 point
+UNLOCK_SCHEMES = {32: SCHEMES["fast"], 33: SCHEMES["ecdsa"]}
 
 
 def get_scheme(name: str):

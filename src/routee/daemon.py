@@ -103,11 +103,14 @@ class HubDaemon(HubFrontEnd):
                 hub = snapshot_mod.load_hub(fh.read())
         hub_key = None
         key_path = config["hub_key_path"]
-        if key_path and os.path.exists(key_path):
-            with open(key_path) as fh:
-                text = fh.read().strip()
-            if not re.fullmatch("[0-9a-fA-F]{64}", text):
-                raise AuthFailure(f"bad hub key file {key_path!r}: want a 32-byte X25519 secret in hex")
+        if key_path:
+            try:
+                with open(key_path) as fh:
+                    text = fh.read().strip()
+                if not re.fullmatch("[0-9a-fA-F]{64}", text):
+                    raise ValueError("want a 32-byte X25519 secret in hex")
+            except (OSError, ValueError) as exc:
+                raise AuthFailure(f"bad hub key file {key_path!r}: {exc}") from None
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
         if config["auto_init"] and hub.chain is None:

@@ -180,8 +180,9 @@ def expected_target(chain: "HeaderChain", new_height: int) -> CompactTarget:
 class HeaderChain:
     """Append-only run of validated headers from a start height.
 
-    Appending enforces linkage, proof of work, and the retarget rule. The
-    start header is taken on trust (checkpoint semantics); to keep every
+    Appending enforces linkage, proof of work, and the retarget rule. A base
+    at height 0 needs the pow limit's bits and their proof of work; a later
+    start header is taken on trust (checkpoint semantics). To keep every
     retarget boundary verifiable the start height must sit on a boundary.
     """
 
@@ -191,6 +192,8 @@ class HeaderChain:
                 f"start height {start_height} must align to the retarget "
                 f"interval {params.retarget_interval}"
             )
+        if start_height == 0:
+            _check_work(start_header, params.pow_limit_bits, 0)
         self.params = params
         self.start_height = start_height
         self.headers: list[BlockHeader] = [start_header]
@@ -228,18 +231,24 @@ class HeaderChain:
         idx = height - self.start_height
         return 0 <= idx < len(self.headers) and self._hashes[idx] == block_hash
 
-    def append(self, header: BlockHeader) -> None:
+    def check(self, header: BlockHeader) -> int:
+        """The target of `header` as the next header, else `BlockRejected`."""
         new_height = self.tip_height + 1
         if header.prev_hash != self.tip_hash:
             raise BlockRejected("prev-mismatch", f"height {new_height}")
         expected = expected_target(self, new_height)
-        if header.bits != expected.bits:
-            raise BlockRejected(
-                "bad-bits",
-                f"height {new_height}: got 0x{header.bits:08x}, want 0x{expected.bits:08x}",
-            )
-        if not check_pow(header):
-            raise BlockRejected("bad-pow", f"height {new_height}")
+        _check_work(header, expected.bits, new_height)
+        return expected.expanded
+
+    def append(self, header: BlockHeader) -> None:
+        target = self.check(header)
         self.headers.append(header)
         self._hashes.append(header.hash())
-        self.cumulative_work += work_from_target(expected.expanded)
+        self.cumulative_work += work_from_target(target)
+
+
+def _check_work(header: BlockHeader, bits: int, height: int) -> None:
+    if header.bits != bits:
+        raise BlockRejected("bad-bits", f"height {height}: got 0x{header.bits:08x}, want 0x{bits:08x}")
+    if not check_pow(header):
+        raise BlockRejected("bad-pow", f"height {height}")

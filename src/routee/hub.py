@@ -255,13 +255,10 @@ class Hub:
             raise AlreadyInitialized()
         try:
             chain = HeaderChain(self.config.chain_params, start_header, start_height)
-        except ValueError as exc:
-            raise InitFailure(str(exc))
-        for i, header in enumerate(headers):
-            try:
+            for header in headers:
                 chain.append(header)
-            except BlockRejected as exc:
-                raise InitFailure(f"header at height {start_height + 1 + i}: {exc.code}")
+        except (BlockRejected, ValueError) as exc:
+            raise InitFailure(str(exc))
         height_by_hash = {
             chain.hash_at(h): h
             for h in range(chain.start_height, chain.tip_height + 1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ChainTooShort, PeerError, RouteeError
-from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain, check_pow
+from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain
 
 HEADER_BATCH = 2016
 
@@ -55,11 +55,7 @@ class HeaderStore:
                     raise PeerError("first batch must start at the chain base")
                 if not raw_headers:
                     raise PeerError("empty first batch")
-                base = BlockHeader.deserialize(raw_headers[0])
-                if base.bits != self.params.pow_limit_bits or not check_pow(base):
-                    raise PeerError("chain base lacks the base proof of work")
-                chain = HeaderChain(self.params, base, 0)
-                cand = PeerCandidate(peer_id, chain)
+                cand = PeerCandidate(peer_id, HeaderChain(self.params, BlockHeader.deserialize(raw_headers[0]), 0))
                 idx = 1
             elif from_height != cand.chain.tip_height + 1:
                 raise PeerError(f"batch starts at {from_height}, expected {cand.chain.tip_height + 1}")

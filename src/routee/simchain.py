@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .blocks import Block, apply_block, apply_tx, check_tx, spend_txs
-from .crypto import Secret, address_of
+from .crypto import SCHEMES, Secret, address_of
 from .errors import TxRejected
 from .headers import (
     BlockHeader,
@@ -100,7 +100,8 @@ class Wallet:
 
 
 class SimNode:
-    """Single-node chain simulator: mines, validates, and serves blocks."""
+    """Single-node chain simulator: mines, validates, and serves blocks.
+    `scheme` picks only its wallet's keys: an unlock of either scheme verifies."""
 
     def __init__(
         self,
@@ -109,8 +110,6 @@ class SimNode:
         seed: int = 0,
         clock: SimClock | None = None,
     ):
-        from .crypto import SCHEMES
-
         self.params = params or ChainParams.regtest()
         self.scheme = scheme or SCHEMES["fast"]
         self.rng = random.Random(seed)
@@ -121,7 +120,6 @@ class SimNode:
 
         genesis = self._mine_header(
             prev_hash=GENESIS_PREV_HASH,
-            merkle=None,
             bits=self.params.pow_limit_bits,
             txs=[coinbase_tx(0, BLOCK_SUBSIDY, self.wallet.fresh_address())],
         )
@@ -132,8 +130,8 @@ class SimNode:
 
     # --- mining ---
 
-    def _mine_header(self, prev_hash: bytes, merkle: bytes | None, bits: int, txs: list[Transaction]) -> Block:
-        root = merkle if merkle is not None else merkle_root([tx.txid() for tx in txs])
+    def _mine_header(self, prev_hash: bytes, bits: int, txs: list[Transaction]) -> Block:
+        root = merkle_root([tx.txid() for tx in txs])
         target = bits_to_target(bits)
         timestamp = self.clock.now
         nonce = 0
@@ -159,11 +157,11 @@ class SimNode:
             self._mempool_spends.clear()
         height = self.chain.tip_height + 1
         view = dict(self.utxo)
-        fees = spend_txs(txs, view, self.scheme)
+        fees = spend_txs(txs, view)
         coinbase = coinbase_tx(height, BLOCK_SUBSIDY + fees, self.wallet.fresh_address())
         apply_tx(coinbase, view)
         self.clock.advance(self.params.target_spacing)
-        block = self._mine_header(self.chain.tip_hash, None, self.next_bits(), [coinbase] + list(txs))
+        block = self._mine_header(self.chain.tip_hash, self.next_bits(), [coinbase] + list(txs))
         self.chain.append(block.header)
         self.utxo = view
         self.blocks.append(block)
@@ -177,7 +175,7 @@ class SimNode:
 
     def submit_tx(self, tx: Transaction) -> None:
         """Admit a transaction to the mempool or raise TxRejected."""
-        check_tx(tx, self.utxo, self.scheme)
+        check_tx(tx, self.utxo)
         for txin in tx.inputs:
             if txin.outpoint in self._mempool_spends:
                 raise TxRejected("mempool-conflict", f"{txin.prev_txid.hex()}:{txin.prev_vout}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from .crypto import ADDRESS_SIZE, Secret, address_of, sha256d
+from .crypto import ADDRESS_SIZE, UNLOCK_SCHEMES, Secret, address_of, sha256d
 from .errors import MalformedFrame
 
 FORMULA_INPUT_BYTES = 148
@@ -153,14 +153,13 @@ def parse_unlock(unlock: bytes) -> tuple[bytes, bytes]:
     return unlock[_LENGTH.size:_LENGTH.size + key_size], unlock[sig_start:]
 
 
-def verify_unlock(scheme, lock_address: bytes, sighash: bytes, unlock: bytes) -> bool:
+def verify_unlock(lock_address: bytes, sighash: bytes, unlock: bytes) -> bool:
     try:
         public_key, sig = parse_unlock(unlock)
     except MalformedFrame:
         return False
-    if address_of(public_key) != lock_address:
-        return False
-    return scheme.verify(public_key, sighash, sig)
+    scheme = UNLOCK_SCHEMES.get(len(public_key))
+    return scheme is not None and address_of(public_key) == lock_address and scheme.verify(public_key, sighash, sig)
 
 
 def coinbase_tx(height: int, value: int, lock_address: bytes) -> Transaction:

@@ -34,7 +34,7 @@ def test_honest_mined_block_validates(node):
     chain2 = HeaderChain(node.params, node.get_block(0).header, 0)
     for block in node.blocks[1:-1]:
         chain2.append(block.header)
-    validate_block(chain2, utxo, candidate, FAST)
+    validate_block(chain2, utxo, candidate)
 
 
 def test_coinbase_only_block_grows_utxo(node):
@@ -68,15 +68,15 @@ def test_reject_reasons_distinct(node):
     candidate = clone.mine_block([])
 
     with pytest.raises(BlockRejected) as exc:
-        validate_block(chain, utxo, _tamper(candidate, prev_hash=b"\xab" * 32), FAST)
+        validate_block(chain, utxo, _tamper(candidate, prev_hash=b"\xab" * 32))
     assert exc.value.code == "prev-mismatch"
 
     with pytest.raises(BlockRejected) as exc:
-        validate_block(chain, utxo, _tamper(candidate, merkle_root=b"\xcd" * 32), FAST)
+        validate_block(chain, utxo, _tamper(candidate, merkle_root=b"\xcd" * 32))
     assert exc.value.code == "merkle-mismatch"
 
     with pytest.raises(BlockRejected) as exc:
-        validate_block(chain, utxo, _tamper(candidate, bits=0x1D00FFFF), FAST)
+        validate_block(chain, utxo, _tamper(candidate, bits=0x1D00FFFF))
     assert exc.value.code == "bad-bits"
 
     # an honest miner refuses a tx spending a nonexistent outpoint outright
@@ -111,7 +111,7 @@ def test_block_with_missing_utxo_tx_rejected(node):
             break
         nonce += 1
     with pytest.raises(BlockRejected) as exc:
-        validate_block(chain, utxo, Block(header, txs), FAST)
+        validate_block(chain, utxo, Block(header, txs))
     assert exc.value.code == "missing-utxo"
 
 

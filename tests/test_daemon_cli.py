@@ -282,6 +282,16 @@ def test_hubd_refuses_a_malformed_key_file(capsys, tmp_path, ready_only, text):
     assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
 
 
+def test_hubd_refuses_a_missing_key_file(capsys, tmp_path, ready_only):
+    # a named key file that does not exist is refused, not replaced by a fresh key
+    key_path = tmp_path / "missing.key"
+    code = cli.hubd_main(["--json", "--set", "auto_init=0", "--set", f"hub_key_path={key_path}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "auth-failure" and str(key_path) in err["detail"]
+
+
 def test_low_order_handshake_key_closes_the_connection_quietly(stack, capfd):
     port = stack["daemon"].port
     capfd.readouterr()
@@ -516,6 +526,61 @@ def test_cli_round_trip_with_an_rsa_key_file(capsys, tmp_path):
         code, after, _ = run_cli(capsys, ["balance", "--port", port, "--key", key_path])
         assert code == 0
         assert after["nonce"] == before["nonce"] + 1
+    finally:
+        daemon.stop()
+        sim_server.stop()
+
+
+def test_readme_flow_confirms_a_full_crypto_plan(capsys, tmp_path):
+    # README's flow against a crypto_mode=full daemon and a block source built
+    # as `routee-simchain serve` builds it, with its fast wallet: the node
+    # verifies the hub's ECDSA unlocks, so the broadcast plan confirms
+    node = SimNode(ChainParams.regtest(), seed=1)
+    node.mine_blocks(8)
+    sim_server = SimchainServer(node)
+    sim_server.start()
+    sim = f"127.0.0.1:{sim_server.port}"
+    keys = {name: str(tmp_path / f"{name}.key") for name in ("host", "alice", "bob")}
+    for path in keys.values():
+        assert run_cli(capsys, ["keygen", "--out", path, "--scheme", "rsa3072"])[0] == 0
+    daemon = HubDaemon(DaemonConfig(overrides={
+        "simchain_port": sim_server.port,
+        "crypto_mode": "full",
+        "host_pubkey_hex": Keys.load(keys["host"]).public.hex(),
+        "min_routing_fee": 2,
+    }))
+    daemon.start()
+
+    def hub(command, *argv):
+        code, out, err = run_cli(capsys, [command, "--port", str(daemon.port), *argv])
+        assert code == 0, err
+        return out
+
+    def chain(command, *argv):
+        assert cli.simchain_main(["--json", command, "--addr", sim, *argv]) == 0, capsys.readouterr().err
+        return json.loads(capsys.readouterr().out)
+
+    insert = ("--host-key", keys["host"], "--simchain", sim)
+    try:
+        hub("add-user", "--key", keys["alice"], "--settle-address", "aa" * 20)
+        hub("add-user", "--key", keys["bob"], "--settle-address", "bb" * 20)
+        manager = hub("add-deposit", "--key", keys["alice"])["manager_address"]
+        chain("pay", "--to", manager, "--amount", "100000")
+        chain("mine", "--count", "2")
+        assert hub("insert-block", *insert)["inserted"] == 2
+        hub("set-boundary", "--key", keys["bob"], "--peer", sim, "--k", "1")
+        bob = Keys.load(keys["bob"]).address.hex()
+        assert hub("pay", "--key", keys["alice"], "--to", bob, "--amount", "30", "--fee", "2")["accepted"] == 1
+        hub("settle", "--key", keys["alice"], "--amount", "5000", "--fee", "800")
+        deadline = time.monotonic() + 30
+        while not hub("build-settlement")["present"]:  # the daemon signs between frames
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert hub("broadcast", "--simchain", sim)["broadcast"] == 1
+        chain("mine")
+        assert hub("insert-block", *insert)["inserted"] == 1
+        ledger = hub("ledger")
+        assert ledger["plans_confirmed"] == 1 and ledger["conservation_ok"] == 1
     finally:
         daemon.stop()
         sim_server.stop()

@@ -300,3 +300,26 @@ def test_compact_target_dataclass():
     ct = CompactTarget.from_bits(0x1D00FFFF)
     assert ct.expanded == bits_to_target(0x1D00FFFF)
     assert CompactTarget.from_target(ct.expanded).bits == 0x1D00FFFF
+
+
+def _base_without_proof_of_work(params):
+    # the pow limit's bits, with the first nonce whose hash misses its target
+    nonce = 0
+    while True:
+        header = BlockHeader(1, bytes(32), bytes(32), 0, params.pow_limit_bits, nonce)
+        if not check_pow(header):
+            return header
+        nonce += 1
+
+
+@pytest.mark.parametrize("forge, code", [
+    (lambda params: BlockHeader(1, bytes(32), bytes(32), 0, 0x03000001, 0), "bad-bits"),
+    (_base_without_proof_of_work, "bad-pow"),
+], ids=["near-zero-target", "no-proof-of-work"])
+def test_chain_base_needs_the_pow_limit_bits_and_their_work(forge, code):
+    params = ChainParams.regtest(retarget_interval=8)
+    with pytest.raises(BlockRejected) as exc:
+        HeaderChain(params, forge(params), 0)
+    assert exc.value.code == code
+    # a start above height 0 is a checkpoint, taken on trust
+    assert HeaderChain(params, forge(params), 8).tip_height == 8

@@ -4,7 +4,7 @@ import pytest
 
 from routee import wire
 from routee.client import Keys, LocalConnection, LocalHubEndpoint
-from routee.crypto import CryptoSuite, DeterministicRng, address_of
+from routee.crypto import CryptoSuite, DeterministicRng, address_of, sha256
 from routee.errors import (
     AlreadyRegistered,
     AuthFailure,
@@ -18,11 +18,14 @@ from routee.errors import (
     NotOnTip,
     ReceiverNotReady,
     RouteeError,
+    SnapshotError,
     StaleRequest,
     UnknownType,
 )
+from routee.headers import BlockHeader
 from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
 from routee.simchain import SimNode
+from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
 from routee.transactions import formula_size
 
 from conftest import HubHarness, every_request_kind
@@ -51,6 +54,25 @@ def test_init_verifies_headers_and_reports_bad_height():
     with pytest.raises(InitFailure) as exc:
         hub.initialize(headers[0], 0, broken[1:], [])
     assert "height 3" in exc.value.detail
+
+
+def test_init_and_snapshot_load_refuse_a_base_without_proof_of_work():
+    # one header at a near-zero target would claim about 2^255 work
+    forged = BlockHeader(1, bytes(32), bytes(32), 0, 0x03000001, 0)
+    node = SimNode(seed=1)
+    host = Keys.generate(FAST.auth)
+    hub = Hub(HubConfig(host.public, b"\x68" * 20, 1, node.params, FAST))
+    with pytest.raises(InitFailure) as exc:
+        hub.initialize(forged, 0, [], [])
+    assert "bad-bits" in exc.value.detail and hub.chain is None
+    # the same base written into an honest hub's snapshot image
+    hub.initialize(node.blocks[0].header, 0, [], [])
+    data = dump_hub(hub)
+    image = wire.decode(HubImage, data[6:-TRAILER_SIZE])
+    image.headers = [wire.RawHeader(forged.serialize())]
+    body = data[:6] + wire.encode(image)
+    with pytest.raises(SnapshotError, match="bad-bits"):
+        load_hub(body + sha256(body))
 
 
 def test_init_runs_exactly_once():

@@ -1,9 +1,11 @@
 import pytest
 
+from routee.crypto import SCHEMES, address_of
 from routee.errors import TxRejected
 from routee.headers import ChainParams
 from routee.lightclient import NodeHeaderSource, StaticHeaderSource, sync_headers
 from routee.simchain import SimClock, SimNode, forge_chain, replay_utxo
+from routee.transactions import Transaction, TxInput, TxOutput, make_unlock
 
 
 def scripted_run(seed):
@@ -51,9 +53,9 @@ def test_mining_checks_each_transaction_once(monkeypatch):
     checked = []
     check_tx = blocks.check_tx
 
-    def counting_check(tx, view, scheme):
+    def counting_check(tx, view):
         checked.append(tx)
-        return check_tx(tx, view, scheme)
+        return check_tx(tx, view)
 
     monkeypatch.setattr(blocks, "check_tx", counting_check)
     block = node.mine_block()
@@ -114,7 +116,7 @@ def test_forged_chain_is_internally_valid_but_foreign_to_main():
     for block in forged:
         from routee.blocks import validate_block, apply_block
 
-        validate_block(clone.chain, clone.utxo, block, clone.scheme)
+        validate_block(clone.chain, clone.utxo, block)
         clone.chain.append(block.header)
         clone.utxo = apply_block(clone.utxo, block)
     deposit_tx = forged[1].txs[1]
@@ -180,3 +182,35 @@ def test_high_volume_blocks_all_valid():
         assert len(block.txs) == per_block + 1
         spendable = [(tx.txid(), 0) for tx in txs]
     assert replay_utxo(node.blocks) == node.utxo
+
+
+def _fund(node, scheme, amount=5_000):
+    """A confirmed output of `amount` locked to a fresh `scheme` key: (sk, pk, outpoint)."""
+    sk, pk = scheme.generate()
+    funding = node.pay(address_of(pk), amount)
+    node.mine_block()
+    return sk, pk, (funding.txid(), 0)
+
+
+def test_fast_wallet_node_accepts_an_ecdsa_signed_spend():
+    # the node's scheme picks its wallet's keys; each unlock verifies by its own
+    node = SimNode(seed=8)
+    ecdsa = SCHEMES["ecdsa"]
+    sk, pk, (txid, vout) = _fund(node, ecdsa)
+    spend = Transaction([TxInput(txid, vout, 5_000)], [TxOutput(4_000, b"\x01" * 20)])
+    spend.inputs[0].unlock = make_unlock(ecdsa, sk, pk, spend.sighash())
+    node.submit_tx(spend)
+    assert node.mine_block().txs[1:] == [spend]
+
+
+@pytest.mark.parametrize("wallet", ["fast", "ecdsa"])
+def test_revealed_ecdsa_key_cannot_unlock_by_hmac(wallet):
+    # an HMAC keyed with a revealed ECDSA public key is a valid fast signature
+    # for that key; a 33-byte key names ECDSA alone, so it is refused
+    node = SimNode(scheme=SCHEMES[wallet], seed=9)
+    _, pk, (txid, vout) = _fund(node, SCHEMES["ecdsa"])
+    forged = Transaction([TxInput(txid, vout, 5_000)], [TxOutput(4_000, b"\x01" * 20)])
+    forged.inputs[0].unlock = make_unlock(SCHEMES["fast"], pk, pk, forged.sighash())
+    with pytest.raises(TxRejected) as exc:
+        node.submit_tx(forged)
+    assert exc.value.code == "bad-signature"

@@ -120,7 +120,7 @@ def test_unlock_sign_verify_roundtrip():
     digest = golden_tx().sighash()
     unlock = make_unlock(FAST, sk, pk, digest)
     assert parse_unlock(unlock) == (pk, FAST.sign(sk, digest))
-    assert verify_unlock(FAST, address_of(pk), digest, unlock)
+    assert verify_unlock(address_of(pk), digest, unlock)
 
 
 def test_unlock_rejects_wrong_address_and_message():
@@ -128,11 +128,11 @@ def test_unlock_rejects_wrong_address_and_message():
     other_sk, other_pk = FAST.generate()
     digest = golden_tx().sighash()
     unlock = make_unlock(FAST, sk, pk, digest)
-    assert not verify_unlock(FAST, address_of(other_pk), digest, unlock)
-    assert not verify_unlock(FAST, address_of(pk), b"\x00" * 32, unlock)
+    assert not verify_unlock(address_of(other_pk), digest, unlock)
+    assert not verify_unlock(address_of(pk), b"\x00" * 32, unlock)
     forged = make_unlock(FAST, other_sk, pk, digest)
-    assert not verify_unlock(FAST, address_of(pk), digest, forged)
-    assert not verify_unlock(FAST, address_of(pk), digest, b"garbage")
+    assert not verify_unlock(address_of(pk), digest, forged)
+    assert not verify_unlock(address_of(pk), digest, b"garbage")
 
 
 def test_coinbase_shape_and_uniqueness():
@@ -144,3 +144,14 @@ def test_coinbase_shape_and_uniqueness():
     regular = golden_tx()
     assert not regular.is_coinbase
     assert regular.fee() == 100
+
+
+@pytest.mark.parametrize("size", [0, 20, 31, 34, 64])
+def test_unlock_key_of_no_scheme_length_is_refused(size):
+    # the key's length names its scheme; a key of any other length unlocks
+    # nothing, even with the MAC the fast scheme would accept for it
+    key = bytes(range(size))
+    digest = golden_tx().sighash()
+    unlock = make_unlock(FAST, key, key, digest)
+    assert FAST.verify(key, digest, parse_unlock(unlock)[1])
+    assert not verify_unlock(address_of(key), digest, unlock)
