@@ -14,6 +14,12 @@ per key into a cache). An ECDSA secret in memory is an `EcdsaSecret`: its
 PKCS#8 DER, which is the stored form, plus the parsed key. `generate` keeps
 the key it made; a secret loaded from bytes parses its DER when it first
 signs, since on secp256k1 that parse costs about as much as a signature.
+
+A `fast` key is drawn from the RNG `generate` is given, the hub's seeded one,
+so the order keys are made in is part of a replay. ECDSA and RSA keys come
+from the OS, whatever RNG is given, so a hub may make its ECDSA keys ahead of
+the requests that hand them out; each on-chain scheme says which it is with
+`keys_from_rng`.
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ class FastScheme(_BytesSecret):
     """
 
     name = "fast"
+    keys_from_rng = True
 
     def generate(self, rng=None) -> tuple[bytes, bytes]:
         sk = rng.randbytes(32) if rng is not None else os.urandom(32)
@@ -171,6 +178,7 @@ class EcdsaScheme:
     """secp256k1 ECDSA / SHA-256; compressed-point public keys, DER signatures."""
 
     name = "ecdsa"
+    keys_from_rng = False
 
     def generate(self, rng=None) -> tuple[EcdsaSecret, bytes]:
         key = ec.generate_private_key(ec.SECP256K1())

@@ -14,9 +14,11 @@ session's messages are answered in the order they arrive. A connection's
 session leaves the session table when the connection closes or idles out.
 Between frames the loop signs the outstanding settlement plan, a slice of
 `SIGN_SLICE_S` at a time, so no connection waits for a whole plan's
-signatures. Snapshots are written on demand and on shutdown, after the loop
-has stopped; a plan still being signed is stored as it stands, and signing
-resumes after a load.
+signatures. Once the plan is signed, each turn makes one ECDSA key ahead,
+until the hub's pool holds `KEY_POOL_SIZE`, so the requests that hand out
+fresh keys find them made (`Hub.fill_key_pool`). Snapshots are written on
+demand and on shutdown, after the loop has stopped; a plan still being
+signed is stored as it stands, and signing resumes after a load.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from .session import HubSessionEndpoint
 from .simchain_server import SimchainClient
 
 SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may wait
+# keys made ahead: a block cycle with two deposits draws three, the deposits'
+# and the next plan's leftover; one more covers a turn that answers two of
+# those requests
+KEY_POOL_SIZE = 4
 
 
 def _below(limit: int):
@@ -48,11 +54,23 @@ def _below(limit: int):
     return parse
 
 
+def _held(config: HubConfig) -> dict:
+    """The settings a snapshot keeps for itself, by key, off the hub's
+    configuration."""
+    return {
+        "min_routing_fee": config.min_routing_fee,
+        "host_pubkey_hex": config.host_public_key,
+        "host_settle_address_hex": config.host_settle_address,
+        "crypto_mode": config.suite.mode,
+    }
+
+
 class DaemonConfig(dict):
     """Flat configuration: `DEFAULTS`, then the overrides (`routee-hubd
     --set`). `DEFAULTS` maps each key to its default and to the parser that
-    checks a value; the config holds the parsed values. An unknown key or a
-    value its parser refuses raises `ConfigError` naming the key and value."""
+    checks a value; the config holds the parsed values, and `given` the keys
+    the overrides set. An unknown key or a value its parser refuses raises
+    `ConfigError` naming the key and value."""
 
     DEFAULTS = {
         "listen_host": ("127.0.0.1", str),
@@ -69,6 +87,7 @@ class DaemonConfig(dict):
     }
 
     def __init__(self, overrides: dict | None = None):
+        self.given = set(overrides or ())
         values = {key: default for key, (default, _) in self.DEFAULTS.items()}
         for key, value in (overrides or {}).items():
             if key not in values:
@@ -88,6 +107,14 @@ class DaemonConfig(dict):
             suite=self["crypto_mode"],
         )
 
+    def check_snapshot(self, snapshot: HubConfig) -> None:
+        """Refuse, with `ConfigError` naming the key, a setting the overrides
+        gave that a loaded snapshot holds with another value."""
+        ours, theirs = _held(self.hub_config()), _held(snapshot)
+        for key in ours:
+            if key in self.given and ours[key] != theirs[key]:
+                raise ConfigError(f"{key} differs from the loaded snapshot's")
+
 
 class HubDaemon(HubFrontEnd):
     """The frame pipeline over TCP, one session per connection, with the
@@ -96,11 +123,13 @@ class HubDaemon(HubFrontEnd):
 
     def __init__(self, config: DaemonConfig):
         self.config = config
-        hub = Hub(config.hub_config())
         snapshot_path = config["snapshot_path"]
         if snapshot_path and os.path.exists(snapshot_path):
             with open(snapshot_path, "rb") as fh:
                 hub = snapshot_mod.load_hub(fh.read())
+            config.check_snapshot(hub.config)
+        else:
+            hub = Hub(config.hub_config())
         hub_key = None
         key_path = config["hub_key_path"]
         if key_path:
@@ -117,7 +146,7 @@ class HubDaemon(HubFrontEnd):
             self.run_init()
         self.server = FrameServer(
             (config["listen_host"], config["listen_port"]), self._handle, self.drop_session,
-            self.frame_limit, self._sign_slice,
+            self.frame_limit, self._idle_slice,
         )
 
     @property
@@ -180,6 +209,12 @@ class HubDaemon(HubFrontEnd):
         # the frame server's callback; bench/tracing.py wraps it by this name
         return self.handle(frame_type, payload, ctx)
 
-    def _sign_slice(self) -> bool:
-        # the loop's idle hook; with no plan left to sign it returns at once
-        return self.hub.sign_plan(time.perf_counter() + SIGN_SLICE_S)
+    def _idle_slice(self) -> bool:
+        # the loop's idle hook: a turn signs the outstanding plan for one
+        # slice or, once it is signed, makes one key for the pool; with
+        # neither left it returns at once
+        plan = self.hub.plan
+        if plan is None or plan.signed:
+            return self.hub.fill_key_pool(KEY_POOL_SIZE)
+        self.hub.sign_plan(time.perf_counter() + SIGN_SLICE_S)
+        return False

@@ -20,6 +20,12 @@ A plan is decided inside the request that builds it and signed afterwards:
 `sign_plan` signs its inputs, and the front ends call it between frames, so
 that request answers before its ECDSA signatures exist. A plan is matched on
 chain by its sighash, which no signature changes.
+
+Each deposit and each plan's leftover goes to a fresh manager key. When the
+on-chain scheme's keys do not come from the hub's RNG (ECDSA), the daemon
+makes keys ahead between frames, into a small pool (`fill_key_pool`), and a
+request takes one from there. A `fast` key is drawn from the RNG inside its
+request, in request order, so replays keep their bytes.
 """
 
 from __future__ import annotations
@@ -225,6 +231,9 @@ class Hub:
         self.pending_deposits: dict[bytes, PendingDeposit] = {}
         self.owned: dict[Outpoint, OwnedDeposit] = {}
         self.manager_keys: dict[bytes, tuple[Secret, bytes]] = {}
+        # keys made ahead, handed out by `_new_manager_key`; none is referenced
+        # before then, so the snapshot leaves them out
+        self.key_pool: list[tuple[Secret, bytes]] = []
         self.queue: list[SettleRequest] = []
         self._next_enqueue_seq = 0
         self.plan: SettlementPlan | None = None
@@ -311,13 +320,29 @@ class Hub:
         user = self._authenticate(msg.user_address, msg)
         if self.terminating:
             raise HubTerminated()
-        sk, pk = self.suite.onchain.generate(self.rng)
-        manager_address = address_of(pk)
+        manager_address = self._new_manager_key()
         self.pending_deposits[manager_address] = PendingDeposit(
             manager_address, user.user_address, chain.tip_height + DEPOSIT_EXPIRY_BLOCKS
         )
-        self.manager_keys[manager_address] = (sk, pk)
         return manager_address
+
+    def _new_manager_key(self) -> bytes:
+        """Keep a fresh on-chain key, one from the pool or else one made now,
+        and return its address."""
+        sk, pk = self.key_pool.pop() if self.key_pool else self.suite.onchain.generate(self.rng)
+        address = address_of(pk)
+        self.manager_keys[address] = (sk, pk)
+        return address
+
+    def fill_key_pool(self, size: int) -> bool:
+        """Make one on-chain key ahead, unless the pool holds `size` keys or
+        the scheme draws its keys from the hub's RNG, whose position a replay
+        keeps. True once there is no key left to make."""
+        onchain = self.suite.onchain
+        if onchain.keys_from_rng or len(self.key_pool) >= size:
+            return True
+        self.key_pool.append(onchain.generate())
+        return len(self.key_pool) >= size
 
     def update_boundary_block(self, msg: wire.UpdateBoundary) -> int:
         chain = self._require_init()
@@ -447,9 +472,7 @@ class Hub:
             rf_delta = min(rf_delta, rf_delta * user_value(selected) // b_total)
 
         # the leftover output, last, goes to a fresh manager key
-        sk, pk = self.suite.onchain.generate(self.rng)
-        manager_address = address_of(pk)
-        self.manager_keys[manager_address] = (sk, pk)
+        manager_address = self._new_manager_key()
         amounts = sum(r.amount for r in selected)
 
         tx = Transaction(

@@ -241,11 +241,3 @@ def forge_chain(node: SimNode, fork_height: int, payments=()) -> list[Block]:
             forger.pay(address, amount)
         forged.append(forger.mine_block())
     return forged
-
-
-def replay_utxo(blocks: list[Block]) -> dict[Outpoint, TxOutput]:
-    """Naive independent replay oracle: fold apply_block over the blocks."""
-    utxo: dict[Outpoint, TxOutput] = {}
-    for block in blocks:
-        utxo = apply_block(utxo, block)
-    return utxo

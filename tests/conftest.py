@@ -3,15 +3,25 @@ import socket
 import pytest
 from hypothesis import strategies as st
 
+from routee.blocks import Block, apply_block
 from routee.client import Keys
 from routee.crypto import CryptoSuite
 from routee.errors import RouteeError
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
 from routee.simchain import SimNode
+from routee.transactions import Outpoint, TxOutput
 from routee import wire
 
 FAST = CryptoSuite.fast_test()
+
+
+def replay_utxo(blocks: list[Block]) -> dict[Outpoint, TxOutput]:
+    """Naive independent replay oracle: fold apply_block over the blocks."""
+    utxo: dict[Outpoint, TxOutput] = {}
+    for block in blocks:
+        utxo = apply_block(utxo, block)
+    return utxo
 
 
 def closed_by_peer(sock: socket.socket) -> bool:
@@ -93,10 +103,10 @@ class HubHarness:
     """A hub wired to a simchain node with signing helpers, mirroring what the
     daemon plus CLI do, but in process."""
 
-    def __init__(self, seed=11, min_routing_fee=2, premine=8, params=None, fee_blocks=None):
+    def __init__(self, seed=11, min_routing_fee=2, premine=8, params=None, fee_blocks=None, suite=FAST):
         from routee.crypto import DeterministicRng
 
-        self.suite = FAST
+        self.suite = suite
         self.params = params or ChainParams.regtest()
         self.node = SimNode(self.params, seed=seed)
         self.node.mine_blocks(premine)

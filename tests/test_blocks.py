@@ -7,10 +7,10 @@ from routee.blocks import Block, apply_block, validate_block
 from routee.crypto import SCHEMES
 from routee.errors import BlockRejected, RouteeError, TxRejected
 from routee.headers import BlockHeader, ChainParams, HeaderChain
-from routee.simchain import SimNode, replay_utxo
+from routee.simchain import SimNode
 from routee.transactions import BLOCK_SUBSIDY, Transaction, TxInput, TxOutput, make_unlock
 
-from conftest import mutated
+from conftest import mutated, replay_utxo
 
 FAST = SCHEMES["fast"]
 

@@ -383,6 +383,32 @@ def test_hubd_refuses_a_bad_setting(capsys, ready_only, key, value):
     assert err["detail"].startswith(f"unknown key {key!r}" if key == "min_routing_fe" else f"bad {key} {value!r}")
 
 
+def test_hubd_refuses_a_setting_its_snapshot_holds_otherwise(capsys, tmp_path, ready_only):
+    held = {"min_routing_fee": "2", "host_pubkey_hex": "ab" * 32,
+            "host_settle_address_hex": "cd" * 20, "crypto_mode": "fast-test"}
+    other = {"min_routing_fee": "3", "host_pubkey_hex": "ef" * 32,
+             "host_settle_address_hex": "00" * 20, "crypto_mode": "full"}
+
+    def hubd(settings):
+        argv = ["--json", "--set", f"snapshot_path={tmp_path / 'hub.snap'}", "--set", "auto_init=0"]
+        for key, value in settings.items():
+            argv += ["--set", f"{key}={value}"]
+        code = cli.hubd_main(argv)
+        return code, capsys.readouterr().err
+
+    assert hubd(held) == (0, "")  # writes the snapshot as it stops
+    # the same values, or none: a default not given does not count
+    assert hubd(held) == (0, "")
+    assert hubd({}) == (0, "")
+    for key, value in other.items():
+        code, err = hubd({**held, key: value})
+        assert code == 2
+        err = json.loads(err)
+        assert err["error"] == "bad-config" and err["detail"].startswith(key)
+    loaded = snapshot.load_hub((tmp_path / "hub.snap").read_bytes())
+    assert loaded.config.min_routing_fee == 2 and loaded.suite.mode == "fast-test"
+
+
 def test_daemon_unreachable_block_source_fails_startup(capsys, ready_only):
     # nothing listens on port 1; init aborts with a diagnostic before the
     # daemon listens, so its port is free again at once

@@ -7,19 +7,20 @@ import time
 
 from routee import wire
 from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub
-from routee.crypto import DeterministicRng
-from routee.daemon import DaemonConfig, HubDaemon
+from routee import daemon as daemon_mod
+from routee.crypto import CryptoSuite, DeterministicRng
+from routee.daemon import KEY_POOL_SIZE, DaemonConfig, HubDaemon
 from routee.snapshot import dump_hub, load_hub
 
-from conftest import HubHarness
+from conftest import FAST, HubHarness
 
 WAIT_S = 5.0
 
 
-def three_input_plan(seed):
+def three_input_plan(seed, suite=FAST):
     """A harness whose hub owns three deposits and holds an unsigned plan
     spending all of them."""
-    harness = HubHarness(seed=seed)
+    harness = HubHarness(seed=seed, suite=suite)
     alice = harness.new_user()
     for _ in range(3):
         harness.deposit(alice, 200_000)
@@ -99,3 +100,44 @@ def test_daemon_loop_finishes_a_loaded_half_signed_plan(tmp_path):
     assert reply["present"] == 1
     assert daemon.hub.conservation()["ok"]
     harness.node.submit_tx(daemon.hub.plan.transaction)
+
+
+def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypatch):
+    harness = three_input_plan(seed=46, suite=CryptoSuite.full())
+    data = dump_hub(harness.hub)
+    path = tmp_path / "hub.snap"
+    path.write_bytes(data)
+    monkeypatch.setattr(daemon_mod, "SIGN_SLICE_S", 0.0)  # one input per turn
+    daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
+    hub = daemon.hub
+    try:
+        # the turns that sign make no key, so the plan is handed out as
+        # early as when the hook only signed
+        for _ in range(3):
+            assert hub.apply_request(wire.GetSettlement()) == {"present": 0}
+            assert daemon._idle_slice() is False
+            assert hub.key_pool == []
+        assert hub.apply_request(wire.GetSettlement())["present"] == 1
+        # then each turn makes one key, until the pool is full
+        for size in range(1, KEY_POOL_SIZE + 1):
+            assert daemon._idle_slice() is (size == KEY_POOL_SIZE)
+            assert len(hub.key_pool) == size
+        assert daemon._idle_slice() is True and len(hub.key_pool) == KEY_POOL_SIZE
+    finally:
+        daemon.stop()
+
+    # the running loop does the same without a frame arriving
+    path.write_bytes(data)  # the stop above stored the signed plan
+    daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
+    assert daemon.hub.key_pool == []  # the snapshot holds no pool
+    daemon.start()
+    try:
+        deadline = time.monotonic() + WAIT_S
+        while len(daemon.hub.key_pool) < KEY_POOL_SIZE:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with RemoteHub("127.0.0.1", daemon.port) as remote:
+            assert remote.request(wire.GetSettlement())["present"] == 1
+    finally:
+        daemon.stop()
+    assert len(daemon.hub.key_pool) == KEY_POOL_SIZE

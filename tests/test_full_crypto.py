@@ -4,7 +4,8 @@ key generation, so deliberately small."""
 
 from routee import crypto, wire
 from routee.client import Keys
-from routee.crypto import CryptoSuite
+from routee.crypto import CryptoSuite, address_of
+from routee.daemon import KEY_POOL_SIZE
 from routee.errors import AuthFailure
 from routee.headers import ChainParams
 from routee.hub import Hub, HubConfig
@@ -14,6 +15,8 @@ from routee.transactions import Transaction, parse_unlock
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
+
+from conftest import HubHarness
 
 FULL = CryptoSuite.full()
 SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -27,6 +30,17 @@ def malleate(unlock: bytes) -> bytes:
     swapped = encode_dss_signature(r, SECP256K1_ORDER - s)
     return (len(public_key).to_bytes(2, "big") + public_key
             + len(swapped).to_bytes(2, "big") + swapped)
+
+
+def full_hub(seed):
+    """A chain, its full-crypto hub initialized from it, and the host's keys."""
+    node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=seed)
+    node.mine_blocks(3)
+    host = Keys.generate(FULL.auth)
+    hub = Hub(HubConfig(host.public, b"\x68" * 20, 2, node.params, FULL))
+    headers = [b.header for b in node.blocks]
+    hub.initialize(headers[0], 0, headers[1:], node.blocks)
+    return node, host, hub
 
 
 def test_rsa_sign_parses_each_private_key_once(monkeypatch):
@@ -55,13 +69,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
         return load(*args, **kwargs)
 
     monkeypatch.setattr(crypto, "load_der_private_key", counting_load)
-
-    node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=31)
-    node.mine_blocks(3)
-    host = Keys.generate(FULL.auth)
-    hub = Hub(HubConfig(host.public, b"\x68" * 20, 2, node.params, FULL))
-    headers = [b.header for b in node.blocks]
-    hub.initialize(headers[0], 0, headers[1:], node.blocks)
+    node, host, hub = full_hub(seed=31)
 
     def insert(block):
         msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
@@ -133,12 +141,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
 
 
 def test_plan_confirms_when_its_signatures_are_malleated():
-    node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=32)
-    node.mine_blocks(3)
-    host = Keys.generate(FULL.auth)
-    hub = Hub(HubConfig(host.public, b"\x68" * 20, 2, node.params, FULL))
-    headers = [b.header for b in node.blocks]
-    hub.initialize(headers[0], 0, headers[1:], node.blocks)
+    node, host, hub = full_hub(seed=32)
 
     def insert(block):
         return hub.insert_block(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
@@ -175,3 +178,91 @@ def test_plan_confirms_when_its_signatures_are_malleated():
     node.submit_tx(hub.plan.transaction)
     assert insert(node.mine_block())["confirmed_plan"] == 1
     assert hub.conservation()["ok"]
+
+
+def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
+    made = []
+    generate = FULL.onchain.generate
+
+    def counting_generate(rng=None):
+        made.append(rng)
+        return generate(rng)
+
+    monkeypatch.setattr(FULL.onchain, "generate", counting_generate)
+    node, host, hub = full_hub(seed=33)
+    alice = Keys.generate(FULL.auth)
+    hub.add_user(alice.public, b"\x0a" * 20)
+    nonces = iter(range(10))
+
+    def deposit():
+        return hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, next(nonces))))
+
+    def settle():
+        hub.request_settlement(alice.sign(wire.Settle(alice.address, next(nonces), 10_000, 800)))
+
+    def insert(block):
+        return hub.insert_block(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
+
+    def fill():
+        turns = 1
+        while not hub.fill_key_pool(KEY_POOL_SIZE):
+            turns += 1
+        return turns
+
+    # with an empty pool the request makes its key itself (the chain's
+    # wallet makes keys too, so each count starts at the request)
+    made.clear()
+    manager = deposit()
+    assert made == [hub.rng] and hub.key_pool == []
+    node.pay(manager, 100_000)
+
+    # one key per call, up to the pool's size and never beyond it
+    made.clear()
+    assert fill() == KEY_POOL_SIZE
+    assert made == [None] * KEY_POOL_SIZE and len(hub.key_pool) == KEY_POOL_SIZE
+    assert hub.fill_key_pool(KEY_POOL_SIZE) and len(made) == len(hub.key_pool) == KEY_POOL_SIZE
+
+    # with a filled pool the request takes a key made ahead
+    made.clear()
+    sk, pk = hub.key_pool[-1]
+    manager = deposit()
+    assert made == [] and manager == address_of(pk) and hub.manager_keys[manager] == (sk, pk)
+    node.pay(manager, 100_000)
+    insert(node.mine_block())
+    assert len(hub.owned) == 2
+
+    # no key waiting in the pool is in the snapshot, and a loaded hub's
+    # pool starts empty
+    data = dump_hub(hub)
+    assert hub.key_pool
+    assert not any(FULL.onchain.secret_bytes(secret) in data for secret, _ in hub.key_pool)
+    assert load_hub(data).key_pool == []
+
+    # the InsertBlock that confirms a plan builds the next one: its leftover
+    # key comes from a filled pool without a key made, else from the request
+    for filled in (True, False):
+        settle()
+        assert hub.plan is not None and hub.sign_plan()
+        settle()  # queues behind the outstanding plan
+        if filled:
+            fill()
+        else:
+            hub.key_pool.clear()
+        node.submit_tx(hub.plan.transaction)
+        block = node.mine_block()
+        made.clear()
+        report = insert(block)
+        assert report["confirmed_plan"] == 1 and report["plan_built"] == 1
+        assert made == ([] if filled else [hub.rng])
+        assert hub.sign_plan()
+        node.submit_tx(hub.plan.transaction)
+        insert(node.mine_block())
+        assert hub.plan is None and hub.conservation()["ok"]
+
+
+def test_fast_test_hub_never_fills_its_pool():
+    harness = HubHarness(seed=3)
+    hub = harness.hub
+    counter = hub.rng.counter
+    assert hub.fill_key_pool(KEY_POOL_SIZE)
+    assert hub.key_pool == [] and hub.rng.counter == counter

@@ -4,8 +4,10 @@ from routee.crypto import SCHEMES, address_of
 from routee.errors import TxRejected
 from routee.headers import ChainParams
 from routee.lightclient import NodeHeaderSource, StaticHeaderSource, sync_headers
-from routee.simchain import SimClock, SimNode, forge_chain, replay_utxo
+from routee.simchain import SimClock, SimNode, forge_chain
 from routee.transactions import Transaction, TxInput, TxOutput, make_unlock
+
+from conftest import replay_utxo
 
 
 def scripted_run(seed):
