@@ -8,15 +8,13 @@ an output created earlier in the block is spendable later in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import wire
 from .errors import BlockRejected, TxRejected
 from .headers import HeaderChain, BlockHeader, merkle_root
 from .transactions import BLOCK_SUBSIDY, MAX_MONEY, Outpoint, Transaction, TxOutput, verify_unlock
 
 
-@dataclass
+@wire.plain
 class Block:
     header: BlockHeader
     txs: list[Transaction]

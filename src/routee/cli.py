@@ -10,6 +10,7 @@ payload.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import signal
 import sys
@@ -20,9 +21,6 @@ from .crypto import get_scheme, hex_address
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
-from .lightclient import choose_boundary, sync_headers
-from .simchain import SimNode
-from .simchain_server import SimchainClient, SimchainServer
 from .transactions import Transaction
 
 
@@ -91,6 +89,9 @@ def cmd_add_deposit(args) -> int:
 
 
 def _sync_store(args):
+    from .lightclient import sync_headers
+    from .simchain_server import SimchainClient
+
     peers = [(f"peer{idx}:{host}:{port}", SimchainClient(host, port))
              for idx, (host, port) in enumerate(args.peer)]
     try:
@@ -117,6 +118,8 @@ def cmd_sync_headers(args) -> int:
 
 
 def cmd_set_boundary(args) -> int:
+    from .lightclient import choose_boundary
+
     keys = Keys.load(args.key)
     height, block_hash = choose_boundary(_sync_store(args), args.k)
     return _send_signed(args, keys, lambda nonce: wire.UpdateBoundary(keys.address, nonce, height, block_hash))
@@ -151,6 +154,8 @@ def cmd_balance(args) -> int:
 
 
 def cmd_insert_block(args) -> int:
+    from .simchain_server import SimchainClient
+
     host_keys = Keys.load(args.host_key)
     with SimchainClient(*args.simchain) as sim, _hub(args) as hub:
         tip = hub.request(wire.QueryLatestBlock())["height"]
@@ -172,6 +177,8 @@ def cmd_broadcast(args) -> int:
     if not plan.get("present"):
         _emit(args, {"broadcast": 0})
         return 0
+    from .simchain_server import SimchainClient
+
     tx = Transaction.deserialize(plan["tx"])
     with SimchainClient(*args.simchain) as sim:
         sim.submit_tx(tx)
@@ -340,10 +347,17 @@ def _serve(args, server, status: dict) -> None:
     SIGTERM or SIGINT. The handler only sets the loop's stop flag and wakes it.
     A Python handler runs only once the loop's select returns, and a signal
     that lands just before the loop blocks in select does not interrupt it;
-    so the signal itself also wakes the loop, through the wakeup fd."""
+    so the signal itself also wakes the loop, through the wakeup fd.
+
+    The objects made so far (modules, the server, a loaded hub) live as long
+    as the process, so after one collection clears start-up's garbage they
+    are frozen out of the garbage collector before the ready line: no later
+    collection scans them, while serving or at exit."""
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, lambda *_: server.shutdown())
     previous = signal.set_wakeup_fd(server.wake_fd)
+    gc.collect()
+    gc.freeze()
     _emit(args, status)
     sys.stdout.flush()
     try:
@@ -396,6 +410,9 @@ def simchain_main(argv: list[str] | None = None) -> int:
 
 
 def _simchain(args) -> int:
+    from .simchain import SimNode
+    from .simchain_server import SimchainClient, SimchainServer
+
     if args.mode == "serve":
         node = SimNode(ChainParams.regtest(), seed=args.seed)
         node.mine_blocks(args.premine)

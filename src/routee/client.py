@@ -4,8 +4,6 @@ hub's frame pipeline, which the daemon and the in-memory endpoint share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import wire
 from .crypto import Secret, address_of, get_scheme
 from .errors import AuthFailure, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted
@@ -24,13 +22,17 @@ from .wire import (
 PRE_HANDSHAKE_FRAME = 1 + len(wire.encode(wire.HandshakeInit(bytes(32))))
 
 
-@dataclass
+@wire.plain
 class Keys:
     """A keypair that signs with its own scheme, an object of `crypto.SCHEMES`."""
 
     scheme: object
-    secret: Secret = field(repr=False)
+    secret: Secret
     public: bytes
+
+    def __repr__(self) -> str:
+        # the secret stays out of logs
+        return f"Keys(scheme={self.scheme!r}, public={self.public!r})"
 
     @property
     def address(self) -> bytes:

@@ -20,6 +20,13 @@ so the order keys are made in is part of a replay. ECDSA and RSA keys come
 from the OS, whatever RNG is given, so a hub may make its ECDSA keys ahead of
 the requests that hand them out; each on-chain scheme says which it is with
 `keys_from_rng`.
+
+`serialization`, which parses and dumps keys, is imported on first use: its
+import costs about 20 ms, mostly in its SSH module, which imports
+`dataclasses` and `inspect`; a daemon that only makes handshakes and
+answers reads never needs it, and the first signed request pays it.
+`crypto.serialization` and `crypto.load_der_private_key` are module
+attributes all the same (PEP 562), and a patch of either holds.
 """
 
 from __future__ import annotations
@@ -28,17 +35,33 @@ import functools
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
-from cryptography.hazmat.primitives.serialization import load_der_private_key
 
 from .errors import AuthFailure
 
 ADDRESS_SIZE = 20
 RSA_KEY_CACHE = 1024  # parsed RSA keys kept, of each kind, most recently used first
+
+
+def __getattr__(name: str):
+    # PEP 562: the first read of `serialization` or `load_der_private_key`
+    # imports them into the module's globals
+    if name not in ("serialization", "load_der_private_key"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from cryptography.hazmat.primitives import serialization
+
+    globals().setdefault("serialization", serialization)
+    globals().setdefault("load_der_private_key", serialization.load_der_private_key)
+    return globals()[name]
+
+
+def _loaded(name: str):
+    """A name `__getattr__` provides, read from the globals on each call so
+    that a patch of it holds."""
+    return globals().get(name) or __getattr__(name)
 
 
 def sha256(data: bytes) -> bytes:
@@ -125,14 +148,14 @@ class FastScheme(_BytesSecret):
 def _rsa_public_key(der: bytes):
     # a key object set up once verifies faster than a fresh parse does; bad
     # DER raises and is not cached
-    return serialization.load_der_public_key(der)
+    return _loaded("serialization").load_der_public_key(der)
 
 
 @functools.lru_cache(maxsize=RSA_KEY_CACHE)
 def _rsa_private_key(der: bytes):
     # the parse checks the key and costs about 100 signatures; the secret
     # itself stays DER bytes
-    return load_der_private_key(der, password=None)
+    return _loaded("load_der_private_key")(der, password=None)
 
 
 class RsaScheme(_BytesSecret):
@@ -143,6 +166,7 @@ class RsaScheme(_BytesSecret):
 
     def generate(self, rng=None) -> tuple[bytes, bytes]:
         key = rsa.generate_private_key(public_exponent=65537, key_size=self._KEY_BITS)
+        serialization = _loaded("serialization")
         sk = key.private_bytes(
             serialization.Encoding.DER,
             serialization.PrivateFormat.PKCS8,
@@ -166,12 +190,23 @@ class RsaScheme(_BytesSecret):
             return False
 
 
-@dataclass
 class EcdsaSecret:
-    """A secp256k1 secret: its PKCS#8 DER, and the parsed key once known."""
+    """A secp256k1 secret: its PKCS#8 DER, and the parsed key once known.
+    Two are equal when their DER is; a repr shows neither."""
 
-    der: bytes = field(repr=False)
-    key: ec.EllipticCurvePrivateKey | None = field(default=None, repr=False, compare=False)
+    def __init__(self, der: bytes, key: ec.EllipticCurvePrivateKey | None = None):
+        self.der = der
+        self.key = key
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.der == other.der
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "EcdsaSecret()"
 
 
 class EcdsaScheme:
@@ -182,6 +217,7 @@ class EcdsaScheme:
 
     def generate(self, rng=None) -> tuple[EcdsaSecret, bytes]:
         key = ec.generate_private_key(ec.SECP256K1())
+        serialization = _loaded("serialization")
         sk = key.private_bytes(
             serialization.Encoding.DER,
             serialization.PrivateFormat.PKCS8,
@@ -195,7 +231,7 @@ class EcdsaScheme:
 
     def sign(self, secret_key: EcdsaSecret, message: bytes) -> bytes:
         if secret_key.key is None:
-            secret_key.key = load_der_private_key(secret_key.der, password=None)
+            secret_key.key = _loaded("load_der_private_key")(secret_key.der, password=None)
         return secret_key.key.sign(message, ec.ECDSA(hashes.SHA256()))
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -14,11 +14,16 @@ session's messages are answered in the order they arrive. A connection's
 session leaves the session table when the connection closes or idles out.
 Between frames the loop signs the outstanding settlement plan, a slice of
 `SIGN_SLICE_S` at a time, so no connection waits for a whole plan's
-signatures. Once the plan is signed, each turn makes one ECDSA key ahead,
-until the hub's pool holds `KEY_POOL_SIZE`, so the requests that hand out
-fresh keys find them made (`Hub.fill_key_pool`). Snapshots are written on
-demand and on shutdown, after the loop has stopped; a plan still being
-signed is stored as it stands, and signing resumes after a load.
+signatures. Once the plan is signed, and once this process has handed out a
+manager key, each turn makes one ECDSA key ahead, until the hub's pool holds
+`KEY_POOL_SIZE`, so the requests that hand out fresh keys find them made
+(`Hub.fill_key_pool`). A daemon restarted only to serve reads makes none.
+Snapshots are written on demand and on shutdown, after the loop has stopped;
+a plan still being signed is stored as it stands, and signing resumes after
+a load.
+
+A restart runs this module's import, so it imports only what serving needs:
+init imports the block source's client and `lightclient` itself.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import os
 import re
 import time
 
-from . import lightclient, snapshot as snapshot_mod
+from . import snapshot as snapshot_mod
 from .client import HubFrontEnd
 from .crypto import CryptoSuite, hex_address
 from .errors import AuthFailure, ConfigError, InitFailure
@@ -35,7 +40,6 @@ from .headers import BlockHeader
 from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
 from .session import HubSessionEndpoint
-from .simchain_server import SimchainClient
 
 SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may wait
 # keys made ahead: a block cycle with two deposits draws three, the deposits'
@@ -142,6 +146,9 @@ class HubDaemon(HubFrontEnd):
                 raise AuthFailure(f"bad hub key file {key_path!r}: {exc}") from None
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
+        # the hub's manager keys only grow; more than at start means this
+        # process has handed one out, and may be asked for the next
+        self._keys_at_start = len(hub.manager_keys)
         if config["auto_init"] and hub.chain is None:
             self.run_init()
         self.server = FrameServer(
@@ -159,6 +166,9 @@ class HubDaemon(HubFrontEnd):
         """Pull every header from genesis up, `lightclient.HEADER_BATCH` at a
         time until a short batch, and the fee-window blocks over one
         connection to the block source, then initialize the hub."""
+        from . import lightclient
+        from .simchain_server import SimchainClient
+
         with SimchainClient(self.config["simchain_host"], self.config["simchain_port"]) as source:
             raw = []
             while True:
@@ -211,10 +221,12 @@ class HubDaemon(HubFrontEnd):
 
     def _idle_slice(self) -> bool:
         # the loop's idle hook: a turn signs the outstanding plan for one
-        # slice or, once it is signed, makes one key for the pool; with
-        # neither left it returns at once
+        # slice or, once it is signed and this process has handed out a key,
+        # makes one key for the pool; with neither left it returns at once
         plan = self.hub.plan
         if plan is None or plan.signed:
+            if len(self.hub.manager_keys) == self._keys_at_start:
+                return True
             return self.hub.fill_key_pool(KEY_POOL_SIZE)
         self.hub.sign_plan(time.perf_counter() + SIGN_SLICE_S)
         return False

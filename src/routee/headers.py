@@ -10,8 +10,8 @@ expanded compact target.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
+from . import wire
 from .crypto import sha256d
 from .errors import BlockRejected, InsufficientHistory, MalformedTarget
 
@@ -21,7 +21,7 @@ _HEADER_FMT = "<i32s32sIII"
 MAX_TARGET_BITS = 0x1D00FFFF  # difficulty-1 style ceiling used as default pow limit
 
 
-@dataclass(frozen=True)
+@wire.plain(frozen=True)
 class BlockHeader:
     version: int
     prev_hash: bytes
@@ -86,7 +86,7 @@ def target_to_bits(target: int) -> int:
     return compact | (size << 24)
 
 
-@dataclass(frozen=True)
+@wire.plain(frozen=True)
 class CompactTarget:
     bits: int
     expanded: int
@@ -127,7 +127,7 @@ def merkle_root(txids: list[bytes]) -> bytes:
     return level[0]
 
 
-@dataclass(frozen=True)
+@wire.plain(frozen=True)
 class ChainParams:
     retarget_interval: int = 2016
     target_spacing: int = 600

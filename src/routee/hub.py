@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from .blocks import Block
 from .crypto import ADDRESS_SIZE, CryptoSuite, DeterministicRng, Secret, address_of
@@ -76,13 +75,13 @@ DEPOSIT_EXPIRY_BLOCKS = 100
 FEE_WINDOW_CAPACITY = 2016
 
 
-@dataclass
+@wire.plain
 class HubConfig:
     host_public_key: bytes
     host_settle_address: bytes
     min_routing_fee: int
-    chain_params: ChainParams = field(default_factory=ChainParams.regtest)
-    suite: CryptoSuite = field(default_factory=CryptoSuite.fast_test)
+    chain_params: ChainParams = wire.fresh(ChainParams.regtest)
+    suite: CryptoSuite = wire.fresh(CryptoSuite.fast_test)
     rng_seed: bytes | int = 0
 
 
@@ -169,7 +168,7 @@ class FeeEstimator:
         return max(1, sum(self.window) // len(self.window))
 
 
-@dataclass
+@wire.plain
 class SettlementPlan:
     """An outstanding spend-all settlement. Its size, fee, inputs and
     leftover output are read off its transaction, whose last output is the

@@ -13,15 +13,14 @@ Storage is counted as 80 bytes per header held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import wire
 from .errors import ChainTooShort, PeerError, RouteeError
 from .headers import HEADER_SIZE, BlockHeader, ChainParams, HeaderChain
 
 HEADER_BATCH = 2016
 
 
-@dataclass
+@wire.plain
 class PeerCandidate:
     peer_id: str
     chain: HeaderChain

@@ -12,7 +12,6 @@ import selectors
 import socket
 import threading
 import time
-import traceback
 
 from .errors import MalformedFrame, RouteeError
 from .wire import frame_length, pack_frame
@@ -208,6 +207,8 @@ class FrameServer:
             self._answer(conn)
         except Exception as exc:
             if not isinstance(exc, (OSError, RouteeError)):
+                import traceback  # only a callback's fault prints one
+
                 traceback.print_exc()
             self._close(conn)
 

@@ -10,12 +10,11 @@ untouched: the schedule targets established-session envelopes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .wire import FRAME_ENVELOPE, unpack_frame
+from .wire import FRAME_ENVELOPE, plain, unpack_frame
 
 
-@dataclass
+@plain
 class RelaySchedule:
     seed: int = 0
     p_drop: float = 0.0

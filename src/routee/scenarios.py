@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import wire
 from .client import Keys, LocalConnection, LocalHubEndpoint
@@ -25,14 +24,14 @@ from .simchain import SimNode, forge_chain
 from .transactions import Transaction, TxInput, TxOutput, formula_size, make_unlock
 
 
-@dataclass
+@wire.plain
 class ScenarioReport:
     scenario: str
     seed: int
     verdict: str = "error"  # defended | vulnerable | error
-    steps: list[str] = field(default_factory=list)
-    deltas: dict[str, int] = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
+    steps: list[str] = wire.fresh(list)
+    deltas: dict[str, int] = wire.fresh(dict)
+    details: dict = wire.fresh(dict)
 
     def log(self, message: str) -> None:
         self.steps.append(message)

@@ -19,8 +19,8 @@ per-transaction fees. Fee arithmetic everywhere uses the size formula
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
+from . import wire
 from .crypto import ADDRESS_SIZE, UNLOCK_SCHEMES, Secret, address_of, sha256d
 from .errors import MalformedFrame
 
@@ -50,7 +50,7 @@ def formula_size(n_inputs: int, n_outputs: int) -> int:
     return FORMULA_INPUT_BYTES * n_inputs + FORMULA_OUTPUT_BYTES * n_outputs + FORMULA_BASE_BYTES
 
 
-@dataclass
+@wire.plain
 class TxInput:
     prev_txid: bytes
     prev_vout: int
@@ -62,16 +62,16 @@ class TxInput:
         return (self.prev_txid, self.prev_vout)
 
 
-@dataclass
+@wire.plain
 class TxOutput:
     value: int
     lock_address: bytes
 
 
-@dataclass
+@wire.plain
 class Transaction:
-    inputs: list[TxInput] = field(default_factory=list)
-    outputs: list[TxOutput] = field(default_factory=list)
+    inputs: list[TxInput] = wire.fresh(list)
+    outputs: list[TxOutput] = wire.fresh(list)
 
     @property
     def is_coinbase(self) -> bool:

@@ -7,8 +7,11 @@ encrypted session traffic. Hub info and the block source's frames carry
 public data unencrypted, each answered with the ok or error reply a hub
 request gets.
 
-Each layout is declared once, as a record: a dataclass whose fields name
-their wire format. A record travels as its kind byte if it has one (requests,
+Each layout is declared once, as a record: a class whose annotated fields
+name their wire format. `record` builds the class itself, without
+`dataclasses`: one generated `__init__` per class, and a field-wise `==` and
+`repr` shared by every record; `plain` builds classes with no wire layout
+the same way. A record travels as its kind byte if it has one (requests,
 replies), its fixed-width fields, then its variable fields in declaration
 order: repeated records behind a 4-byte count, byte strings behind a 4-byte
 length, UTF-8 text behind a 2-byte length. Integers are big-endian. The
@@ -25,10 +28,8 @@ an `InsertBlock` is signed over the block's header hash.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import struct
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .crypto import sha256
@@ -170,34 +171,142 @@ _TEXT = _Text()
 _VALUE = _Value()
 
 
+_NOTHING = object()  # a field declared without a default
+
+
+class _Field:
+    """A declared field: its wire codec (a `struct` format code, a codec
+    object, or None in a class that never travels) and its default, a value
+    or a factory called once per instance."""
+
+    def __init__(self, codec=None, default=_NOTHING, factory=None):
+        self.codec = codec
+        self.default = default
+        self.factory = factory
+
+
 def fixed(code: str):
     """A fixed-width field, given as one `struct` format code."""
-    return field(metadata={"wire": code})
+    return _Field(code)
 
 
 def repeated(item_cls: type):
     """A list of records of one declared class."""
-    return field(default_factory=list, metadata={"wire": _Repeated(item_cls)})
+    return _Field(_Repeated(item_cls), factory=list)
 
 
 def trailing():
     """A byte string of any length, after the fixed fields."""
-    return field(metadata={"wire": _BYTES})
+    return _Field(_BYTES)
 
 
 def text():
     """A string of any length, after the fixed fields."""
-    return field(metadata={"wire": _TEXT})
+    return _Field(_TEXT)
 
 
 def tagged():
     """None, an int or a byte string, after the fixed fields."""
-    return field(metadata={"wire": _VALUE})
+    return _Field(_VALUE)
 
 
 def trailing_signature():
     """The last byte string of a request, which its signing digest leaves out."""
-    return field(default=b"", metadata={"wire": _SIGNATURE})
+    return _Field(_SIGNATURE, default=b"")
+
+
+def fresh(factory):
+    """A `plain` field whose default is a new `factory()` per instance."""
+    return _Field(factory=factory)
+
+
+def _declared(cls) -> list[tuple[str, _Field]]:
+    """The fields a class body declares, in order: each annotated name, with
+    the `_Field` or plain default it is assigned, if any."""
+    fields = []
+    for name in cls.__dict__.get("__annotations__", ()):
+        value = cls.__dict__.get(name, _NOTHING)
+        fields.append((name, value if isinstance(value, _Field) else _Field(default=value)))
+    return fields
+
+
+def _init_for(cls, fields: list[tuple[str, _Field]], frozen: bool):
+    """The `__init__` of `fields`, compiled once for the class, as a
+    dataclass's is: a factory default makes a fresh value per instance."""
+    env = {"_NOTHING": _NOTHING, "_set": object.__setattr__}
+    params, body = ["self"], []
+    for name, spec in fields:
+        value = name
+        if spec.factory is not None:
+            env[f"_factory_{name}"] = spec.factory
+            params.append(f"{name}=_NOTHING")
+            value = f"_factory_{name}() if {name} is _NOTHING else {name}"
+        elif spec.default is not _NOTHING:
+            env[f"_default_{name}"] = spec.default
+            params.append(f"{name}=_default_{name}")
+        else:
+            params.append(name)
+        body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+# methods shared by every built class; `_values` is the class's getter of its fields
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._values(self) == other._values(other)
+    return NotImplemented
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _hash(self) -> int:
+    return hash(self._values(self))
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def _build(cls, frozen: bool) -> list[tuple[str, _Field]]:
+    """Give `cls` what a dataclass would: `__init__`, a field-wise `==` and
+    `repr`, and, `frozen`, no assignment after `__init__` and a hash of the
+    fields, else no hash. A method the class body defines is kept. Returns
+    the declared fields."""
+    fields = _declared(cls)
+    names = tuple(name for name, _ in fields)
+    for name in names:
+        if isinstance(cls.__dict__.get(name), _Field):
+            delattr(cls, name)
+    cls._field_names = names
+    # attrgetter of one name returns the value itself, not a 1-tuple
+    cls._values = staticmethod(attrgetter(*names) if names else lambda obj: ())
+    methods = {"__init__": _init_for(cls, fields, frozen), "__eq__": _eq, "__repr__": _repr}
+    if frozen:
+        methods.update(__hash__=_hash, __setattr__=_frozen, __delattr__=_frozen)
+    else:
+        methods["__hash__"] = None
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return fields
+
+
+def plain(cls=None, *, frozen: bool = False):
+    """Class decorator, bare or with `frozen=True`: a class of plain fields,
+    with plain defaults, built as a record is but with no wire layout."""
+    if cls is None:
+        return functools.partial(plain, frozen=frozen)
+    _build(cls, frozen)
+    return cls
 
 
 class _Layout:
@@ -205,17 +314,18 @@ class _Layout:
     kind byte of a record that has one (requests, replies) and every fixed
     field; the variable fields follow it in declaration order."""
 
-    def __init__(self, cls: type):
+    def __init__(self, cls: type, fields: list[tuple[str, _Field]]):
         self.cls = cls
         self.kind = getattr(cls, "kind", None)
         names, codes, self.tail = [], [], []
-        for f in dataclasses.fields(cls):
-            spec = f.metadata["wire"]
-            if isinstance(spec, str):
-                names.append(f.name)
-                codes.append(spec)
+        for name, spec in fields:
+            if spec.codec is None:
+                raise TypeError(f"{cls.__name__}.{name}: a record field needs a wire format")
+            if isinstance(spec.codec, str):
+                names.append(name)
+                codes.append(spec.codec)
             else:
-                self.tail.append((f.name, spec))
+                self.tail.append((name, spec.codec))
         prefix = [] if self.kind is None else ["kind"]
         self.head = struct.Struct(">" + "B" * len(prefix) + "".join(codes))
         getters = prefix + names
@@ -228,7 +338,7 @@ class _Layout:
         self.signature = self.tail[-1][0] if self.tail and self.tail[-1][1] is _SIGNATURE else None
         self.unsigned_tail = self.tail[:-1] if self.signature else self.tail
         wire_order = names + [name for name, _ in self.tail]
-        field_order = [f.name for f in dataclasses.fields(cls)]
+        field_order = [name for name, _ in fields]
         # decode builds values in wire order; the constructor takes field order
         self.order = None if wire_order == field_order else [wire_order.index(n) for n in field_order]
 
@@ -278,9 +388,8 @@ class _Layout:
 
 
 def record(cls):
-    """Class decorator: declare a record dataclass and compile its layout."""
-    cls = dataclass(cls)
-    cls._layout = _Layout(cls)
+    """Class decorator: build a record class and compile its layout."""
+    cls._layout = _Layout(cls, _build(cls, frozen=False))
     return cls
 
 
@@ -478,7 +587,7 @@ _FIELDS = _Fields()
 @record
 class OkReply:
     kind = STATUS_OK
-    fields: dict = field(default_factory=dict, metadata={"wire": _FIELDS})
+    fields: dict = _Field(_FIELDS, factory=dict)
 
 
 @record

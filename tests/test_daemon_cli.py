@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import select
@@ -816,6 +817,21 @@ def test_sigterm_stops_hubd_with_its_snapshot(tmp_path):
         assert snap.stat().st_size > 0
 
 
+def test_the_daemon_imports_only_what_it_runs():
+    # a restart compiles and runs every module it imports: none that only
+    # init, the wallet commands, the scenarios or a key's parse need
+    unwanted = ["dataclasses", "inspect", "cryptography.hazmat.primitives.serialization",
+                "routee.lightclient", "routee.simchain", "routee.simchain_server",
+                "routee.scenarios", "routee.relay"]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    code = "import sys, routee.cli; print(*[name for name in sys.argv[1:] if name in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code, *unwanted], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
+
+
 def test_sigterm_that_misses_the_select_still_stops_the_loop():
     # a SIGTERM that lands after the interpreter's last signal check but
     # before the loop blocks in select does not interrupt that select; one
@@ -838,6 +854,7 @@ def test_sigterm_that_misses_the_select_still_stops_the_loop():
         cli._serve(argparse.Namespace(json=True), server, {"listening": server.port})
         elapsed = time.monotonic() - start
     finally:
+        gc.unfreeze()  # `_serve` froze this test process's objects
         stopped.set()
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
         for signum, handler in handlers.items():

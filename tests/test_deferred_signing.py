@@ -8,7 +8,7 @@ import time
 from routee import wire
 from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub
 from routee import daemon as daemon_mod
-from routee.crypto import CryptoSuite, DeterministicRng
+from routee.crypto import CryptoSuite, DeterministicRng, EcdsaScheme
 from routee.daemon import KEY_POOL_SIZE, DaemonConfig, HubDaemon
 from routee.snapshot import dump_hub, load_hub
 
@@ -118,6 +118,9 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
             assert daemon._idle_slice() is False
             assert hub.key_pool == []
         assert hub.apply_request(wire.GetSettlement())["present"] == 1
+        # no key is made before this process hands one out
+        assert daemon._idle_slice() is True and hub.key_pool == []
+        hub._new_manager_key()  # as a deposit or the next plan's leftover does
         # then each turn makes one key, until the pool is full
         for size in range(1, KEY_POOL_SIZE + 1):
             assert daemon._idle_slice() is (size == KEY_POOL_SIZE)
@@ -126,18 +129,48 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
     finally:
         daemon.stop()
 
-    # the running loop does the same without a frame arriving
+    # the running loop signs the same without a frame arriving, and makes
+    # no key: none has been handed out
     path.write_bytes(data)  # the stop above stored the signed plan
     daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
     assert daemon.hub.key_pool == []  # the snapshot holds no pool
     daemon.start()
     try:
         deadline = time.monotonic() + WAIT_S
-        while len(daemon.hub.key_pool) < KEY_POOL_SIZE:
+        while not daemon.hub.plan.signed:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         with RemoteHub("127.0.0.1", daemon.port) as remote:
             assert remote.request(wire.GetSettlement())["present"] == 1
     finally:
         daemon.stop()
-    assert len(daemon.hub.key_pool) == KEY_POOL_SIZE
+    assert daemon.hub.key_pool == []
+
+
+def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monkeypatch):
+    harness = HubHarness(seed=47, suite=CryptoSuite.full())
+    alice = harness.new_user()
+    harness.deposit(alice, 200_000)
+    path = tmp_path / "hub.snap"
+    path.write_bytes(dump_hub(harness.hub))
+    made = []
+    generate = EcdsaScheme.generate
+    monkeypatch.setattr(EcdsaScheme, "generate", lambda scheme, rng=None: made.append(rng) or generate(scheme, rng))
+    daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
+    daemon.start()
+    try:
+        with RemoteHub("127.0.0.1", daemon.port) as remote:
+            # each reply leaves after the idle hook of the turns before it
+            for _ in range(2):
+                assert remote.request(wire.QueryLedger())["conservation_ok"] == 1
+            assert made == [] and daemon.hub.key_pool == []
+            nonce = harness.nonce(alice)
+            remote.request(alice.sign(wire.AddDeposit(alice.address, nonce)))
+        deadline = time.monotonic() + WAIT_S
+        while len(daemon.hub.key_pool) < KEY_POOL_SIZE:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        daemon.stop()
+    # the deposit's key, made in its request, then the pool's
+    assert len(made) == 1 + KEY_POOL_SIZE and len(daemon.hub.key_pool) == KEY_POOL_SIZE

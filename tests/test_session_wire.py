@@ -10,6 +10,7 @@ import routee.snapshot
 from routee import wire
 from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng, sha256
+from routee.headers import BlockHeader, ChainParams
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
 )
@@ -268,6 +269,83 @@ def test_every_kind_roundtrips():
     assert len({req.kind for req in requests}) == 12
     for req in requests:
         assert wire.decode_request(wire.encode_request(req)) == req
+
+
+# --- the record builder ---
+
+RECEIVER = b"\x02" * 20
+
+
+def test_a_record_takes_its_fields_by_position_or_by_name():
+    by_position = wire.Payment(b"\x01" * 20, 3, [wire.PaymentItem(RECEIVER, 100, 2)], b"sig")
+    by_name = wire.Payment(signature=b"sig", nonce=3, sender_address=b"\x01" * 20,
+                           batch=[wire.PaymentItem(routing_fee=2, amount=100, receiver=RECEIVER)])
+    assert by_position == by_name
+    assert wire.encode_request(by_position) == wire.encode_request(by_name)
+    bare = wire.Payment(b"\x01" * 20, 3)  # the defaults: no items, no signature
+    assert bare.batch == [] and bare.signature == b""
+    assert wire.OkReply().fields == {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wire.Settle(b"\x01" * 20, 3, 500),
+    lambda: wire.Settle(b"\x01" * 20, 3, 500, 40, b"sig", b"more"),
+    lambda: wire.Settle(b"\x01" * 20, 3, 500, 40, tip=1),
+    lambda: wire.Settle(b"\x01" * 20, 3, 500, 40, amount=5),
+    lambda: wire.QueryLedger(1),
+], ids=["missing", "extra", "unknown-name", "given-twice", "none-declared"])
+def test_a_record_refuses_a_missing_or_extra_argument(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_a_record_field_without_a_wire_format_fails_at_declaration():
+    with pytest.raises(TypeError, match="Loose.count"):
+        @wire.record
+        class Loose:
+            nonce: int = wire.fixed("Q")
+            count: int = 0
+
+
+def test_records_never_share_a_default_list_or_dict():
+    first, second = wire.Payment(b"\x01" * 20, 0), wire.Payment(b"\x01" * 20, 0)
+    first.batch.append(wire.PaymentItem(RECEIVER, 1, 1))
+    assert second.batch == [] and first.batch is not second.batch
+    replies = [wire.OkReply(), wire.OkReply()]
+    replies[0].fields["height"] = 1
+    assert replies[1].fields == {}
+
+
+def test_record_equality_and_repr():
+    item = wire.PaymentItem(RECEIVER, 100, 2)
+    assert item == wire.PaymentItem(RECEIVER, 100, 2)
+    assert item != wire.PaymentItem(RECEIVER, 100, 3)
+    assert item != (RECEIVER, 100, 2)
+    assert wire.QueryLedger() == wire.QueryLedger() != wire.GetSettlement()  # equal fields, other class
+    assert repr(item) == f"PaymentItem(receiver={RECEIVER!r}, amount=100, routing_fee=2)"
+    assert repr(wire.Height(3)) == "Height(height=3)" and repr(wire.TipRequest()) == "TipRequest()"
+    with pytest.raises(TypeError):  # mutable, so unhashable, as a dataclass is
+        hash(item)
+
+
+def test_a_frozen_plain_class_hashes_its_fields_and_refuses_assignment():
+    header = BlockHeader(1, bytes(32), b"\x01" * 32, 600, 0x207FFFFF, 7)
+    same = BlockHeader.deserialize(header.serialize())
+    assert same == header and hash(same) == hash(header) and {header: 1}[same] == 1
+    for attempt in (lambda: setattr(header, "nonce", 8), lambda: delattr(header, "nonce")):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert header.nonce == 7
+    assert ChainParams() == ChainParams(2016, 600) != ChainParams.regtest()
+
+
+def test_a_received_request_digests_as_its_reencoding():
+    payment = wire.Payment(b"\x01" * 20, 7, [wire.PaymentItem(RECEIVER, 100, 2)], b"\x05" * 32)
+    received = wire.received_request(wire.encode_request(payment))
+    # the bytes it arrived in are no field: equality and repr ignore them
+    assert received == payment and repr(received) == repr(payment)
+    reencoded = wire.decode_request(wire.encode_request(received))
+    assert received.signing_digest() == reencoded.signing_digest() == payment.signing_digest()
 
 
 # every declared record: the protocol's in `wire`, the snapshot's tables in
