@@ -4,6 +4,9 @@ Each scenario stands up a fresh simchain and hub from one seed, plays an
 attack strategy, and derives its verdict purely from observable chain and
 ledger state. The vulnerable least-set-of-oldest-deposits settlement builder
 lives only here, as a baseline oracle; the hub itself has no code path to it.
+
+`World`, the seeded hub and simchain pairing the scenarios play on, is also
+the in-process harness of the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from . import wire
 from .client import Keys, LocalConnection, LocalHubEndpoint
 from .crypto import CryptoSuite, DeterministicRng, Secret
-from .errors import TxRejected
+from .errors import RouteeError, TxRejected
 from .headers import ChainParams
 from .hub import Hub, HubConfig, OwnedDeposit
 from .lightclient import StaticHeaderSource, NodeHeaderSource, choose_boundary, sync_headers
@@ -48,22 +51,22 @@ class ScenarioReport:
 
 
 class World:
-    """One deterministic simchain (8 blocks mined ahead) and hub pairing
-    driven by a single seed."""
+    """The in-process harness that tests and scenarios share: a hub wired to
+    a simchain node, driven by a single seed, with the signing helpers a
+    wallet and the host use through the daemon."""
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.suite = CryptoSuite.fast_test()
+    def __init__(self, seed=11, premine=8, min_routing_fee=2, suite=CryptoSuite.fast_test()):
+        self.suite = suite
         self.rng = DeterministicRng(seed ^ 0x5EED)
         self.params = ChainParams.regtest()
         self.node = SimNode(self.params, seed=seed)
-        self.node.mine_blocks(8)
+        self.node.mine_blocks(premine)
         self.host = Keys.generate(self.suite.auth, self.rng)
         self.host_settle = self.rng.randbytes(20)
         config = HubConfig(
             self.host.public,
             self.host_settle,
-            min_routing_fee=2,
+            min_routing_fee=min_routing_fee,
             chain_params=self.params,
             suite=self.suite,
             rng_seed=self.rng.randbytes(32),
@@ -72,51 +75,70 @@ class World:
         headers = [b.header for b in self.node.blocks]
         self.hub.initialize(headers[0], 0, headers[1:], self.node.blocks)
 
-    def new_user(self) -> tuple[Keys, bytes, bytes]:
+    def new_user(self) -> Keys:
         keys = Keys.generate(self.suite.auth, self.rng)
-        settle = self.rng.randbytes(20)
-        address = self.hub.add_user(keys.public, settle)
-        return keys, address, settle
+        self.hub.add_user(keys.public, self.rng.randbytes(20))
+        return keys
 
-    def insert(self, block) -> None:
+    def nonce(self, keys: Keys) -> int:
+        return self.hub.users[keys.address].nonce
+
+    def balance(self, keys: Keys) -> int:
+        return self.hub.users[keys.address].balance
+
+    def insert(self, block) -> dict:
         msg = self.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
-        self.hub.insert_block(msg)
+        return self.hub.insert_block(msg)
 
-    def deposit(self, keys: Keys, amount: int) -> bytes:
-        user = self.hub.users[keys.address]
-        msg = keys.sign(wire.AddDeposit(keys.address, user.nonce))
-        manager = self.hub.add_deposit(msg)
-        self.node.pay(manager, amount)
-        block = self.node.mine_block()
-        self.insert(block)
+    def catch_up(self) -> None:
+        for height in range(self.hub.chain.tip_height + 1, self.node.tip_height + 1):
+            self.insert(self.node.get_block(height))
+
+    def deposit(self, keys: Keys, amount: int, fee: int | None = None) -> bytes:
+        """Pay `amount` to a fresh manager address and insert the block. The
+        default fee makes the block's fee sample equal to the current average
+        (1-in/2-out formula size 226), keeping fee_avg stable."""
+        if fee is None:
+            fee = 226 * self.hub.estimator.fee_avg
+        manager = self.hub.add_deposit(keys.sign(wire.AddDeposit(keys.address, self.nonce(keys))))
+        self.node.pay(manager, amount, fee=fee)
+        self.insert(self.node.mine_block())
         return manager
 
-    def set_boundary_tip(self, keys: Keys) -> int:
-        user = self.hub.users[keys.address]
-        height = self.hub.chain.tip_height
-        msg = wire.UpdateBoundary(keys.address, user.nonce, height, self.hub.chain.hash_at(height))
+    def set_boundary(self, keys: Keys, height: int | None = None) -> int:
+        height = self.hub.chain.tip_height if height is None else height
+        msg = wire.UpdateBoundary(keys.address, self.nonce(keys), height, self.hub.chain.hash_at(height))
         return self.hub.update_boundary_block(keys.sign(msg))
 
-    def pay(self, sender: Keys, receiver_address: bytes, amount: int, fee: int) -> None:
-        user = self.hub.users[sender.address]
-        msg = wire.Payment(sender.address, user.nonce, [wire.PaymentItem(receiver_address, amount, fee)])
-        self.hub.multi_hop_payment(sender.sign(msg))
+    def pay(self, sender: Keys, receiver_address: bytes, amount: int, fee: int) -> int:
+        return self.pay_batch(sender, [(receiver_address, amount, fee)])
 
-    def settle(self, keys: Keys, amount: int, fee: int) -> None:
-        user = self.hub.users[keys.address]
-        msg = wire.Settle(keys.address, user.nonce, amount, fee)
-        self.hub.request_settlement(keys.sign(msg))
+    def pay_batch(self, sender: Keys, items: list[tuple[bytes, int, int]]) -> int:
+        return self.hub.multi_hop_payment(self.signed_payment(sender, items))
 
-    def onchain_value(self, address: bytes) -> int:
-        return sum(o.value for o in self.node.utxo.values() if o.lock_address == address)
+    def signed_payment(self, sender: Keys, items: list[tuple[bytes, int, int]]) -> wire.Payment:
+        batch = [wire.PaymentItem(address, amount, fee) for address, amount, fee in items]
+        return sender.sign(wire.Payment(sender.address, self.nonce(sender), batch))
 
-    def terminate(self) -> None:
-        self.hub.terminate(self.host.sign(wire.Terminate(self.hub.chain.tip_hash)))
+    def settle(self, keys: Keys, amount: int, fee: int) -> int:
+        return self.hub.request_settlement(keys.sign(wire.Settle(keys.address, self.nonce(keys), amount, fee)))
+
+    def terminate(self) -> int:
+        return self.hub.terminate(self.host.sign(wire.Terminate(self.hub.chain.tip_hash)))
 
     def signed_plan(self):
         """The outstanding plan, signed as a front end signs it between frames."""
         self.hub.sign_plan()
         return self.hub.plan
+
+    def confirm_outstanding(self) -> dict:
+        plan = self.signed_plan()
+        assert plan is not None
+        self.node.submit_tx(plan.transaction)
+        return self.insert(self.node.mine_block())
+
+    def onchain_value(self, address: bytes) -> int:
+        return sum(o.value for o in self.node.utxo.values() if o.lock_address == address)
 
     def run_settlements_to_completion(self) -> int:
         """Honest host loop: broadcast the outstanding plan, mine, insert, for
@@ -173,24 +195,23 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
     w = World(seed)
     hub, node = w.hub, w.node
 
-    alice, alice_addr, _ = w.new_user()
-    bob, bob_addr, _ = w.new_user()
-    w.deposit(alice, 50_000)
-    w.deposit(bob, 70_000)
+    alice, bob = w.new_user(), w.new_user()
+    w.deposit(alice, 50_000, fee=0)
+    w.deposit(bob, 70_000, fee=0)
     honest_outpoints = list(hub.owned.keys())
     honest_value = sum(d.value for d in hub.owned.values())
     report.log(f"honest deposits on main chain: {honest_value} sat in {len(honest_outpoints)} outputs")
 
-    attacker, attacker_addr, attacker_settle = w.new_user()
-    user = hub.users[attacker_addr]
-    manager = hub.add_deposit(attacker.sign(wire.AddDeposit(attacker_addr, user.nonce)))
+    attacker = w.new_user()
+    attacker_settle = hub.users[attacker.address].settle_address
+    manager = hub.add_deposit(attacker.sign(wire.AddDeposit(attacker.address, w.nonce(attacker))))
 
     fork_height = node.tip_height
     forged = forge_chain(node, fork_height, [(manager, 40_000)])
     for block in forged:
         w.insert(block)
     report.log(f"hub accepted {len(forged)} forged blocks on top of height {fork_height}")
-    fake_balance = hub.users[attacker_addr].balance
+    fake_balance = w.balance(attacker)
     report.details["fake_balance"] = fake_balance
     if fake_balance <= 0:
         report.verdict = "error"
@@ -282,14 +303,13 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
 
 def _economics_world(seed: int, with_fees: bool) -> World:
     w = World(seed)
-    alice, _, _ = w.new_user()
-    bob, bob_addr, _ = w.new_user()
-    w.deposit(alice, 200_000)
+    alice, bob = w.new_user(), w.new_user()
+    w.deposit(alice, 200_000, fee=0)
     w.insert(w.node.mine_block())
-    w.set_boundary_tip(bob)
+    w.set_boundary(bob)
     if with_fees:
         for _ in range(5):
-            w.pay(alice, bob_addr, 4_000, 1_000)
+            w.pay(alice, bob.address, 4_000, 1_000)
     return w
 
 
@@ -384,26 +404,23 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     hub = w.hub
     session_rng = DeterministicRng(seed ^ 0xAB)
 
-    alice, alice_addr, _ = w.new_user()
-    bob, bob_addr, _ = w.new_user()
-    dave, dave_addr, _ = w.new_user()
-    w.deposit(alice, 300_000)
-    w.deposit(dave, 300_000)
+    alice, bob, dave = w.new_user(), w.new_user(), w.new_user()
+    w.deposit(alice, 300_000, fee=0)
+    w.deposit(dave, 300_000, fee=0)
     w.insert(w.node.mine_block())
-    w.set_boundary_tip(bob)
+    w.set_boundary(bob)
 
     endpoint = LocalHubEndpoint(hub, session_rng=session_rng)
 
     # --- replay: one payment envelope injected 100 extra times ---
     conn = LocalConnection(endpoint, rng=session_rng)
-    nonce = hub.users[alice_addr].nonce
-    payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 500, 10)]))
-    frame = wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(payment)))
-    bob_before = hub.users[bob_addr].balance
+    request = w.signed_payment(alice, [(bob.address, 500, 10)])
+    frame = wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(wire.encode_request(request)))
+    bob_before = w.balance(bob)
     endpoint.handle_frame(frame)
     for _ in range(100):
         endpoint.handle_frame(frame)
-    credited = hub.users[bob_addr].balance - bob_before
+    credited = w.balance(bob) - bob_before
     report.deltas["replay_credited"] = credited
     replay_ok = credited == 500
     report.log(f"replayed payment x100: receiver credited {credited} (want 500 exactly once)")
@@ -411,20 +428,18 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     # --- drop schedule: lost requests never cost anyone funds ---
     relay = Relay(RelaySchedule(seed=seed, p_drop=0.5))
     sent = applied = 0
-    alice_before = hub.users[alice_addr].balance
-    bob_before = hub.users[bob_addr].balance
+    alice_before, bob_before = w.balance(alice), w.balance(bob)
     for _ in range(30):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
-        nonce = hub.users[alice_addr].nonce
-        payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
+        request = w.signed_payment(alice, [(bob.address, 100, 10)])
         sent += 1
         try:
-            conn.request(payment)
+            conn.request(request)
             applied += 1
-        except Exception:
+        except RouteeError:
             pass
-    debited = alice_before - hub.users[alice_addr].balance
-    credited = hub.users[bob_addr].balance - bob_before
+    debited = alice_before - w.balance(alice)
+    credited = w.balance(bob) - bob_before
     conservation = hub.conservation()
     drop_ok = debited == applied * 110 and credited == applied * 100 and conservation["ok"]
     report.deltas["drop_sent"] = sent
@@ -437,16 +452,15 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     # --- duplicate schedule: the sequence defense blocks double application ---
     relay = Relay(RelaySchedule(seed=seed + 1, p_duplicate=1.0))
     dup_applied = 0
-    bob_before = hub.users[bob_addr].balance
+    bob_before = w.balance(bob)
     for _ in range(10):
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
-        nonce = hub.users[alice_addr].nonce
-        payment = alice.sign(wire.Payment(alice_addr, nonce, [wire.PaymentItem(bob_addr, 100, 10)]))
+        request = w.signed_payment(alice, [(bob.address, 100, 10)])
         try:
-            conn.request(payment)
-        except Exception:
+            conn.request(request)
+        except RouteeError:
             pass
-        dup_applied = (hub.users[bob_addr].balance - bob_before) // 100
+        dup_applied = (w.balance(bob) - bob_before) // 100
     dup_ok = dup_applied == 10
     report.deltas["duplicate_applied"] = dup_applied
     report.log(f"duplicate-everything: {dup_applied}/10 payments applied exactly once")
@@ -456,18 +470,15 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
     relay = Relay(RelaySchedule(seed=seed + 2, p_reorder=0.6, max_hold=3))
     fee_log: list[tuple[int, int]] = []
     for i in range(12):
-        sender, sender_addr = (alice, alice_addr) if i % 2 == 0 else (dave, dave_addr)
         conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
-        nonce = hub.users[sender_addr].nonce
         signed_fee = 10 + i
-        payment = sender.sign(wire.Payment(sender_addr, nonce, [wire.PaymentItem(bob_addr, 50, signed_fee)]))
+        request = w.signed_payment(alice if i % 2 == 0 else dave, [(bob.address, 50, signed_fee)])
         rf_before = hub.rf_pending
         try:
-            conn.request(payment)
-            fee_log.append((signed_fee, hub.rf_pending - rf_before))
-        except Exception:
+            conn.request(request)
+        except RouteeError:
             conn.flush_relay()
-            fee_log.append((signed_fee, hub.rf_pending - rf_before))
+        fee_log.append((signed_fee, hub.rf_pending - rf_before))
     reorder_ok = all(taken in (0, signed) for signed, taken in fee_log)
     reorder_applied = sum(1 for _, taken in fee_log if taken > 0)
     report.deltas["reorder_applied"] = reorder_applied
@@ -476,8 +487,7 @@ def scenario_message_abuse(seed: int) -> ScenarioReport:
 
     # --- leakage: the relay byte stream never shows plaintext markers ---
     observed = relay.observed_bytes()
-    markers = [bob_addr, alice_addr, dave_addr]
-    leaked = any(marker in observed for marker in markers)
+    leaked = any(keys.address in observed for keys in (bob, alice, dave))
     report.details["plaintext_leaked"] = leaked
     report.log(f"relay observed {len(observed)} bytes; plaintext marker present: {leaked}")
 
@@ -495,10 +505,20 @@ SCENARIOS = {
 }
 
 
+def _seed(value: str) -> int:
+    """A seed: what an unsigned 8-byte integer holds, as `cli` checks amounts."""
+    n = int(value)
+    if not 0 <= n < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be from 0 to 2**64 - 1, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run the named scenarios. Exit 0 when every verdict is the expected
+    one: `defended`, or `vulnerable` for fake-deposit's naive builder."""
     parser = argparse.ArgumentParser(prog="routee-scenario")
     parser.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0, help="from 0 to 2**64 - 1")
     parser.add_argument("--naive", action="store_true",
                         help="fake-deposit only: use the vulnerable baseline builder")
     parser.add_argument("--json", action="store_true")
@@ -520,8 +540,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{report.scenario}] seed={report.seed} verdict={report.verdict}")
             for step in report.steps:
                 print(f"  - {step}")
-    expected = "vulnerable" if args.naive else "defended"
-    return 0 if all(r.verdict == expected for r in reports) else 1
+    expected = ["vulnerable" if r.details.get("builder") == "naive" else "defended" for r in reports]
+    return 0 if [r.verdict for r in reports] == expected else 1
 
 
 if __name__ == "__main__":

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import strategies as st
 
 from routee.blocks import Block, apply_block
-from routee.client import Keys
 from routee.crypto import CryptoSuite
 from routee.errors import RouteeError
 from routee.headers import ChainParams
-from routee.hub import Hub, HubConfig
+from routee.scenarios import World
 from routee.simchain import SimNode
 from routee.transactions import Outpoint, TxOutput
 from routee import wire
@@ -90,112 +89,8 @@ def every_request_kind():
 
 
 @pytest.fixture
-def suite():
-    return FAST
-
-
-@pytest.fixture
 def node():
     return SimNode(ChainParams.regtest(), seed=11)
-
-
-class HubHarness:
-    """A hub wired to a simchain node with signing helpers, mirroring what the
-    daemon plus CLI do, but in process."""
-
-    def __init__(self, seed=11, min_routing_fee=2, premine=8, params=None, fee_blocks=None, suite=FAST):
-        from routee.crypto import DeterministicRng
-
-        self.suite = suite
-        self.params = params or ChainParams.regtest()
-        self.node = SimNode(self.params, seed=seed)
-        self.node.mine_blocks(premine)
-        self.key_rng = DeterministicRng(seed ^ 0x517)
-        self.host = Keys.generate(self.suite.auth, self.key_rng)
-        self.host_settle = b"\x68" * 20
-        config = HubConfig(
-            self.host.public,
-            self.host_settle,
-            min_routing_fee,
-            self.params,
-            self.suite,
-            rng_seed=seed,
-        )
-        self.hub = Hub(config)
-        headers = [b.header for b in self.node.blocks]
-        window = fee_blocks if fee_blocks is not None else self.node.blocks
-        self.hub.initialize(headers[0], 0, headers[1:], window)
-
-    def new_user(self, settle=None):
-        keys = Keys.generate(self.suite.auth, self.key_rng)
-        settle = settle or keys.address  # settle to an address derived from the key
-        self.hub.add_user(keys.public, settle)
-        return keys
-
-    def nonce(self, keys):
-        return self.hub.users[keys.address].nonce
-
-    def insert(self, block):
-        msg = self.host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
-        return self.hub.insert_block(msg)
-
-    def catch_up(self):
-        start = self.hub.chain.tip_height + 1
-        for height in range(start, self.node.tip_height + 1):
-            self.insert(self.node.get_block(height))
-
-    def deposit(self, keys, amount, fee=None):
-        """On-chain deposit; the default fee makes the deposit block's fee
-        sample equal to the current average, keeping fee_avg stable."""
-        if fee is None:
-            fee = 226 * self.hub.estimator.fee_avg  # 1-in/2-out formula size
-        msg = keys.sign(wire.AddDeposit(keys.address, self.nonce(keys)))
-        manager = self.hub.add_deposit(msg)
-        self.node.pay(manager, amount, fee=fee)
-        self.insert(self.node.mine_block())
-        return manager
-
-    def set_boundary(self, keys, height=None):
-        height = self.hub.chain.tip_height if height is None else height
-        msg = wire.UpdateBoundary(keys.address, self.nonce(keys), height, self.hub.chain.hash_at(height))
-        return self.hub.update_boundary_block(keys.sign(msg))
-
-    def pay(self, sender, receiver_addr, amount, fee):
-        return self.pay_batch(sender, [(receiver_addr, amount, fee)])
-
-    def pay_batch(self, sender, items):
-        batch = [wire.PaymentItem(addr, amount, fee) for addr, amount, fee in items]
-        msg = sender.sign(wire.Payment(sender.address, self.nonce(sender), batch))
-        return self.hub.multi_hop_payment(msg)
-
-    def settle(self, keys, amount, fee):
-        return self.hub.request_settlement(
-            keys.sign(wire.Settle(keys.address, self.nonce(keys), amount, fee))
-        )
-
-    def terminate(self):
-        return self.hub.terminate(
-            self.host.sign(wire.Terminate(self.hub.chain.tip_hash))
-        )
-
-    def signed_plan(self):
-        """The outstanding plan, signed as a front end signs it between frames."""
-        self.hub.sign_plan()
-        return self.hub.plan
-
-    def confirm_outstanding(self):
-        plan = self.signed_plan()
-        assert plan is not None
-        self.node.submit_tx(plan.transaction)
-        return self.insert(self.node.mine_block())
-
-    def balance(self, keys):
-        return self.hub.users[keys.address].balance
-
-
-@pytest.fixture
-def harness():
-    return HubHarness()
 
 
 def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
@@ -203,10 +98,8 @@ def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
     accepted or rejected operation. Returns the harness for final checks."""
     import random
 
-    from routee.errors import RouteeError
-
     rng = random.Random(seed)
-    harness = HubHarness(seed=seed, min_routing_fee=2)
+    harness = World(seed)
     users = [harness.new_user() for _ in range(n_users)]
     fee_avg = harness.hub.estimator.fee_avg
 

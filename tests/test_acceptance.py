@@ -28,7 +28,7 @@ from routee.headers import (
 )
 from routee.hub import Hub, HubConfig, OwnedDeposit
 from routee.relay import Relay, RelaySchedule
-from routee.scenarios import scenario_fake_deposit
+from routee.scenarios import World, scenario_fake_deposit
 from routee.simchain import SimNode
 from routee.transactions import (
     Transaction,
@@ -38,7 +38,7 @@ from routee.transactions import (
     make_unlock,
 )
 
-from conftest import FAST, HubHarness, run_conservation_mix
+from conftest import FAST, run_conservation_mix
 
 
 def report(criterion, ok, detail=""):
@@ -56,7 +56,7 @@ def test_criterion_1_fee_formula_exactness():
     start = time.perf_counter()
     ok_size = formula_size(2000, 2001) == 364_044
 
-    harness = HubHarness(seed=101)
+    harness = World(seed=101)
     harness.hub.estimator.window.clear()
     harness.hub.estimator.window.append(10)
     alice = harness.new_user()
@@ -64,7 +64,7 @@ def test_criterion_1_fee_formula_exactness():
     ok_increase = harness.balance(alice) == 98_520
 
     # rf_confirmed = floor(1000 * 500 / 2000) = 250, via the real build path
-    h2 = HubHarness(seed=102)
+    h2 = World(seed=102)
     alice2, bob2 = h2.new_user(), h2.new_user()
     h2.deposit(alice2, 3_148)
     h2.set_boundary(bob2)
@@ -325,7 +325,7 @@ def _encode_payment_frames(harness, endpoint, sender, receiver, count, batch_siz
 
 
 def test_criterion_7_payment_throughput():
-    harness = HubHarness(seed=700)
+    harness = World(seed=700)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 2_000_000_000)
     harness.set_boundary(bob)
@@ -434,7 +434,7 @@ def test_criterion_8_header_verification():
 
 def test_criterion_9_settlement_generation_2000x2001():
     n_users = 2_000
-    harness = HubHarness(seed=900, premine=2)
+    harness = World(seed=900, premine=2)
     hub, node = harness.hub, harness.node
     rng = DeterministicRng(901)
 
@@ -498,7 +498,7 @@ def test_criterion_9_settlement_generation_2000x2001():
 
 def test_criterion_10_session_robustness():
     start = time.perf_counter()
-    harness = HubHarness(seed=1000)
+    harness = World(seed=1000)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 50_000_000)
     harness.set_boundary(bob)

@@ -10,10 +10,10 @@ import pytest
 from routee import wire
 from routee.client import LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng
+from routee.scenarios import World
 from routee.session import ClientHandshake, HubSessionEndpoint
 from routee.wire import FRAME_ENVELOPE
 
-from conftest import HubHarness
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -54,7 +54,7 @@ def test_envelope_rid_reads_session_id_and_seq():
 def test_tracer_sees_the_calls_of_the_hub_table():
     # the hub's dispatch table looks each method up when it runs, so the
     # methods the tracer replaced on the class are the ones called
-    harness = HubHarness()
+    harness = World()
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 50_000)
     harness.set_boundary(bob)

@@ -10,9 +10,10 @@ from routee.client import LocalConnection, LocalHubEndpoint, RemoteHub
 from routee import daemon as daemon_mod
 from routee.crypto import CryptoSuite, DeterministicRng, EcdsaScheme
 from routee.daemon import KEY_POOL_SIZE, DaemonConfig, HubDaemon
+from routee.scenarios import World
 from routee.snapshot import dump_hub, load_hub
 
-from conftest import FAST, HubHarness
+from conftest import FAST
 
 WAIT_S = 5.0
 
@@ -20,7 +21,7 @@ WAIT_S = 5.0
 def three_input_plan(seed, suite=FAST):
     """A harness whose hub owns three deposits and holds an unsigned plan
     spending all of them."""
-    harness = HubHarness(seed=seed, suite=suite)
+    harness = World(seed=seed, suite=suite)
     alice = harness.new_user()
     for _ in range(3):
         harness.deposit(alice, 200_000)
@@ -47,7 +48,7 @@ def test_sign_plan_past_its_deadline_signs_one_input_per_call():
     harness.node.submit_tx(tx)
     assert harness.insert(harness.node.mine_block())["confirmed_plan"] == 1
     assert hub.conservation()["ok"]
-    assert HubHarness(seed=1).hub.sign_plan() is True  # no plan at all
+    assert World(seed=1).hub.sign_plan() is True  # no plan at all
 
 
 def test_half_signed_plan_survives_a_snapshot_and_finishes_after_load():
@@ -67,7 +68,7 @@ def test_half_signed_plan_survives_a_snapshot_and_finishes_after_load():
 
 
 def test_in_process_front_end_signs_before_the_frame_returns():
-    harness = HubHarness(seed=44)
+    harness = World(seed=44)
     alice = harness.new_user()
     for _ in range(3):
         harness.deposit(alice, 200_000)
@@ -148,7 +149,7 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
 
 
 def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monkeypatch):
-    harness = HubHarness(seed=47, suite=CryptoSuite.full())
+    harness = World(seed=47, suite=CryptoSuite.full())
     alice = harness.new_user()
     harness.deposit(alice, 200_000)
     path = tmp_path / "hub.snap"

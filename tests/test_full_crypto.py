@@ -7,16 +7,12 @@ from routee.client import Keys
 from routee.crypto import CryptoSuite, address_of
 from routee.daemon import KEY_POOL_SIZE
 from routee.errors import AuthFailure
-from routee.headers import ChainParams
-from routee.hub import Hub, HubConfig
-from routee.simchain import SimNode
+from routee.scenarios import World
 from routee.snapshot import dump_hub, load_hub
 from routee.transactions import Transaction, parse_unlock
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
-
-from conftest import HubHarness
 
 FULL = CryptoSuite.full()
 SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -30,17 +26,6 @@ def malleate(unlock: bytes) -> bytes:
     swapped = encode_dss_signature(r, SECP256K1_ORDER - s)
     return (len(public_key).to_bytes(2, "big") + public_key
             + len(swapped).to_bytes(2, "big") + swapped)
-
-
-def full_hub(seed):
-    """A chain, its full-crypto hub initialized from it, and the host's keys."""
-    node = SimNode(ChainParams.regtest(), scheme=FULL.onchain, seed=seed)
-    node.mine_blocks(3)
-    host = Keys.generate(FULL.auth)
-    hub = Hub(HubConfig(host.public, b"\x68" * 20, 2, node.params, FULL))
-    headers = [b.header for b in node.blocks]
-    hub.initialize(headers[0], 0, headers[1:], node.blocks)
-    return node, host, hub
 
 
 def test_rsa_sign_parses_each_private_key_once(monkeypatch):
@@ -69,54 +54,39 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
         return load(*args, **kwargs)
 
     monkeypatch.setattr(crypto, "load_der_private_key", counting_load)
-    node, host, hub = full_hub(seed=31)
+    w = World(seed=31, premine=3, suite=FULL)
+    hub, node = w.hub, w.node
+    alice, bob = w.new_user(), w.new_user()
 
-    def insert(block):
-        msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
-        return hub.insert_block(msg)
+    w.deposit(alice, 100_000)
+    assert w.balance(alice) == 100_000 - 148
 
-    alice = Keys.generate(FULL.auth)
-    bob = Keys.generate(FULL.auth)
-    a_addr = hub.add_user(alice.public, b"\x0a" * 20)
-    b_addr = hub.add_user(bob.public, b"\x0b" * 20)
-
-    manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
-    node.pay(manager, 100_000)
-    insert(node.mine_block())
-    assert hub.users[a_addr].balance == 100_000 - 148
-
-    tip = hub.chain.tip_height
-    hub.update_boundary_block(
-        bob.sign(wire.UpdateBoundary(bob.address, 0, tip, hub.chain.hash_at(tip)))
-    )
-    hub.multi_hop_payment(
-        alice.sign(wire.Payment(alice.address, 1, [wire.PaymentItem(b_addr, 500, 5)]))
-    )
-    assert hub.users[b_addr].balance == 500
+    w.set_boundary(bob)
+    w.pay(alice, bob.address, 500, 5)
+    assert w.balance(bob) == 500
 
     # a signature from the wrong RSA key is rejected
     mallory = Keys.generate(FULL.auth)
-    forged = mallory.sign(wire.Payment(mallory.address, 2, [wire.PaymentItem(b_addr, 1, 5)]))
-    forged.sender_address = a_addr
+    forged = mallory.sign(wire.Payment(mallory.address, 2, [wire.PaymentItem(bob.address, 1, 5)]))
+    forged.sender_address = alice.address
     with pytest.raises(AuthFailure):
         hub.multi_hop_payment(forged)
 
     # the ECDSA-signed settlement validates on the chain, and signing with
     # keys the hub generated parses no key
-    settle = alice.sign(wire.Settle(alice.address, 2, 10_000, 800))
+    settle = alice.sign(wire.Settle(alice.address, w.nonce(alice), 10_000, 800))
     parses.clear()
     hub.request_settlement(settle)
     assert hub.sign_plan()
     plan = hub.plan
     assert plan is not None
     assert parses == []
-    node.submit_tx(plan.transaction)
-    insert(node.mine_block())
+    w.confirm_outstanding()
     assert hub.plans_confirmed == 1
     assert hub.conservation()["ok"]
 
     # with one deposit left pending, each manager secret is stored once
-    second = hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, 1)))
+    second = hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, w.nonce(bob))))
     assert hub.pending_deposits
     data = dump_hub(hub)
     for secret, _ in hub.manager_keys.values():
@@ -125,12 +95,12 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     # a restored hub parses each owned deposit's key once, when it signs,
     # and its plan validates on the chain
     node.pay(second, 50_000)
-    insert(node.mine_block())
+    w.insert(node.mine_block())
     assert len(hub.owned) == 2
     parses.clear()
     restored = load_hub(dump_hub(hub))
     assert parses == []
-    settle = alice.sign(wire.Settle(alice.address, 3, 10_000, 800))
+    settle = alice.sign(wire.Settle(alice.address, w.nonce(alice), 10_000, 800))
     parses.clear()
     restored.request_settlement(settle)
     assert restored.sign_plan()
@@ -141,17 +111,12 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
 
 
 def test_plan_confirms_when_its_signatures_are_malleated():
-    node, host, hub = full_hub(seed=32)
-
-    def insert(block):
-        return hub.insert_block(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
-
-    alice = Keys.generate(FULL.auth)
-    hub.add_user(alice.public, b"\x0a" * 20)
-    for nonce in range(2):
-        node.pay(hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, nonce))), 100_000)
-        insert(node.mine_block())
-    hub.request_settlement(alice.sign(wire.Settle(alice.address, 2, 10_000, 800)))
+    w = World(seed=32, premine=3, suite=FULL)
+    hub, node = w.hub, w.node
+    alice = w.new_user()
+    for _ in range(2):
+        w.deposit(alice, 100_000)
+    w.settle(alice, 10_000, 800)
     assert hub.sign_plan()
     plan = hub.plan
     assert plan.tx_inputs == 2
@@ -163,7 +128,7 @@ def test_plan_confirms_when_its_signatures_are_malleated():
     assert tx.sighash() == plan.transaction.sighash()
     assert tx.txid() != plan.transaction.txid()
     node.submit_tx(tx)
-    report = insert(node.mine_block())
+    report = w.insert(node.mine_block())
     assert report["confirmed_plan"] == 1
     assert hub.plans_confirmed == 1 and hub.plan is None
     leftover = (tx.txid(), len(tx.outputs) - 1)
@@ -172,11 +137,10 @@ def test_plan_confirms_when_its_signatures_are_malleated():
     assert hub.conservation()["ok"]
 
     # the next plan spends the leftover the chain holds
-    hub.request_settlement(alice.sign(wire.Settle(alice.address, 3, 10_000, 800)))
+    w.settle(alice, 10_000, 800)
     assert hub.sign_plan()
     assert hub.plan.input_outpoints == [leftover]
-    node.submit_tx(hub.plan.transaction)
-    assert insert(node.mine_block())["confirmed_plan"] == 1
+    assert w.confirm_outstanding()["confirmed_plan"] == 1
     assert hub.conservation()["ok"]
 
 
@@ -189,19 +153,12 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
         return generate(rng)
 
     monkeypatch.setattr(FULL.onchain, "generate", counting_generate)
-    node, host, hub = full_hub(seed=33)
-    alice = Keys.generate(FULL.auth)
-    hub.add_user(alice.public, b"\x0a" * 20)
-    nonces = iter(range(10))
+    w = World(seed=33, premine=3, suite=FULL)
+    hub, node = w.hub, w.node
+    alice = w.new_user()
 
     def deposit():
-        return hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, next(nonces))))
-
-    def settle():
-        hub.request_settlement(alice.sign(wire.Settle(alice.address, next(nonces), 10_000, 800)))
-
-    def insert(block):
-        return hub.insert_block(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))
+        return hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, w.nonce(alice))))
 
     def fill():
         turns = 1
@@ -209,8 +166,8 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
             turns += 1
         return turns
 
-    # with an empty pool the request makes its key itself (the chain's
-    # wallet makes keys too, so each count starts at the request)
+    # with an empty pool the request makes its key itself (each count
+    # starts at the request)
     made.clear()
     manager = deposit()
     assert made == [hub.rng] and hub.key_pool == []
@@ -228,7 +185,7 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
     manager = deposit()
     assert made == [] and manager == address_of(pk) and hub.manager_keys[manager] == (sk, pk)
     node.pay(manager, 100_000)
-    insert(node.mine_block())
+    w.insert(node.mine_block())
     assert len(hub.owned) == 2
 
     # no key waiting in the pool is in the snapshot, and a loaded hub's
@@ -241,9 +198,9 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
     # the InsertBlock that confirms a plan builds the next one: its leftover
     # key comes from a filled pool without a key made, else from the request
     for filled in (True, False):
-        settle()
+        w.settle(alice, 10_000, 800)
         assert hub.plan is not None and hub.sign_plan()
-        settle()  # queues behind the outstanding plan
+        w.settle(alice, 10_000, 800)  # queues behind the outstanding plan
         if filled:
             fill()
         else:
@@ -251,17 +208,16 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
         node.submit_tx(hub.plan.transaction)
         block = node.mine_block()
         made.clear()
-        report = insert(block)
+        report = w.insert(block)
         assert report["confirmed_plan"] == 1 and report["plan_built"] == 1
         assert made == ([] if filled else [hub.rng])
         assert hub.sign_plan()
-        node.submit_tx(hub.plan.transaction)
-        insert(node.mine_block())
+        w.confirm_outstanding()
         assert hub.plan is None and hub.conservation()["ok"]
 
 
 def test_fast_test_hub_never_fills_its_pool():
-    harness = HubHarness(seed=3)
+    harness = World(seed=3)
     hub = harness.hub
     counter = hub.rng.counter
     assert hub.fill_key_pool(KEY_POOL_SIZE)

@@ -24,21 +24,14 @@ from routee.errors import (
 )
 from routee.headers import BlockHeader
 from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
+from routee.scenarios import World
 from routee.simchain import SimNode
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
 from routee.transactions import formula_size
 
-from conftest import HubHarness, every_request_kind
+from conftest import every_request_kind
 
 FAST = CryptoSuite.fast_test()
-
-
-def make_hub(node, host, min_fee=2, **kwargs):
-    config = HubConfig(host.public, b"\x68" * 20, min_fee, node.params, FAST, **kwargs)
-    hub = Hub(config)
-    headers = [b.header for b in node.blocks]
-    hub.initialize(headers[0], 0, headers[1:], node.blocks)
-    return hub
 
 
 # ------------------------------------------------------------------
@@ -76,7 +69,7 @@ def test_init_and_snapshot_load_refuse_a_base_without_proof_of_work():
 
 
 def test_init_runs_exactly_once():
-    harness = HubHarness()
+    harness = World()
     with pytest.raises(Exception):
         harness.hub.initialize(harness.node.blocks[0].header, 0, [], [])
 
@@ -126,7 +119,8 @@ def test_fee_window_rejects_foreign_blocks():
 # ------------------------------------------------------------------
 # add_user / add_deposit
 
-def test_add_user_fresh_duplicate_distinct(harness):
+def test_add_user_fresh_duplicate_distinct():
+    harness = World()
     k1 = Keys.generate(FAST.auth)
     k2 = Keys.generate(FAST.auth)
     a1 = harness.hub.add_user(k1.public, b"\x01" * 20)
@@ -140,7 +134,8 @@ def test_add_user_fresh_duplicate_distinct(harness):
     assert a1 == address_of(k1.public)
 
 
-def test_add_deposit_grows_pending_and_blocks_replay(harness):
+def test_add_deposit_grows_pending_and_blocks_replay():
+    harness = World()
     alice = harness.new_user()
     msg = alice.sign(wire.AddDeposit(alice.address, 0))
     m1 = harness.hub.add_deposit(msg)
@@ -153,7 +148,8 @@ def test_add_deposit_grows_pending_and_blocks_replay(harness):
     assert len(harness.hub.pending_deposits) == 2
 
 
-def test_bad_signature_does_not_consume_nonce(harness):
+def test_bad_signature_does_not_consume_nonce():
+    harness = World()
     alice = harness.new_user()
     msg = alice.sign(wire.AddDeposit(alice.address, 0))
     msg.signature = bytes(32)
@@ -162,7 +158,8 @@ def test_bad_signature_does_not_consume_nonce(harness):
     assert harness.nonce(alice) == 0
 
 
-def test_authentic_rejection_consumes_nonce(harness):
+def test_authentic_rejection_consumes_nonce():
+    harness = World()
     alice = harness.new_user()
     bob = harness.new_user()
     harness.set_boundary(bob)
@@ -179,7 +176,8 @@ def test_authentic_rejection_consumes_nonce(harness):
 # ------------------------------------------------------------------
 # boundary blocks
 
-def test_boundary_opens_receive_channel_and_is_monotonic(harness):
+def test_boundary_opens_receive_channel_and_is_monotonic():
+    harness = World()
     bob = harness.new_user()
     state = harness.hub.users[bob.address]
     assert state.boundary_block is None
@@ -190,7 +188,8 @@ def test_boundary_opens_receive_channel_and_is_monotonic(harness):
         harness.set_boundary(bob, 3)
 
 
-def test_boundary_rejects_forged_hash(harness):
+def test_boundary_rejects_forged_hash():
+    harness = World()
     bob = harness.new_user()
     from routee.simchain import forge_chain
 
@@ -234,7 +233,8 @@ def test_deposit_credit_uses_balance_increase_formula():
     assert not hub.pending_deposits
 
 
-def test_deposit_credit_example_fee_avg_10(harness):
+def test_deposit_credit_example_fee_avg_10():
+    harness = World()
     # pin fee_avg at 10 by injecting the estimator window directly
     harness.hub.estimator.window.clear()
     harness.hub.estimator.window.append(10)
@@ -244,7 +244,8 @@ def test_deposit_credit_example_fee_avg_10(harness):
     assert harness.hub.conservation()["ok"]
 
 
-def test_dust_deposit_credits_zero_but_stays_spendable(harness):
+def test_dust_deposit_credits_zero_but_stays_spendable():
+    harness = World()
     harness.hub.estimator.window.clear()
     harness.hub.estimator.window.append(10)
     alice = harness.new_user()
@@ -257,29 +258,21 @@ def test_dust_deposit_credits_zero_but_stays_spendable(harness):
 
 
 def test_pending_deposit_expires():
-    node = SimNode(seed=5)
-    node.mine_blocks(2)
-    host = Keys.generate(FAST.auth)
-    hub = make_hub(node, host)
-    alice = Keys.generate(FAST.auth)
-    hub.add_user(alice.public, b"\x0a" * 20)
+    harness = World(seed=5, premine=2)
+    hub, node = harness.hub, harness.node
+    alice = harness.new_user()
     manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
-    reports = []
-    for _ in range(DEPOSIT_EXPIRY_BLOCKS + 2):
-        block = node.mine_block()
-        msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
-        reports.append(hub.insert_block(msg))
+    reports = [harness.insert(node.mine_block()) for _ in range(DEPOSIT_EXPIRY_BLOCKS + 2)]
     assert sum(r["expired"] for r in reports) == 1
     assert manager not in hub.pending_deposits
     # a payment arriving after expiry is ignored
     node.pay(manager, 50_000)
-    block = node.mine_block()
-    msg = host.sign(wire.InsertBlock(block.serialize()), block.header.hash())
-    assert hub.insert_block(msg)["credited"] == 0
-    assert hub.users[alice.address].balance == 0
+    assert harness.insert(node.mine_block())["credited"] == 0
+    assert harness.balance(alice) == 0
 
 
-def test_insert_block_rejects_non_tip_and_bad_host_sig(harness):
+def test_insert_block_rejects_non_tip_and_bad_host_sig():
+    harness = World()
     harness.node.mine_blocks(2)
     stale = harness.node.get_block(harness.node.tip_height - 1)
     tip = harness.node.get_block(harness.node.tip_height)
@@ -305,7 +298,7 @@ def test_insert_block_rejects_non_tip_and_bad_host_sig(harness):
 
 def two_phase_setup():
     """Alice holds balance 90 sourced at block 3; Bob's boundary starts at 1."""
-    harness = HubHarness(seed=8, premine=2, min_routing_fee=2)
+    harness = World(seed=8, premine=2, min_routing_fee=2)
     alice, bob = harness.new_user(), harness.new_user()
     manager = harness.hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, 0)))
     harness.node.pay(manager, 238)  # fee_avg 1: fare 148, balance 90
@@ -337,7 +330,8 @@ def test_ready_phase_gate_and_transfer():
     assert hub.conservation()["ok"]
 
 
-def test_payment_fee_below_minimum(harness):
+def test_payment_fee_below_minimum():
+    harness = World()
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 100_000)
     harness.set_boundary(bob)
@@ -345,7 +339,8 @@ def test_payment_fee_below_minimum(harness):
         harness.pay(alice, bob.address, 10, harness.hub.config.min_routing_fee - 1)
 
 
-def test_batch_is_atomic(harness):
+def test_batch_is_atomic():
+    harness = World()
     alice = harness.new_user()
     receivers = [harness.new_user() for _ in range(3)]
     harness.deposit(alice, 10_000)
@@ -369,7 +364,7 @@ def test_batch_is_atomic(harness):
 
 def test_gating_matches_bruteforce_oracle():
     rng = random.Random(31337)
-    harness = HubHarness(seed=31337, min_routing_fee=5)
+    harness = World(seed=31337, min_routing_fee=5)
     users = [harness.new_user() for _ in range(4)]
     harness.hub.estimator.window.append(1)
     # give everyone a deposit so max_source values vary
@@ -408,7 +403,7 @@ def test_gating_matches_bruteforce_oracle():
 # settlement requests and planning
 
 def settlement_hub(fee_avg=10):
-    harness = HubHarness(seed=9)
+    harness = World(seed=9)
     harness.hub.estimator.window.clear()
     harness.hub.estimator.window.append(fee_avg)
     return harness
@@ -639,10 +634,7 @@ def test_terminate_settles_everyone_exactly():
     assert hub.conservation()["ok"]
     # everyone received coins at their settle address on the main chain
     for keys in (alice, bob, carol):
-        settle_addr = hub.users[keys.address].settle_address
-        got = sum(o.value for o in harness.node.utxo.values()
-                  if o.lock_address == settle_addr)
-        assert got > 0
+        assert harness.onchain_value(hub.users[keys.address].settle_address) > 0
     assert harness.hub.plans_confirmed >= 1
 
 
@@ -672,20 +664,23 @@ def test_terminal_host_balance_too_small_for_its_payout_is_forfeited():
     assert hub.conservation()["ok"]
 
 
-def test_terminate_empty_hub_is_noop(harness):
+def test_terminate_empty_hub_is_noop():
+    harness = World()
     harness.terminate()
     assert harness.hub.termination_complete
     assert harness.hub.terminating
 
 
-def test_terminate_requires_fresh_tip_signature(harness):
+def test_terminate_requires_fresh_tip_signature():
+    harness = World()
     stale_hash = harness.hub.chain.hash_at(0)
     msg = harness.host.sign(wire.Terminate(stale_hash))
     with pytest.raises(HostAuthFailure):
         harness.hub.terminate(msg)
 
 
-def test_operations_blocked_after_terminate(harness):
+def test_operations_blocked_after_terminate():
+    harness = World()
     from routee.errors import HubTerminated
 
     alice = harness.new_user()
@@ -700,7 +695,8 @@ def test_operations_blocked_after_terminate(harness):
 # ------------------------------------------------------------------
 # per-user monotonicity
 
-def test_user_counters_never_decrease(harness):
+def test_user_counters_never_decrease():
+    harness = World()
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 80_000)
     traces = {"nonce": [], "boundary": [], "source": []}
@@ -726,7 +722,8 @@ def test_user_counters_never_decrease(harness):
         assert all(b >= a for a, b in zip(series, series[1:]))
 
 
-def test_apply_request_refuses_front_end_requests(harness):
+def test_apply_request_refuses_front_end_requests():
+    harness = World()
     # every kind `wire` declares is answered in exactly one place: snapshots
     # by the front end, every other kind by the hub's table
     samples = every_request_kind()

@@ -5,12 +5,12 @@ from routee.client import LocalConnection, LocalHubEndpoint
 from routee.crypto import DeterministicRng
 from routee.errors import SessionAborted
 from routee.relay import Relay, RelaySchedule
+from routee.scenarios import World
 
-from conftest import HubHarness
 
 
 def endpoint_world(seed=17):
-    harness = HubHarness(seed=seed)
+    harness = World(seed=seed)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 500_000)
     harness.set_boundary(bob)

@@ -76,3 +76,28 @@ def test_scenario_output_is_pinned(capsys):
     out = capsys.readouterr().out.encode()
     assert len(out) == 1_774
     assert hashlib.sha256(out).hexdigest() == "8b771ba90fa55cbdc018cd45e246debec9a051df2f6c8112c29221c6babd262c"
+
+
+def test_naive_run_exits_zero_when_every_verdict_is_the_expected_one(capsys):
+    # the naive builder touches fake-deposit alone: it reads vulnerable and
+    # the other scenarios still read defended
+    assert scenarios.main(["all", "--seed", "7", "--naive"]) == 0
+    assert scenarios.main(["message-abuse", "--seed", "7", "--naive"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**256], ids=["negative", "2**256"])
+def test_seed_out_of_range_is_a_usage_error(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        scenarios.main(["all", "--seed", str(seed)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_message_abuse_propagates_a_crash_in_the_relay_path(monkeypatch):
+    def crash(self, frame):
+        raise TypeError("relay bug")
+
+    monkeypatch.setattr(scenarios.Relay, "feed", crash)
+    with pytest.raises(TypeError, match="relay bug"):
+        scenarios.scenario_message_abuse(seed=7)

@@ -14,10 +14,11 @@ from routee.headers import BlockHeader, ChainParams
 from routee.errors import (
     FeeTooLow, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted, UnknownType,
 )
+from routee.scenarios import World
 from routee.session import DIR_CLIENT_TO_HUB, DIR_HUB_TO_CLIENT, ClientHandshake, HubSessionEndpoint, Session
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
 
-from conftest import HubHarness, every_request_kind, mutated, refused_flips
+from conftest import every_request_kind, mutated, refused_flips
 
 
 def fresh_pair(seed=1):
@@ -83,7 +84,7 @@ def test_wrong_static_key_fails_confirmation():
 
 @pytest.mark.parametrize("low_order", [bytes(32), b"\x01" + bytes(31)], ids=["zero", "one"])
 def test_low_order_key_fails_the_handshake_on_both_sides(low_order):
-    hub = HubHarness(seed=7).hub
+    hub = World(seed=7).hub
     endpoint = LocalHubEndpoint(hub, session_rng=DeterministicRng(7))
     init = wire.pack_frame(wire.FRAME_HANDSHAKE_INIT, wire.encode(wire.HandshakeInit(low_order)))
     with pytest.raises(HandshakeFailure):
@@ -359,7 +360,7 @@ DECLARED = {
 def _snapshot() -> bytes:
     """A hub with a row in every snapshot table: a pending deposit, a queued
     settle and an outstanding plan among them."""
-    harness = HubHarness(seed=9)
+    harness = World(seed=9)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 400_000)
     harness.set_boundary(bob)
@@ -477,7 +478,7 @@ def test_received_digest_of_any_decodable_bytes_is_the_encoding_digest(data):
     lambda req, other: setattr(req.batch[0], "receiver", other),
 ], ids=["nonce", "amount", "receiver"])
 def test_a_changed_decoded_request_digests_its_new_fields(change):
-    harness = HubHarness()
+    harness = World()
     alice, bob, carol = harness.new_user(), harness.new_user(), harness.new_user()
     harness.deposit(alice, 50_000)
     harness.set_boundary(bob)
@@ -505,7 +506,7 @@ def test_a_changed_decoded_request_digests_its_new_fields(change):
 
 
 def test_a_flipped_byte_in_a_signed_payment_is_refused():
-    harness = HubHarness()
+    harness = World()
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 50_000)
     harness.set_boundary(bob)
@@ -575,9 +576,9 @@ def test_every_parity_script_reply_packs_as_its_record(monkeypatch):
     replies = []
     encode_ok = wire.encode_ok
     monkeypatch.setattr(wire, "encode_ok", lambda fields: replies.append(fields) or encode_ok(fields))
-    harness = HubHarness()
+    harness = World()
     # the script registers its users itself
-    alice, bob = (Keys.generate(harness.suite.auth, harness.key_rng) for _ in range(2))
+    alice, bob = (Keys.generate(harness.suite.auth, harness.rng) for _ in range(2))
     block = harness.node.mine_block()
     conn = LocalConnection(LocalHubEndpoint(harness.hub), rng=DeterministicRng(4))
     for raw in _parity_script(harness.host, alice, bob, block, harness.hub.chain.hash_at(4), conn.session.session_id):

@@ -3,10 +3,11 @@ import pytest
 from routee import wire
 from routee.crypto import sha256
 from routee.errors import SnapshotError
+from routee.scenarios import World
 from routee.snapshot import MAGIC, TRAILER_SIZE, HubImage, dump_hub, load_hub
 from routee.transactions import Transaction
 
-from conftest import HubHarness, run_conservation_mix
+from conftest import run_conservation_mix
 
 
 def state_fingerprint(hub):
@@ -43,7 +44,7 @@ def test_snapshot_roundtrip_restores_exact_state():
 
 
 def test_snapshot_mid_plan_keeps_outstanding_settlement():
-    harness = HubHarness(seed=9)
+    harness = World(seed=9)
     alice = harness.new_user()
     harness.deposit(alice, 400_000)
     harness.settle(alice, 10_000, 1_000)
@@ -64,7 +65,7 @@ def test_snapshot_mid_plan_keeps_outstanding_settlement():
 
 def test_restored_hub_continues_deterministically():
     # manager keys generated after restore match what the original would do
-    harness = HubHarness(seed=10)
+    harness = World(seed=10)
     alice = harness.new_user()
     restored = load_hub(dump_hub(harness.hub))
     msg = alice.sign(wire.AddDeposit(alice.address, 0))
@@ -72,7 +73,7 @@ def test_restored_hub_continues_deterministically():
 
 
 def test_snapshot_bad_magic_and_version():
-    harness = HubHarness(seed=11)
+    harness = World(seed=11)
     data = dump_hub(harness.hub)
     with pytest.raises(SnapshotError):
         load_hub(b"XXXX" + data[4:])
@@ -83,7 +84,7 @@ def test_snapshot_bad_magic_and_version():
 
 
 def test_snapshot_refuses_any_flipped_bit():
-    data = dump_hub(HubHarness(seed=11).hub)
+    data = dump_hub(World(seed=11).hub)
     for pos in range(len(data)):
         flipped = bytearray(data)
         flipped[pos] ^= 1 << (pos % 8)
@@ -114,7 +115,7 @@ _UNREACHABLE = {
 
 @pytest.mark.parametrize("name", sorted(_UNREACHABLE))
 def test_snapshot_refuses_state_no_request_sequence_reaches(name):
-    harness = HubHarness(seed=12)
+    harness = World(seed=12)
     alice, bob = harness.new_user(), harness.new_user()
     harness.deposit(alice, 400_000)
     harness.hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, harness.nonce(bob))))
