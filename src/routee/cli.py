@@ -48,7 +48,7 @@ def _run(args, fn) -> int:
         return fn(args)
     except RouteeError as exc:
         return _fail(args, exc)
-    except (ConnectionError, OSError) as exc:
+    except OSError as exc:
         return _fail(args, RouteeError(str(exc)))
 
 

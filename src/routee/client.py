@@ -76,8 +76,9 @@ class Keys:
 class HubFrontEnd:
     """The hub's one frame pipeline, shared by the daemon and the in-memory
     endpoint: hub info and handshakes, then sealed requests opened, decoded,
-    applied to the hub, answered and sealed again. Subclasses supply what a
-    deployment owns beyond the hub: writing a snapshot."""
+    applied to the hub, answered and sealed again; a subclass adds writing a
+    snapshot. A `RouteeError` is answered with its code; any other exception
+    is a fault, which leaves `handle` unanswered (fail-stop)."""
 
     def __init__(self, hub, endpoint: HubSessionEndpoint):
         self.hub = hub
@@ -114,8 +115,6 @@ class HubFrontEnd:
             reply = wire.encode_ok(fields)
         except RouteeError as exc:
             reply = wire.encode_err(exc)
-        except Exception as exc:  # never let one request kill the connection
-            reply = wire.encode_err(RouteeError(str(exc)))
         return FRAME_ENVELOPE, session.seal(reply)
 
     def frame_limit(self, ctx: dict) -> int:
@@ -134,7 +133,7 @@ class LocalHubEndpoint(HubFrontEnd):
     """In-memory hub front end speaking whole frames, for tests and scenario
     scripts. It has no connections, so every envelope finds its session by
     the session id it carries. It signs a plan a frame built before that
-    frame returns, so its callers see every plan signed."""
+    frame returns, so its callers see every plan signed, and it raises a fault."""
 
     def __init__(self, hub, session_rng=None):
         super().__init__(hub, HubSessionEndpoint(rng=session_rng))

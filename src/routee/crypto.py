@@ -36,7 +36,7 @@ import hashlib
 import hmac
 import os
 
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
@@ -184,9 +184,11 @@ class RsaScheme(_BytesSecret):
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:
             key = _rsa_public_key(public_key)
+            if not isinstance(key, rsa.RSAPublicKey):  # a key of another kind signs nothing here
+                return False
             key.verify(signature, message, padding.PKCS1v15(), hashes.SHA256())
             return True
-        except (InvalidSignature, ValueError, TypeError):
+        except (InvalidSignature, UnsupportedAlgorithm, ValueError, TypeError):
             return False
 
 

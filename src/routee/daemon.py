@@ -20,7 +20,7 @@ manager key, each turn makes one ECDSA key ahead, until the hub's pool holds
 (`Hub.fill_key_pool`). A daemon restarted only to serve reads makes none.
 Snapshots are written on demand and on shutdown, after the loop has stopped;
 a plan still being signed is stored as it stands, and signing resumes after
-a load.
+a load. A fault ends the loop and writes none, keeping the last one.
 
 A restart runs this module's import, so it imports only what serving needs:
 init imports the block source's client and `lightclient` itself.
@@ -35,7 +35,7 @@ import time
 from . import snapshot as snapshot_mod
 from .client import HubFrontEnd
 from .crypto import CryptoSuite, hex_address
-from .errors import AuthFailure, ConfigError, InitFailure
+from .errors import AuthFailure, ConfigError, InitFailure, SnapshotError
 from .headers import BlockHeader
 from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
 from .netio import FrameServer
@@ -190,29 +190,34 @@ class HubDaemon(HubFrontEnd):
 
     def stop(self) -> None:
         """Stop the loop, so that no request lands after the snapshot, then
-        write the snapshot."""
+        write the snapshot, unless a fault ended the loop."""
         self.server.shutdown()
-        self.write_snapshot()
         self.server.server_close()
+        if not self.server.failed:
+            self.write_snapshot()
 
     def write_snapshot(self) -> int:
         """Write the snapshot durably: the file's bytes are on disk before it
-        replaces the old one, and the rename is on disk before this returns."""
+        replaces the old one, and the rename is on disk before this returns.
+        A write the system refuses raises `SnapshotError`."""
         path = self.config["snapshot_path"]
         if not path:
             return 0
         data = snapshot_mod.dump_hub(self.hub)
         tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
         try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+            dir_fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        except OSError as exc:
+            raise SnapshotError(f"{path!r}: {exc}") from None
         return len(data)
 
     def _handle(self, frame_type: int, payload: bytes, ctx: dict):

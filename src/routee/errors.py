@@ -10,6 +10,14 @@ class RouteeError(Exception):
         super().__init__(f"{self.code}: {detail}" if detail else self.code)
 
 
+class CodedError(RouteeError):
+    """An error whose code is given where it is raised, not by its class."""
+
+    def __init__(self, code: str, detail: str = ""):
+        self.code = code
+        super().__init__(detail)
+
+
 # --- chain model ---
 
 class MalformedTarget(RouteeError):
@@ -20,21 +28,13 @@ class InsufficientHistory(RouteeError):
     code = "insufficient-history"
 
 
-class BlockRejected(RouteeError):
+class BlockRejected(CodedError):
     """Block failed validation; `code` names the first failed check."""
 
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        super().__init__(detail)
 
-
-class TxRejected(RouteeError):
+class TxRejected(CodedError):
     """Transaction failed validation (codes: missing-utxo, bad-signature,
     double-spend, value-mismatch, value-overflow, mempool-conflict)."""
-
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        super().__init__(detail)
 
 
 # --- hub core ---
@@ -129,13 +129,9 @@ class HandshakeFailure(RouteeError):
     code = "handshake-failure"
 
 
-class SessionAborted(RouteeError):
+class SessionAborted(CodedError):
     """Session integrity violation (codes: auth-tag, seq-gap, seq-repeat,
     wrong-session)."""
-
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        super().__init__(detail)
 
 
 class PeerError(RouteeError):

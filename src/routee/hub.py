@@ -62,6 +62,7 @@ from .headers import BlockHeader, ChainParams, HeaderChain, merkle_root
 from .transactions import (
     FORMULA_INPUT_BYTES,
     FORMULA_OUTPUT_BYTES,
+    MAX_MONEY,
     Outpoint,
     Transaction,
     TxInput,
@@ -277,6 +278,8 @@ class Hub:
                 raise InitFailure("fee window block not in verified chain")
             if merkle_root(block.txids()) != block.header.merkle_root:
                 raise InitFailure(f"fee window block at height {height}: merkle mismatch")
+            if any(not 0 <= tx.fee() <= MAX_MONEY for tx in block.txs):
+                raise InitFailure(f"fee window block at height {height}: fee out of bounds")
             self.estimator.add_block(block)
         self.chain = chain
 
@@ -543,6 +546,12 @@ class Hub:
         txids = block.txids()
         if merkle_root(txids) != block.header.merkle_root:
             raise InvalidBlock("merkle-mismatch")
+        # fees and supply bounded as on a real chain: no balance, fee sample or plan output passes a u64
+        if any(not 0 <= tx.fee() <= MAX_MONEY for tx in block.txs):
+            raise InvalidBlock("fee out of bounds")
+        credits = sum(out.value for tx in block.txs for out in tx.outputs if out.lock_address in self.pending_deposits)
+        if credits + sum(d.value for d in self.owned.values()) > MAX_MONEY:
+            raise InvalidBlock("credits over the money supply")
         try:
             chain.append(block.header)
         except BlockRejected as exc:

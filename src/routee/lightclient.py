@@ -92,7 +92,7 @@ def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
                 if len(batch) < batch_size:
                     break
             reachable += 1
-        except (ConnectionError, OSError) as exc:
+        except OSError as exc:
             store.rejected[peer_id] = f"unreachable: {exc}"
         except RouteeError as exc:  # an error or malformed reply: the peer answered, wrongly
             reachable += 1

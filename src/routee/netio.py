@@ -3,8 +3,8 @@ CLI clients. One frame = 4-byte big-endian length, 1-byte type, payload.
 
 A server is one `selectors` loop in one thread. The loop owns the listening
 socket and every connection, cuts each connection's bytes into whole frames,
-and hands them to the server's callback one at a time, so whatever the
-callback touches has a single caller and needs no lock."""
+and hands them to the server's callback one at a time: what it touches
+needs no lock. Any exception but `OSError` or `RouteeError` ends the loop."""
 
 from __future__ import annotations
 
@@ -100,9 +100,10 @@ class FrameServer:
     dict, which `close_fn(ctx)`, when given, receives once the connection has
     ended. `limit_fn(ctx)`, when given, is the largest frame (type byte
     included) the connection may send next; a longer length prefix closes the
-    connection before its body is read. A callback that raises closes its own
-    connection only. A connection's next frame waits until its last reply has
-    left, so a peer that does not read holds one reply, not the loop.
+    connection before its body is read. A callback's `RouteeError` closes its
+    own connection only; any other exception ends the loop and sets `failed`.
+    A connection's next frame waits until its last reply has left, so a peer
+    that does not read holds one reply, not the loop.
 
     `idle_fn()`, when given, runs once per turn of the loop, after that
     turn's frames are answered and their replies flushed: it does a bounded
@@ -123,6 +124,7 @@ class FrameServer:
         self.selector.register(self._wake_r, selectors.EVENT_READ)
         self.conns: set[_Connection] = set()
         self.stopping = False
+        self.failed = False  # the last loop ended on a fault, not by `shutdown()`
         self.thread: threading.Thread | None = None
 
     @property
@@ -140,9 +142,10 @@ class FrameServer:
         return self.thread
 
     def serve_forever(self) -> None:
-        """Serve until `shutdown()`, then close every connection."""
+        """Serve until `shutdown()` or a fault, then close every connection."""
         sweep_at = time.monotonic() + IDLE_TIMEOUT_S
         busy = self.idle_fn is not None  # the first turn asks the hook
+        self.failed = True  # until the loop ends by `shutdown()`
         try:
             while not self.stopping:
                 timeout = 0.0 if busy else max(0.0, sweep_at - time.monotonic())
@@ -160,6 +163,7 @@ class FrameServer:
                     sweep_at = min((c.seen for c in self.conns), default=now) + IDLE_TIMEOUT_S
                 if self.idle_fn is not None:
                     busy = not self.idle_fn()
+            self.failed = False
         finally:
             for conn in list(self.conns):
                 self._close(conn)
@@ -205,11 +209,7 @@ class FrameServer:
                 conn.inbox += data
             conn.seen = time.monotonic()
             self._answer(conn)
-        except Exception as exc:
-            if not isinstance(exc, (OSError, RouteeError)):
-                import traceback  # only a callback's fault prints one
-
-                traceback.print_exc()
+        except (OSError, RouteeError):
             self._close(conn)
 
     def _answer(self, conn: _Connection) -> None:

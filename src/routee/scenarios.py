@@ -40,14 +40,7 @@ class ScenarioReport:
         self.steps.append(message)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "steps": self.steps,
-            "deltas": self.deltas,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
 class World:

@@ -33,7 +33,7 @@ import struct
 from operator import attrgetter
 
 from .crypto import sha256
-from .errors import MalformedFrame, RouteeError, UnknownType
+from .errors import CodedError, MalformedFrame, RouteeError, UnknownType
 
 # frame types; a reply comes back in its request's frame type
 FRAME_HANDSHAKE_INIT = 1
@@ -606,12 +606,8 @@ def encode_err(exc: RouteeError) -> bytes:
     return encode(ErrorReply(exc.code, exc.detail))
 
 
-class RemoteError(RouteeError):
+class RemoteError(CodedError):
     """Error raised client-side from a decoded error response."""
-
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        super().__init__(detail)
 
 
 def decode_response(data: bytes, kinds: dict | None = None) -> dict:

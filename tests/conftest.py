@@ -93,9 +93,10 @@ def node():
     return SimNode(ChainParams.regtest(), seed=11)
 
 
-def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
+def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True, each_step=None):
     """Randomized operation soup; the ledger identity must hold after every
-    accepted or rejected operation. Returns the harness for final checks."""
+    accepted or rejected operation, and `each_step(harness, users)`, when
+    given, runs then too. Returns the harness for final checks."""
     import random
 
     rng = random.Random(seed)
@@ -107,6 +108,8 @@ def run_conservation_mix(seed, n_ops, n_users, assert_each_step=True):
         if assert_each_step:
             parts = harness.hub.conservation()
             assert parts["ok"], parts
+        if each_step is not None:
+            each_step(harness, users)
 
     for step in range(n_ops):
         roll = rng.random()

@@ -16,7 +16,7 @@ from routee.client import (
     LocalHubEndpoint,
 )
 from routee.crypto import DeterministicRng, SCHEMES, address_of
-from routee.errors import BlockRejected
+from routee.errors import BlockRejected, RouteeError
 from routee.headers import (
     BlockHeader,
     ChainParams,
@@ -526,12 +526,12 @@ def test_criterion_10_session_robustness():
                 conn = LocalConnection(endpoint, relay=relay, rng=session_rng)
                 msg = wire.Payment(alice.address, nonce_before, [wire.PaymentItem(bob.address, 1, 2)])
                 conn.request(alice.sign(msg))
-            except Exception:
+            except RouteeError:
                 pass
             finally:
                 try:
                     conn.flush_relay()
-                except Exception:
+                except RouteeError:
                     pass
             applied = hub.users[alice.address].nonce - nonce_before
             credited = hub.users[bob.address].balance - credit_before

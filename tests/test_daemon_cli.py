@@ -22,7 +22,7 @@ from routee.client import (
     RemoteHub,
 )
 from routee.daemon import DaemonConfig, HubDaemon
-from routee.errors import HandshakeFailure
+from routee.errors import HandshakeFailure, SnapshotError
 from routee.headers import ChainParams
 from routee.hub import Hub
 from routee.simchain import SimNode
@@ -750,6 +750,79 @@ def test_every_acknowledged_request_is_in_the_stop_snapshot(stack):
     assert set(acked) <= set(users)
 
 
+def test_a_fault_mid_payment_stops_the_daemon_and_keeps_the_last_snapshot(stack, monkeypatch):
+    daemon, sim = stack["daemon"], stack["sim"]
+    snap = stack["tmp"] / "hub.snap"
+    host = Keys.load(stack["host_key_path"])
+    alice = Keys.generate(cli.get_scheme("fast"))
+    with RemoteHub("127.0.0.1", daemon.port) as hub:
+        hub.request(wire.AddUser(alice.public, bytes(20)))
+        manager = hub.request(alice.sign(wire.AddDeposit(alice.address, 0)))["manager_address"]
+        sim.pay(manager, 50_000)
+        block = sim.get_block(sim.mine(1))
+        assert hub.request(host.sign(wire.InsertBlock(block.serialize()), block.header.hash()))["credited"] == 1
+        hub.request(wire.Snapshot())
+    last = snap.read_bytes()
+    balance = daemon.hub.users[alice.address].balance
+
+    def fault_after_the_debit(hub, msg):
+        hub.users[msg.sender_address].balance -= 1  # the payment's first table change
+        raise RuntimeError("injected fault")
+
+    faults = []
+    monkeypatch.setattr(threading, "excepthook", faults.append)
+    monkeypatch.setattr(Hub, "multi_hop_payment", fault_after_the_debit)
+    payment = alice.sign(wire.Payment(alice.address, 1, [wire.PaymentItem(alice.address, 1, 2)]))
+    with RemoteHub("127.0.0.1", daemon.port) as hub, pytest.raises(OSError):
+        hub.request(payment)  # the connection closes unanswered
+    daemon.server.thread.join(5)
+    assert not daemon.server.thread.is_alive() and daemon.server.failed
+    assert [str(args.exc_value) for args in faults] == ["injected fault"]
+    assert not daemon.hub.conservation()["ok"]  # what a stop snapshot would have held
+    daemon.stop()
+    assert snap.read_bytes() == last
+    restarted = HubDaemon(daemon.config)
+    restarted.server.server_close()
+    assert restarted.hub.conservation()["ok"]
+    assert restarted.hub.users[alice.address].balance == balance
+
+
+def test_a_fault_ends_hubd_non_zero_without_a_snapshot(tmp_path):
+    # fail-stop holds for reads too: a fault in any request ends the process
+    snap = tmp_path / "hub.snap"
+    prelude = ("from routee.hub import Hub\n"
+               "def fault(hub): raise RuntimeError('injected fault')\n"
+               "Hub.query_latest_block = fault")
+
+    def query(ready):
+        with RemoteHub("127.0.0.1", ready["listening"]) as hub, pytest.raises(OSError):
+            hub.request(wire.QueryLatestBlock())
+
+    argv = ["--set", "auto_init=0", "--set", "host_pubkey_hex=" + "00" * 32, "--set", f"snapshot_path={snap}"]
+    assert _stop_right_after_ready("hubd_main", argv, tmp_path / "hubd.log", query, prelude) == 1
+    assert "RuntimeError: injected fault" in (tmp_path / "hubd.log").read_text()
+    assert not snap.exists()
+
+
+def test_a_snapshot_the_system_refuses_is_a_snapshot_error(tmp_path):
+    settings = {"auto_init": 0, "host_pubkey_hex": "00" * 32, "snapshot_path": tmp_path / "missing" / "hub.snap"}
+    daemon = HubDaemon(DaemonConfig(settings))
+    daemon.start()
+    try:
+        with RemoteHub("127.0.0.1", daemon.port) as hub:
+            with pytest.raises(wire.RemoteError) as exc:
+                hub.request(wire.Snapshot())
+            assert exc.value.code == "snapshot-error"
+            assert hub.request(wire.GetSettlement()) == {"present": 0}  # still served
+    finally:
+        with pytest.raises(SnapshotError):
+            daemon.stop()
+    # the shutdown snapshot too: routee-hubd exits 2 with a structured error
+    argv = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+    assert _stop_right_after_ready("hubd_main", argv, tmp_path / "hubd.log") == 2
+    assert json.loads((tmp_path / "hubd.log").read_text())["error"] == "snapshot-error"
+
+
 def test_oversized_prefix_before_the_handshake_is_cut_off(stack):
     port = stack["daemon"].port
     assert PRE_HANDSHAKE_FRAME == 33
@@ -788,18 +861,24 @@ def test_idle_connection_is_closed_and_its_session_dropped(monkeypatch):
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def _stop_right_after_ready(entry: str, argv: list[str], log_path) -> int:
-    """Run `routee.cli.<entry>` in a new process, send it SIGTERM as soon as
-    it prints its ready line, and return its exit code; every wait is bounded."""
+def _stop_right_after_ready(entry: str, argv: list[str], log_path, stop=None, prelude: str = "") -> int:
+    """Run `prelude`, then `routee.cli.<entry>`, in a new process. As soon as
+    it prints its ready line, call `stop(ready_line)`, or by default send it
+    SIGTERM, and return its exit code; every wait is bounded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    code = f"import sys; from routee.cli import {entry}; sys.exit({entry}())"
+    code = f"import sys; from routee.cli import {entry}\n{prelude}\nsys.exit({entry}())"
     with open(log_path, "wb") as log:
         proc = subprocess.Popen([sys.executable, "-c", code, "--json", *argv], env=env,
                                 stdout=subprocess.PIPE, stderr=log)
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 10)
-        assert ready and "listening" in json.loads(proc.stdout.readline()), log_path.read_text()
-        proc.send_signal(signal.SIGTERM)
+        assert ready, log_path.read_text()
+        line = json.loads(proc.stdout.readline())
+        assert "listening" in line, log_path.read_text()
+        if stop is None:
+            proc.send_signal(signal.SIGTERM)
+        else:
+            stop(line)
         return proc.wait(timeout=10)
     finally:
         if proc.poll() is None:

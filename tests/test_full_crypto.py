@@ -3,7 +3,7 @@ secp256k1 ECDSA on-chain unlocks. Slower than fast-test mode because of RSA
 key generation, so deliberately small."""
 
 from routee import crypto, wire
-from routee.client import Keys
+from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import CryptoSuite, address_of
 from routee.daemon import KEY_POOL_SIZE
 from routee.errors import AuthFailure
@@ -12,7 +12,9 @@ from routee.snapshot import dump_hub, load_hub
 from routee.transactions import Transaction, parse_unlock
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, x25519
 from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 FULL = CryptoSuite.full()
 SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
@@ -222,3 +224,29 @@ def test_fast_test_hub_never_fills_its_pool():
     counter = hub.rng.counter
     assert hub.fill_key_pool(KEY_POOL_SIZE)
     assert hub.key_pool == [] and hub.rng.counter == counter
+
+
+def _spki(private_key) -> bytes:
+    return private_key.public_key().public_bytes(Encoding.DER, PublicFormat.SubjectPublicKeyInfo)
+
+
+# SubjectPublicKeyInfo DER the parser has no key type for: algorithm OID
+# 1.2.3.4, and an EC key on curve OID 1.2.3.5
+UNKNOWN_ALGORITHM_SPKI = bytes.fromhex("302a" "3005" "06032a0304" "032100") + bytes(32)
+UNKNOWN_CURVE_SPKI = bytes.fromhex("3054" "300e" "06072a8648ce3d0201" "06032a0305" "03420004") + bytes(64)
+
+
+def test_a_registered_key_that_is_not_rsa_fails_authentication():
+    # an unsigned AddUser takes any key; a key of another kind, or of a kind
+    # the parser does not know, must fail as a bad signature does, not fault the hub
+    keys = [_spki(x25519.X25519PrivateKey.generate()), _spki(ed25519.Ed25519PrivateKey.generate()),
+            _spki(ec.generate_private_key(ec.SECP256R1())), UNKNOWN_ALGORITHM_SPKI, UNKNOWN_CURVE_SPKI]
+    assert not any(FULL.auth.verify(key, b"m", bytes(384)) for key in keys)
+    w = World(seed=5, premine=2, suite=FULL)
+    conn = LocalConnection(LocalHubEndpoint(w.hub))
+    for key in (keys[0], UNKNOWN_ALGORITHM_SPKI):
+        address = conn.request(wire.AddUser(key, bytes(20)))["user_address"]
+        with pytest.raises(wire.RemoteError) as exc:
+            conn.request(wire.AddDeposit(address, 0, bytes(384)))
+        assert exc.value.code == "auth-failure"
+    assert conn.request(wire.QueryLatestBlock())["height"] == w.hub.chain.tip_height

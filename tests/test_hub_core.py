@@ -13,6 +13,7 @@ from routee.errors import (
     HostAuthFailure,
     InitFailure,
     InsufficientBalance,
+    InvalidBlock,
     MonotonicityViolation,
     NotInChain,
     NotOnTip,
@@ -27,7 +28,7 @@ from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
 from routee.scenarios import World
 from routee.simchain import SimNode
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
-from routee.transactions import formula_size
+from routee.transactions import BLOCK_SUBSIDY, MAX_MONEY, Transaction, TxInput, TxOutput, coinbase_tx, formula_size
 
 from conftest import every_request_kind
 
@@ -291,6 +292,59 @@ def test_insert_block_rejects_non_tip_and_bad_host_sig():
         harness.insert(tip)  # skips the height in between
     harness.insert(stale)
     harness.insert(tip)
+
+
+def _mined_paying(node, address, value, claimed=None):
+    """The node's next block, mined but not kept, with a transaction that pays
+    `value` to `address` from an input no chain holds: a block only a host
+    would sign. The input claims `claimed`, by default `value`, so that the
+    block's fee sample is 0."""
+    from_nothing = Transaction([TxInput(bytes(32), 0, value if claimed is None else claimed)],
+                               [TxOutput(value, address)])
+    node.clock.advance(node.params.target_spacing)
+    coinbase = coinbase_tx(node.tip_height + 1, BLOCK_SUBSIDY, bytes(20))
+    return node._mine_header(node.chain.tip_hash, node.next_bits(), [coinbase, from_nothing])
+
+
+def test_a_block_crediting_past_the_money_supply_is_refused_whole():
+    harness = World()
+    hub = harness.hub
+    alice = harness.new_user()
+    harness.deposit(alice, 50_000)
+    manager = hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, harness.nonce(alice))))
+    room = MAX_MONEY - hub.conservation()["owned_value"]
+    before = dump_hub(hub)
+    # 2**64 - 1 would lift alice's balance past what a u64 holds
+    for value in ((1 << 64) - 1, room + 1):
+        with pytest.raises(InvalidBlock):
+            harness.insert(_mined_paying(harness.node, manager, value))
+    assert dump_hub(hub) == before
+    assert harness.insert(_mined_paying(harness.node, manager, room))["credited"] == 1
+    assert hub.conservation()["owned_value"] == MAX_MONEY
+    harness.settle(alice, 1_000, 34 * hub.estimator.fee_avg)
+    assert hub.conservation()["ok"]
+    assert load_hub(dump_hub(hub)).query_ledger() == hub.query_ledger()
+
+
+@pytest.mark.parametrize("claimed", [0, MAX_MONEY + 1_001, (1 << 64) - 1],
+                         ids=["fee-below-0", "fee-just-over-max-money", "fee-near-2**64"])
+def test_a_block_whose_fee_is_out_of_bounds_is_refused_whole(claimed):
+    # a transaction declares its own input values; one that pays out more
+    # than it claims would put a negative sample in the fee window, which the
+    # snapshot cannot pack, and no chain spends more than MAX_MONEY in fees
+    harness = World()
+    hub = harness.hub
+    before = dump_hub(hub)
+    block = _mined_paying(harness.node, bytes(20), 1_000, claimed)
+    with pytest.raises(InvalidBlock, match="fee out of bounds"):
+        harness.insert(block)
+    assert dump_hub(hub) == before
+    # init refuses the same block in its fee window
+    fresh = Hub(HubConfig(harness.host.public, b"\x68" * 20, 1, harness.params, FAST))
+    headers = [b.header for b in harness.node.blocks] + [block.header]
+    with pytest.raises(InitFailure, match="fee out of bounds"):
+        fresh.initialize(headers[0], 0, headers[1:], [block])
+    assert fresh.chain is None and not fresh.estimator.window
 
 
 # ------------------------------------------------------------------

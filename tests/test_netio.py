@@ -1,8 +1,10 @@
 """The frame server's event loop: one thread answers every connection, a
-capped number of connections are served at a time, and a peer that does not
-read its replies holds only its own connection."""
+capped number of connections are served at a time, a peer that does not
+read its replies holds only its own connection, and a callback's fault ends
+the loop."""
 
 import socket
+import threading
 import time
 
 import pytest
@@ -113,19 +115,40 @@ def test_peer_that_does_not_read_holds_only_its_own_connection(serve):
     hog.close()
 
 
-def test_handler_error_closes_only_its_connection(serve, capsys):
-    def picky(frame_type, payload, ctx):
+def _picky(error):
+    def handler(frame_type, payload, ctx):
         if payload == b"boom":
-            raise KeyError("boom")
+            raise error
         return frame_type, payload
+    return handler
 
-    server = serve(picky)
+
+def test_handler_error_closes_only_its_connection(serve):
+    server = serve(_picky(MalformedFrame("boom")))
     with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as bad, \
             FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as good:
         bad.send(1, b"boom")
         assert closed_by_peer(bad.sock)
         assert good.request(1, b"fine") == (1, b"fine")
-    assert "KeyError" in capsys.readouterr().err
+    server.shutdown()
+    assert not server.failed
+
+
+def test_handler_fault_ends_the_loop_and_closes_every_connection(serve, monkeypatch):
+    faults = []
+    monkeypatch.setattr(threading, "excepthook", faults.append)
+    released = []
+    server = serve(_picky(KeyError("boom")), close_fn=released.append)
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as bad, \
+            FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as other:
+        assert other.request(1, b"fine") == (1, b"fine")
+        bad.send(1, b"boom")
+        assert closed_by_peer(bad.sock)
+        assert closed_by_peer(other.sock)
+    server.thread.join(WAIT_S)
+    assert not server.thread.is_alive() and server.failed
+    assert [type(args.exc_value) for args in faults] == [KeyError]
+    assert len(released) == 2
 
 
 def test_shutdown_joins_the_loop_and_closes_connections():
