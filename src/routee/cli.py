@@ -17,7 +17,7 @@ import sys
 
 from . import wire
 from .client import Keys, RemoteHub
-from .crypto import get_scheme, hex_address
+from .crypto import below, get_scheme, hex_address
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
@@ -197,7 +197,7 @@ def cmd_terminate(args) -> int:
 
 def _add_hub_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=port, required=True)
+    p.add_argument("--port", type=u16, required=True)
 
 
 def _depth(value: str) -> int:
@@ -207,38 +207,20 @@ def _depth(value: str) -> int:
     return k
 
 
-def _amount(value: str) -> int:
-    """An amount or fee: what an unsigned 8-byte wire field holds."""
-    n = int(value)
-    if not 0 <= n < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be from 0 to 2**64 - 1, got {n}")
-    return n
-
-
-# argparse reports a converter's ValueError as a usage error naming the converter
-def port(value: str) -> int:
-    if not 0 <= int(value) < 1 << 16:
-        raise ValueError(value)
-    return int(value)
-
-
-def count(value: str) -> int:
-    """Blocks to mine: what `wire.MineRequest`'s 2-byte count holds."""
-    if not 0 <= int(value) < 1 << 16:
-        raise ValueError(value)
-    return int(value)
+u16 = below(1 << 16)  # a port, or blocks to mine: what `wire.MineRequest`'s count holds
+u64 = below(1 << 64)  # an amount or fee: what an unsigned 8-byte wire field holds
 
 
 def host_port(value: str) -> tuple[str, int]:
     host, sep, number = value.rpartition(":")
     if not sep:
         raise ValueError(value)
-    return host, port(number)
+    return host, u16(number)
 
 
 def batch_item(value: str) -> wire.PaymentItem:
     addr, amount, fee = value.split(":")
-    return wire.PaymentItem(hex_address(addr), _amount(amount), _amount(fee))
+    return wire.PaymentItem(hex_address(addr), u64(amount), u64(fee))
 
 
 def _add_peer_flags(p: argparse.ArgumentParser) -> None:
@@ -281,16 +263,16 @@ def main(argv: list[str] | None = None) -> int:
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
     p.add_argument("--to", type=hex_address, help="receiver address hex")
-    p.add_argument("--amount", type=_amount, default=0)
-    p.add_argument("--fee", type=_amount, default=0)
+    p.add_argument("--amount", type=u64, default=0)
+    p.add_argument("--fee", type=u64, default=0)
     p.add_argument("--batch", type=batch_item, action="append", help="addrhex:amount:fee, repeatable")
     p.set_defaults(fn=cmd_pay)
 
     p = sub.add_parser("settle")
     _add_hub_flags(p)
     p.add_argument("--key", required=True)
-    p.add_argument("--amount", type=_amount, required=True)
-    p.add_argument("--fee", type=_amount, required=True)
+    p.add_argument("--amount", type=u64, required=True)
+    p.add_argument("--fee", type=u64, required=True)
     p.set_defaults(fn=cmd_settle)
 
     p = sub.add_parser("balance")
@@ -386,7 +368,7 @@ def simchain_main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve")
-    p.add_argument("--port", type=port, default=0)
+    p.add_argument("--port", type=u16, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--premine", type=int, default=0)
     p.set_defaults(mode="serve")
@@ -395,11 +377,11 @@ def simchain_main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--addr", type=host_port, required=True, help="host:port of a running server")
         if name == "mine":
-            p.add_argument("--count", type=count, default=1)
+            p.add_argument("--count", type=u16, default=1)
         if name == "pay":
             p.add_argument("--to", type=hex_address, required=True, help="20-byte address hex")
-            p.add_argument("--amount", type=_amount, required=True)
-            p.add_argument("--fee", type=_amount, default=0)
+            p.add_argument("--amount", type=u64, required=True)
+            p.add_argument("--fee", type=u64, default=0)
         p.set_defaults(mode=name)
 
     # SUPPRESS: a flag after the subcommand sets json, its absence leaves the top-level value

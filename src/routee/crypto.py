@@ -85,6 +85,19 @@ def hex_address(value: str) -> bytes:
     return address
 
 
+def below(limit: int):
+    """A parser of the integers from 0 to `limit` - 1, such as a port or what
+    a u64 wire field holds; anything else raises ValueError. argparse names
+    the range by the parser's `__name__` in its usage error."""
+    def parse(value: str) -> int:
+        n = int(value)
+        if not 0 <= n < limit:
+            raise ValueError(f"want 0 to {limit - 1}, got {n}")
+        return n
+    parse.__name__ = f"integer from 0 to {limit - 1}"
+    return parse
+
+
 class DeterministicRng:
     """Counter-mode HMAC-SHA256 byte generator. State is (seed, counter) so it
     serializes into snapshots and replays exactly."""

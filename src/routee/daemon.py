@@ -34,7 +34,7 @@ import time
 
 from . import snapshot as snapshot_mod
 from .client import HubFrontEnd
-from .crypto import CryptoSuite, hex_address
+from .crypto import CryptoSuite, below, hex_address
 from .errors import AuthFailure, ConfigError, InitFailure, SnapshotError
 from .headers import BlockHeader
 from .hub import FEE_WINDOW_CAPACITY, Hub, HubConfig
@@ -48,27 +48,6 @@ SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may
 KEY_POOL_SIZE = 4
 
 
-def _below(limit: int):
-    """A parser of the integers from 0 to `limit` - 1."""
-    def parse(value: str) -> int:
-        n = int(value)
-        if not 0 <= n < limit:
-            raise ValueError(f"want 0 to {limit - 1}")
-        return n
-    return parse
-
-
-def _held(config: HubConfig) -> dict:
-    """The settings a snapshot keeps for itself, by key, off the hub's
-    configuration."""
-    return {
-        "min_routing_fee": config.min_routing_fee,
-        "host_pubkey_hex": config.host_public_key,
-        "host_settle_address_hex": config.host_settle_address,
-        "crypto_mode": config.suite.mode,
-    }
-
-
 class DaemonConfig(dict):
     """Flat configuration: `DEFAULTS`, then the overrides (`routee-hubd
     --set`). `DEFAULTS` maps each key to its default and to the parser that
@@ -78,16 +57,23 @@ class DaemonConfig(dict):
 
     DEFAULTS = {
         "listen_host": ("127.0.0.1", str),
-        "listen_port": ("0", _below(1 << 16)),
+        "listen_port": ("0", below(1 << 16)),
         "simchain_host": ("127.0.0.1", str),
-        "simchain_port": ("0", _below(1 << 16)),
+        "simchain_port": ("0", below(1 << 16)),
         "snapshot_path": ("", str),
-        "min_routing_fee": ("1", _below(1 << 64)),
+        "min_routing_fee": ("1", below(1 << 64)),
         "host_pubkey_hex": ("", bytes.fromhex),
         "host_settle_address_hex": ("00" * 20, hex_address),
         "hub_key_path": ("", str),
         "crypto_mode": ("fast-test", CryptoSuite.from_mode),
-        "auto_init": ("1", _below(2)),
+        "auto_init": ("1", below(2)),
+    }
+    # the settings a snapshot keeps for itself, each key with its `HubConfig` field
+    HELD = {
+        "min_routing_fee": "min_routing_fee",
+        "host_pubkey_hex": "host_public_key",
+        "host_settle_address_hex": "host_settle_address",
+        "crypto_mode": "suite",
     }
 
     def __init__(self, overrides: dict | None = None):
@@ -104,19 +90,17 @@ class DaemonConfig(dict):
                 raise ConfigError(f"bad {key} {value!r}: {exc}") from None
 
     def hub_config(self) -> HubConfig:
-        return HubConfig(
-            host_public_key=self["host_pubkey_hex"],
-            host_settle_address=self["host_settle_address_hex"],
-            min_routing_fee=self["min_routing_fee"],
-            suite=self["crypto_mode"],
-        )
+        return HubConfig(**{field: self[key] for key, field in self.HELD.items()})
 
     def check_snapshot(self, snapshot: HubConfig) -> None:
         """Refuse, with `ConfigError` naming the key, a setting the overrides
-        gave that a loaded snapshot holds with another value."""
-        ours, theirs = _held(self.hub_config()), _held(snapshot)
-        for key in ours:
-            if key in self.given and ours[key] != theirs[key]:
+        gave that a loaded snapshot holds with another value; crypto suites
+        compare by mode."""
+        for key, field in self.HELD.items():
+            ours, theirs = self[key], getattr(snapshot, field)
+            if isinstance(ours, CryptoSuite):
+                ours, theirs = ours.mode, theirs.mode
+            if key in self.given and ours != theirs:
                 raise ConfigError(f"{key} differs from the loaded snapshot's")
 
 

@@ -143,6 +143,28 @@ def user_value(requests: list[SettleRequest]) -> int:
     return sum(r.total for r in requests if not r.is_host)
 
 
+def admit_block(block: Block) -> tuple[list[bytes], int | None]:
+    """InsertBlock's rule for a block body, which init applies to its fee
+    window too: not empty, matching its header's Merkle root, and each fee
+    declared from 0 to `MAX_MONEY`, as on a real chain, so no fee sample
+    passes a u64. Returns the txids and the fee sample, satoshi/byte over the
+    non-coinbase transactions (None without one); else raises InvalidBlock."""
+    if not block.txs:
+        raise InvalidBlock("empty block")
+    txids = block.txids()
+    if merkle_root(txids) != block.header.merkle_root:
+        raise InvalidBlock("merkle-mismatch")
+    fees = size = 0
+    for tx in block.txs:
+        fee = tx.fee()
+        if not 0 <= fee <= MAX_MONEY:
+            raise InvalidBlock("fee out of bounds")
+        if not tx.is_coinbase:
+            fees += fee
+            size += formula_size(len(tx.inputs), len(tx.outputs))
+    return txids, (fees // size if size else None)
+
+
 class FeeEstimator:
     """Per-block satoshi/byte samples over a bounded window; blocks without a
     non-coinbase transaction contribute no sample. The average never drops
@@ -150,17 +172,6 @@ class FeeEstimator:
 
     def __init__(self):
         self.window: deque[int] = deque(maxlen=FEE_WINDOW_CAPACITY)
-
-    def add_block(self, block: Block) -> None:
-        fees = 0
-        size = 0
-        for tx in block.txs:
-            if tx.is_coinbase:
-                continue
-            fees += tx.fee()
-            size += formula_size(len(tx.inputs), len(tx.outputs))
-        if size:
-            self.window.append(fees // size)
 
     @property
     def fee_avg(self) -> int:
@@ -258,8 +269,10 @@ class Hub:
         fee_window_blocks: list[Block],
     ) -> None:
         """Build and verify the internal header chain from a trusted start
-        header, then prime the fee estimator from full blocks that must belong
-        to the verified chain."""
+        header, then prime the fee estimator from full blocks: the verified
+        chain's last `len(fee_window_blocks)` blocks, in order, each admitted
+        by InsertBlock's rule (`admit_block`). Chain and window are committed
+        together, so a refused init leaves the hub as it was."""
         if self.chain is not None:
             raise AlreadyInitialized()
         try:
@@ -268,20 +281,18 @@ class Hub:
                 chain.append(header)
         except (BlockRejected, ValueError) as exc:
             raise InitFailure(str(exc))
-        height_by_hash = {
-            chain.hash_at(h): h
-            for h in range(chain.start_height, chain.tip_height + 1)
-        }
-        for block in fee_window_blocks:
-            height = height_by_hash.get(block.header.hash())
-            if height is None:
-                raise InitFailure("fee window block not in verified chain")
-            if merkle_root(block.txids()) != block.header.merkle_root:
-                raise InitFailure(f"fee window block at height {height}: merkle mismatch")
-            if any(not 0 <= tx.fee() <= MAX_MONEY for tx in block.txs):
-                raise InitFailure(f"fee window block at height {height}: fee out of bounds")
-            self.estimator.add_block(block)
-        self.chain = chain
+        estimator = FeeEstimator()
+        first = chain.tip_height + 1 - len(fee_window_blocks)
+        for height, block in enumerate(fee_window_blocks, first):
+            try:
+                if not chain.has_header(height, block.header.hash()):
+                    raise InvalidBlock("not in the verified chain")
+                sample = admit_block(block)[1]
+            except InvalidBlock as exc:
+                raise InitFailure(f"fee window block at height {height}: {exc.detail}")
+            if sample is not None:
+                estimator.window.append(sample)
+        self.chain, self.estimator = chain, estimator
 
     def _require_init(self) -> HeaderChain:
         if self.chain is None:
@@ -541,14 +552,8 @@ class Hub:
         self._verify_host(wire.InsertBlock.signing_digest_for(header_hash), msg.host_signature)
         if block.header.prev_hash != chain.tip_hash:
             raise NotOnTip(f"prev {block.header.prev_hash.hex()[:16]}")
-        if not block.txs:
-            raise InvalidBlock("empty block")
-        txids = block.txids()
-        if merkle_root(txids) != block.header.merkle_root:
-            raise InvalidBlock("merkle-mismatch")
-        # fees and supply bounded as on a real chain: no balance, fee sample or plan output passes a u64
-        if any(not 0 <= tx.fee() <= MAX_MONEY for tx in block.txs):
-            raise InvalidBlock("fee out of bounds")
+        txids, sample = admit_block(block)
+        # supply bounded as on a real chain: no balance or plan output passes a u64
         credits = sum(out.value for tx in block.txs for out in tx.outputs if out.lock_address in self.pending_deposits)
         if credits + sum(d.value for d in self.owned.values()) > MAX_MONEY:
             raise InvalidBlock("credits over the money supply")
@@ -558,7 +563,8 @@ class Hub:
             raise InvalidBlock(exc.code)
 
         height = chain.tip_height
-        self.estimator.add_block(block)
+        if sample is not None:
+            self.estimator.window.append(sample)
 
         expired = 0
         for addr in [a for a, p in self.pending_deposits.items() if height > p.expiry_height]:

@@ -17,7 +17,7 @@ import sys
 
 from . import wire
 from .client import Keys, LocalConnection, LocalHubEndpoint
-from .crypto import CryptoSuite, DeterministicRng, Secret
+from .crypto import CryptoSuite, DeterministicRng, Secret, below
 from .errors import RouteeError, TxRejected
 from .headers import ChainParams
 from .hub import Hub, HubConfig, OwnedDeposit
@@ -498,20 +498,12 @@ SCENARIOS = {
 }
 
 
-def _seed(value: str) -> int:
-    """A seed: what an unsigned 8-byte integer holds, as `cli` checks amounts."""
-    n = int(value)
-    if not 0 <= n < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be from 0 to 2**64 - 1, got {n}")
-    return n
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the named scenarios. Exit 0 when every verdict is the expected
     one: `defended`, or `vulnerable` for fake-deposit's naive builder."""
     parser = argparse.ArgumentParser(prog="routee-scenario")
     parser.add_argument("scenario", choices=sorted(SCENARIOS) + ["all"])
-    parser.add_argument("--seed", type=_seed, default=0, help="from 0 to 2**64 - 1")
+    parser.add_argument("--seed", type=below(1 << 64), default=0, help="from 0 to 2**64 - 1")
     parser.add_argument("--naive", action="store_true",
                         help="fake-deposit only: use the vulnerable baseline builder")
     parser.add_argument("--json", action="store_true")

@@ -41,14 +41,18 @@ DIR_HUB_TO_CLIENT = b"\x00\x00\x00\x02"
 STUB_MEASUREMENT = sha256(b"routee-enclave-measurement-v1")
 
 
-def _derive(shared1: bytes, shared2: bytes, transcript: bytes) -> tuple[bytes, bytes]:
+def _key_schedule(shared_static: bytes, shared_eph: bytes, client_eph: bytes, session_id: bytes,
+                  hub_eph: bytes, measurement: bytes, hub_static: bytes) -> tuple[bytes, bytes]:
+    """The session key and the key-confirmation MAC, from the two shared
+    secrets and the transcript: what hub and client must derive alike."""
+    transcript = sha256(client_eph + session_id + hub_eph + measurement + hub_static)
     okm = HKDF(
         algorithm=hashes.SHA256(),
         length=48,
         salt=transcript,
         info=b"routee-session-v1",
-    ).derive(shared1 + shared2)
-    return okm[:16], okm[16:]
+    ).derive(shared_static + shared_eph)
+    return okm[:16], hmac.new(okm[16:], b"confirm" + transcript, hashlib.sha256).digest()
 
 
 def _exchange(secret: X25519PrivateKey, peer_public: bytes) -> bytes:
@@ -58,10 +62,6 @@ def _exchange(secret: X25519PrivateKey, peer_public: bytes) -> bytes:
         return secret.exchange(X25519PublicKey.from_public_bytes(peer_public))
     except ValueError:
         raise HandshakeFailure("low-order X25519 key") from None
-
-
-def _confirm_mac(confirm_key: bytes, transcript: bytes) -> bytes:
-    return hmac.new(confirm_key, b"confirm" + transcript, hashlib.sha256).digest()
 
 
 class Session:
@@ -138,12 +138,8 @@ class HubSessionEndpoint:
         session_id = self._randbytes(SESSION_ID_SIZE)
         while session_id in self.sessions:
             session_id = self._randbytes(SESSION_ID_SIZE)
-        shared_eph = _exchange(eph_secret, client_eph)
-        transcript = sha256(
-            client_eph + session_id + hub_eph + self.measurement + self.static_public
-        )
-        key, confirm_key = _derive(shared_static, shared_eph, transcript)
-        mac = _confirm_mac(confirm_key, transcript)
+        key, mac = _key_schedule(shared_static, _exchange(eph_secret, client_eph), client_eph,
+                                 session_id, hub_eph, self.measurement, self.static_public)
         ack = wire.encode(wire.HandshakeAck(session_id, hub_eph, self.measurement, mac))
         session = Session(session_id, key, is_hub=True)
         self.sessions[session_id] = session
@@ -176,12 +172,9 @@ class ClientHandshake:
         ack = wire.decode(wire.HandshakeAck, ack_payload)
         if ack.measurement != self.expected_measurement:
             raise HandshakeFailure("attestation measurement mismatch")
-        shared_static = _exchange(self._eph, self.hub_static_public)
-        shared_eph = _exchange(self._eph, ack.hub_eph)
-        transcript = sha256(
-            self.client_eph + ack.session_id + ack.hub_eph + ack.measurement + self.hub_static_public
-        )
-        key, confirm_key = _derive(shared_static, shared_eph, transcript)
-        if not hmac.compare_digest(ack.confirm, _confirm_mac(confirm_key, transcript)):
+        key, mac = _key_schedule(_exchange(self._eph, self.hub_static_public), _exchange(self._eph, ack.hub_eph),
+                                 self.client_eph, ack.session_id, ack.hub_eph, ack.measurement,
+                                 self.hub_static_public)
+        if not hmac.compare_digest(ack.confirm, mac):
             raise HandshakeFailure("key confirmation mismatch")
         return Session(ack.session_id, key, is_hub=False)

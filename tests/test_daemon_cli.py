@@ -14,6 +14,7 @@ import pytest
 from conftest import closed_by_peer, refused_flips
 
 from routee import cli, netio, snapshot, wire
+from routee.blocks import Block
 from routee.client import (
     PRE_HANDSHAKE_FRAME,
     Keys,
@@ -22,7 +23,7 @@ from routee.client import (
     RemoteHub,
 )
 from routee.daemon import DaemonConfig, HubDaemon
-from routee.errors import HandshakeFailure, SnapshotError
+from routee.errors import HandshakeFailure, InitFailure, SnapshotError
 from routee.headers import ChainParams
 from routee.hub import Hub
 from routee.simchain import SimNode
@@ -423,6 +424,33 @@ def test_daemon_unreachable_block_source_fails_startup(capsys, ready_only):
     assert "error" in json.loads(captured.err.strip())
     with socket.socket() as again:
         again.bind(("127.0.0.1", listen_port))
+
+
+def test_an_empty_block_body_from_the_block_source_is_an_init_failure(capsys, monkeypatch, ready_only):
+    # the source serves the tip's header with no transactions: init refuses
+    # it by InsertBlock's rule, and routee-hubd exits 2 with that code
+    node = SimNode(ChainParams.regtest(), seed=5)
+    node.mine_blocks(4)
+    get_block = SimchainClient.get_block
+
+    def empty_tip(client, height):
+        block = get_block(client, height)
+        return Block(block.header, []) if height == node.tip_height else block
+
+    monkeypatch.setattr(SimchainClient, "get_block", empty_tip)
+    sim_server = SimchainServer(node)
+    sim_server.start()
+    settings = {"simchain_port": sim_server.port, "host_pubkey_hex": "00" * 32}
+    try:
+        with pytest.raises(InitFailure, match=f"height {node.tip_height}: empty block"):
+            HubDaemon(DaemonConfig(overrides=settings))
+        argv = ["--json"] + [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+        code = cli.hubd_main(argv)
+    finally:
+        sim_server.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "init-failure"
 
 
 def test_simchain_cli_verbs(stack, capsys):

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from routee import wire
+from routee.blocks import Block
 from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import CryptoSuite, DeterministicRng, address_of, sha256
 from routee.errors import (
+    AlreadyInitialized,
     AlreadyRegistered,
     AuthFailure,
     FeeBelowMinimum,
@@ -71,7 +73,7 @@ def test_init_and_snapshot_load_refuse_a_base_without_proof_of_work():
 
 def test_init_runs_exactly_once():
     harness = World()
-    with pytest.raises(Exception):
+    with pytest.raises(AlreadyInitialized):
         harness.hub.initialize(harness.node.blocks[0].header, 0, [], [])
 
 
@@ -103,6 +105,48 @@ def test_init_at_full_window_scale():
     assert hub.chain.tip_height == 2_016
     assert hub.query_latest_block()["hash"] == node.chain.tip_hash
     assert hub.estimator.fee_avg == 1  # empty blocks leave the floor value
+
+
+def _fee_chain(seed: int, fee_blocks: int) -> SimNode:
+    """A node whose last `fee_blocks` blocks each carry one transaction with
+    fee sample 10."""
+    node = SimNode(seed=seed)
+    node.mine_blocks(2)
+    for _ in range(fee_blocks):
+        node.pay(b"\x51" * 20, 40_000, fee=2_260)  # 1-in/2-out: formula size 226
+        node.mine_block()
+    return node
+
+
+def _bare_hub(node: SimNode) -> Hub:
+    return Hub(HubConfig(b"", b"\x68" * 20, 1, node.params, FAST))
+
+
+def test_init_takes_the_chain_last_blocks_in_order_as_its_fee_window():
+    node = _fee_chain(seed=4, fee_blocks=3)
+    headers = [b.header for b in node.blocks]
+    last, before_last = node.blocks[-1], node.blocks[-2]
+    # repeated, out of order, and a run that stops short of the tip
+    for window in ([last] * 3, [last, before_last], node.blocks[-3:-1]):
+        hub = _bare_hub(node)
+        with pytest.raises(InitFailure, match="fee window block at height"):
+            hub.initialize(headers[0], 0, headers[1:], window)
+        assert hub.chain is None and not hub.estimator.window
+    hub.initialize(headers[0], 0, headers[1:], [before_last, last])
+    assert list(hub.estimator.window) == [10, 10]
+
+
+def test_a_refused_init_leaves_no_sample_for_the_next_init():
+    node = _fee_chain(seed=4, fee_blocks=1)
+    hub = _bare_hub(node)
+    good = node.blocks[-1]
+    bad = _mined_paying(node, bytes(20), 1_000, 0)  # a fee below 0, after the good block
+    headers = [b.header for b in node.blocks]
+    with pytest.raises(InitFailure, match="fee out of bounds"):
+        hub.initialize(headers[0], 0, headers[1:] + [bad.header], [good, bad])
+    assert hub.chain is None and not hub.estimator.window
+    hub.initialize(headers[0], 0, headers[1:], [good])
+    assert list(hub.estimator.window) == [10]
 
 
 def test_fee_window_rejects_foreign_blocks():
@@ -326,23 +370,32 @@ def test_a_block_crediting_past_the_money_supply_is_refused_whole():
     assert load_hub(dump_hub(hub)).query_ledger() == hub.query_ledger()
 
 
-@pytest.mark.parametrize("claimed", [0, MAX_MONEY + 1_001, (1 << 64) - 1],
-                         ids=["fee-below-0", "fee-just-over-max-money", "fee-near-2**64"])
-def test_a_block_whose_fee_is_out_of_bounds_is_refused_whole(claimed):
-    # a transaction declares its own input values; one that pays out more
-    # than it claims would put a negative sample in the fee window, which the
-    # snapshot cannot pack, and no chain spends more than MAX_MONEY in fees
+@pytest.mark.parametrize("claimed, keep, refusal", [
+    (0, None, "fee out of bounds"),
+    (MAX_MONEY + 1_001, None, "fee out of bounds"),
+    ((1 << 64) - 1, None, "fee out of bounds"),
+    (1_000, 0, "empty block"),
+    (1_000, 1, "merkle-mismatch"),  # the coinbase alone, under the root of both transactions
+], ids=["fee-below-0", "fee-just-over-max-money", "fee-near-2**64", "empty-body", "merkle-mismatch"])
+def test_a_block_whose_fee_is_out_of_bounds_is_refused_whole(claimed, keep, refusal):
+    # the block rule, which InsertBlock and init's fee window share: a body
+    # that is not empty and matches its header's Merkle root, whose every
+    # fee is in bounds. A transaction declares its own input values; one
+    # that pays out more than it claims would put a negative sample in the
+    # fee window, which the snapshot cannot pack, and no chain spends more
+    # than MAX_MONEY in fees
     harness = World()
     hub = harness.hub
     before = dump_hub(hub)
     block = _mined_paying(harness.node, bytes(20), 1_000, claimed)
-    with pytest.raises(InvalidBlock, match="fee out of bounds"):
+    block = Block(block.header, block.txs[:keep])
+    with pytest.raises(InvalidBlock, match=refusal):
         harness.insert(block)
     assert dump_hub(hub) == before
     # init refuses the same block in its fee window
     fresh = Hub(HubConfig(harness.host.public, b"\x68" * 20, 1, harness.params, FAST))
     headers = [b.header for b in harness.node.blocks] + [block.header]
-    with pytest.raises(InitFailure, match="fee out of bounds"):
+    with pytest.raises(InitFailure, match=f"height {len(headers) - 1}: {refusal}"):
         fresh.initialize(headers[0], 0, headers[1:], [block])
     assert fresh.chain is None and not fresh.estimator.window
 
