@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import wire
 from .crypto import Secret, address_of, get_scheme
-from .errors import AuthFailure, HandshakeFailure, MalformedFrame, RouteeError, SessionAborted
+from .errors import AuthFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import Closing, FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
 from .wire import (
@@ -160,10 +160,7 @@ class LocalConnection:
         self.relay = relay
         handshake = ClientHandshake(endpoint.endpoint.static_public, rng=rng)
         ack_frame = endpoint.handle_frame(pack_frame(FRAME_HANDSHAKE_INIT, handshake.init_payload()))
-        if ack_frame is None:
-            raise HandshakeFailure("no ack")
-        _, ack = unpack_frame(ack_frame)
-        self.session: Session = handshake.complete(ack)
+        self.session: Session = handshake.complete(unpack_frame(ack_frame)[1])
 
     def _deliver(self, frames: list[bytes]) -> list[bytes]:
         replies = [self.endpoint.handle_frame(frame) for frame in frames]

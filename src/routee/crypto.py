@@ -171,6 +171,16 @@ def _rsa_private_key(der: bytes):
     return _loaded("load_der_private_key")(der, password=None)
 
 
+def _pkcs8(key) -> bytes:
+    """A new key's stored secret: its unencrypted PKCS#8 DER."""
+    serialization = _loaded("serialization")
+    return key.private_bytes(
+        serialization.Encoding.DER,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+
+
 class RsaScheme(_BytesSecret):
     """RSA-3072 with PKCS#1 v1.5 / SHA-256; DER-encoded keys."""
 
@@ -180,16 +190,11 @@ class RsaScheme(_BytesSecret):
     def generate(self, rng=None) -> tuple[bytes, bytes]:
         key = rsa.generate_private_key(public_exponent=65537, key_size=self._KEY_BITS)
         serialization = _loaded("serialization")
-        sk = key.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
         pk = key.public_key().public_bytes(
             serialization.Encoding.DER,
             serialization.PublicFormat.SubjectPublicKeyInfo,
         )
-        return sk, pk
+        return _pkcs8(key), pk
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
         return _rsa_private_key(secret_key).sign(message, padding.PKCS1v15(), hashes.SHA256())
@@ -207,18 +212,11 @@ class RsaScheme(_BytesSecret):
 
 class EcdsaSecret:
     """A secp256k1 secret: its PKCS#8 DER, and the parsed key once known.
-    Two are equal when their DER is; a repr shows neither."""
+    A repr shows neither."""
 
     def __init__(self, der: bytes, key: ec.EllipticCurvePrivateKey | None = None):
         self.der = der
         self.key = key
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.der == other.der
-        return NotImplemented
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return "EcdsaSecret()"
@@ -233,16 +231,11 @@ class EcdsaScheme:
     def generate(self, rng=None) -> tuple[EcdsaSecret, bytes]:
         key = ec.generate_private_key(ec.SECP256K1())
         serialization = _loaded("serialization")
-        sk = key.private_bytes(
-            serialization.Encoding.DER,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
         pk = key.public_key().public_bytes(
             serialization.Encoding.X962,
             serialization.PublicFormat.CompressedPoint,
         )
-        return EcdsaSecret(sk, key), pk
+        return EcdsaSecret(_pkcs8(key), key), pk
 
     def sign(self, secret_key: EcdsaSecret, message: bytes) -> bytes:
         if secret_key.key is None:

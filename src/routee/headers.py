@@ -163,12 +163,7 @@ def expected_target(chain: "HeaderChain", new_height: int) -> CompactTarget:
     prev = chain.header_at(new_height - 1)
     if new_height % interval != 0:
         return CompactTarget.from_bits(prev.bits)
-    window_start = new_height - interval
-    if window_start < chain.start_height:
-        raise InsufficientHistory(
-            f"retarget at height {new_height} needs headers from {window_start}"
-        )
-    first_ts = chain.header_at(window_start).timestamp
+    first_ts = chain.header_at(new_height - interval).timestamp
     last_ts = prev.timestamp
     span = params.target_timespan
     actual = max(span // 4, min(last_ts - first_ts, span * 4))
@@ -178,58 +173,47 @@ def expected_target(chain: "HeaderChain", new_height: int) -> CompactTarget:
 
 
 class HeaderChain:
-    """Append-only run of validated headers from a start height.
+    """Append-only run of validated headers from genesis, built in one call
+    from a run of headers.
 
-    Appending enforces linkage, proof of work, and the retarget rule. A base
-    at height 0 needs the pow limit's bits and their proof of work; a later
-    start header is taken on trust (checkpoint semantics). To keep every
-    retarget boundary verifiable the start height must sit on a boundary.
+    The genesis header needs the pow limit's bits and their proof of work;
+    every later header is appended, which enforces linkage, proof of work
+    and the retarget rule.
     """
 
-    def __init__(self, params: ChainParams, start_header: BlockHeader, start_height: int):
-        if start_height % params.retarget_interval != 0:
-            raise ValueError(
-                f"start height {start_height} must align to the retarget "
-                f"interval {params.retarget_interval}"
-            )
-        if start_height == 0:
-            _check_work(start_header, params.pow_limit_bits, 0)
+    def __init__(self, params: ChainParams, headers: list[BlockHeader]):
+        genesis = headers[0]
+        _check_work(genesis, params.pow_limit_bits, 0)
         self.params = params
-        self.start_height = start_height
-        self.headers: list[BlockHeader] = [start_header]
-        self._hashes: list[bytes] = [start_header.hash()]
-        self.cumulative_work = work_from_target(bits_to_target(start_header.bits))
+        self.headers: list[BlockHeader] = [genesis]
+        self._hashes: list[bytes] = [genesis.hash()]
+        self.cumulative_work = work_from_target(bits_to_target(genesis.bits))
+        for header in headers[1:]:
+            self.append(header)
 
     def __len__(self) -> int:
         return len(self.headers)
 
     @property
     def tip_height(self) -> int:
-        return self.start_height + len(self.headers) - 1
-
-    @property
-    def tip(self) -> BlockHeader:
-        return self.headers[-1]
+        return len(self.headers) - 1
 
     @property
     def tip_hash(self) -> bytes:
         return self._hashes[-1]
 
     def header_at(self, height: int) -> BlockHeader:
-        idx = height - self.start_height
-        if idx < 0 or idx >= len(self.headers):
-            raise InsufficientHistory(f"height {height} outside [{self.start_height}, {self.tip_height}]")
-        return self.headers[idx]
+        if not 0 <= height < len(self.headers):
+            raise InsufficientHistory(f"height {height} outside [0, {self.tip_height}]")
+        return self.headers[height]
 
     def hash_at(self, height: int) -> bytes:
-        idx = height - self.start_height
-        if idx < 0 or idx >= len(self.headers):
-            raise InsufficientHistory(f"height {height} outside [{self.start_height}, {self.tip_height}]")
-        return self._hashes[idx]
+        if not 0 <= height < len(self.headers):
+            raise InsufficientHistory(f"height {height} outside [0, {self.tip_height}]")
+        return self._hashes[height]
 
     def has_header(self, height: int, block_hash: bytes) -> bool:
-        idx = height - self.start_height
-        return 0 <= idx < len(self.headers) and self._hashes[idx] == block_hash
+        return 0 <= height < len(self.headers) and self._hashes[height] == block_hash
 
     def check(self, header: BlockHeader) -> int:
         """The target of `header` as the next header, else `BlockRejected`."""

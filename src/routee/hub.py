@@ -268,18 +268,20 @@ class Hub:
         headers: list[BlockHeader],
         fee_window_blocks: list[Block],
     ) -> None:
-        """Build and verify the internal header chain from a trusted start
-        header, then prime the fee estimator from full blocks: the verified
-        chain's last `len(fee_window_blocks)` blocks, in order, each admitted
-        by InsertBlock's rule (`admit_block`). Chain and window are committed
-        together, so a refused init leaves the hub as it was."""
+        """Build and verify the internal header chain, which starts at
+        genesis: `start_header` is the header at `start_height`, which must
+        be 0, and `headers` follow it. Then prime the fee estimator from full
+        blocks: the verified chain's last `len(fee_window_blocks)` blocks, in
+        order, each admitted by InsertBlock's rule (`admit_block`). Chain and
+        window are committed together, so a refused init leaves the hub as
+        it was."""
         if self.chain is not None:
             raise AlreadyInitialized()
+        if start_height != 0:
+            raise InitFailure(f"chain starts at genesis, not at height {start_height}")
         try:
-            chain = HeaderChain(self.config.chain_params, start_header, start_height)
-            for header in headers:
-                chain.append(header)
-        except (BlockRejected, ValueError) as exc:
+            chain = HeaderChain(self.config.chain_params, [start_header, *headers])
+        except BlockRejected as exc:
             raise InitFailure(str(exc))
         estimator = FeeEstimator()
         first = chain.tip_height + 1 - len(fee_window_blocks)

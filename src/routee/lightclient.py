@@ -29,8 +29,7 @@ class PeerCandidate:
 class HeaderStore:
     """Per-peer validated candidate chains plus the current selection."""
 
-    def __init__(self, params: ChainParams):
-        self.params = params
+    def __init__(self):
         self.candidates: dict[str, PeerCandidate] = {}
         self.rejected: dict[str, str] = {}
 
@@ -42,40 +41,17 @@ class HeaderStore:
                 best = cand
         return best
 
-    def ingest(self, peer_id: str, raw_headers: list[bytes], from_height: int) -> None:
-        """Validate and adopt one peer's batch; a bad batch drops the peer."""
-        if peer_id in self.rejected:
-            return
-        cand = self.candidates.get(peer_id)
-        try:
-            idx = 0
-            if cand is None:
-                if from_height != 0:
-                    raise PeerError("first batch must start at the chain base")
-                if not raw_headers:
-                    raise PeerError("empty first batch")
-                cand = PeerCandidate(peer_id, HeaderChain(self.params, BlockHeader.deserialize(raw_headers[0]), 0))
-                idx = 1
-            elif from_height != cand.chain.tip_height + 1:
-                raise PeerError(f"batch starts at {from_height}, expected {cand.chain.tip_height + 1}")
-            for raw in raw_headers[idx:]:
-                cand.chain.append(BlockHeader.deserialize(raw))
-        except (RouteeError, ValueError) as exc:
-            self.rejected[peer_id] = getattr(exc, "code", str(exc))
-            self.candidates.pop(peer_id, None)
-            return
-        self.candidates[peer_id] = cand
-
     def storage_bytes(self) -> int:
         return HEADER_SIZE * sum(len(cand.chain) for cand in self.candidates.values())
 
 
 def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
                  batch_size: int = HEADER_BATCH, store: HeaderStore | None = None) -> HeaderStore:
-    """Download every peer's chain in `batch_size` batches. Passing an
-    existing store resumes each candidate from its current tip. Unreachable
-    or invalid peers are dropped; at least one must survive, else `PeerError`."""
-    store = store if store is not None else HeaderStore(params)
+    """Download every peer's chain in `batch_size` batches, its first batch
+    from genesis. Passing an existing store resumes each candidate from its
+    current tip. Unreachable or invalid peers are dropped; at least one must
+    survive, else `PeerError`."""
+    store = store if store is not None else HeaderStore()
     reachable = 0
     for peer_id, source in peers:
         cand = store.candidates.get(peer_id)
@@ -85,18 +61,23 @@ def sync_headers(peers: list[tuple[str, object]], params: ChainParams,
                 batch = source.fetch_headers(height, batch_size)
                 if not batch:
                     break
-                store.ingest(peer_id, batch, height)
-                if peer_id in store.rejected:
-                    break
+                headers = [BlockHeader.deserialize(raw) for raw in batch]
+                if cand is None:
+                    cand = store.candidates[peer_id] = PeerCandidate(peer_id, HeaderChain(params, headers))
+                else:
+                    for header in headers:
+                        cand.chain.append(header)
                 height += len(batch)
                 if len(batch) < batch_size:
                     break
             reachable += 1
         except OSError as exc:
             store.rejected[peer_id] = f"unreachable: {exc}"
-        except RouteeError as exc:  # an error or malformed reply: the peer answered, wrongly
+        # an error or malformed reply, or a header that does not verify: the
+        # peer answered, wrongly
+        except (RouteeError, ValueError) as exc:
             reachable += 1
-            store.rejected[peer_id] = exc.code
+            store.rejected[peer_id] = getattr(exc, "code", str(exc))
             store.candidates.pop(peer_id, None)
     if reachable == 0:
         raise PeerError("all peers unreachable")
@@ -114,7 +95,7 @@ def choose_boundary(store: HeaderStore, k_user: int) -> tuple[int, bytes]:
         raise ChainTooShort("no candidate chain")
     chain = selected.chain
     height = chain.tip_height - k_user
-    if height < chain.start_height:
+    if height < 0:
         raise ChainTooShort(f"tip {chain.tip_height} with k={k_user}")
     return height, chain.hash_at(height)
 

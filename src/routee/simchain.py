@@ -124,7 +124,7 @@ class SimNode:
             txs=[coinbase_tx(0, BLOCK_SUBSIDY, self.wallet.fresh_address())],
         )
         self.blocks: list[Block] = [genesis]
-        self.chain = HeaderChain(self.params, genesis.header, 0)
+        self.chain = HeaderChain(self.params, [genesis.header])
         self.utxo = apply_block({}, genesis)
         self.wallet.scan_block(genesis)
 
@@ -214,11 +214,9 @@ class SimNode:
         clone.mempool = []
         clone._mempool_spends = set()
         clone.blocks = self.blocks[:height + 1]
-        genesis = self.blocks[0]
-        clone.chain = HeaderChain(self.params, genesis.header, 0)
-        utxo = apply_block({}, genesis)
-        for block in clone.blocks[1:]:
-            clone.chain.append(block.header)
+        clone.chain = HeaderChain(self.params, [block.header for block in clone.blocks])
+        utxo = {}
+        for block in clone.blocks:
             utxo = apply_block(utxo, block)
         clone.utxo = utxo
         return clone

@@ -1,15 +1,16 @@
 """Versioned binary dump of the full hub state.
 
-Layout (version 4): magic "RTEE", 2-byte big-endian version, a `HubImage`
+Layout (version 5): magic "RTEE", 2-byte big-endian version, a `HubImage`
 record (configuration, RNG position, totals, then one table per kind of hub
-state), then the SHA-256 of everything before it. The tables hold the hub's
-own records (users, pending and owned deposits, settle requests), so memory,
-dump and load share one declaration each; a plan is stored as its
-transaction plus what that transaction does not determine. Loading
-reconstructs an identical hub, including the deterministic RNG position, so
-manager-key generation continues where it left off. Any bytes load as a hub
-or raise `SnapshotError`: the trailer refuses a damaged file, and a restored
-hub must balance its ledger, keep its queue in settlement order, hold the key
+state, the first being the header chain from genesis), then the SHA-256 of
+everything before it. The tables hold the hub's own records (users, pending
+and owned deposits, settle requests), so memory, dump and load share one
+declaration each; a plan is stored as its transaction plus what that
+transaction does not determine. Loading reconstructs an identical hub,
+including the deterministic RNG position, so manager-key generation continues
+where it left off. Any bytes load as a hub or raise `SnapshotError`: the
+trailer refuses a damaged file, and a restored hub must verify its chain from
+genesis, balance its ledger, keep its queue in settlement order, hold the key
 of every deposit it owns or awaits and own every input of its plan.
 
 Known limitation: snapshots carry no rollback protection. An operator
@@ -27,7 +28,7 @@ from .transactions import Transaction
 from .wire import fixed, record, repeated, text, trailing
 
 MAGIC = b"RTEE"
-VERSION = 4
+VERSION = 5
 TRAILER_SIZE = 32
 
 
@@ -58,7 +59,8 @@ class PlanRow:
 
 @record
 class HubImage:
-    """`headers` is empty before init; `plan` holds at most one plan."""
+    """`headers` is empty before init, else the chain from genesis; `plan`
+    holds at most one plan."""
 
     retarget_interval: int = fixed("Q")
     target_spacing: int = fixed("Q")
@@ -75,7 +77,6 @@ class HubImage:
     terminating: bool = fixed("?")
     rng_seed: bytes = fixed("32s")
     rng_counter: int = fixed("Q")
-    chain_start: int = fixed("Q")
     next_enqueue_seq: int = fixed("Q")
     mode: str = text()
     host_public_key: bytes = trailing()
@@ -110,8 +111,7 @@ def _image(hub: Hub) -> HubImage:
     ]
     return HubImage(
         **_named(hub.config.chain_params, _PARAMS), **_named(hub.config, _CONFIG), **_named(hub, _TOTALS),
-        rng_seed=seed, rng_counter=counter, mode=hub.suite.mode,
-        chain_start=hub.chain.start_height if hub.chain else 0, next_enqueue_seq=hub._next_enqueue_seq,
+        rng_seed=seed, rng_counter=counter, mode=hub.suite.mode, next_enqueue_seq=hub._next_enqueue_seq,
         headers=[wire.RawHeader(h.serialize()) for h in hub.chain.headers] if hub.chain else [],
         fee_window=[FeeSample(sample) for sample in hub.estimator.window],
         users=list(hub.users.values()),
@@ -134,10 +134,7 @@ def _restore(image: HubImage) -> Hub:
     hub = Hub(HubConfig(**_named(image, _CONFIG), chain_params=params, suite=CryptoSuite.from_mode(image.mode)))
     hub.rng = DeterministicRng.fromstate((image.rng_seed, image.rng_counter))
     if image.headers:
-        headers = [BlockHeader.deserialize(row.raw) for row in image.headers]
-        hub.chain = HeaderChain(params, headers[0], image.chain_start)
-        for header in headers[1:]:
-            hub.chain.append(header)
+        hub.chain = HeaderChain(params, [BlockHeader.deserialize(row.raw) for row in image.headers])
     hub.estimator.window.extend(sample.value for sample in image.fee_window)
     hub.users = {user.user_address: user for user in image.users}
     hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}

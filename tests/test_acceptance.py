@@ -284,7 +284,6 @@ def test_criterion_6_retarget_oracle():
 
         chain = HeaderChain.__new__(HeaderChain)
         chain.params = params
-        chain.start_height = 0
         chain.headers = []
         chain._hashes = []
         chain.cumulative_work = 0
@@ -382,7 +381,7 @@ def test_criterion_8_header_verification():
     easy = ChainParams(2016, 600, 0x207FFFFF)
     headers = _mine_header_chain(easy, 2_016, seed=808)
     start = time.perf_counter()
-    chain = HeaderChain(easy, headers[0], 0)
+    chain = HeaderChain(easy, [headers[0]])
     for header in headers[1:]:
         chain.append(header)
     verify_time = time.perf_counter() - start
@@ -401,7 +400,7 @@ def test_criterion_8_header_verification():
         mutated = bytearray(raws[idx])
         mutated[bit // 8] ^= 1 << (bit % 8)
         candidate = BlockHeader.deserialize(bytes(mutated))
-        chain = HeaderChain(fuzz_params, fuzz_headers[0], 0)
+        chain = HeaderChain(fuzz_params, [fuzz_headers[0]])
         accepted_all = True
         try:
             for pos in range(1, len(raws)):

@@ -16,7 +16,7 @@ FAST = SCHEMES["fast"]
 
 
 def fresh_chain(node):
-    chain = HeaderChain(node.params, node.get_block(0).header, 0)
+    chain = HeaderChain(node.params, [node.get_block(0).header])
     utxo = apply_block({}, node.get_block(0))
     for block in node.blocks[1:]:
         chain.append(block.header)
@@ -31,7 +31,7 @@ def test_honest_mined_block_validates(node):
     node.pay(addr, 1234)
     candidate = node.mine_block()
     # node already applied it; validate independently against the prior state
-    chain2 = HeaderChain(node.params, node.get_block(0).header, 0)
+    chain2 = HeaderChain(node.params, [node.get_block(0).header])
     for block in node.blocks[1:-1]:
         chain2.append(block.header)
     validate_block(chain2, utxo, candidate)

@@ -636,6 +636,12 @@ def test_readme_flow_confirms_a_full_crypto_plan(capsys, tmp_path):
         assert hub("insert-block", *insert)["inserted"] == 1
         ledger = hub("ledger")
         assert ledger["plans_confirmed"] == 1 and ledger["conservation_ok"] == 1
+        # with the plan confirmed there is nothing to broadcast; the host
+        # then terminates, once
+        assert hub("broadcast", "--simchain", sim) == {"broadcast": 0}
+        assert hub("terminate", "--host-key", keys["host"])["enqueued"] >= 1
+        assert hub("ledger")["terminating"] == 1
+        assert hub("terminate", "--host-key", keys["host"])["enqueued"] == 0
     finally:
         daemon.stop()
         sim_server.stop()

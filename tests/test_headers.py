@@ -164,7 +164,6 @@ def _build_chain(params, timestamps, bits=None):
     """Unvalidated chain with dictated timestamps, for retarget arithmetic."""
     chain = HeaderChain.__new__(HeaderChain)
     chain.params = params
-    chain.start_height = 0
     chain.headers = []
     chain._hashes = []
     chain.cumulative_work = 0
@@ -243,7 +242,6 @@ def test_retarget_non_boundary_returns_previous():
 def test_retarget_requires_window():
     params = ChainParams(retarget_interval=4, target_spacing=600)
     chain = _build_chain(params, [0, 600], bits=params.pow_limit_bits)
-    chain.start_height = 4  # simulates a truncated chain missing the window
     with pytest.raises(InsufficientHistory):
         expected_target(chain, 8)
 
@@ -253,7 +251,7 @@ def test_retarget_requires_window():
 def test_chain_appends_mined_headers_and_accumulates_work():
     node = SimNode(seed=3)
     blocks = node.mine_blocks(20)
-    chain = HeaderChain(node.params, node.get_block(0).header, 0)
+    chain = HeaderChain(node.params, [node.get_block(0).header])
     works = [chain.cumulative_work]
     for block in blocks:
         chain.append(block.header)
@@ -267,7 +265,7 @@ def test_chain_appends_mined_headers_and_accumulates_work():
 def test_chain_rejects_broken_link():
     node = SimNode(seed=3)
     node.mine_blocks(3)
-    chain = HeaderChain(node.params, node.get_block(0).header, 0)
+    chain = HeaderChain(node.params, [node.get_block(0).header])
     chain.append(node.get_block(1).header)
     with pytest.raises(BlockRejected) as exc:
         chain.append(node.get_block(3).header)
@@ -277,23 +275,13 @@ def test_chain_rejects_broken_link():
 def test_chain_rejects_wrong_bits():
     node = SimNode(seed=3)
     node.mine_blocks(1)
-    chain = HeaderChain(node.params, node.get_block(0).header, 0)
+    chain = HeaderChain(node.params, [node.get_block(0).header])
     good = node.get_block(1).header
     bad = BlockHeader(good.version, good.prev_hash, good.merkle_root,
                       good.timestamp, 0x1D00FFFF, good.nonce)
     with pytest.raises(BlockRejected) as exc:
         chain.append(bad)
     assert exc.value.code == "bad-bits"
-
-
-def test_chain_start_must_align_to_retarget_interval():
-    node = SimNode(ChainParams.regtest(retarget_interval=8), seed=3)
-    node.mine_blocks(9)
-    with pytest.raises(ValueError):
-        HeaderChain(node.params, node.get_block(3).header, 3)
-    aligned = HeaderChain(node.params, node.get_block(8).header, 8)
-    aligned.append(node.get_block(9).header)
-    assert aligned.tip_height == 9
 
 
 def test_compact_target_dataclass():
@@ -319,7 +307,5 @@ def _base_without_proof_of_work(params):
 def test_chain_base_needs_the_pow_limit_bits_and_their_work(forge, code):
     params = ChainParams.regtest(retarget_interval=8)
     with pytest.raises(BlockRejected) as exc:
-        HeaderChain(params, forge(params), 0)
+        HeaderChain(params, [forge(params)])
     assert exc.value.code == code
-    # a start above height 0 is a checkpoint, taken on trust
-    assert HeaderChain(params, forge(params), 8).tip_height == 8

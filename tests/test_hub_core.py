@@ -25,7 +25,7 @@ from routee.errors import (
     StaleRequest,
     UnknownType,
 )
-from routee.headers import BlockHeader
+from routee.headers import BlockHeader, check_pow
 from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
 from routee.scenarios import World
 from routee.simchain import SimNode
@@ -69,6 +69,20 @@ def test_init_and_snapshot_load_refuse_a_base_without_proof_of_work():
     body = data[:6] + wire.encode(image)
     with pytest.raises(SnapshotError, match="bad-bits"):
         load_hub(body + sha256(body))
+
+
+def test_init_refuses_a_chain_that_does_not_start_at_genesis():
+    # a start above 0 would be taken on trust: this header has no proof of work
+    node = SimNode(seed=1)
+    hub = _bare_hub(node)
+    unworked = _next_block(node, proof_of_work=False).header
+    before = dump_hub(hub)
+    for start in (100_000, 1):
+        with pytest.raises(InitFailure, match=f"not at height {start}"):
+            hub.initialize(unworked, start, [], [])
+        assert hub.chain is None and dump_hub(hub) == before
+    with pytest.raises(InitFailure, match="bad-pow"):
+        hub.initialize(unworked, 0, [], [])
 
 
 def test_init_runs_exactly_once():
@@ -398,6 +412,65 @@ def test_a_block_whose_fee_is_out_of_bounds_is_refused_whole(claimed, keep, refu
     with pytest.raises(InitFailure, match=f"height {len(headers) - 1}: {refusal}"):
         fresh.initialize(headers[0], 0, headers[1:], [block])
     assert fresh.chain is None and not fresh.estimator.window
+
+
+def _next_block(node, bits=None, proof_of_work=True):
+    """The node's next block, carrying only its coinbase, mined under `bits`
+    (by default the ones it must carry) but not kept; without proof of work,
+    its nonce is the first after that whose hash misses the target."""
+    coinbase = coinbase_tx(node.tip_height + 1, BLOCK_SUBSIDY, bytes(20))
+    block = node._mine_header(node.chain.tip_hash, bits or node.next_bits(), [coinbase])
+    header = block.header
+    while not proof_of_work and check_pow(header):
+        header = BlockHeader(header.version, header.prev_hash, header.merkle_root,
+                             header.timestamp, header.bits, header.nonce + 1)
+    return Block(header, block.txs)
+
+
+# each request a hub refuses, with its code and detail; alice's are signed
+# and spend her nonce before the refusal. A second Terminate is answered,
+# with nothing enqueued
+_REFUSALS = {
+    "payment-after-terminate": (True, lambda h, a, b: h.pay(a, b.address, 10, 5), "hub-terminated", ""),
+    "empty-batch": (False, lambda h, a, b: h.pay_batch(a, []), "receiver-not-ready", "empty batch"),
+    "unknown-payee": (False, lambda h, a, b: h.pay(a, b"\x01" * 20, 10, 5), "unknown-user", "01" * 20),
+    "settle-amount-0": (False, lambda h, a, b: h.settle(a, 0, 34 * h.hub.estimator.fee_avg),
+                        "fee-too-low", "amount must be positive"),
+    "block-bad-bits": (False, lambda h, a, b: h.insert(_next_block(h.node, bits=0x207FFFFE)),
+                       "invalid-block", "bad-bits"),
+    "block-bad-pow": (False, lambda h, a, b: h.insert(_next_block(h.node, proof_of_work=False)),
+                      "invalid-block", "bad-pow"),
+    "second-terminate": (True, lambda h, a, b: h.terminate(), None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_a_refused_request_leaves_the_ledger_as_it_was(name):
+    terminated, request, code, detail = _REFUSALS[name]
+    harness = World(seed=13)
+    hub = harness.hub
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 50_000)
+    harness.set_boundary(bob)
+    if terminated:
+        harness.terminate()
+
+    def ledger():
+        return {a: u.balance for a, u in hub.users.items()}, list(hub.queue), hub.conservation()
+
+    before, nonce, data = ledger(), harness.nonce(alice), dump_hub(hub)
+    assert before[2]["ok"]
+    if code is None:
+        assert request(harness, alice, bob) == 0
+    else:
+        with pytest.raises(RouteeError) as exc:
+            request(harness, alice, bob)
+        assert exc.value.code == code and detail in exc.value.detail
+    assert ledger() == before
+    if code in (None, "invalid-block"):
+        assert dump_hub(hub) == data
+    else:
+        assert harness.nonce(alice) == nonce + 1
 
 
 # ------------------------------------------------------------------
@@ -769,6 +842,40 @@ def test_terminal_host_balance_too_small_for_its_payout_is_forfeited():
     assert not hub.queue and hub.plan is None
     assert hub.termination_complete
     assert hub.conservation()["ok"]
+
+
+def test_terminal_plan_takes_its_shortfall_from_the_host():
+    # routing fees sit in host_balance while the fee reserve is empty, so no
+    # prefix of the terminal queue pays its transaction: the host covers it
+    harness = World(seed=5, min_routing_fee=2)
+    hub = harness.hub
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 400_000)
+    harness.insert(harness.node.mine_block())
+    harness.set_boundary(bob)
+    for _ in range(20):
+        harness.pay(alice, bob.address, 1, 2_000)
+        assert hub.conservation()["ok"]
+    harness.settle(alice, harness.balance(alice) - 2 - 78, 78)
+    harness.confirm_outstanding()
+    assert hub.fee_reserve == 0 and hub.conservation()["ok"]
+
+    assert harness.terminate() == 2
+    assert hub.plan.host_subsidy == 240
+    assert hub.conservation()["ok"]
+    payout_fees = []
+    rounds = 0
+    while not hub.termination_complete and rounds < 8:
+        plan = harness.signed_plan()
+        if plan is not None:
+            payout_fees += [r.fee for r in plan.selected if r.is_host]
+            harness.node.submit_tx(plan.transaction)
+        harness.insert(harness.node.mine_block())
+        assert hub.conservation()["ok"]
+        rounds += 1
+    assert rounds == 2 and hub.termination_complete
+    assert len(payout_fees) == 1
+    assert harness.onchain_value(harness.host_settle) == hub.rf_confirmed - 240 - payout_fees[0]
 
 
 def test_terminate_empty_hub_is_noop():

@@ -96,6 +96,19 @@ def test_frame_over_the_limit_closes_before_its_body(serve):
         assert closed_by_peer(conn.sock)
 
 
+def test_frames_answer_whole_and_in_order_however_the_bytes_arrive(serve):
+    server = serve()
+    with FrameConn("127.0.0.1", server.port, timeout=WAIT_S) as conn:
+        frame = wire.pack_frame(3, b"split payload")
+        conn.sock.sendall(frame[:7])  # the length, the type and two payload bytes
+        time.sleep(0.2)  # the loop reads the part and waits for the rest
+        conn.sock.sendall(frame[7:])
+        assert conn.recv() == (3, b"split payload")
+        conn.sock.sendall(wire.pack_frame(4, b"first") + wire.pack_frame(5, b"second"))
+        assert conn.recv() == (4, b"first")
+        assert conn.recv() == (5, b"second")
+
+
 def test_peer_that_does_not_read_holds_only_its_own_connection(serve):
     reply = bytes(range(256)) * 256  # 64 KiB per reply
 

@@ -14,7 +14,7 @@ def state_fingerprint(hub):
     """Everything observable about a hub, for exact restore comparison."""
     return {
         "ledger": hub.query_ledger(),
-        "chain": (hub.chain.start_height, hub.chain.tip_height, hub.chain.tip_hash),
+        "chain": (hub.chain.tip_height, hub.chain.tip_hash),
         "users": {
             a.hex(): (u.nonce, u.balance, u.max_source_block, u.boundary_block,
                       u.settle_address)
@@ -81,6 +81,9 @@ def test_snapshot_bad_magic_and_version():
         load_hub(data[:4] + b"\x00\x63" + data[6:])
     with pytest.raises(SnapshotError, match="version 3"):
         load_hub(data[:4] + b"\x00\x03" + data[6:])
+    # version 4 kept the height its header chain started at
+    with pytest.raises(SnapshotError, match="unsupported snapshot version 4"):
+        load_hub(data[:4] + b"\x00\x04" + data[6:])
 
 
 def test_snapshot_refuses_any_flipped_bit():
@@ -100,6 +103,11 @@ def _leftover_address(image):
     return Transaction.deserialize(image.plan[0].transaction).outputs[-1].lock_address
 
 
+def _without_outputs(image):
+    tx = Transaction.deserialize(image.plan[0].transaction)
+    image.plan[0].transaction = Transaction(tx.inputs, []).serialize()
+
+
 # each edit leaves a well-formed image that no sequence of requests produces
 _UNREACHABLE = {
     "host_balance": ("ledger does not balance",
@@ -110,6 +118,8 @@ _UNREACHABLE = {
     "leftover_key": ("manager key", lambda image: _without_key(image, _leftover_address(image))),
     "user_address": ("user address", lambda image: setattr(image.users[0], "user_address", b"\x01" * 20)),
     "queue_order": ("settlement order", lambda image: image.queue.reverse()),
+    "two_plans": ("2 outstanding plans", lambda image: image.plan.append(image.plan[0])),
+    "plan_outputs": ("plan without a leftover output", _without_outputs),
 }
 
 
