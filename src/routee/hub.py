@@ -74,6 +74,7 @@ from . import wire
 
 DEPOSIT_EXPIRY_BLOCKS = 100
 FEE_WINDOW_CAPACITY = 2016
+QUERY_PROOFS_KEPT = 64  # accepted QueryUser proofs kept, one per connection a daemon serves (netio.MAX_CONNECTIONS)
 
 
 @wire.plain
@@ -257,6 +258,11 @@ class Hub:
         self.rf_collected_total = 0  # cumulative routing fees taken from senders
         self.settled_amount_total = 0
         self.terminating = False
+        # the signature of each accepted QueryUser, by its digest, which names
+        # the user and the session; left out of the snapshot. A wallet that
+        # reads again in its session sends the same bytes, since the digest
+        # holds no nonce and PKCS#1 v1.5 signs deterministically
+        self.query_proofs: dict[bytes, bytes] = {}
 
     # ------------------------------------------------------------------
     # initialization
@@ -700,8 +706,13 @@ class Hub:
         user = self.users.get(msg.user_address)
         if user is None:
             raise UnknownUser(msg.user_address.hex())
-        if not self.suite.auth.verify(user.public_key, msg.signing_digest(session_id), msg.signature):
-            raise AuthFailure("query not bound to this session")
+        digest = msg.signing_digest(session_id)
+        if self.query_proofs.get(digest) != msg.signature:
+            if not self.suite.auth.verify(user.public_key, digest, msg.signature):
+                raise AuthFailure("query not bound to this session")
+            if len(self.query_proofs) >= QUERY_PROOFS_KEPT:
+                self.query_proofs.clear()
+            self.query_proofs[digest] = msg.signature
         return {
             "address": user.user_address,
             "nonce": user.nonce,

@@ -2,16 +2,22 @@
 secp256k1 ECDSA on-chain unlocks. Slower than fast-test mode because of RSA
 key generation, so deliberately small."""
 
+import functools
+from unittest import mock
+
 from routee import crypto, wire
+from routee import hub as hub_mod
 from routee.client import Keys, LocalConnection, LocalHubEndpoint
 from routee.crypto import CryptoSuite, address_of
 from routee.daemon import KEY_POOL_SIZE
 from routee.errors import AuthFailure
+from routee.netio import MAX_CONNECTIONS
 from routee.scenarios import World
 from routee.snapshot import dump_hub, load_hub
 from routee.transactions import Transaction, parse_unlock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, x25519
 from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
@@ -250,3 +256,148 @@ def test_a_registered_key_that_is_not_rsa_fails_authentication():
             conn.request(wire.AddDeposit(address, 0, bytes(384)))
         assert exc.value.code == "auth-failure"
     assert conn.request(wire.QueryLatestBlock())["height"] == w.hub.chain.tip_height
+
+
+@pytest.fixture
+def rsa_verifications(monkeypatch):
+    """The public key of each RSA verification made from here on:
+    `RsaScheme.verify` looks the parsed key up by this name every time."""
+    made = []
+    lookup = crypto._rsa_public_key
+
+    def counting_lookup(der):
+        made.append(der)
+        return lookup(der)
+
+    monkeypatch.setattr(crypto, "_rsa_public_key", counting_lookup)
+    return made
+
+
+def send_raw(conn: LocalConnection, raw: bytes) -> dict:
+    """Seal a request's exact bytes into `conn`'s session and decode the reply."""
+    frame = wire.pack_frame(wire.FRAME_ENVELOPE, conn.session.seal(raw))
+    _, reply = wire.unpack_frame(conn.send_raw_frame(frame)[-1])
+    return wire.decode_response(conn.session.open(reply))
+
+
+def funded_pair(seed: int):
+    w = World(seed=seed, premine=3, suite=FULL)
+    alice, bob = w.new_user(), w.new_user()
+    w.deposit(alice, 100_000)
+    w.set_boundary(bob)
+    return w, alice, bob
+
+
+def test_a_repeated_query_is_verified_once_and_each_write_once(rsa_verifications):
+    w, alice, bob = funded_pair(34)
+    conn = LocalConnection(LocalHubEndpoint(w.hub))
+    query = alice.sign(wire.QueryUser(alice.address), conn.session.session_id)
+    rsa_verifications.clear()
+    answers = [conn.request(query) for _ in range(10)]
+    assert rsa_verifications == [alice.public]
+    assert answers == [answers[0]] * 10 and answers[0]["balance"] == w.balance(alice)
+    # a write carries its nonce, so no two are alike: each is verified
+    for write in (
+        lambda nonce: wire.Payment(alice.address, nonce, [wire.PaymentItem(bob.address, 500, 5)]),
+        lambda nonce: wire.Settle(alice.address, nonce, 10_000, 800),
+        lambda nonce: wire.AddDeposit(alice.address, nonce),
+    ):
+        rsa_verifications.clear()
+        conn.request(alice.sign(write(w.nonce(alice))))
+        assert rsa_verifications == [alice.public]
+    # the kept proofs cover a reader on every connection a daemon serves
+    assert hub_mod.QUERY_PROOFS_KEPT >= MAX_CONNECTIONS
+
+
+def test_a_write_replayed_into_another_session_is_verified_and_stale(rsa_verifications):
+    # a write's signature holds in any session; its spent nonce refuses it
+    w, alice, bob = funded_pair(35)
+    endpoint = LocalHubEndpoint(w.hub)
+    session_a = LocalConnection(endpoint)
+    nonce = w.nonce(alice)
+    writes = [
+        wire.Payment(alice.address, nonce, [wire.PaymentItem(bob.address, 500, 5)]),
+        wire.Settle(alice.address, nonce + 1, 10_000, 800),
+    ]
+    raws = [wire.encode_request(alice.sign(write)) for write in writes]
+    assert send_raw(session_a, raws[0]) == {"accepted": 1}
+    assert "enqueue_seq" in send_raw(session_a, raws[1])
+    assert w.nonce(alice) == nonce + 2
+
+    session_b = LocalConnection(endpoint)
+    state = dump_hub(w.hub)
+    balances = (w.balance(alice), w.balance(bob))
+    for raw in raws:
+        rsa_verifications.clear()
+        with pytest.raises(wire.RemoteError) as exc:
+            send_raw(session_b, raw)
+        assert exc.value.code == "stale-request"
+        assert rsa_verifications == [alice.public]
+        assert w.nonce(alice) == nonce + 2 and (w.balance(alice), w.balance(bob)) == balances
+        assert dump_hub(w.hub) == state
+
+
+def test_a_query_is_bound_to_its_session_and_only_a_good_proof_is_kept():
+    w = World(seed=36, premine=2, suite=FULL)
+    alice = w.new_user()
+    endpoint = LocalHubEndpoint(w.hub)
+    session_a, session_b = LocalConnection(endpoint), LocalConnection(endpoint)
+    raw = wire.encode_request(alice.sign(wire.QueryUser(alice.address), session_a.session.session_id))
+    assert send_raw(session_a, raw)["address"] == alice.address
+    good = dict(w.hub.query_proofs)
+    assert len(good) == 1
+    # the digest carries the session id, so session B verifies another one
+    with pytest.raises(wire.RemoteError) as exc:
+        send_raw(session_b, raw)
+    assert exc.value.code == "auth-failure"
+    # after a good proof, the same user's corrupted signature is refused each
+    # time, and so is a signature of 1 MiB; neither is kept, and the good
+    # proof is still answered
+    corrupted = raw[:-1] + bytes([raw[-1] ^ 1])
+    oversized = wire.encode_request(wire.QueryUser(alice.address, bytes(1 << 20)))
+    for bad in (corrupted, corrupted, oversized):
+        with pytest.raises(wire.RemoteError) as exc:
+            send_raw(session_a, bad)
+        assert exc.value.code == "auth-failure"
+        assert w.hub.query_proofs == good
+        assert send_raw(session_a, raw)["address"] == alice.address
+
+
+@functools.cache
+def two_readers() -> tuple[World, list[Keys]]:
+    w = World(seed=37, premine=2, suite=FULL)
+    return w, [w.new_user(), w.new_user()]
+
+
+@functools.cache
+def query_signature(signer: int, reader: int, session: int) -> bytes:
+    _, users = two_readers()
+    msg = users[signer].sign(wire.QueryUser(users[reader].address), bytes([session]) * 8)
+    return msg.signature
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 2),
+                          st.integers(0, 383), st.sampled_from((0, 0, 1, 0x80))), max_size=12))
+def test_a_kept_query_proof_answers_as_its_verification_does(reads):
+    # two users read over three sessions, each query signed by its reader or
+    # by the other user, some with a byte flipped, into a memo of two proofs
+    # so that it starts over and verifies them again
+    w, users = two_readers()
+    w.hub.query_proofs.clear()
+    with mock.patch.object(hub_mod, "QUERY_PROOFS_KEPT", 2):
+        for signer, reader, session, at, mask in reads:
+            session_id = bytes([session]) * 8
+            signature = bytearray(query_signature(signer, reader, session))
+            signature[at] ^= mask
+            msg = wire.QueryUser(users[reader].address, bytes(signature))
+            verdict = FULL.auth.verify(users[reader].public, msg.signing_digest(session_id), msg.signature)
+            assert verdict == (signer == reader and mask == 0)
+            if verdict:
+                assert w.hub.query_user(msg, session_id)["address"] == users[reader].address
+            else:
+                with pytest.raises(AuthFailure):
+                    w.hub.query_user(msg, session_id)
+            assert len(w.hub.query_proofs) <= 2
+            assert all(any(FULL.auth.verify(user.public, digest, signature) for user in users)
+                       for digest, signature in w.hub.query_proofs.items())

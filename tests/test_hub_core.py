@@ -683,6 +683,7 @@ def test_greedy_matches_bruteforce_over_random_queues():
     # at termination a queue with no feasible prefix settles whole when the
     # host's confirmed fees cover the shortfall, and not at all otherwise
     rng = random.Random(555)
+    branches = {"feasible": 0, "covered": 0, "infeasible": 0}
     for terminating in (False, True):
         for trial in range(60):
             harness = settlement_hub(fee_avg=rng.randrange(1, 12))
@@ -699,14 +700,12 @@ def test_greedy_matches_bruteforce_over_random_queues():
                     rng.randrange(0, 148 * fee_avg + 1), i, addr,
                 )
             hub.fee_reserve = rng.randrange(0, 300)
-            if terminating:
-                hub.terminating = True
-                hub.host_balance = rng.randrange(0, 30 * fee_avg)
-            host_balance = hub.host_balance
             queue_len = rng.randrange(1, 13)
+            # a fee averages a little more than the 34 * fee_avg its output
+            # costs, so some prefixes pay for themselves and some do not
             for _ in range(queue_len):
                 hub._enqueue(rng.randbytes(20), rng.randbytes(20),
-                             rng.randrange(1, 2_000), rng.randrange(0, 40 * fee_avg))
+                             rng.randrange(1, 2_000), rng.randrange(0, 80 * fee_avg))
             fares = sum(d.fare_precollected for d in hub.owned.values())
             fees = [r.fee for r in hub.queue]
 
@@ -718,17 +717,25 @@ def test_greedy_matches_bruteforce_over_random_queues():
                 if collected(n) >= formula_size(n_dep, n + 1) * fee_avg
             ]
             shortfall = formula_size(n_dep, queue_len + 1) * fee_avg - collected(queue_len)
+            if terminating:
+                # from nothing to twice the shortfall: about half the trials cover it
+                hub.terminating = True
+                hub.host_balance = rng.randrange(0, 2 * max(shortfall, 0) + 2)
+            host_balance = hub.host_balance
             plan = hub.try_build_settlement()
             label = f"trial {trial}, terminating {terminating}"
             if feasible:
+                branches["feasible"] += 1
                 assert plan is not None, f"{label}: not-yet where oracle says {max(feasible)}"
                 assert len(plan.selected) == max(feasible), label
                 assert plan.host_subsidy == 0, label
             elif terminating and shortfall <= host_balance:
+                branches["covered"] += 1
                 assert plan is not None, f"{label}: a covered shortfall of {shortfall} left unsettled"
                 assert len(plan.selected) == queue_len, label
                 assert plan.host_subsidy == shortfall, label
             else:
+                branches["infeasible"] += 1
                 assert plan is None, f"{label}: built where oracle says infeasible"
                 assert hub.host_balance == host_balance, label
                 continue
@@ -738,6 +745,8 @@ def test_greedy_matches_bruteforce_over_random_queues():
             reserve = collected(n) + plan.host_subsidy - plan.tx_fee
             hub._confirm_plan(hub.chain.tip_height, plan.transaction.txid())
             assert hub.fee_reserve == reserve, label
+    # each oracle branch ran often enough to check something
+    assert min(branches.values()) >= 5, branches
 
 
 # ------------------------------------------------------------------
