@@ -11,6 +11,16 @@ user balances, the host's withdrawable confirmed fees, queued settlement
 requests, the outstanding plan's in-flight value, pending routing fees, the
 carried fee reserve, and the per-deposit pre-collected fares.
 
+No request re-sums a table: the hub keeps running totals, each changed where
+its table changes. The fee window's sum changes as a sample enters and the
+oldest leaves a full window; owned value and fares where a deposit is credited
+and where a confirmed plan's inputs leave and its leftover enters (`_own`);
+the balance total on payment (by its fees), settle, credit and the terminal
+sweep; the queue's gain, the sum of positive slacks `fee - 34 * fee_avg`, on
+enqueue, re-summed when fee_avg moves and emptied when a plan takes the best
+prefix. A load derives them. `conservation()` recounts every table and is
+`ok` only while each total equals its recount.
+
 Users, pending and owned deposits and settle requests are `wire` records,
 declared once for memory and for the snapshot. Each fact is held once: a
 pending deposit's key lives only in `manager_keys`, and a settlement plan's
@@ -31,6 +41,7 @@ request, in request order, so replays keep their bytes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import time
 from collections import deque
 
@@ -138,12 +149,6 @@ def queue_order(request: SettleRequest) -> tuple[int, int]:
     return (-request.fee, request.enqueue_seq)
 
 
-def user_value(requests: list[SettleRequest]) -> int:
-    """What the pro-rata fee confirmation measures: host withdrawals queue
-    like requests but are not user value."""
-    return sum(r.total for r in requests if not r.is_host)
-
-
 def admit_block(block: Block) -> tuple[list[bytes], int | None]:
     """InsertBlock's rule for a block body, which init applies to its fee
     window too: not empty, matching its header's Merkle root, and each fee
@@ -166,19 +171,32 @@ def admit_block(block: Block) -> tuple[list[bytes], int | None]:
     return txids, (fees // size if size else None)
 
 
+def gain(queue: list[SettleRequest], fee_avg: int) -> int:
+    """The sum of the queue's positive slacks: what each fee pays beyond the
+    output it adds at `fee_avg`. The queue is fee-sorted, so they lead it."""
+    per_output = FORMULA_OUTPUT_BYTES * fee_avg
+    paying = bisect.bisect_left(queue, (-per_output, 0), key=queue_order)
+    return sum(r.fee for r in queue[:paying]) - paying * per_output
+
+
 class FeeEstimator:
-    """Per-block satoshi/byte samples over a bounded window; blocks without a
-    non-coinbase transaction contribute no sample. The average never drops
-    below 1 so settlements are never free."""
+    """Per-block satoshi/byte samples over a bounded window, with their sum;
+    blocks without a non-coinbase transaction contribute no sample. The
+    average never drops below 1 so settlements are never free."""
 
     def __init__(self):
         self.window: deque[int] = deque(maxlen=FEE_WINDOW_CAPACITY)
+        self.total = 0
+
+    def add(self, sample: int) -> None:
+        if len(self.window) == FEE_WINDOW_CAPACITY:
+            self.total -= self.window[0]  # the oldest sample leaves
+        self.window.append(sample)
+        self.total += sample
 
     @property
     def fee_avg(self) -> int:
-        if not self.window:
-            return 1
-        return max(1, sum(self.window) // len(self.window))
+        return max(1, self.total // len(self.window)) if self.window else 1
 
 
 @wire.plain
@@ -208,7 +226,9 @@ class SettlementPlan:
 
     @property
     def s_amount(self) -> int:
-        return user_value(self.selected)
+        # what the pro-rata fee confirmation measures: host withdrawals
+        # queue like requests but are not user value
+        return sum(r.total for r in self.selected if not r.is_host)
 
     @property
     def tx_inputs(self) -> int:
@@ -248,6 +268,12 @@ class Hub:
         self.key_pool: list[tuple[Secret, bytes]] = []
         self.queue: list[SettleRequest] = []
         self._next_enqueue_seq = 0
+        # running totals, each changed where its table changes, so that no
+        # request re-sums a table; `_recount` sums them afresh
+        self.owned_value = 0
+        self.fares = 0
+        self.balances_total = 0
+        self.queue_gain = 0  # gain(queue, fee_avg), re-summed when fee_avg moves
         self.plan: SettlementPlan | None = None
         self.plans_confirmed = 0
 
@@ -289,7 +315,7 @@ class Hub:
             chain = HeaderChain(self.config.chain_params, [start_header, *headers])
         except BlockRejected as exc:
             raise InitFailure(str(exc))
-        estimator = FeeEstimator()
+        estimator = FeeEstimator()  # nothing queues before init: no gain to re-price
         first = chain.tip_height + 1 - len(fee_window_blocks)
         for height, block in enumerate(fee_window_blocks, first):
             try:
@@ -299,8 +325,22 @@ class Hub:
             except InvalidBlock as exc:
                 raise InitFailure(f"fee window block at height {height}: {exc.detail}")
             if sample is not None:
-                estimator.window.append(sample)
+                estimator.add(sample)
         self.chain, self.estimator = chain, estimator
+
+    def _add_fee_sample(self, sample: int) -> None:
+        """Take a fee sample in with a queue standing, as InsertBlock does:
+        the queue's gain is priced at fee_avg, so a move re-sums it."""
+        fee_avg = self.estimator.fee_avg
+        self.estimator.add(sample)
+        if self.estimator.fee_avg != fee_avg:
+            self.queue_gain = gain(self.queue, self.estimator.fee_avg)
+
+    def _own(self, deposit: OwnedDeposit) -> None:
+        """Take a deposit into the owned set and its totals."""
+        self.owned[deposit.outpoint] = deposit
+        self.owned_value += deposit.value
+        self.fares += deposit.fare_precollected
 
     def _require_init(self) -> HeaderChain:
         if self.chain is None:
@@ -419,6 +459,7 @@ class Hub:
             if source is not None:
                 if receiver.max_source_block is None or receiver.max_source_block < source:
                     receiver.max_source_block = source
+        self.balances_total -= fees
         self.rf_pending += fees
         self.rf_collected_total += fees
         return len(msg.batch)
@@ -434,6 +475,7 @@ class Hub:
         if msg.amount + msg.fee > user.balance:
             raise InsufficientBalance(f"need {msg.amount + msg.fee}, have {user.balance}")
         user.balance -= msg.amount + msg.fee
+        self.balances_total -= msg.amount + msg.fee
         seq = self._enqueue(user.user_address, user.settle_address, msg.amount, msg.fee)
         self.try_build_settlement()
         return seq
@@ -443,6 +485,7 @@ class Hub:
         self._next_enqueue_seq += 1
         request = SettleRequest(user_address, settle_address, amount, fee, seq, is_host)
         bisect.insort(self.queue, request, key=queue_order)
+        self.queue_gain += max(0, fee - FORMULA_OUTPUT_BYTES * self.estimator.fee_avg)
         return seq
 
     # ------------------------------------------------------------------
@@ -453,32 +496,38 @@ class Hub:
         the owned deposits' fares and the carried reserve: the part request
         fees, or at termination the host, must pay. Each further output adds
         `FORMULA_OUTPUT_BYTES * fee_avg`."""
-        fares = sum(d.fare_precollected for d in self.owned.values())
-        return formula_size(len(self.owned), outputs) * self.estimator.fee_avg - fares - self.fee_reserve
+        return formula_size(len(self.owned), outputs) * self.estimator.fee_avg - self.fares - self.fee_reserve
 
     def try_build_settlement(self) -> SettlementPlan | None:
         """Greedy spend-all settlement: pick the largest fee-sorted prefix of
         the queue whose request fees pay what the deposit fares and the
         carried reserve leave uncovered of the formula transaction fee. The
-        plan's inputs are left unsigned, for `sign_plan`."""
+        plan's inputs are left unsigned, for `sign_plan`.
+
+        A prefix is feasible when its slacks, `fee - per_output` each, sum to
+        `base`. Slacks never grow along the fee-sorted queue, so the best
+        prefix sums the positive ones (`queue_gain`), else is the first
+        request alone; below `base`, only termination scans the queue."""
         if self.plan is not None or not self.owned or not self.queue:
             return None
         fee_avg = self.estimator.fee_avg
         per_output = FORMULA_OUTPUT_BYTES * fee_avg
         base = self._uncovered(1)  # the inputs, base bytes and the leftover output
-        fees = 0
-        n = 0
+        if (self.queue_gain or self.queue[0].fee - per_output) < base and not self.terminating:
+            return None
+        fees = queued = taken = n = 0
         for i, request in enumerate(self.queue, 1):
             fees += request.fee
+            queued += 0 if request.is_host else request.total  # user value, as `s_amount`
             if fees >= base + i * per_output:
-                n = i
+                n, taken = i, queued
         host_subsidy = 0
         if n == 0:
             if not self.terminating:
                 return None
             # termination must drain every balance: the host covers the
             # shortfall from its confirmed fees to buy the confirmations
-            n = len(self.queue)
+            n, taken = len(self.queue), queued
             host_subsidy = base + n * per_output - fees
             if host_subsidy > self.host_balance:
                 return None
@@ -486,11 +535,11 @@ class Hub:
 
         selected = self.queue[:n]
         tx_fee = formula_size(len(self.owned), n + 1) * fee_avg
-        total_in = sum(d.value for d in self.owned.values())
-        b_total = sum(u.balance for u in self.users.values()) + user_value(self.queue)
+        total_in = self.owned_value
+        b_total = self.balances_total + queued
         rf_delta = self.rf_pending
         if b_total:
-            rf_delta = min(rf_delta, rf_delta * user_value(selected) // b_total)
+            rf_delta = min(rf_delta, rf_delta * taken // b_total)
 
         # the leftover output, last, goes to a fresh manager key
         manager_address = self._new_manager_key()
@@ -503,6 +552,7 @@ class Hub:
         )
 
         self.queue = self.queue[n:]
+        self.queue_gain = 0  # the best prefix, so every positive slack, is taken
         self.rf_pending -= rf_delta
         self.plan = SettlementPlan(tx, selected, b_total, rf_delta, host_subsidy)
         return self.plan
@@ -532,10 +582,13 @@ class Hub:
         assert plan is not None
         # nothing moves the reserve while a plan is outstanding, so it gains
         # exactly what the plan collected beyond its transaction fee
-        fares = sum(self.owned.pop(outpoint).fare_precollected for outpoint in plan.input_outpoints)
+        spent = [self.owned.pop(outpoint) for outpoint in plan.input_outpoints]
+        fares = sum(d.fare_precollected for d in spent)
+        self.owned_value -= sum(d.value for d in spent)
+        self.fares -= fares
         leftover = plan.transaction.outputs[-1]
         vout = plan.tx_outputs - 1
-        self.owned[(txid, vout)] = OwnedDeposit(txid, vout, leftover.value, 0, height, leftover.lock_address)
+        self._own(OwnedDeposit(txid, vout, leftover.value, 0, height, leftover.lock_address))
         self.fee_reserve += fares + sum(r.fee for r in plan.selected) + plan.host_subsidy - plan.tx_fee
         self.rf_confirmed += plan.rf_confirmed_on_confirm
         self.host_balance += plan.rf_confirmed_on_confirm
@@ -563,7 +616,7 @@ class Hub:
         txids, sample = admit_block(block)
         # supply bounded as on a real chain: no balance or plan output passes a u64
         credits = sum(out.value for tx in block.txs for out in tx.outputs if out.lock_address in self.pending_deposits)
-        if credits + sum(d.value for d in self.owned.values()) > MAX_MONEY:
+        if credits + self.owned_value > MAX_MONEY:
             raise InvalidBlock("credits over the money supply")
         try:
             chain.append(block.header)
@@ -572,12 +625,13 @@ class Hub:
 
         height = chain.tip_height
         if sample is not None:
-            self.estimator.window.append(sample)
+            self._add_fee_sample(sample)
 
-        expired = 0
-        for addr in [a for a, p in self.pending_deposits.items() if height > p.expiry_height]:
-            del self.pending_deposits[addr]
-            expired += 1
+        # pending deposits are added in expiry order, tip + 100 with a tip
+        # that only grows, so the expired ones come first
+        expired = list(itertools.takewhile(lambda p: height > p.expiry_height, self.pending_deposits.values()))
+        for pending in expired:
+            del self.pending_deposits[pending.manager_address]
 
         credited = 0
         confirmed = False
@@ -600,9 +654,10 @@ class Hub:
                     continue
                 fare = min(txout.value, FORMULA_INPUT_BYTES * fee_avg)
                 increase = txout.value - fare
-                self.owned[(txid, idx)] = OwnedDeposit(txid, idx, txout.value, fare, height, txout.lock_address)
+                self._own(OwnedDeposit(txid, idx, txout.value, fare, height, txout.lock_address))
                 user = self.users[pending.beneficiary]
                 user.balance += increase
+                self.balances_total += increase
                 if user.max_source_block is None or user.max_source_block < height:
                     user.max_source_block = height
                 credited += 1
@@ -616,7 +671,7 @@ class Hub:
         return {
             "height": height,
             "credited": credited,
-            "expired": expired,
+            "expired": len(expired),
             "confirmed_plan": int(confirmed),
             "plan_built": int(self.plan is not outstanding),
         }
@@ -649,6 +704,7 @@ class Hub:
             extra = max(0, min(user.balance - 1 - fee, need))
             need -= extra
             self._enqueue(user.user_address, user.settle_address, user.balance - fee - extra, fee + extra)
+            self.balances_total -= user.balance
             user.balance = 0
         return len(holders)
 
@@ -683,7 +739,7 @@ class Hub:
             self.plan is None
             and not self.queue
             and self.rf_pending == 0
-            and all(u.balance == 0 for u in self.users.values())
+            and self.balances_total == 0
         )
 
     @property
@@ -765,12 +821,22 @@ class Hub:
             "conservation_ok": int(parts["ok"]),
         }
 
+    def _recount(self) -> dict:
+        """Each running total, summed afresh from its table."""
+        return {
+            "owned_value": sum(d.value for d in self.owned.values()),
+            "fares": sum(d.fare_precollected for d in self.owned.values()),
+            "balances_total": sum(u.balance for u in self.users.values()),
+            "queue_gain": gain(self.queue, self.estimator.fee_avg),
+        }
+
     def conservation(self) -> dict:
-        """Evaluate the ledger identity; `ok` must hold after every operation."""
-        owned_value = sum(d.value for d in self.owned.values())
-        fares = sum(d.fare_precollected for d in self.owned.values())
-        balances_total = sum(u.balance for u in self.users.values())
-        queued_value = sum(r.total for r in self.queue)
+        """Evaluate the ledger identity over a recount of every table; `ok`
+        must hold after every operation, and needs each running total to
+        equal its recount."""
+        parts = self._recount()
+        totals_ok = (all(getattr(self, name) == value for name, value in parts.items())
+                     and self.estimator.total == sum(self.estimator.window))
         in_flight = 0
         if self.plan is not None:
             in_flight = (
@@ -778,24 +844,17 @@ class Hub:
                 + self.plan.rf_confirmed_on_confirm
                 + self.plan.host_subsidy
             )
+        parts.update(queued_value=sum(r.total for r in self.queue), in_flight=in_flight)
         owed = (
-            balances_total
+            parts["balances_total"]
             + self.host_balance
-            + queued_value
+            + parts["queued_value"]
             + in_flight
             + self.rf_pending
             + self.fee_reserve
-            + fares
+            + parts["fares"]
         )
-        return {
-            "owned_value": owned_value,
-            "balances_total": balances_total,
-            "queued_value": queued_value,
-            "in_flight": in_flight,
-            "fares": fares,
-            "owed": owed,
-            "ok": owned_value == owed,
-        }
+        return {**parts, "owed": owed, "ok": parts["owned_value"] == owed and totals_ok}
 
     # ------------------------------------------------------------------
     # message dispatch (daemon entry point)

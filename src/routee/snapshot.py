@@ -10,8 +10,10 @@ transaction does not determine. Loading reconstructs an identical hub,
 including the deterministic RNG position, so manager-key generation continues
 where it left off. Any bytes load as a hub or raise `SnapshotError`: the
 trailer refuses a damaged file, and a restored hub must verify its chain from
-genesis, balance its ledger, keep its queue in settlement order, hold the key
-of every deposit it owns or awaits and own every input of its plan.
+genesis, balance its ledger, keep its queue in settlement order and its
+pending deposits in expiry order, hold the key of every deposit it owns or
+awaits and own every input of its plan. The hub's running totals are not
+stored: a load derives them from the tables.
 
 Known limitation: snapshots carry no rollback protection. An operator
 restoring an old file resurrects old state; guarding against that would need
@@ -135,7 +137,8 @@ def _restore(image: HubImage) -> Hub:
     hub.rng = DeterministicRng.fromstate((image.rng_seed, image.rng_counter))
     if image.headers:
         hub.chain = HeaderChain(params, [BlockHeader.deserialize(row.raw) for row in image.headers])
-    hub.estimator.window.extend(sample.value for sample in image.fee_window)
+    for sample in image.fee_window:
+        hub.estimator.add(sample.value)
     hub.users = {user.user_address: user for user in image.users}
     hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}
     hub.owned = {deposit.outpoint: deposit for deposit in image.owned}
@@ -152,6 +155,7 @@ def _restore(image: HubImage) -> Hub:
         hub.plan = SettlementPlan(tx, row.selected, **_named(row, _PLAN))
     for name in _TOTALS:
         setattr(hub, name, getattr(image, name))
+    vars(hub).update(hub._recount())  # the running totals are derived, not stored
     _check(hub)
     return hub
 
@@ -163,6 +167,9 @@ def _check(hub: Hub) -> None:
     order = [queue_order(request) for request in hub.queue]
     if order != sorted(order):
         raise SnapshotError("queue out of settlement order")
+    expiry = [pending.expiry_height for pending in hub.pending_deposits.values()]
+    if expiry != sorted(expiry):
+        raise SnapshotError("pending deposits out of expiry order")
     locks = [deposit.lock_address for deposit in hub.owned.values()] + list(hub.pending_deposits)
     if hub.plan is not None:
         if any(outpoint not in hub.owned for outpoint in hub.plan.input_outpoints):

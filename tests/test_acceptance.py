@@ -57,8 +57,7 @@ def test_criterion_1_fee_formula_exactness():
     ok_size = formula_size(2000, 2001) == 364_044
 
     harness = World(seed=101)
-    harness.hub.estimator.window.clear()
-    harness.hub.estimator.window.append(10)
+    harness.hub.estimator.add(10)  # the window starts empty
     alice = harness.new_user()
     harness.deposit(alice, 100_000)
     ok_increase = harness.balance(alice) == 98_520
@@ -232,17 +231,17 @@ def test_criterion_5_greedy_matches_bruteforce():
     for trial in range(500):
         hub = Hub(HubConfig(host.public, b"\x68" * 20, 1, ChainParams.regtest(), FAST))
         fee_avg = rng.randrange(1, 12)
-        hub.estimator.window.append(fee_avg)
+        hub.estimator.add(fee_avg)
         n_dep = rng.randrange(1, 6)
         for i in range(n_dep):
             outpoint = (rng.randbytes(32), 0)
             sk, pk = FAST.onchain.generate(DeterministicRng(trial * 100 + i))
             addr = address_of(pk)
             hub.manager_keys[addr] = (sk, pk)
-            hub.owned[outpoint] = OwnedDeposit(
+            hub._own(OwnedDeposit(
                 *outpoint, rng.randrange(300_000, 400_000),
                 rng.randrange(0, 148 * fee_avg + 1), i, addr,
-            )
+            ))
         hub.fee_reserve = rng.randrange(0, 400)
         for _ in range(rng.randrange(1, 13)):
             hub._enqueue(rng.randbytes(20), rng.randbytes(20),

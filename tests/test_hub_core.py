@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -26,7 +27,7 @@ from routee.errors import (
     UnknownType,
 )
 from routee.headers import BlockHeader, check_pow
-from routee.hub import DEPOSIT_EXPIRY_BLOCKS, Hub, HubConfig, OwnedDeposit
+from routee.hub import DEPOSIT_EXPIRY_BLOCKS, FEE_WINDOW_CAPACITY, Hub, HubConfig, OwnedDeposit
 from routee.scenarios import World
 from routee.simchain import SimNode
 from routee.snapshot import TRAILER_SIZE, HubImage, dump_hub, load_hub
@@ -294,9 +295,8 @@ def test_deposit_credit_uses_balance_increase_formula():
 
 def test_deposit_credit_example_fee_avg_10():
     harness = World()
-    # pin fee_avg at 10 by injecting the estimator window directly
-    harness.hub.estimator.window.clear()
-    harness.hub.estimator.window.append(10)
+    # pin fee_avg at 10 with one sample in the empty window
+    harness.hub.estimator.add(10)
     alice = harness.new_user()
     harness.deposit(alice, 100_000)
     assert harness.balance(alice) == 98_520
@@ -305,8 +305,7 @@ def test_deposit_credit_example_fee_avg_10():
 
 def test_dust_deposit_credits_zero_but_stays_spendable():
     harness = World()
-    harness.hub.estimator.window.clear()
-    harness.hub.estimator.window.append(10)
+    harness.hub.estimator.add(10)
     alice = harness.new_user()
     harness.deposit(alice, 900)  # below the 1,480 sat fare
     assert harness.balance(alice) == 0
@@ -546,7 +545,7 @@ def test_gating_matches_bruteforce_oracle():
     rng = random.Random(31337)
     harness = World(seed=31337, min_routing_fee=5)
     users = [harness.new_user() for _ in range(4)]
-    harness.hub.estimator.window.append(1)
+    harness.hub.estimator.add(1)
     # give everyone a deposit so max_source values vary
     for keys in users[:2]:
         harness.deposit(keys, rng.randrange(5_000, 20_000))
@@ -584,8 +583,7 @@ def test_gating_matches_bruteforce_oracle():
 
 def settlement_hub(fee_avg=10):
     harness = World(seed=9)
-    harness.hub.estimator.window.clear()
-    harness.hub.estimator.window.append(fee_avg)
+    harness.hub.estimator.add(fee_avg)  # the window starts empty
     return harness
 
 
@@ -679,13 +677,89 @@ def test_spend_all_inputs_equal_owned_set():
     assert plan.tx_inputs == len(owned_before)
 
 
+def _counting_passes(kind):
+    """`kind` of sequence, counting the passes made over it."""
+
+    class Counted(kind):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    return Counted
+
+
+CountedQueue, CountedWindow = _counting_passes(list), _counting_passes(deque)
+
+
+def _settle_against_bruteforce(hub, rng, terminating, label):
+    """Build a plan from the hub's queue and check it against every prefix
+    summed afresh; confirm it if built. Returns "scan" when the planner
+    passed over the queue, "exit" when its bound answered without one."""
+    fee_avg = hub.estimator.fee_avg
+    n_dep = len(hub.owned)
+    fares = sum(d.fare_precollected for d in hub.owned.values())
+    fees = [r.fee for r in hub.queue]
+    queue_len = len(fees)
+
+    def collected(n):
+        return fares + sum(fees[:n]) + hub.fee_reserve
+
+    feasible = [
+        n for n in range(1, queue_len + 1)
+        if collected(n) >= formula_size(n_dep, n + 1) * fee_avg
+    ]
+    shortfall = formula_size(n_dep, queue_len + 1) * fee_avg - collected(queue_len)
+    if terminating:
+        # from nothing to twice the shortfall: about half the trials cover it
+        hub.terminating = True
+        hub.host_balance = rng.randrange(0, 2 * max(shortfall, 0) + 2)
+    host_balance = hub.host_balance
+    hub.queue = queue = CountedQueue(hub.queue)
+    plan = hub.try_build_settlement()
+    # the planner scans once where a plan can be built, and at termination
+    assert queue.passes == (1 if feasible or terminating else 0), label
+    path = "scan" if queue.passes else "exit"
+    if feasible:
+        assert plan is not None, f"{label}: not-yet where oracle says {max(feasible)}"
+        assert len(plan.selected) == max(feasible), label
+        assert plan.host_subsidy == 0, label
+    elif terminating and shortfall <= host_balance:
+        assert plan is not None, f"{label}: a covered shortfall of {shortfall} left unsettled"
+        assert len(plan.selected) == queue_len, label
+        assert plan.host_subsidy == shortfall, label
+    else:
+        assert plan is None, f"{label}: built where oracle says infeasible"
+        assert hub.host_balance == host_balance, label
+        return "infeasible", path
+    assert hub.host_balance == host_balance - plan.host_subsidy, label
+    n = len(plan.selected)
+    assert plan.tx_fee == formula_size(n_dep, n + 1) * fee_avg, label
+    reserve = collected(n) + plan.host_subsidy - plan.tx_fee
+    hub._confirm_plan(hub.chain.tip_height, plan.transaction.txid())
+    assert hub.fee_reserve == reserve, label
+    return ("feasible" if feasible else "covered"), path
+
+
+def _enqueue_random(hub, rng, count, max_fee):
+    for _ in range(count):
+        hub._enqueue(rng.randbytes(20), rng.randbytes(20), rng.randrange(1, 2_000), rng.randrange(0, max_fee))
+
+
 def test_greedy_matches_bruteforce_over_random_queues():
     # at termination a queue with no feasible prefix settles whole when the
-    # host's confirmed fees cover the shortfall, and not at all otherwise
+    # host's confirmed fees cover the shortfall, and not at all otherwise.
+    # Three kinds of queue: random ones; "negative-first" ones, where even
+    # the first fee is below 34 * fee_avg while fares and reserve cover the
+    # base; and "fee-move" ones, where fee_avg moves between two settles
     rng = random.Random(555)
+    kinds = ("random", "negative-first", "fee-move")
     branches = {"feasible": 0, "covered": 0, "infeasible": 0}
+    paths = {(kind, path): 0 for kind in kinds for path in ("exit", "scan")}
     for terminating in (False, True):
-        for trial in range(60):
+        for trial in range(180):
+            kind = kinds[trial % 3]
             harness = settlement_hub(fee_avg=rng.randrange(1, 12))
             hub = harness.hub
             fee_avg = hub.estimator.fee_avg
@@ -695,58 +769,98 @@ def test_greedy_matches_bruteforce_over_random_queues():
                 sk, pk = FAST.onchain.generate()
                 addr = address_of(pk)
                 hub.manager_keys[addr] = (sk, pk)
-                hub.owned[outpoint] = OwnedDeposit(
+                hub._own(OwnedDeposit(
                     *outpoint, rng.randrange(200_000, 300_000),
                     rng.randrange(0, 148 * fee_avg + 1), i, addr,
-                )
-            hub.fee_reserve = rng.randrange(0, 300)
-            queue_len = rng.randrange(1, 13)
-            # a fee averages a little more than the 34 * fee_avg its output
-            # costs, so some prefixes pay for themselves and some do not
-            for _ in range(queue_len):
-                hub._enqueue(rng.randbytes(20), rng.randbytes(20),
-                             rng.randrange(1, 2_000), rng.randrange(0, 80 * fee_avg))
-            fares = sum(d.fare_precollected for d in hub.owned.values())
-            fees = [r.fee for r in hub.queue]
-
-            def collected(n):
-                return fares + sum(fees[:n]) + hub.fee_reserve
-
-            feasible = [
-                n for n in range(1, queue_len + 1)
-                if collected(n) >= formula_size(n_dep, n + 1) * fee_avg
-            ]
-            shortfall = formula_size(n_dep, queue_len + 1) * fee_avg - collected(queue_len)
-            if terminating:
-                # from nothing to twice the shortfall: about half the trials cover it
-                hub.terminating = True
-                hub.host_balance = rng.randrange(0, 2 * max(shortfall, 0) + 2)
-            host_balance = hub.host_balance
-            plan = hub.try_build_settlement()
-            label = f"trial {trial}, terminating {terminating}"
-            if feasible:
-                branches["feasible"] += 1
-                assert plan is not None, f"{label}: not-yet where oracle says {max(feasible)}"
-                assert len(plan.selected) == max(feasible), label
-                assert plan.host_subsidy == 0, label
-            elif terminating and shortfall <= host_balance:
-                branches["covered"] += 1
-                assert plan is not None, f"{label}: a covered shortfall of {shortfall} left unsettled"
-                assert len(plan.selected) == queue_len, label
-                assert plan.host_subsidy == shortfall, label
+                ))
+            if kind == "negative-first":
+                uncovered = formula_size(n_dep, 1) * fee_avg - hub.fares
+                hub.fee_reserve = max(0, uncovered) + rng.randrange(0, 34 * fee_avg)
+                _enqueue_random(hub, rng, rng.randrange(1, 5), 34 * fee_avg)
             else:
-                branches["infeasible"] += 1
-                assert plan is None, f"{label}: built where oracle says infeasible"
-                assert hub.host_balance == host_balance, label
-                continue
-            assert hub.host_balance == host_balance - plan.host_subsidy, label
-            n = len(plan.selected)
-            assert plan.tx_fee == formula_size(n_dep, n + 1) * fee_avg, label
-            reserve = collected(n) + plan.host_subsidy - plan.tx_fee
-            hub._confirm_plan(hub.chain.tip_height, plan.transaction.txid())
-            assert hub.fee_reserve == reserve, label
-    # each oracle branch ran often enough to check something
+                hub.fee_reserve = rng.randrange(0, 300)
+                # a fee averages a little more than the 34 * fee_avg its output
+                # costs, so some prefixes pay for themselves and some do not
+                _enqueue_random(hub, rng, rng.randrange(1, 13), 80 * fee_avg)
+            label = f"trial {trial}, {kind}, terminating {terminating}"
+            settles = [_settle_against_bruteforce(hub, rng, terminating, label)]
+            if kind == "fee-move":
+                # one sample beside the window's only one moves fee_avg to
+                # anywhere from half to three times what it was
+                moved = rng.choice([avg for avg in range((fee_avg + 1) // 2, 3 * fee_avg + 2) if avg != fee_avg])
+                hub._add_fee_sample(2 * moved - fee_avg)
+                assert hub.estimator.fee_avg == moved
+                _enqueue_random(hub, rng, 1, 80 * moved)
+                settles.append(_settle_against_bruteforce(hub, rng, terminating, label + ", moved"))
+            for branch, path in settles:
+                branches[branch] += 1
+                paths[kind, path] += 1
+    # each oracle branch, and the planner's bound and its scan in each kind
+    # of queue, ran often enough to check something
     assert min(branches.values()) >= 5, branches
+    assert min(paths.values()) >= 5, paths
+
+
+def test_a_settle_passes_over_the_queue_only_to_build_a_plan():
+    harness = settlement_hub(fee_avg=10)
+    hub = harness.hub
+    for _ in range(100):
+        hub.estimator.add(10)
+    alice = harness.new_user()
+    harness.deposit(alice, 1_000_000)  # fare 1,480: a plan needs 440 beyond the outputs
+    hub.queue = queue = CountedQueue()
+    hub.estimator.window = window = CountedWindow(hub.estimator.window, maxlen=FEE_WINDOW_CAPACITY)
+    for _ in range(5):
+        harness.settle(alice, 1_000, 340)  # the minimum fee pays its output alone
+    assert hub.plan is None and len(queue) == 5
+    assert (queue.passes, window.passes) == (0, 0)
+    harness.settle(alice, 1_000, 2_000)
+    assert hub.plan is not None
+    assert (queue.passes, window.passes) == (1, 0)
+    assert hub.conservation()["ok"]
+
+
+def test_fee_window_drops_its_oldest_sample_from_the_sum():
+    harness = World(seed=14)
+    hub = harness.hub
+    rng = random.Random(14)
+    samples = [10**6] + [rng.randrange(0, 50) for _ in range(FEE_WINDOW_CAPACITY)]
+    for sample in samples:
+        hub.estimator.add(sample)
+        window = hub.estimator.window
+        assert hub.estimator.fee_avg == max(1, sum(window) // len(window))
+    assert list(hub.estimator.window) == samples[1:]  # the first has left
+    assert hub.conservation()["ok"]
+    restored = load_hub(dump_hub(hub)).estimator
+    assert list(restored.window) == samples[1:]
+    assert restored.fee_avg == max(1, sum(restored.window) // len(restored.window)) == hub.estimator.fee_avg
+
+
+def _deposit_behind_the_hubs_back(hub, alice):
+    # owned as a fare in full, so the ledger identity still balances
+    hub.owned[(bytes(32), 0)] = OwnedDeposit(bytes(32), 0, 1_000, 1_000, 1, bytes(20))
+
+
+def _balance_behind_the_hubs_back(hub, alice):
+    # paid from the pending routing fees, so the ledger identity still balances
+    hub.users[alice.address].balance += 5
+    hub.rf_pending -= 5
+
+
+@pytest.mark.parametrize("fault", [_deposit_behind_the_hubs_back, _balance_behind_the_hubs_back])
+def test_conservation_cross_checks_the_running_totals(fault):
+    harness = World(seed=15)
+    hub = harness.hub
+    alice, bob = harness.new_user(), harness.new_user()
+    harness.deposit(alice, 50_000)
+    harness.set_boundary(bob)
+    harness.pay(alice, bob.address, 100, 5)
+    assert hub.conservation()["ok"]
+    fault(hub, alice)
+    parts = hub.conservation()
+    assert parts["owned_value"] == parts["owed"]
+    assert not parts["ok"]
+    assert hub.query_ledger()["conservation_ok"] == 0
 
 
 # ------------------------------------------------------------------

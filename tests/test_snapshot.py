@@ -118,6 +118,7 @@ _UNREACHABLE = {
     "leftover_key": ("manager key", lambda image: _without_key(image, _leftover_address(image))),
     "user_address": ("user address", lambda image: setattr(image.users[0], "user_address", b"\x01" * 20)),
     "queue_order": ("settlement order", lambda image: image.queue.reverse()),
+    "pending_order": ("expiry order", lambda image: image.pending.reverse()),
     "two_plans": ("2 outstanding plans", lambda image: image.plan.append(image.plan[0])),
     "plan_outputs": ("plan without a leftover output", _without_outputs),
 }
@@ -133,6 +134,11 @@ def test_snapshot_refuses_state_no_request_sequence_reaches(name):
     # with the plan outstanding, further requests wait in the queue
     harness.settle(alice, 1_000, 40)
     harness.settle(alice, 1_000, 50)
+    # a second pending deposit, a block later, expires a block later
+    harness.insert(harness.node.mine_block())
+    harness.hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, harness.nonce(bob))))
+    expiry = [pending.expiry_height for pending in harness.hub.pending_deposits.values()]
+    assert len(expiry) == 2 and expiry[0] < expiry[1]
     data = dump_hub(harness.hub)
     assert load_hub(data).plan is not None
     assert [r.fee for r in harness.hub.queue] == [50, 40]
