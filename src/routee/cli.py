@@ -17,7 +17,7 @@ import sys
 
 from . import wire
 from .client import Keys, RemoteHub
-from .crypto import below, get_scheme, hex_address
+from .crypto import AUTH_SCHEMES, below, get_scheme, hex_address
 from .daemon import DaemonConfig, HubDaemon
 from .errors import RouteeError
 from .headers import ChainParams
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("keygen")
     p.add_argument("--out", required=True)
-    p.add_argument("--scheme", default="fast", choices=["fast", "rsa3072"])
+    p.add_argument("--scheme", default="fast", choices=AUTH_SCHEMES)
     p.set_defaults(fn=cmd_keygen)
 
     p = sub.add_parser("add-user")

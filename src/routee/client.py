@@ -5,7 +5,7 @@ hub's frame pipeline, which the daemon and the in-memory endpoint share."""
 from __future__ import annotations
 
 from . import wire
-from .crypto import Secret, address_of, get_scheme
+from .crypto import AUTH_SCHEMES, SCHEMES, Secret, address_of
 from .errors import AuthFailure, MalformedFrame, RouteeError, SessionAborted
 from .netio import Closing, FrameConn
 from .session import ClientHandshake, HubSessionEndpoint, Session
@@ -50,25 +50,28 @@ class Keys:
         return msg
 
     def save(self, path: str) -> None:
+        """Write a key file of a scheme that signs hub requests."""
         with open(path, "w") as fh:
-            secret = self.scheme.secret_bytes(self.secret)
-            fh.write(f"{self.scheme.name}\n{secret.hex()}\n{self.public.hex()}\n")
+            fh.write(f"{self.scheme.name}\n{self.secret.hex()}\n{self.public.hex()}\n")
 
     @classmethod
     def load(cls, path: str) -> "Keys":
         """Read a key file: scheme name, secret hex and public hex, one a line.
-        A file that is not one, or whose secret does not sign for its public
-        key, raises `AuthFailure` naming the path. The trial signature parses
-        the secret now rather than at the first request; the parse is kept."""
+        A file that is not one, of a scheme that signs no hub request, or whose
+        secret does not sign for its public key, raises `AuthFailure` naming
+        the path. The trial signature parses the secret now rather than at the
+        first request; the parse is kept."""
         with open(path) as fh:
             lines = [line.strip() for line in fh.read().splitlines() if line.strip()]
         try:
             name, secret, public = lines
-            scheme = get_scheme(name)
-            keys = cls(scheme, scheme.load_secret(bytes.fromhex(secret)), bytes.fromhex(public))
+            if name not in AUTH_SCHEMES:
+                raise ValueError(f"scheme {name!r} signs no hub request")
+            scheme = SCHEMES[name]
+            keys = cls(scheme, bytes.fromhex(secret), bytes.fromhex(public))
             if not scheme.verify(keys.public, b"", scheme.sign(keys.secret, b"")):
                 raise ValueError("the secret does not sign for the public key")
-        except (ValueError, TypeError, AuthFailure) as exc:
+        except (ValueError, TypeError) as exc:
             raise AuthFailure(f"bad key file {path!r}: {exc}") from None
         return keys
 

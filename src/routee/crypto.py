@@ -6,20 +6,14 @@ scheme; the `full` suite uses RSA-3072 for auth and secp256k1 ECDSA on-chain,
 while the `fast-test` suite substitutes a deterministic HMAC scheme for both
 so that whole simulations replay bit-identically from a seed.
 
-A secret key has an in-memory form, which `generate` returns and `sign`
-takes, and a stored form, the bytes a snapshot or key file holds. Each scheme
-converts between them with `secret_bytes` and `load_secret`. For `fast` and
-`rsa3072` both forms are the same bytes (RSA's are PKCS#8 DER, parsed once
-per key into a cache). An ECDSA secret in memory is an `EcdsaSecret`: its
-PKCS#8 DER, which is the stored form, plus the parsed key. `generate` keeps
-the key it made; a secret loaded from bytes parses its DER when it first
-signs, since on secp256k1 that parse costs about as much as a signature.
-
-A `fast` key is drawn from the RNG `generate` is given, the hub's seeded one,
-so the order keys are made in is part of a replay. ECDSA and RSA keys come
-from the OS, whatever RNG is given, so a hub may make its ECDSA keys ahead of
-the requests that hand them out; each on-chain scheme says which it is with
-`keys_from_rng`.
+An auth secret (`fast` or `rsa3072`) is bytes, in memory and in a key file;
+RSA's are PKCS#8 DER, parsed once per key into a cache. An on-chain secret is
+never stored: each on-chain scheme derives key i from a 32-byte seed as
+`derive(seed, i)`, from `HMAC-SHA256(seed, i)`, the seeded RNG's i-th draw,
+as BIP 32's hardened keys derive from one secret. A `fast` key is those 32
+bytes; an ECDSA key is the secp256k1 key whose scalar they name, and its
+secret in memory is the key object. `generate` makes a fresh key, for
+wallets and key files: a `fast` one from the RNG it is given, if any.
 
 `serialization`, which parses and dumps keys, is imported on first use: its
 import costs about 20 ms, mostly in its SSH module, which imports
@@ -43,6 +37,7 @@ from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 from .errors import AuthFailure
 
 ADDRESS_SIZE = 20
+SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 RSA_KEY_CACHE = 1024  # parsed RSA keys kept, of each kind, most recently used first
 
 
@@ -98,44 +93,36 @@ def below(limit: int):
     return parse
 
 
+def seed_bytes(seed: bytes | int) -> bytes:
+    """A 32-byte seed: an integer's 32 big-endian bytes, 32 bytes as they
+    are, and the SHA-256 of any other length."""
+    if isinstance(seed, int):
+        seed = seed.to_bytes(32, "big")
+    return seed if len(seed) == 32 else sha256(seed)
+
+
+def draw(seed: bytes, index: int) -> bytes:
+    """The `index`-th 32 bytes of the RNG seeded with `seed`."""
+    return hmac.new(seed, index.to_bytes(8, "big"), hashlib.sha256).digest()
+
+
 class DeterministicRng:
-    """Counter-mode HMAC-SHA256 byte generator. State is (seed, counter) so it
-    serializes into snapshots and replays exactly."""
+    """Counter-mode HMAC-SHA256 byte generator. Its state is (seed, counter),
+    so an RNG made from the same pair replays it exactly."""
 
     def __init__(self, seed: bytes | int, counter: int = 0):
-        if isinstance(seed, int):
-            seed = seed.to_bytes(32, "big")
-        if len(seed) != 32:
-            seed = sha256(seed)
-        self.seed = seed
+        self.seed = seed_bytes(seed)
         self.counter = counter
 
     def randbytes(self, n: int) -> bytes:
         out = bytearray()
         while len(out) < n:
-            out += hmac.new(self.seed, self.counter.to_bytes(8, "big"), hashlib.sha256).digest()
+            out += draw(self.seed, self.counter)
             self.counter += 1
         return bytes(out[:n])
 
-    def getstate(self) -> tuple[bytes, int]:
-        return (self.seed, self.counter)
 
-    @classmethod
-    def fromstate(cls, state: tuple[bytes, int]) -> "DeterministicRng":
-        return cls(state[0], state[1])
-
-
-class _BytesSecret:
-    """A scheme whose secret is the same bytes in memory and when stored."""
-
-    def secret_bytes(self, secret: bytes) -> bytes:
-        return secret
-
-    def load_secret(self, raw: bytes) -> bytes:
-        return raw
-
-
-class FastScheme(_BytesSecret):
+class FastScheme:
     """Deterministic MAC-based stand-in scheme for tests and simulations.
 
     The "public" key reveals the secret (pk == sk), so verification is just a
@@ -143,10 +130,13 @@ class FastScheme(_BytesSecret):
     """
 
     name = "fast"
-    keys_from_rng = True
 
     def generate(self, rng=None) -> tuple[bytes, bytes]:
         sk = rng.randbytes(32) if rng is not None else os.urandom(32)
+        return sk, sk
+
+    def derive(self, seed: bytes, index: int) -> tuple[bytes, bytes]:
+        sk = draw(seed, index)
         return sk, sk
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
@@ -171,17 +161,7 @@ def _rsa_private_key(der: bytes):
     return _loaded("load_der_private_key")(der, password=None)
 
 
-def _pkcs8(key) -> bytes:
-    """A new key's stored secret: its unencrypted PKCS#8 DER."""
-    serialization = _loaded("serialization")
-    return key.private_bytes(
-        serialization.Encoding.DER,
-        serialization.PrivateFormat.PKCS8,
-        serialization.NoEncryption(),
-    )
-
-
-class RsaScheme(_BytesSecret):
+class RsaScheme:
     """RSA-3072 with PKCS#1 v1.5 / SHA-256; DER-encoded keys."""
 
     name = "rsa3072"
@@ -194,7 +174,12 @@ class RsaScheme(_BytesSecret):
             serialization.Encoding.DER,
             serialization.PublicFormat.SubjectPublicKeyInfo,
         )
-        return _pkcs8(key), pk
+        sk = key.private_bytes(
+            serialization.Encoding.DER,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        )
+        return sk, pk
 
     def sign(self, secret_key: bytes, message: bytes) -> bytes:
         return _rsa_private_key(secret_key).sign(message, padding.PKCS1v15(), hashes.SHA256())
@@ -210,37 +195,31 @@ class RsaScheme(_BytesSecret):
             return False
 
 
-class EcdsaSecret:
-    """A secp256k1 secret: its PKCS#8 DER, and the parsed key once known.
-    A repr shows neither."""
-
-    def __init__(self, der: bytes, key: ec.EllipticCurvePrivateKey | None = None):
-        self.der = der
-        self.key = key
-
-    def __repr__(self) -> str:
-        return "EcdsaSecret()"
-
-
 class EcdsaScheme:
-    """secp256k1 ECDSA / SHA-256; compressed-point public keys, DER signatures."""
+    """secp256k1 ECDSA / SHA-256; compressed-point public keys, DER signatures.
+    A secret is its key object."""
 
     name = "ecdsa"
-    keys_from_rng = False
 
-    def generate(self, rng=None) -> tuple[EcdsaSecret, bytes]:
-        key = ec.generate_private_key(ec.SECP256K1())
+    def generate(self, rng=None) -> tuple[ec.EllipticCurvePrivateKey, bytes]:
+        return self._pair(ec.generate_private_key(ec.SECP256K1()))
+
+    def derive(self, seed: bytes, index: int) -> tuple[ec.EllipticCurvePrivateKey, bytes]:
+        # the draw reduced into the scalars 1 to n - 1; deriving checks the
+        # key and costs about two key generations
+        scalar = 1 + int.from_bytes(draw(seed, index), "big") % (SECP256K1_ORDER - 1)
+        return self._pair(ec.derive_private_key(scalar, ec.SECP256K1()))
+
+    def _pair(self, key: ec.EllipticCurvePrivateKey) -> tuple[ec.EllipticCurvePrivateKey, bytes]:
         serialization = _loaded("serialization")
         pk = key.public_key().public_bytes(
             serialization.Encoding.X962,
             serialization.PublicFormat.CompressedPoint,
         )
-        return EcdsaSecret(_pkcs8(key), key), pk
+        return key, pk
 
-    def sign(self, secret_key: EcdsaSecret, message: bytes) -> bytes:
-        if secret_key.key is None:
-            secret_key.key = _loaded("load_der_private_key")(secret_key.der, password=None)
-        return secret_key.key.sign(message, ec.ECDSA(hashes.SHA256()))
+    def sign(self, secret_key: ec.EllipticCurvePrivateKey, message: bytes) -> bytes:
+        return secret_key.sign(message, ec.ECDSA(hashes.SHA256()))
 
     def verify(self, public_key: bytes, message: bytes, signature: bytes) -> bool:
         try:
@@ -250,17 +229,13 @@ class EcdsaScheme:
         except (InvalidSignature, ValueError, TypeError):
             return False
 
-    def secret_bytes(self, secret: EcdsaSecret) -> bytes:
-        return secret.der
 
-    def load_secret(self, raw: bytes) -> EcdsaSecret:
-        return EcdsaSecret(raw)
-
-
-Secret = bytes | EcdsaSecret
+Secret = bytes | ec.EllipticCurvePrivateKey
 
 
 SCHEMES = {s.name: s for s in (FastScheme(), RsaScheme(), EcdsaScheme())}
+# the schemes that sign hub requests, and so the only ones a key file holds
+AUTH_SCHEMES = ("fast", "rsa3072")
 # an unlock's key length names the one scheme that verifies it, never another:
 # 32 bytes is a fast key, 33 a compressed secp256k1 point
 UNLOCK_SCHEMES = {32: SCHEMES["fast"], 33: SCHEMES["ecdsa"]}

@@ -15,9 +15,9 @@ session leaves the session table when the connection closes or idles out.
 Between frames the loop signs the outstanding settlement plan, a slice of
 `SIGN_SLICE_S` at a time, so no connection waits for a whole plan's
 signatures. Once the plan is signed, and once this process has handed out a
-manager key, each turn makes one ECDSA key ahead, until the hub's pool holds
-`KEY_POOL_SIZE`, so the requests that hand out fresh keys find them made
-(`Hub.fill_key_pool`). A daemon restarted only to serve reads makes none.
+manager key, each turn derives one key ahead, until the hub's pool holds
+`KEY_POOL_SIZE`, so the requests that hand out fresh keys find them derived
+(`Hub.fill_key_pool`). A daemon restarted only to serve reads derives none.
 Snapshots are written on demand and on shutdown, after the loop has stopped;
 a plan still being signed is stored as it stands, and signing resumes after
 a load. A fault ends the loop and writes none, keeping the last one.
@@ -42,7 +42,7 @@ from .netio import FrameServer
 from .session import HubSessionEndpoint
 
 SIGN_SLICE_S = 0.005  # plan signing per loop turn: about what another frame may wait
-# keys made ahead: a block cycle with two deposits draws three, the deposits'
+# keys derived ahead: a block cycle with two deposits draws three, the deposits'
 # and the next plan's leftover; one more covers a turn that answers two of
 # those requests
 KEY_POOL_SIZE = 4
@@ -130,9 +130,9 @@ class HubDaemon(HubFrontEnd):
                 raise AuthFailure(f"bad hub key file {key_path!r}: {exc}") from None
             hub_key = bytes.fromhex(text)
         super().__init__(hub, HubSessionEndpoint(hub_key))
-        # the hub's manager keys only grow; more than at start means this
-        # process has handed one out, and may be asked for the next
-        self._keys_at_start = len(hub.manager_keys)
+        # a key index past the one at start means this process has handed
+        # out a key, and may be asked for the next
+        self._next_key_at_start = hub.next_key
         if config["auto_init"] and hub.chain is None:
             self.run_init()
         self.server = FrameServer(
@@ -211,10 +211,10 @@ class HubDaemon(HubFrontEnd):
     def _idle_slice(self) -> bool:
         # the loop's idle hook: a turn signs the outstanding plan for one
         # slice or, once it is signed and this process has handed out a key,
-        # makes one key for the pool; with neither left it returns at once
+        # derives one key for the pool; with neither left it returns at once
         plan = self.hub.plan
         if plan is None or plan.signed:
-            if len(self.hub.manager_keys) == self._keys_at_start:
+            if self.hub.next_key == self._next_key_at_start:
                 return True
             return self.hub.fill_key_pool(KEY_POOL_SIZE)
         self.hub.sign_plan(time.perf_counter() + SIGN_SLICE_S)

@@ -23,30 +23,33 @@ prefix. A load derives them. `conservation()` recounts every table and is
 
 Users, pending and owned deposits and settle requests are `wire` records,
 declared once for memory and for the snapshot. Each fact is held once: a
-pending deposit's key lives only in `manager_keys`, and a settlement plan's
-size, fee, inputs and leftover are read off its transaction.
+settlement plan's size, fee, inputs and leftover are read off its
+transaction.
 
 A plan is decided inside the request that builds it and signed afterwards:
 `sign_plan` signs its inputs, and the front ends call it between frames, so
 that request answers before its ECDSA signatures exist. A plan is matched on
 chain by its sighash, which no signature changes.
 
-Each deposit and each plan's leftover goes to a fresh manager key. When the
-on-chain scheme's keys do not come from the hub's RNG (ECDSA), the daemon
-makes keys ahead between frames, into a small pool (`fill_key_pool`), and a
-request takes one from there. A `fast` key is drawn from the RNG inside its
-request, in request order, so replays keep their bytes.
+Each deposit and each plan's leftover goes to a fresh manager key: key
+`next_key`, derived from the hub's one seed (`crypto`'s `derive`). The hub
+holds no key table: a pending deposit, an owned deposit and a plan record
+their key's index, and `sign_plan` derives each input's key again to sign
+it. Key i is the same key whenever it is derived, so the daemon derives the
+next few ahead between frames, into a small pool of addresses
+(`fill_key_pool`), and a request takes its own from there.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import os
 import time
 from collections import deque
 
 from .blocks import Block
-from .crypto import ADDRESS_SIZE, CryptoSuite, DeterministicRng, Secret, address_of
+from .crypto import ADDRESS_SIZE, CryptoSuite, Secret, address_of, seed_bytes
 from .errors import (
     AlreadyInitialized,
     AlreadyRegistered,
@@ -95,7 +98,9 @@ class HubConfig:
     min_routing_fee: int
     chain_params: ChainParams = wire.fresh(ChainParams.regtest)
     suite: CryptoSuite = wire.fresh(CryptoSuite.fast_test)
-    rng_seed: bytes | int = 0
+    # the seed of every manager key; fresh by default, since a fixed one
+    # would make the keys public
+    rng_seed: bytes | int = wire.fresh(lambda: os.urandom(32))
 
 
 @wire.record
@@ -114,6 +119,7 @@ class PendingDeposit:
     manager_address: bytes = wire.fixed("20s")
     beneficiary: bytes = wire.fixed("20s")
     expiry_height: int = wire.fixed("Q")
+    key_index: int = wire.fixed("Q")
 
 
 @wire.record
@@ -124,6 +130,7 @@ class OwnedDeposit:
     fare_precollected: int = wire.fixed("Q")
     source_height: int = wire.fixed("Q")
     lock_address: bytes = wire.fixed("20s")
+    key_index: int = wire.fixed("Q")
 
     @property
     def outpoint(self) -> Outpoint:
@@ -203,13 +210,14 @@ class FeeEstimator:
 class SettlementPlan:
     """An outstanding spend-all settlement. Its size, fee, inputs and
     leftover output are read off its transaction, whose last output is the
-    leftover, and its settled user value off the selected requests. It is
-    signed once every input's unlock is set."""
+    leftover, to manager key `leftover_key`, and its settled user value off
+    the selected requests. It is signed once every input's unlock is set."""
 
     transaction: Transaction
     selected: list[SettleRequest]
     b_total: int
     rf_confirmed_on_confirm: int
+    leftover_key: int
     host_subsidy: int = 0
 
     def __post_init__(self):
@@ -255,17 +263,17 @@ class Hub:
     def __init__(self, config: HubConfig):
         self.config = config
         self.suite = config.suite
-        self.rng = DeterministicRng(config.rng_seed)
+        self.key_seed = seed_bytes(config.rng_seed)
+        self.next_key = 0  # the index of the next manager key handed out
 
         self.chain: HeaderChain | None = None
         self.estimator = FeeEstimator()
         self.users: dict[bytes, UserState] = {}
         self.pending_deposits: dict[bytes, PendingDeposit] = {}
         self.owned: dict[Outpoint, OwnedDeposit] = {}
-        self.manager_keys: dict[bytes, tuple[Secret, bytes]] = {}
-        # keys made ahead, handed out by `_new_manager_key`; none is referenced
-        # before then, so the snapshot leaves them out
-        self.key_pool: list[tuple[Secret, bytes]] = []
+        # the addresses of keys `next_key` and up, derived ahead, by index;
+        # none is handed out yet, so the snapshot leaves them out
+        self.key_pool: dict[int, bytes] = {}
         self.queue: list[SettleRequest] = []
         self._next_enqueue_seq = 0
         # running totals, each changed where its table changes, so that no
@@ -381,28 +389,31 @@ class Hub:
         user = self._authenticate(msg.user_address, msg)
         if self.terminating:
             raise HubTerminated()
-        manager_address = self._new_manager_key()
+        index, manager_address = self._new_manager_key()
         self.pending_deposits[manager_address] = PendingDeposit(
-            manager_address, user.user_address, chain.tip_height + DEPOSIT_EXPIRY_BLOCKS
+            manager_address, user.user_address, chain.tip_height + DEPOSIT_EXPIRY_BLOCKS, index
         )
         return manager_address
 
-    def _new_manager_key(self) -> bytes:
-        """Keep a fresh on-chain key, one from the pool or else one made now,
-        and return its address."""
-        sk, pk = self.key_pool.pop() if self.key_pool else self.suite.onchain.generate(self.rng)
-        address = address_of(pk)
-        self.manager_keys[address] = (sk, pk)
-        return address
+    def manager_key(self, index: int) -> tuple[Secret, bytes]:
+        """Manager key `index`: its secret and public key."""
+        return self.suite.onchain.derive(self.key_seed, index)
+
+    def _new_manager_key(self) -> tuple[int, bytes]:
+        """Hand out key `next_key`: its index and its address, from the pool
+        or else derived now."""
+        index = self.next_key
+        self.next_key += 1
+        address = self.key_pool.pop(index, None) or address_of(self.manager_key(index)[1])
+        return index, address
 
     def fill_key_pool(self, size: int) -> bool:
-        """Make one on-chain key ahead, unless the pool holds `size` keys or
-        the scheme draws its keys from the hub's RNG, whose position a replay
-        keeps. True once there is no key left to make."""
-        onchain = self.suite.onchain
-        if onchain.keys_from_rng or len(self.key_pool) >= size:
+        """Derive the address of one key ahead, the first the pool lacks,
+        unless it holds `size`. True once there is no key left to derive."""
+        if len(self.key_pool) >= size:
             return True
-        self.key_pool.append(onchain.generate())
+        index = self.next_key + len(self.key_pool)  # the pool holds the keys just below
+        self.key_pool[index] = address_of(self.manager_key(index)[1])
         return len(self.key_pool) >= size
 
     def update_boundary_block(self, msg: wire.UpdateBoundary) -> int:
@@ -542,7 +553,7 @@ class Hub:
             rf_delta = min(rf_delta, rf_delta * taken // b_total)
 
         # the leftover output, last, goes to a fresh manager key
-        manager_address = self._new_manager_key()
+        leftover_key, manager_address = self._new_manager_key()
         amounts = sum(r.amount for r in selected)
 
         tx = Transaction(
@@ -554,7 +565,7 @@ class Hub:
         self.queue = self.queue[n:]
         self.queue_gain = 0  # the best prefix, so every positive slack, is taken
         self.rf_pending -= rf_delta
-        self.plan = SettlementPlan(tx, selected, b_total, rf_delta, host_subsidy)
+        self.plan = SettlementPlan(tx, selected, b_total, rf_delta, leftover_key, host_subsidy)
         return self.plan
 
     def sign_plan(self, deadline: float | None = None) -> bool:
@@ -567,7 +578,7 @@ class Hub:
         inputs = plan.transaction.inputs
         while True:
             txin = inputs[plan.next_unsigned]
-            sk, pk = self.manager_keys[self.owned[txin.outpoint].lock_address]
+            sk, pk = self.manager_key(self.owned[txin.outpoint].key_index)
             txin.unlock = make_unlock(self.suite.onchain, sk, pk, plan.sighash)
             plan.next_unsigned += 1
             if plan.signed:
@@ -588,7 +599,7 @@ class Hub:
         self.fares -= fares
         leftover = plan.transaction.outputs[-1]
         vout = plan.tx_outputs - 1
-        self._own(OwnedDeposit(txid, vout, leftover.value, 0, height, leftover.lock_address))
+        self._own(OwnedDeposit(txid, vout, leftover.value, 0, height, leftover.lock_address, plan.leftover_key))
         self.fee_reserve += fares + sum(r.fee for r in plan.selected) + plan.host_subsidy - plan.tx_fee
         self.rf_confirmed += plan.rf_confirmed_on_confirm
         self.host_balance += plan.rf_confirmed_on_confirm
@@ -654,7 +665,7 @@ class Hub:
                     continue
                 fare = min(txout.value, FORMULA_INPUT_BYTES * fee_avg)
                 increase = txout.value - fare
-                self._own(OwnedDeposit(txid, idx, txout.value, fare, height, txout.lock_address))
+                self._own(OwnedDeposit(txid, idx, txout.value, fare, height, txout.lock_address, pending.key_index))
                 user = self.users[pending.beneficiary]
                 user.balance += increase
                 self.balances_total += increase

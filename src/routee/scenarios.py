@@ -17,7 +17,7 @@ import sys
 
 from . import wire
 from .client import Keys, LocalConnection, LocalHubEndpoint
-from .crypto import CryptoSuite, DeterministicRng, Secret, below
+from .crypto import CryptoSuite, DeterministicRng, below
 from .errors import RouteeError, TxRejected
 from .headers import ChainParams
 from .hub import Hub, HubConfig, OwnedDeposit
@@ -148,7 +148,7 @@ class World:
 
 def naive_settlement_tx(
     deposits: list[OwnedDeposit],
-    manager_keys: dict[bytes, tuple[Secret, bytes]],
+    manager_key,
     scheme,
     payout_address: bytes,
     amount: int,
@@ -156,7 +156,9 @@ def naive_settlement_tx(
     change_address: bytes,
 ) -> tuple[Transaction, list[OwnedDeposit]]:
     """The vulnerable baseline: spend the least set of deposits, oldest first,
-    that covers the payout plus the formula fee. Never used by the hub."""
+    that covers the payout plus the formula fee, signed with the keys
+    `manager_key` derives from the deposits' key indices. Never used by the
+    hub."""
     ordered = sorted(deposits, key=lambda d: (d.source_height, d.outpoint))
     picked: list[OwnedDeposit] = []
     total = 0
@@ -175,7 +177,7 @@ def naive_settlement_tx(
     )
     digest = tx.sighash()
     for txin, deposit in zip(tx.inputs, picked):
-        sk, pk = manager_keys[deposit.lock_address]
+        sk, pk = manager_key(deposit.key_index)
         txin.unlock = make_unlock(scheme, sk, pk, digest)
     return tx, picked
 
@@ -247,7 +249,7 @@ def scenario_fake_deposit(seed: int, builder: str = "spend-all") -> ScenarioRepo
         change = w.rng.randbytes(20)
         tx, picked = naive_settlement_tx(
             [hub.owned[op] for op in honest_outpoints],
-            hub.manager_keys,
+            hub.manager_key,
             w.suite.onchain,
             attacker_settle,
             settle_amount,

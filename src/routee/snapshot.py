@@ -1,19 +1,22 @@
 """Versioned binary dump of the full hub state.
 
-Layout (version 5): magic "RTEE", 2-byte big-endian version, a `HubImage`
-record (configuration, RNG position, totals, then one table per kind of hub
-state, the first being the header chain from genesis), then the SHA-256 of
-everything before it. The tables hold the hub's own records (users, pending
-and owned deposits, settle requests), so memory, dump and load share one
-declaration each; a plan is stored as its transaction plus what that
-transaction does not determine. Loading reconstructs an identical hub,
-including the deterministic RNG position, so manager-key generation continues
-where it left off. Any bytes load as a hub or raise `SnapshotError`: the
-trailer refuses a damaged file, and a restored hub must verify its chain from
+Layout (version 6): magic "RTEE", 2-byte big-endian version, a `HubImage`
+record (configuration, the manager-key seed and the next key's index,
+totals, then one table per kind of hub state, the first being the header
+chain from genesis), then the SHA-256 of everything before it. The tables
+hold the hub's own records (users, pending and owned deposits, settle
+requests), so memory, dump and load share one declaration each; a plan is
+stored as its transaction plus what that transaction does not determine.
+No manager key is stored: each deposit and the plan's leftover record their
+key's index, and a loaded hub derives a key from the seed when it signs, and
+hands out keys from the stored index on. So the image grows with the live
+state, never with the keys the hub has made. Loading reconstructs an
+identical hub. Any bytes load as a hub or raise `SnapshotError`: the trailer
+refuses a damaged file, and a restored hub must verify its chain from
 genesis, balance its ledger, keep its queue in settlement order and its
-pending deposits in expiry order, hold the key of every deposit it owns or
-awaits and own every input of its plan. The hub's running totals are not
-stored: a load derives them from the tables.
+pending deposits in expiry order, index only keys it has handed out and own
+every input of its plan. The hub's running totals are not stored: a load
+derives them from the tables.
 
 Known limitation: snapshots carry no rollback protection. An operator
 restoring an old file resurrects old state; guarding against that would need
@@ -22,7 +25,7 @@ a monotonic counter outside the snapshot itself.
 from __future__ import annotations
 
 from . import wire
-from .crypto import CryptoSuite, DeterministicRng, address_of, sha256
+from .crypto import CryptoSuite, address_of, sha256
 from .errors import RouteeError, SnapshotError
 from .headers import BlockHeader, ChainParams, HeaderChain
 from .hub import Hub, HubConfig, OwnedDeposit, PendingDeposit, SettleRequest, SettlementPlan, UserState, queue_order
@@ -30,20 +33,13 @@ from .transactions import Transaction
 from .wire import fixed, record, repeated, text, trailing
 
 MAGIC = b"RTEE"
-VERSION = 5
+VERSION = 6
 TRAILER_SIZE = 32
 
 
 @record
 class FeeSample:
     value: int = fixed("Q")
-
-
-@record
-class ManagerKey:
-    address: bytes = fixed("20s")
-    secret: bytes = trailing()
-    public: bytes = trailing()
 
 
 @record
@@ -54,6 +50,7 @@ class PlanRow:
 
     b_total: int = fixed("Q")
     rf_confirmed_on_confirm: int = fixed("Q")
+    leftover_key: int = fixed("Q")
     host_subsidy: int = fixed("Q")
     transaction: bytes = trailing()
     selected: list[SettleRequest] = repeated(SettleRequest)
@@ -77,8 +74,8 @@ class HubImage:
     settled_amount_total: int = fixed("Q")
     plans_confirmed: int = fixed("Q")
     terminating: bool = fixed("?")
-    rng_seed: bytes = fixed("32s")
-    rng_counter: int = fixed("Q")
+    key_seed: bytes = fixed("32s")
+    next_key: int = fixed("Q")
     next_enqueue_seq: int = fixed("Q")
     mode: str = text()
     host_public_key: bytes = trailing()
@@ -87,7 +84,6 @@ class HubImage:
     users: list[UserState] = repeated(UserState)
     pending: list[PendingDeposit] = repeated(PendingDeposit)
     owned: list[OwnedDeposit] = repeated(OwnedDeposit)
-    manager_keys: list[ManagerKey] = repeated(ManagerKey)
     queue: list[SettleRequest] = repeated(SettleRequest)
     plan: list[PlanRow] = repeated(PlanRow)
 
@@ -96,7 +92,7 @@ class HubImage:
 # parameters, of its configuration and of the hub itself
 _PARAMS = ("retarget_interval", "target_spacing", "pow_limit_bits")
 _CONFIG = ("host_public_key", "host_settle_address", "min_routing_fee")
-_PLAN = ("b_total", "rf_confirmed_on_confirm", "host_subsidy")
+_PLAN = ("b_total", "rf_confirmed_on_confirm", "leftover_key", "host_subsidy")
 _TOTALS = ("rf_pending", "rf_confirmed", "host_balance", "fee_reserve", "rf_collected_total",
            "settled_amount_total", "plans_confirmed", "terminating")
 
@@ -106,21 +102,18 @@ def _named(obj, names: tuple[str, ...]) -> dict:
 
 
 def _image(hub: Hub) -> HubImage:
-    seed, counter = hub.rng.getstate()
     plans = [
         PlanRow(**_named(plan, _PLAN), transaction=plan.transaction.serialize(), selected=plan.selected)
         for plan in ([hub.plan] if hub.plan else [])
     ]
     return HubImage(
         **_named(hub.config.chain_params, _PARAMS), **_named(hub.config, _CONFIG), **_named(hub, _TOTALS),
-        rng_seed=seed, rng_counter=counter, mode=hub.suite.mode, next_enqueue_seq=hub._next_enqueue_seq,
+        key_seed=hub.key_seed, next_key=hub.next_key, mode=hub.suite.mode, next_enqueue_seq=hub._next_enqueue_seq,
         headers=[wire.RawHeader(h.serialize()) for h in hub.chain.headers] if hub.chain else [],
         fee_window=[FeeSample(sample) for sample in hub.estimator.window],
         users=list(hub.users.values()),
         pending=list(hub.pending_deposits.values()),
         owned=list(hub.owned.values()),
-        manager_keys=[ManagerKey(address, hub.suite.onchain.secret_bytes(sk), pk)
-                      for address, (sk, pk) in hub.manager_keys.items()],
         queue=hub.queue,
         plan=plans,
     )
@@ -133,8 +126,9 @@ def dump_hub(hub: Hub) -> bytes:
 
 def _restore(image: HubImage) -> Hub:
     params = ChainParams(**_named(image, _PARAMS))
-    hub = Hub(HubConfig(**_named(image, _CONFIG), chain_params=params, suite=CryptoSuite.from_mode(image.mode)))
-    hub.rng = DeterministicRng.fromstate((image.rng_seed, image.rng_counter))
+    suite = CryptoSuite.from_mode(image.mode)
+    hub = Hub(HubConfig(**_named(image, _CONFIG), chain_params=params, suite=suite, rng_seed=image.key_seed))
+    hub.next_key = image.next_key
     if image.headers:
         hub.chain = HeaderChain(params, [BlockHeader.deserialize(row.raw) for row in image.headers])
     for sample in image.fee_window:
@@ -142,8 +136,6 @@ def _restore(image: HubImage) -> Hub:
     hub.users = {user.user_address: user for user in image.users}
     hub.pending_deposits = {pending.manager_address: pending for pending in image.pending}
     hub.owned = {deposit.outpoint: deposit for deposit in image.owned}
-    load_secret = hub.suite.onchain.load_secret
-    hub.manager_keys = {row.address: (load_secret(row.secret), row.public) for row in image.manager_keys}
     hub.queue = image.queue
     hub._next_enqueue_seq = image.next_enqueue_seq
     if len(image.plan) > 1:
@@ -170,13 +162,14 @@ def _check(hub: Hub) -> None:
     expiry = [pending.expiry_height for pending in hub.pending_deposits.values()]
     if expiry != sorted(expiry):
         raise SnapshotError("pending deposits out of expiry order")
-    locks = [deposit.lock_address for deposit in hub.owned.values()] + list(hub.pending_deposits)
+    keys = [deposit.key_index for deposit in hub.owned.values()]
+    keys += [pending.key_index for pending in hub.pending_deposits.values()]
     if hub.plan is not None:
         if any(outpoint not in hub.owned for outpoint in hub.plan.input_outpoints):
             raise SnapshotError("plan spends a deposit the hub does not own")
-        locks.append(hub.plan.transaction.outputs[-1].lock_address)
-    if any(lock not in hub.manager_keys for lock in locks):
-        raise SnapshotError("deposit without its manager key")
+        keys.append(hub.plan.leftover_key)
+    if any(index >= hub.next_key for index in keys):
+        raise SnapshotError("manager key index not yet handed out")
     if not hub.conservation()["ok"]:
         raise SnapshotError("ledger does not balance")
 

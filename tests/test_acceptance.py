@@ -15,7 +15,7 @@ from routee.client import (
     LocalConnection,
     LocalHubEndpoint,
 )
-from routee.crypto import DeterministicRng, SCHEMES, address_of
+from routee.crypto import DeterministicRng, SCHEMES
 from routee.errors import BlockRejected, RouteeError
 from routee.headers import (
     BlockHeader,
@@ -235,12 +235,10 @@ def test_criterion_5_greedy_matches_bruteforce():
         n_dep = rng.randrange(1, 6)
         for i in range(n_dep):
             outpoint = (rng.randbytes(32), 0)
-            sk, pk = FAST.onchain.generate(DeterministicRng(trial * 100 + i))
-            addr = address_of(pk)
-            hub.manager_keys[addr] = (sk, pk)
+            index, addr = hub._new_manager_key()
             hub._own(OwnedDeposit(
                 *outpoint, rng.randrange(300_000, 400_000),
-                rng.randrange(0, 148 * fee_avg + 1), i, addr,
+                rng.randrange(0, 148 * fee_avg + 1), i, addr, index,
             ))
         hub.fee_reserve = rng.randrange(0, 400)
         for _ in range(rng.randrange(1, 13)):

@@ -24,9 +24,9 @@ def test_deterministic_rng_replays_and_resumes():
     a = DeterministicRng(99)
     b = DeterministicRng(99)
     assert a.randbytes(100) == b.randbytes(100)
-    state = a.getstate()
+    state = (a.seed, a.counter)
     tail = a.randbytes(32)
-    resumed = DeterministicRng.fromstate(state)
+    resumed = DeterministicRng(*state)
     assert resumed.randbytes(32) == tail
 
 
@@ -50,6 +50,27 @@ def test_fast_scheme_is_seed_deterministic():
     k2 = scheme.generate(DeterministicRng(5))
     assert k1 == k2
     assert scheme.sign(k1[0], b"m") == scheme.sign(k2[0], b"m")
+
+
+# the manager addresses of keys 0 and 1 derived from seed 00 01 .. 1f
+DERIVED_ADDRESSES = {
+    "fast": ["7f353ae0fe3bc2c607e0bbfcbd58258e684c449d", "9d4a7f6732566c442e30d66f1f95940ad8eac3d8"],
+    "ecdsa": ["b62651dc8a99bb9d62d8df819af235e0e7bd1bd9", "55d8b81ddc9786e8215bc386b3015649c9ce3953"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_ADDRESSES))
+def test_key_derivation_golden_vectors(name):
+    seed, scheme = bytes(range(32)), SCHEMES[name]
+    for index, address in enumerate(DERIVED_ADDRESSES[name]):
+        sk, pk = scheme.derive(seed, index)
+        assert address_of(pk).hex() == address
+        assert scheme.derive(seed, index)[1] == pk
+        assert scheme.verify(pk, b"m", scheme.sign(sk, b"m"))
+        if name == "fast":
+            # fast key i is the seeded RNG's i-th draw, so addresses keep
+            # their bytes
+            assert sk == pk == DeterministicRng(seed, index).randbytes(32)
 
 
 def test_wrong_key_rejects():

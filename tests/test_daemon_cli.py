@@ -12,6 +12,7 @@ import time
 
 import pytest
 from conftest import closed_by_peer, refused_flips
+from cryptography.hazmat.primitives.serialization import Encoding, NoEncryption, PrivateFormat
 
 from routee import cli, netio, snapshot, wire
 from routee.blocks import Block
@@ -22,12 +23,15 @@ from routee.client import (
     LocalHubEndpoint,
     RemoteHub,
 )
+from routee.crypto import SCHEMES, CryptoSuite, address_of
 from routee.daemon import DaemonConfig, HubDaemon
 from routee.errors import HandshakeFailure, InitFailure, SnapshotError
 from routee.headers import ChainParams
 from routee.hub import Hub
+from routee.scenarios import World
 from routee.simchain import SimNode
 from routee.simchain_server import SimchainClient, SimchainServer
+from routee.transactions import Transaction, TxInput, TxOutput, make_unlock
 
 
 @pytest.fixture
@@ -255,8 +259,16 @@ def test_bad_host_port_is_a_usage_error(capsys, entry, argv, flag):
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["fast\nzz\n", "", "rsa3072\n00\n00\n", "ecdsa\n00\n00\n"],
-                         ids=["bad-hex", "empty", "rsa-not-a-key", "ecdsa-not-a-key"])
+def _ecdsa_key_file() -> str:
+    """A valid secp256k1 key as a key file: no hub request is signed with one."""
+    key, public = SCHEMES["ecdsa"].derive(bytes(32), 0)
+    return f"ecdsa\n{key.private_bytes(Encoding.DER, PrivateFormat.PKCS8, NoEncryption()).hex()}\n{public.hex()}\n"
+
+
+@pytest.mark.parametrize("text", ["fast\nzz\n", "", "rsa3072\n00\n00\n", "ecdsa\n00\n00\n", _ecdsa_key_file(),
+                                  f"fast\n{'11' * 32}\n{'22' * 32}\n"],
+                         ids=["bad-hex", "empty", "rsa-not-a-key", "ecdsa-not-a-key", "ecdsa-valid-key",
+                              "fast-other-public"])
 def test_malformed_key_file_is_a_structured_error(capsys, tmp_path, text):
     key_path = tmp_path / "user.key"
     key_path.write_text(text)
@@ -819,6 +831,48 @@ def test_a_fault_mid_payment_stops_the_daemon_and_keeps_the_last_snapshot(stack,
     restarted.server.server_close()
     assert restarted.hub.conservation()["ok"]
     assert restarted.hub.users[alice.address].balance == balance
+
+
+def test_coins_sent_after_a_fault_to_an_address_handed_out_stay_spendable(tmp_path, monkeypatch):
+    # full mode: the snapshot is taken, AddDeposit hands out an address, and
+    # a fault stops the daemon before another snapshot
+    harness = World(seed=49, premine=3, suite=CryptoSuite.full())
+    alice = harness.new_user()
+    snap = tmp_path / "hub.snap"
+    snap.write_bytes(snapshot.dump_hub(harness.hub))
+    daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(snap)}))
+
+    def fault(hub):
+        raise RuntimeError("injected fault")
+
+    faults = []
+    monkeypatch.setattr(threading, "excepthook", faults.append)
+    monkeypatch.setattr(Hub, "query_latest_block", fault)
+    daemon.start()
+    try:
+        with RemoteHub("127.0.0.1", daemon.port) as hub:
+            manager = hub.request(alice.sign(wire.AddDeposit(alice.address, 0)))["manager_address"]
+        with RemoteHub("127.0.0.1", daemon.port) as hub, pytest.raises(OSError):
+            hub.request(wire.QueryLatestBlock())
+        daemon.server.thread.join(5)
+        assert daemon.server.failed and [str(args.exc_value) for args in faults] == ["injected fault"]
+    finally:
+        daemon.stop()
+
+    # the kept snapshot never saw the deposit, but its seed and next index
+    # give the address's key again, and that key spends a coin sent there
+    kept = snapshot.load_hub(snap.read_bytes())
+    assert not kept.pending_deposits
+    secret, public = CryptoSuite.full().onchain.derive(kept.key_seed, kept.next_key)
+    assert address_of(public) == manager
+    node = harness.node
+    paid = node.pay(manager, 50_000)
+    node.mine_block()
+    vout = [out.lock_address for out in paid.outputs].index(manager)
+    spend = Transaction([TxInput(paid.txid(), vout, 50_000)], [TxOutput(49_000, bytes(20))])
+    spend.inputs[0].unlock = make_unlock(kept.suite.onchain, secret, public, spend.sighash())
+    node.submit_tx(spend)
+    assert node.mine_block().txs[-1].txid() == spend.txid()
 
 
 def test_a_fault_ends_hubd_non_zero_without_a_snapshot(tmp_path):

@@ -117,10 +117,10 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
         for _ in range(3):
             assert hub.apply_request(wire.GetSettlement()) == {"present": 0}
             assert daemon._idle_slice() is False
-            assert hub.key_pool == []
+            assert hub.key_pool == {}
         assert hub.apply_request(wire.GetSettlement())["present"] == 1
         # no key is made before this process hands one out
-        assert daemon._idle_slice() is True and hub.key_pool == []
+        assert daemon._idle_slice() is True and hub.key_pool == {}
         hub._new_manager_key()  # as a deposit or the next plan's leftover does
         # then each turn makes one key, until the pool is full
         for size in range(1, KEY_POOL_SIZE + 1):
@@ -134,7 +134,7 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
     # no key: none has been handed out
     path.write_bytes(data)  # the stop above stored the signed plan
     daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
-    assert daemon.hub.key_pool == []  # the snapshot holds no pool
+    assert daemon.hub.key_pool == {}  # the snapshot holds no pool
     daemon.start()
     try:
         deadline = time.monotonic() + WAIT_S
@@ -145,7 +145,7 @@ def test_daemon_idle_hook_signs_the_plan_before_it_makes_keys(tmp_path, monkeypa
             assert remote.request(wire.GetSettlement())["present"] == 1
     finally:
         daemon.stop()
-    assert daemon.hub.key_pool == []
+    assert daemon.hub.key_pool == {}
 
 
 def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monkeypatch):
@@ -155,8 +155,8 @@ def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monke
     path = tmp_path / "hub.snap"
     path.write_bytes(dump_hub(harness.hub))
     made = []
-    generate = EcdsaScheme.generate
-    monkeypatch.setattr(EcdsaScheme, "generate", lambda scheme, rng=None: made.append(rng) or generate(scheme, rng))
+    derive = EcdsaScheme.derive
+    monkeypatch.setattr(EcdsaScheme, "derive", lambda scheme, seed, index: made.append(index) or derive(scheme, seed, index))
     daemon = HubDaemon(DaemonConfig(overrides={"snapshot_path": str(path)}))
     daemon.start()
     try:
@@ -164,7 +164,7 @@ def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monke
             # each reply leaves after the idle hook of the turns before it
             for _ in range(2):
                 assert remote.request(wire.QueryLedger())["conservation_ok"] == 1
-            assert made == [] and daemon.hub.key_pool == []
+            assert made == [] and daemon.hub.key_pool == {}
             nonce = harness.nonce(alice)
             remote.request(alice.sign(wire.AddDeposit(alice.address, nonce)))
         deadline = time.monotonic() + WAIT_S
@@ -173,5 +173,7 @@ def test_a_restarted_daemon_makes_no_key_before_it_hands_one_out(tmp_path, monke
             time.sleep(0.01)
     finally:
         daemon.stop()
-    # the deposit's key, made in its request, then the pool's
-    assert len(made) == 1 + KEY_POOL_SIZE and len(daemon.hub.key_pool) == KEY_POOL_SIZE
+    # the deposit's key, derived in its request, then the pool's, the next
+    # indices in order
+    start = harness.hub.next_key
+    assert made == list(range(start, start + 1 + KEY_POOL_SIZE)) and len(daemon.hub.key_pool) == KEY_POOL_SIZE

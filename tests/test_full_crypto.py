@@ -8,7 +8,7 @@ from unittest import mock
 from routee import crypto, wire
 from routee import hub as hub_mod
 from routee.client import Keys, LocalConnection, LocalHubEndpoint
-from routee.crypto import CryptoSuite, address_of
+from routee.crypto import SECP256K1_ORDER, CryptoSuite, address_of
 from routee.daemon import KEY_POOL_SIZE
 from routee.errors import AuthFailure
 from routee.netio import MAX_CONNECTIONS
@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, x25519
 from cryptography.hazmat.primitives.asymmetric.utils import decode_dss_signature, encode_dss_signature
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+from cryptography.hazmat.primitives.serialization import Encoding, NoEncryption, PrivateFormat, PublicFormat
 
 FULL = CryptoSuite.full()
-SECP256K1_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 
 
 def malleate(unlock: bytes) -> bytes:
@@ -93,15 +92,18 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     assert hub.plans_confirmed == 1
     assert hub.conservation()["ok"]
 
-    # with one deposit left pending, each manager secret is stored once
+    # with one deposit left pending, no manager secret is in the snapshot:
+    # not a key's scalar, nor its PKCS#8
     second = hub.add_deposit(bob.sign(wire.AddDeposit(bob.address, w.nonce(bob))))
-    assert hub.pending_deposits
+    assert hub.pending_deposits and hub.next_key == 3  # two deposits and a leftover
     data = dump_hub(hub)
-    for secret, _ in hub.manager_keys.values():
-        assert data.count(FULL.onchain.secret_bytes(secret)) == 1
+    for index in range(hub.next_key):
+        key = hub.manager_key(index)[0]
+        assert key.private_numbers().private_value.to_bytes(32, "big") not in data
+        assert key.private_bytes(Encoding.DER, PrivateFormat.PKCS8, NoEncryption()) not in data
 
-    # a restored hub parses each owned deposit's key once, when it signs,
-    # and its plan validates on the chain
+    # a restored hub parses no key: it derives each input's key when it
+    # signs, and its plan validates on the chain
     node.pay(second, 50_000)
     w.insert(node.mine_block())
     assert len(hub.owned) == 2
@@ -114,7 +116,7 @@ def test_full_mode_deposit_payment_settlement(monkeypatch):
     assert restored.sign_plan()
     plan = restored.plan
     assert plan is not None
-    assert len(parses) == len(plan.transaction.inputs) == 2
+    assert parses == [] and len(plan.transaction.inputs) == 2
     node.submit_tx(plan.transaction)
 
 
@@ -153,14 +155,9 @@ def test_plan_confirms_when_its_signatures_are_malleated():
 
 
 def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
-    made = []
-    generate = FULL.onchain.generate
-
-    def counting_generate(rng=None):
-        made.append(rng)
-        return generate(rng)
-
-    monkeypatch.setattr(FULL.onchain, "generate", counting_generate)
+    derived = []
+    derive = FULL.onchain.derive
+    monkeypatch.setattr(FULL.onchain, "derive", lambda seed, index: derived.append(index) or derive(seed, index))
     w = World(seed=33, premine=3, suite=FULL)
     hub, node = w.hub, w.node
     alice = w.new_user()
@@ -174,37 +171,34 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
             turns += 1
         return turns
 
-    # with an empty pool the request makes its key itself (each count
-    # starts at the request)
-    made.clear()
+    # with an empty pool the request derives its key itself
+    derived.clear()
     manager = deposit()
-    assert made == [hub.rng] and hub.key_pool == []
+    assert derived == [0] and hub.key_pool == {} and hub.next_key == 1
     node.pay(manager, 100_000)
 
-    # one key per call, up to the pool's size and never beyond it
-    made.clear()
+    # one key per call, the next indices in order, up to the pool's size
+    # and never beyond it
+    derived.clear()
     assert fill() == KEY_POOL_SIZE
-    assert made == [None] * KEY_POOL_SIZE and len(hub.key_pool) == KEY_POOL_SIZE
-    assert hub.fill_key_pool(KEY_POOL_SIZE) and len(made) == len(hub.key_pool) == KEY_POOL_SIZE
+    assert derived == sorted(hub.key_pool) == list(range(1, 1 + KEY_POOL_SIZE))
+    assert hub.fill_key_pool(KEY_POOL_SIZE) and len(derived) == KEY_POOL_SIZE
 
-    # with a filled pool the request takes a key made ahead
-    made.clear()
-    sk, pk = hub.key_pool[-1]
+    # with a filled pool the request takes its key, derived ahead: the same
+    # key it would derive
+    derived.clear()
     manager = deposit()
-    assert made == [] and manager == address_of(pk) and hub.manager_keys[manager] == (sk, pk)
+    assert derived == [] and manager == address_of(derive(hub.key_seed, 1)[1])
+    assert sorted(hub.key_pool) == list(range(2, 1 + KEY_POOL_SIZE))
     node.pay(manager, 100_000)
     w.insert(node.mine_block())
     assert len(hub.owned) == 2
 
-    # no key waiting in the pool is in the snapshot, and a loaded hub's
-    # pool starts empty
-    data = dump_hub(hub)
-    assert hub.key_pool
-    assert not any(FULL.onchain.secret_bytes(secret) in data for secret, _ in hub.key_pool)
-    assert load_hub(data).key_pool == []
+    # the pool is not in the snapshot, and a loaded hub's pool starts empty
+    assert load_hub(dump_hub(hub)).key_pool == {}
 
     # the InsertBlock that confirms a plan builds the next one: its leftover
-    # key comes from a filled pool without a key made, else from the request
+    # key comes from a filled pool without a derivation, else from the request
     for filled in (True, False):
         w.settle(alice, 10_000, 800)
         assert hub.plan is not None and hub.sign_plan()
@@ -215,21 +209,26 @@ def test_key_pool_takes_key_generation_out_of_the_requests(monkeypatch):
             hub.key_pool.clear()
         node.submit_tx(hub.plan.transaction)
         block = node.mine_block()
-        made.clear()
+        derived.clear()
         report = w.insert(block)
         assert report["confirmed_plan"] == 1 and report["plan_built"] == 1
-        assert made == ([] if filled else [hub.rng])
+        assert derived == ([] if filled else [hub.plan.leftover_key])
         assert hub.sign_plan()
         w.confirm_outstanding()
         assert hub.plan is None and hub.conservation()["ok"]
 
 
-def test_fast_test_hub_never_fills_its_pool():
+def test_a_key_derived_ahead_is_the_key_its_request_derives():
     harness = World(seed=3)
-    hub = harness.hub
-    counter = hub.rng.counter
-    assert hub.fill_key_pool(KEY_POOL_SIZE)
-    assert hub.key_pool == [] and hub.rng.counter == counter
+    alice = harness.new_user()
+    ahead = load_hub(dump_hub(harness.hub))
+    while not ahead.fill_key_pool(KEY_POOL_SIZE):
+        pass
+    assert sorted(ahead.key_pool) == list(range(KEY_POOL_SIZE))
+    for nonce in range(KEY_POOL_SIZE + 1):  # the last one past the pool
+        msg = alice.sign(wire.AddDeposit(alice.address, nonce))
+        assert ahead.add_deposit(msg) == harness.hub.add_deposit(msg)
+    assert ahead.key_pool == {} and ahead.next_key == harness.hub.next_key
 
 
 def _spki(private_key) -> bytes:

@@ -766,12 +766,10 @@ def test_greedy_matches_bruteforce_over_random_queues():
             n_dep = rng.randrange(1, 5)
             for i in range(n_dep):
                 outpoint = (rng.randbytes(32), 0)
-                sk, pk = FAST.onchain.generate()
-                addr = address_of(pk)
-                hub.manager_keys[addr] = (sk, pk)
+                index, addr = hub._new_manager_key()
                 hub._own(OwnedDeposit(
                     *outpoint, rng.randrange(200_000, 300_000),
-                    rng.randrange(0, 148 * fee_avg + 1), i, addr,
+                    rng.randrange(0, 148 * fee_avg + 1), i, addr, index,
                 ))
             if kind == "negative-first":
                 uncovered = formula_size(n_dep, 1) * fee_avg - hub.fares
@@ -838,7 +836,7 @@ def test_fee_window_drops_its_oldest_sample_from_the_sum():
 
 def _deposit_behind_the_hubs_back(hub, alice):
     # owned as a fare in full, so the ledger identity still balances
-    hub.owned[(bytes(32), 0)] = OwnedDeposit(bytes(32), 0, 1_000, 1_000, 1, bytes(20))
+    hub.owned[(bytes(32), 0)] = OwnedDeposit(bytes(32), 0, 1_000, 1_000, 1, bytes(20), 0)
 
 
 def _balance_behind_the_hubs_back(hub, alice):

@@ -3,6 +3,7 @@ import pytest
 from routee import wire
 from routee.crypto import sha256
 from routee.errors import SnapshotError
+from routee.hub import DEPOSIT_EXPIRY_BLOCKS
 from routee.scenarios import World
 from routee.snapshot import MAGIC, TRAILER_SIZE, HubImage, dump_hub, load_hub
 from routee.transactions import Transaction
@@ -23,11 +24,10 @@ def state_fingerprint(hub):
         "pending": sorted(hub.pending_deposits),
         "owned": {op: (d.value, d.fare_precollected, d.source_height, d.lock_address)
                   for op, d in hub.owned.items()},
-        "managers": sorted(hub.manager_keys),
+        "keys": (hub.key_seed, hub.next_key),
         "queue": [(r.user_address, r.amount, r.fee, r.enqueue_seq, r.is_host)
                   for r in hub.queue],
         "plan": hub.plan.transaction.serialize() if hub.plan else None,
-        "rng": hub.rng.getstate(),
         "window": list(hub.estimator.window),
         "next_seq": hub._next_enqueue_seq,
     }
@@ -81,9 +81,11 @@ def test_snapshot_bad_magic_and_version():
         load_hub(data[:4] + b"\x00\x63" + data[6:])
     with pytest.raises(SnapshotError, match="version 3"):
         load_hub(data[:4] + b"\x00\x03" + data[6:])
-    # version 4 kept the height its header chain started at
-    with pytest.raises(SnapshotError, match="unsupported snapshot version 4"):
-        load_hub(data[:4] + b"\x00\x04" + data[6:])
+    # version 4 kept the height its header chain started at, and 5 every
+    # manager key
+    for old in (4, 5):
+        with pytest.raises(SnapshotError, match=f"unsupported snapshot version {old}"):
+            load_hub(data[:4] + old.to_bytes(2, "big") + data[6:])
 
 
 def test_snapshot_refuses_any_flipped_bit():
@@ -93,14 +95,6 @@ def test_snapshot_refuses_any_flipped_bit():
         flipped[pos] ^= 1 << (pos % 8)
         with pytest.raises(SnapshotError):
             load_hub(bytes(flipped))
-
-
-def _without_key(image, address):
-    image.manager_keys = [key for key in image.manager_keys if key.address != address]
-
-
-def _leftover_address(image):
-    return Transaction.deserialize(image.plan[0].transaction).outputs[-1].lock_address
 
 
 def _without_outputs(image):
@@ -113,9 +107,10 @@ _UNREACHABLE = {
     "host_balance": ("ledger does not balance",
                      lambda image: setattr(image, "host_balance", image.host_balance + 1)),
     "plan_input": ("plan spends a deposit", lambda image: setattr(image, "owned", [])),
-    "owned_key": ("manager key", lambda image: _without_key(image, image.owned[0].lock_address)),
-    "pending_key": ("manager key", lambda image: _without_key(image, image.pending[0].manager_address)),
-    "leftover_key": ("manager key", lambda image: _without_key(image, _leftover_address(image))),
+    # a key index at or past the next key's: a key not yet handed out
+    "owned_key": ("key index", lambda image: setattr(image.owned[0], "key_index", image.next_key)),
+    "pending_key": ("key index", lambda image: setattr(image.pending[0], "key_index", image.next_key)),
+    "leftover_key": ("key index", lambda image: setattr(image.plan[0], "leftover_key", image.next_key)),
     "user_address": ("user address", lambda image: setattr(image.users[0], "user_address", b"\x01" * 20)),
     "queue_order": ("settlement order", lambda image: image.queue.reverse()),
     "pending_order": ("expiry order", lambda image: image.pending.reverse()),
@@ -148,3 +143,39 @@ def test_snapshot_refuses_state_no_request_sequence_reaches(name):
     body = data[:6] + wire.encode(image)
     with pytest.raises(SnapshotError, match=reason):
         load_hub(body + sha256(body))
+
+
+def _hub_after(cycles, expired):
+    """A hub after `expired` deposit addresses left to expire and `cycles`
+    deposit, settle and confirm cycles, each leaving one owned deposit, the
+    plan's leftover. Blocks that pay a fee to no manager address stand in for
+    the cycles not run, so the chain and the fee window grow alike, and then
+    the addresses expire."""
+    harness = World(seed=13)
+    alice = harness.new_user()
+    for _ in range(expired):
+        harness.hub.add_deposit(alice.sign(wire.AddDeposit(alice.address, harness.nonce(alice))))
+    for _ in range(cycles):
+        harness.deposit(alice, 100_000)
+        harness.settle(alice, 1_000, 1_000)
+        harness.confirm_outstanding()
+    for _ in range(2 * (20 - cycles)):
+        harness.node.pay(bytes(20), 1_000, fee=226 * harness.hub.estimator.fee_avg)
+        harness.insert(harness.node.mine_block())
+    for _ in range(DEPOSIT_EXPIRY_BLOCKS + 1):
+        harness.insert(harness.node.mine_block())
+    hub = harness.hub
+    assert len(hub.owned) == 1 and not hub.pending_deposits and hub.plan is None and not hub.queue
+    assert hub.next_key == expired + 2 * cycles and hub.chain.tip_height == 8 + 40 + DEPOSIT_EXPIRY_BLOCKS + 1
+    return hub
+
+
+def test_history_costs_no_snapshot_bytes():
+    # equal live state dumps to equal lengths, however many keys the hub has
+    # handed out: 2 or 40 for the cycles, and 0 or 1 for an expired address
+    hubs = [_hub_after(1, 0), _hub_after(20, 0), _hub_after(20, 1)]
+    data = [dump_hub(hub) for hub in hubs]
+    assert len({len(image) for image in data}) == 1
+    # and no manager secret is in it, a fast key being its own public key
+    for hub, image in zip(hubs, data):
+        assert not any(hub.manager_key(index)[0] in image for index in range(hub.next_key))
